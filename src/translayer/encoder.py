@@ -32,18 +32,20 @@ def bit_weights(l1: int) -> np.ndarray:
 
 def compress_groups(stack: FeatureMapStack, trans_layer: bool) -> np.ndarray:
     """Pack binarized maps into code maps, shape (groups, h, w) uint16."""
-    l1_bits = binarize(stack.layer1).astype(np.uint16)
-    l2_bits = binarize(stack.layer2).astype(np.uint16)
-    l1, l2 = l1_bits.shape[0], l2_bits.shape[1]
+    return pack_codes(binarize(stack.layer1), binarize(stack.layer2), trans_layer)
+
+
+def pack_codes(l1_bits: np.ndarray, l2_bits: np.ndarray,
+               trans_layer: bool) -> np.ndarray:
+    """Code maps (groups, h, w) uint16 from 0/1 maps: first-layer bits
+    (L1, h, w) and second-layer bits (L1, L2, h, w)."""
+    l1 = l1_bits.shape[0]
     if l1 > 16:
         raise ValueError("groups of more than 16 maps overflow 16-bit codes")
-    weights = bit_weights(l1)
-    groups = []
-    if trans_layer:
-        groups.append(np.tensordot(weights, l1_bits, axes=(0, 0)))
-    for j in range(l2):
-        groups.append(np.tensordot(weights, l2_bits[:, j], axes=(0, 0)))
-    return np.stack(groups).astype(np.uint16)
+    parts = [l1_bits[:, None], l2_bits] if trans_layer else [l2_bits]
+    # float64 holds every code exactly and takes the BLAS product
+    groups = np.concatenate(parts, axis=1, dtype=np.float64)
+    return np.tensordot(bit_weights(l1), groups, axes=(0, 0)).astype(np.uint16)
 
 
 def partition_blocks(map_size: tuple[int, int], encoder: EncoderConfig) -> list[tuple[int, int]]:
@@ -72,23 +74,19 @@ def feature_of(code_maps: np.ndarray, encoder: EncoderConfig) -> HistogramFeatur
         raise ValueError("expected (groups, h, w) code maps")
     if maps.min() < 0 or maps.max() >= encoder.bins:
         raise ValueError("code outside [0, bins)")
-    h, w = maps.shape[1:]
+    groups, h, w = maps.shape
     nx, ny = block_counts((w, h), encoder)
     if encoder.block_w > w or encoder.block_h > h:
         raise ValueError("block larger than the map")
-    n_blocks = nx * ny
-    bins = encoder.bins
-    span = n_blocks * bins
-    parts = []
-    for g in range(maps.shape[0]):
-        view = sliding_window_view(maps[g], (encoder.block_h, encoder.block_w))
-        tiles = view[::encoder.stride_y, ::encoder.stride_x]
-        flat = tiles.reshape(n_blocks, -1).astype(np.intp)
-        flat += (np.arange(n_blocks, dtype=np.intp) * bins)[:, None]
-        parts.append(np.bincount(flat.ravel(), minlength=span))
-    dense = np.concatenate(parts)
-    indices = np.flatnonzero(dense)
-    return HistogramFeature(dim=maps.shape[0] * span,
+    blocks = groups * nx * ny
+    view = sliding_window_view(maps, (encoder.block_h, encoder.block_w), axis=(1, 2))
+    tiles = view[:, ::encoder.stride_y, ::encoder.stride_x]
+    # each (map, block) pair owns a run of `bins` slots, in (map, block) order
+    flat = tiles.reshape(blocks, -1).astype(np.intp)
+    flat += (np.arange(blocks, dtype=np.intp) * encoder.bins)[:, None]
+    dense = np.bincount(flat.ravel(), minlength=blocks * encoder.bins)
+    indices = np.flatnonzero(dense != 0)    # numpy finds nonzeros fastest in bools
+    return HistogramFeature(dim=dense.size,
                             indices=indices.astype(np.int64),
                             counts=dense[indices].astype(np.int64))
 

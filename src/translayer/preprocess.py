@@ -28,11 +28,18 @@ class LcnParams:
             raise ValueError("lcn constant c must be > 0")
 
 
+def center(patches: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Patches laid out along ``axis`` minus their means, and their
+    population standard deviations (``axis`` kept with length 1)."""
+    mean = patches.mean(axis=axis, keepdims=True)
+    centered = patches - mean
+    std = np.sqrt(np.square(centered).mean(axis=axis, keepdims=True))
+    return centered, std
+
+
 def lcn_rows(rows: np.ndarray, params: LcnParams) -> np.ndarray:
     """Contrast-normalize each row of a (m, d) array of flattened patches."""
-    mean = rows.mean(axis=1, keepdims=True)
-    centered = rows - mean
-    std = np.sqrt(np.square(centered).mean(axis=1, keepdims=True))
+    centered, std = center(rows, axis=1)
     return centered / (std + params.c)
 
 

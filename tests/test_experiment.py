@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from translayer import evaluate_model, extract_features, train_model
+from translayer import (FilterBank, TrainedModel, WhiteningTransform,
+                        evaluate_model, experiment, extract_features,
+                        train_model)
 from translayer.experiment import format_eval_report, predict_features
+from translayer.types import PCA
 
 from conftest import tiny_config
 
@@ -12,6 +15,44 @@ def test_parallel_extraction_matches_serial(tiny_model, glyph_test):
     serial = extract_features(tiny_model, images, jobs=1)
     parallel = extract_features(tiny_model, images, jobs=2)
     assert (serial != parallel).nnz == 0
+
+
+def test_evaluation_forks_one_pool_for_all_chunks(tiny_model, glyph_test,
+                                                   monkeypatch):
+    images, labels = glyph_test
+    serial = evaluate_model(tiny_model, images, labels, jobs=1, chunk=7)
+    contexts = []
+    get_context = experiment.mp.get_context
+
+    def counting(method):
+        contexts.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(experiment.mp, "get_context", counting)
+    parallel = evaluate_model(tiny_model, images, labels, jobs=2, chunk=7)
+    assert len(contexts) == 1
+    assert np.array_equal(serial.confusion, parallel.confusion)
+
+
+def test_nan_pixel_rejected(tiny_model):
+    image = np.zeros((28, 28))
+    image[14, 14] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        extract_features(tiny_model, [image])
+
+
+def test_more_than_sixteen_first_layer_maps_rejected(tiny_model, glyph_test):
+    cfg = tiny_config(l1=17)
+    shape = cfg.patch_shape()
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(shape.dim, 17)))
+    model = TrainedModel(config=cfg,
+                         bank1=FilterBank(layer_kind=PCA, shape=shape, weights=q.T),
+                         bank2=tiny_model.bank2,
+                         whiten1=WhiteningTransform(np.eye(shape.dim), 0.1),
+                         whiten2=tiny_model.whiten2, encoder=cfg.encoder(),
+                         classifier=None)
+    with pytest.raises(ValueError, match="16-bit"):
+        extract_features(model, glyph_test[0][:1])
 
 
 def test_feature_dim_matches_model_arithmetic(tiny_model, glyph_test):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from translayer import (FilterBank, GrayImage, PatchShape, WhiteningTransform,
-                        build_stack, map_layer, pad_same)
+from translayer import (Config, FilterBank, GrayImage, PatchShape,
+                        TrainedModel, WhiteningTransform, build_stack,
+                        compress_groups, map_layer, pad_same, pipeline)
+from translayer.pipeline import code_maps
 from translayer.preprocess import LcnParams, lcn_patch
 from translayer.types import DAE, PCA
 
@@ -162,3 +166,95 @@ def test_build_stack_is_pure(tiny_model, glyph_train):
     assert np.array_equal(a.layer1, b.layer1)
     assert np.array_equal(a.layer2, b.layer2)
     assert np.array_equal(image.pixels, before)
+
+
+# --- sign-only extraction ----------------------------------------------------
+
+def random_model(learner, l1, l2, seed, **flags):
+    """A model with random banks and whitening on 3x5 patches.
+
+    Autoencoder banks give their first filter a zero bias, so that its sign
+    on a constant window rests on rounding alone.
+    """
+    cfg = Config(patch_k1=3, patch_k2=5, l1=l1, l2=l2, learner=learner, **flags)
+    gen = np.random.default_rng(seed)
+    shape = cfg.patch_shape()
+
+    def bank(count):
+        if learner == PCA:
+            q, _ = np.linalg.qr(gen.normal(size=(shape.dim, count)))
+            return FilterBank(layer_kind=PCA, shape=shape, weights=q.T)
+        biases = gen.normal(scale=0.3, size=count)
+        biases[0] = 0.0
+        return FilterBank(layer_kind=DAE, shape=shape, biases=biases,
+                          weights=gen.normal(scale=0.4, size=(count, shape.dim)))
+
+    def whiten():
+        q, _ = np.linalg.qr(gen.normal(size=(shape.dim, shape.dim)))
+        mat = (q * gen.uniform(0.5, 3.0, shape.dim)) @ q.T
+        return WhiteningTransform(matrix=0.5 * (mat + mat.T), epsilon=0.1)
+
+    return TrainedModel(config=cfg, bank1=bank(l1), bank2=bank(l2),
+                        whiten1=whiten(), whiten2=whiten(),
+                        encoder=cfg.encoder(), classifier=None)
+
+
+@st.composite
+def flat_region_images(draw):
+    """Exact-zero background, flat rectangles of at least 3x5 (saturated or
+    at values whose window mean rounds), some touching the border, and an
+    optional textured rectangle."""
+    h, w = draw(st.integers(5, 14)), draw(st.integers(5, 14))
+    img = np.zeros((h, w))
+    for _ in range(draw(st.integers(0, 3))):
+        rh, rw = draw(st.integers(3, h)), draw(st.integers(5, w))
+        r0, c0 = draw(st.integers(0, h - rh)), draw(st.integers(0, w - rw))
+        img[r0:r0 + rh, c0:c0 + rw] = draw(st.sampled_from([1.0, 0.7, 1 / 3, 0.5]))
+    if draw(st.booleans()):
+        r0, c0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        img[r0:, c0:] = gen.random((h - r0, w - c0))
+    return GrayImage(img)
+
+
+@pytest.mark.parametrize("learner", [PCA, DAE])
+@pytest.mark.parametrize("lcn", [True, False])
+@pytest.mark.parametrize("preprocess", [True, False])
+@pytest.mark.parametrize("trans", [True, False])
+@given(image=flat_region_images(), seed=st.integers(0, 2**32 - 1))
+def test_code_maps_match_float_stack(learner, lcn, preprocess, trans, image, seed):
+    model = random_model(learner, 4, 4, seed, lcn=lcn, trans_layer=trans,
+                         preprocess_at_extraction=preprocess)
+    want = compress_groups(build_stack(image, model), trans)
+    got = code_maps(image, model)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("learner", [PCA, DAE])
+@given(image=flat_region_images(), seed=st.integers(0, 2**32 - 1))
+def test_code_maps_match_with_unequal_filter_counts(learner, image, seed):
+    model = random_model(learner, 3, 5, seed)
+    want = compress_groups(build_stack(image, model), True)
+    assert np.array_equal(code_maps(image, model), want)
+
+
+def test_uncertified_map_falls_back_to_window_path(monkeypatch):
+    # Zero-background windows map to tanh(first-layer bias) everywhere, so
+    # second-layer windows there are constant and nonzero. Contrast
+    # normalization sends such a window to zero up to rounding, and the
+    # zero-bias filter leaves that rounding to decide the sign: the fused
+    # bound cannot certify it, so the map is recomputed.
+    model = random_model(DAE, 4, 4, seed=5)
+    image = GrayImage(np.pad(np.full((4, 6), 0.8), 6))
+    calls = []
+    window_path = pipeline.map_layer
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return window_path(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "map_layer", counting)
+    got = code_maps(image, model)
+    assert len(calls) > 1      # layer 1, then at least one second-layer map
+    want = compress_groups(build_stack(image, model), True)
+    assert np.array_equal(got, want)
