@@ -11,6 +11,7 @@ similarity.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,6 +25,8 @@ from .types import HistogramFeature
 SVM_TOL = 0.1
 SVM_MAX_PASSES = 1000
 EIGENVALUE_FLOOR = 1e-10  # relative to the largest eigenvalue
+
+log = logging.getLogger("translayer")
 
 
 @dataclass(frozen=True)
@@ -74,12 +77,19 @@ def as_csr(features) -> sp.csr_matrix:
 
 
 def _solve_binary(indptr, indices, data, y, dim, cost_c, qii, gen,
-                  tol=SVM_TOL, max_passes=SVM_MAX_PASSES):
+                  tol, max_passes):
     """Dual coordinate descent for one binary L1-hinge problem.
 
     Stops when the largest projected-gradient violation seen in a full
-    pass drops below ``tol``. Returns the primal weights and the dual
-    objective value after each pass.
+    pass drops below ``tol``, or after ``max_passes`` passes. Returns the
+    primal weights, the dual objective value after each pass and the
+    largest violation of the last pass.
+
+    Each step gathers the sample's weights once and, on an update,
+    scatters them back once; the arithmetic is that of
+    ``w[idx] += (a_new - a) * y[i] * vals``, so the weights are
+    bit-identical to that form. ``indices`` should be ``np.intp``, which
+    numpy would otherwise convert on every fancy index.
     """
     n = y.size
     w = np.zeros(dim)
@@ -92,7 +102,8 @@ def _solve_binary(indptr, indices, data, y, dim, cost_c, qii, gen,
             lo, hi = indptr[i], indptr[i + 1]
             idx = indices[lo:hi]
             vals = data[lo:hi]
-            grad = y[i] * float(w[idx] @ vals) - 1.0
+            wi = w[idx]
+            grad = y[i] * float(wi @ vals) - 1.0
             a = alpha[i]
             if a <= 0.0:
                 violation = min(grad, 0.0)
@@ -108,7 +119,8 @@ def _solve_binary(indptr, indices, data, y, dim, cost_c, qii, gen,
                 else:
                     a_new = cost_c if grad < 0.0 else 0.0
                 if a_new != a:
-                    w[idx] += (a_new - a) * y[i] * vals
+                    wi += (a_new - a) * y[i] * vals
+                    w[idx] = wi
                     alpha[i] = a_new
         objective = 0.5 * float(w @ w) - float(alpha.sum())
         if history and objective > history[-1] + 1e-9 * max(1.0, abs(history[-1])):
@@ -116,7 +128,7 @@ def _solve_binary(indptr, indices, data, y, dim, cost_c, qii, gen,
         history.append(objective)
         if max_violation < tol:
             break
-    return w, history
+    return w, history, max_violation
 
 
 def svm_train(features, labels, cost_c: float = 1.0,
@@ -135,18 +147,22 @@ def svm_train(features, labels, cost_c: float = 1.0,
         raise ValueError("cost_c must be > 0")
     rng = rng if rng is not None else Rng(0)
 
-    sq = x.copy()
-    sq.data = sq.data * sq.data
-    qii = np.asarray(sq.sum(axis=1)).ravel()
+    qii = np.asarray(x.multiply(x).sum(axis=1)).ravel()
 
     dim = x.shape[1]
+    indices = x.indices.astype(np.intp)
     weights = np.zeros((classes.size, dim))
     histories = []
     for k, cls in enumerate(classes):
         y = np.where(y_all == cls, 1.0, -1.0)
         gen = rng.stream(f"svm.class.{int(cls)}")
-        w, hist = _solve_binary(x.indptr, x.indices, x.data, y, dim, cost_c,
-                                qii, gen)
+        w, hist, violation = _solve_binary(
+            x.indptr, indices, x.data, y, dim, cost_c, qii, gen,
+            SVM_TOL, SVM_MAX_PASSES)
+        if violation >= SVM_TOL:
+            log.warning("SVM class %d did not converge: %d passes, max "
+                        "violation %.4g >= tolerance %g", int(cls), len(hist),
+                        violation, SVM_TOL)
         weights[k] = w
         histories.append(np.asarray(hist))
     return LinearSvmModel(classes=classes, weights=weights,

@@ -131,6 +131,18 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+def _jobs_count(text):
+    """``--jobs`` value: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="translayer",
@@ -138,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_jobs_count, default=1,
                        help="worker processes for extraction")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")

@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from translayer import Rng, cosine_nn, svm_predict, svm_train, wpca_apply, wpca_fit
-from translayer.classify import svm_predict_many, wpca_fit as _wpca_fit
+from translayer import classify
+from translayer.classify import as_csr, svm_predict_many, wpca_fit as _wpca_fit
 
 
 SEPARABLE_X = np.array([[0.0, 0.0], [0.0, 1.0], [5.0, 0.0], [5.0, 1.0]])
@@ -112,6 +114,104 @@ def test_training_deterministic_per_seed():
     a = svm_train(x, y, cost_c=1.0, rng=Rng(11))
     b = svm_train(x, y, cost_c=1.0, rng=Rng(11))
     assert np.array_equal(a.weights, b.weights)
+
+
+def reference_svm_train(features, labels, cost_c, rng):
+    """svm_train with the reference coordinate step: the gradient and the
+    update each gather ``w`` through the CSR's own int32 indices."""
+    x = as_csr(features)
+    y_all = np.asarray(labels, dtype=np.int64)
+    qii = np.asarray(x.multiply(x).sum(axis=1)).ravel()
+    weights, histories = [], []
+    for cls in np.unique(y_all):
+        y = np.where(y_all == cls, 1.0, -1.0)
+        gen = rng.stream(f"svm.class.{int(cls)}")
+        w = np.zeros(x.shape[1])
+        alpha = np.zeros(y.size)
+        history = []
+        for _ in range(classify.SVM_MAX_PASSES):
+            max_violation = 0.0
+            for i in gen.permutation(y.size):
+                idx = x.indices[x.indptr[i]:x.indptr[i + 1]]
+                vals = x.data[x.indptr[i]:x.indptr[i + 1]]
+                grad = y[i] * float(w[idx] @ vals) - 1.0
+                a = alpha[i]
+                if a <= 0.0:
+                    violation = min(grad, 0.0)
+                elif a >= cost_c:
+                    violation = max(grad, 0.0)
+                else:
+                    violation = grad
+                max_violation = max(max_violation, abs(violation))
+                if abs(violation) > 1e-12:
+                    if qii[i] > 0.0:
+                        a_new = min(max(a - grad / qii[i], 0.0), cost_c)
+                    else:
+                        a_new = cost_c if grad < 0.0 else 0.0
+                    if a_new != a:
+                        w[idx] += (a_new - a) * y[i] * vals
+                        alpha[i] = a_new
+            history.append(0.5 * float(w @ w) - float(alpha.sum()))
+            if max_violation < classify.SVM_TOL:
+                break
+        weights.append(w)
+        histories.append(np.asarray(history))
+    return np.stack(weights), histories
+
+
+def assert_matches_reference(features, labels, cost_c, seed):
+    model = svm_train(features, labels, cost_c=cost_c, rng=Rng(seed))
+    weights, histories = reference_svm_train(features, labels, cost_c, Rng(seed))
+    assert np.array_equal(model.weights, weights)
+    assert len(model.objective_history) == len(histories)
+    for got, want in zip(model.objective_history, histories):
+        assert np.array_equal(got, want)
+
+
+def test_sparse_solver_bit_identical_to_reference_step():
+    # histogram-like counts with repeated values over four classes; row 5
+    # is all zero, which takes the qii == 0 branch
+    gen = np.random.default_rng(12)
+    counts = gen.integers(0, 4, size=(48, 300)).astype(np.float64)
+    counts[gen.random(counts.shape) < 0.8] = 0.0
+    counts[5] = 0.0
+    labels = gen.integers(0, 4, size=48)
+    x = sp.csr_matrix(counts)
+    assert x.indices.dtype == np.int32
+    assert_matches_reference(x, labels, 0.5, 13)
+
+
+def test_dense_solver_bit_identical_to_reference_step():
+    gen = np.random.default_rng(14)
+    x = gen.random((40, 12))
+    y = (x[:, 0] + x[:, 1] + 0.4 * gen.standard_normal(40) > 1.0).astype(int)
+    y[::7] = 2
+    assert_matches_reference(x, y, 1.0, 15)
+
+
+def test_pass_cap_logs_warning(monkeypatch, caplog):
+    gen = np.random.default_rng(3)
+    x = gen.random((60, 10))
+    y = (x[:, 0] + 0.3 * gen.standard_normal(60) > 0.5).astype(int)
+    monkeypatch.setattr(classify, "SVM_MAX_PASSES", 1)
+    with caplog.at_level("WARNING", logger="translayer"):
+        model = svm_train(x, y, cost_c=1.0, rng=Rng(3))
+    assert [len(h) for h in model.objective_history] == [1, 1]
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 2
+    for record, cls in zip(warnings, (0, 1)):
+        text = record.getMessage()
+        assert record.name == "translayer"
+        assert f"class {cls} " in text and "1 passes" in text
+        assert "max violation" in text
+        assert f"tolerance {classify.SVM_TOL:g}" in text
+
+
+def test_converged_training_logs_no_warning(caplog):
+    with caplog.at_level("WARNING", logger="translayer"):
+        model = svm_train(SEPARABLE_X, SEPARABLE_Y, cost_c=1.0, rng=Rng(0))
+    assert max(len(h) for h in model.objective_history) < classify.SVM_MAX_PASSES
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 # --- whitened principal projection -------------------------------------

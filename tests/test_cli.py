@@ -166,3 +166,18 @@ def test_seed_override(workdir, tmp_path):
                "--model", str(tmp_path / "m77.bin"), "--seed", "77"])
     assert rc == 0
     assert load_model(tmp_path / "m77.bin").config.seed == 77
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "c.conf", "--train", "t.amat", "--model", "m.bin"],
+    ["eval", "--model", "m.bin", "--test", "t.amat", "--out", "r.txt"],
+    ["ablate", "--config", "c.conf", "--train", "t.amat", "--test", "t.amat",
+     "--out", "r.txt"],
+    ["inspect", "--model", "m.bin", "--out", "dump"],
+], ids=["train", "eval", "ablate", "inspect"])
+def test_jobs_below_one_is_usage_error(argv, jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

@@ -35,8 +35,9 @@ def test_idx_roundtrip(tmp_path):
     # exactness: re-serialize what was parsed and compare bytes
     again = np.stack([np.round(i.pixels * 255).astype(np.uint8) for i in images])
     re_img, re_lab = write_idx_fixture(tmp_path / "..", again, labels.tolist())
-    assert open(re_img, "rb").read() == open(img_path, "rb").read()
-    assert open(re_lab, "rb").read() == open(lab_path, "rb").read()
+    for again_path, path in ((re_img, img_path), (re_lab, lab_path)):
+        with open(again_path, "rb") as again_fh, open(path, "rb") as fh:
+            assert again_fh.read() == fh.read()
 
 
 def test_idx_count_mismatch(tmp_path):
@@ -201,7 +202,8 @@ def test_model_truncation(tmp_path, tiny_model):
 # --- pgm dumps ------------------------------------------------------------
 
 def read_pgm(path):
-    blob = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        blob = fh.read()
     magic, dims, maxval, rest = blob.split(b"\n", 3)
     w, h = (int(t) for t in dims.split())
     assert magic == b"P5" and maxval == b"255"
