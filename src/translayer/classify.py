@@ -2,11 +2,10 @@
 
 The multiclass SVM is one-vs-rest with an L2-regularized L1-hinge binary
 problem per class, solved in the dual by coordinate descent over shuffled
-sample orders. There is no bias term (the model's bias slots stay zero),
-which keeps predictions exactly invariant under joint feature/cost
-rescaling. The alternative predictor projects features with
-variance-equalized principal components and classifies by nearest cosine
-similarity.
+sample orders. There is no bias term, which keeps predictions exactly
+invariant under joint feature/cost rescaling. The alternative predictor
+projects features with variance-equalized principal components and
+classifies by nearest cosine similarity.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ log = logging.getLogger("translayer")
 class LinearSvmModel:
     classes: np.ndarray          # sorted ascending
     weights: np.ndarray          # (n_classes, dim)
-    bias: np.ndarray             # (n_classes,), zeros under the no-bias form
-    cost_c: float
     objective_history: Optional[list] = field(default=None, compare=False)
 
 
@@ -51,13 +48,15 @@ class WpcaCosineModel:
     wpca: WpcaModel
     train_vectors: np.ndarray    # projected training set
     train_labels: np.ndarray
-    sqrt_features: bool = False
 
 
 def as_csr(features) -> sp.csr_matrix:
-    """Accept a CSR matrix, a dense array, or a list of HistogramFeature."""
+    """Accept a CSR matrix, a dense array, or a list of HistogramFeature.
+
+    A float64 CSR matrix comes back as the same object, not a copy.
+    """
     if sp.issparse(features):
-        return features.tocsr().astype(np.float64)
+        return features.tocsr().astype(np.float64, copy=False)
     if isinstance(features, np.ndarray):
         return sp.csr_matrix(features.astype(np.float64))
     rows, cols, vals = [], [], []
@@ -166,7 +165,6 @@ def svm_train(features, labels, cost_c: float = 1.0,
         weights[k] = w
         histories.append(np.asarray(hist))
     return LinearSvmModel(classes=classes, weights=weights,
-                          bias=np.zeros(classes.size), cost_c=float(cost_c),
                           objective_history=histories)
 
 
@@ -174,17 +172,11 @@ def decision_values(model: LinearSvmModel, features) -> np.ndarray:
     x = as_csr(features)
     if x.shape[1] > model.weights.shape[1]:
         raise ValueError("feature dimension exceeds the model's")
-    scores = x @ model.weights[:, :x.shape[1]].T
-    return np.asarray(scores) + model.bias[None, :]
-
-
-def svm_predict(model: LinearSvmModel, feature) -> int:
-    """Argmax of per-class decision values; ties go to the smallest label."""
-    scores = decision_values(model, [feature] if isinstance(feature, HistogramFeature) else feature)
-    return int(model.classes[int(np.argmax(scores[0]))])
+    return np.asarray(x @ model.weights[:, :x.shape[1]].T)
 
 
 def svm_predict_many(model: LinearSvmModel, features) -> np.ndarray:
+    """Argmax of per-class decision values; ties go to the smallest label."""
     scores = decision_values(model, features)
     return model.classes[np.argmax(scores, axis=1)]
 

@@ -13,7 +13,7 @@ import logging
 import os
 import sys
 import time
-
+from dataclasses import replace
 
 from . import dataio
 from .experiment import (evaluate_model, format_ablation_report,
@@ -52,7 +52,7 @@ def _load_validated_config(path, seed_override):
     except ConfigError as exc:
         raise UsageError(f"bad config: {exc}") from None
     if seed_override is not None:
-        cfg = cfg.with_overrides(seed=seed_override)
+        cfg = replace(cfg, seed=seed_override)
     errors = validate_config(cfg)
     if errors:
         raise UsageError("invalid config: " + "; ".join(errors))
@@ -124,15 +124,15 @@ def cmd_inspect(args) -> int:
                     dataio.dump_map_pgm(
                         stack.layer2[i, j],
                         os.path.join(args.out, f"{tag}_l2_{i:02d}_{j:02d}.pgm"))
-            codes = compress_groups(stack, model.encoder.trans_layer)
+            codes = compress_groups(stack, model.config.trans_layer)
             for g in range(codes.shape[0]):
                 dataio.dump_map_pgm(codes[g],
                                     os.path.join(args.out, f"{tag}_code_{g:02d}.pgm"))
     return 0
 
 
-def _jobs_count(text):
-    """``--jobs`` value: an integer >= 1."""
+def _positive_int(text):
+    """``--jobs`` and ``--count`` values: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--jobs", type=_jobs_count, default=1,
+        p.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes for extraction")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_insp.add_argument("--model", required=True)
     p_insp.add_argument("--out", required=True)
     p_insp.add_argument("--samples", nargs="+", default=None)
-    p_insp.add_argument("--count", type=int, default=5)
+    p_insp.add_argument("--count", type=_positive_int, default=5)
     add_common(p_insp)
     p_insp.set_defaults(fn=cmd_inspect)
     return parser

@@ -1,10 +1,12 @@
 """Dataset readers, the model container format, and image dumps.
 
 Models are stored in a versioned binary container: an 8-byte magic
-``DTLNMDL1`` followed by seven length-prefixed sections (config text,
-bank1, whiten1, bank2, whiten2, encoder, classifier), each closed by a
-CRC32 of its payload. All floats are little-endian 64-bit, so a
-save/load/save cycle is byte-identical.
+``DTLNMDL2`` followed by six length-prefixed sections (config text,
+bank1, whiten1, bank2, whiten2, classifier), each closed by a CRC32 of
+its payload. The config section is the only record of the settings; the
+other sections hold learned arrays, and loading rejects a file whose
+arrays disagree with its config. All floats are little-endian 64-bit, so
+a save/load/save cycle is byte-identical.
 """
 
 from __future__ import annotations
@@ -16,15 +18,14 @@ import zlib
 import numpy as np
 
 from .classify import LinearSvmModel, WpcaCosineModel, WpcaModel
-from .types import (DAE, EncoderConfig, FilterBank, GrayImage, PCA,
-                    PatchShape, TrainedModel, WhiteningTransform,
-                    format_config, parse_config)
+from .types import (DAE, FilterBank, GrayImage, PCA, PatchShape, TrainedModel,
+                    WhiteningTransform, format_config, parse_config,
+                    validate_config)
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-MODEL_MAGIC = b"DTLNMDL1"
-_SECTIONS = ("config", "bank1", "whiten1", "bank2", "whiten2", "encoder",
-             "classifier")
+MODEL_MAGIC = b"DTLNMDL2"
+_SECTIONS = ("config", "bank1", "whiten1", "bank2", "whiten2", "classifier")
 
 
 class DataFormatError(ValueError):
@@ -141,8 +142,8 @@ class _Cursor:
 
 
 def _pack_bank(bank: FilterBank) -> bytes:
-    parts = [struct.pack("<BIII", 0 if bank.layer_kind == PCA else 1,
-                         bank.shape.k1, bank.shape.k2, bank.count),
+    parts = [struct.pack("<BII", 0 if bank.layer_kind == PCA else 1,
+                         bank.shape.k1, bank.shape.k2),
              _pack_array(bank.weights),
              struct.pack("<B", 1 if bank.biases is not None else 0)]
     if bank.biases is not None:
@@ -154,48 +155,22 @@ def _pack_bank(bank: FilterBank) -> bytes:
 
 
 def _unpack_bank(cur: _Cursor) -> FilterBank:
-    kind, k1, k2, count = cur.unpack("<BIII")
+    kind, k1, k2 = cur.unpack("<BII")
     weights = cur.array()
     biases = cur.array() if cur.unpack("<B")[0] else None
     spectrum = cur.array() if cur.unpack("<B")[0] else None
-    if weights.shape[0] != count:
-        raise ModelFormatError(f"section {cur.section}: filter count mismatch")
     return FilterBank(layer_kind=PCA if kind == 0 else DAE,
                       shape=PatchShape(k1, k2), weights=weights,
                       biases=biases, spectrum=spectrum)
 
 
-def _pack_whiten(tr: WhiteningTransform) -> bytes:
-    return struct.pack("<Id", tr.dim, tr.epsilon) + _pack_array(tr.matrix)
-
-
-def _unpack_whiten(cur: _Cursor) -> WhiteningTransform:
-    dim, epsilon = cur.unpack("<Id")
-    matrix = cur.array()
-    if matrix.shape != (dim, dim):
-        raise ModelFormatError(f"section {cur.section}: matrix shape mismatch")
-    return WhiteningTransform(matrix=matrix, epsilon=epsilon)
-
-
-def _pack_encoder(enc: EncoderConfig) -> bytes:
-    return struct.pack("<IIIIIBB", enc.block_w, enc.block_h, enc.stride_x,
-                       enc.stride_y, enc.bins, int(enc.trans_layer),
-                       int(enc.lcn_enabled))
-
-
-def _unpack_encoder(cur: _Cursor) -> EncoderConfig:
-    bw, bh, sx, sy, bins, trans, lcn = cur.unpack("<IIIIIBB")
-    return EncoderConfig(block_w=bw, block_h=bh, stride_x=sx, stride_y=sy,
-                         bins=bins, trans_layer=bool(trans), lcn_enabled=bool(lcn))
-
-
 def _pack_classifier(clf) -> bytes:
     if isinstance(clf, LinearSvmModel):
-        return (struct.pack("<Bd", 0, clf.cost_c) + _pack_array(clf.classes)
-                + _pack_array(clf.weights) + _pack_array(clf.bias))
+        return (struct.pack("<B", 0) + _pack_array(clf.classes)
+                + _pack_array(clf.weights))
     if isinstance(clf, WpcaCosineModel):
-        return (struct.pack("<BB", 1, int(clf.sqrt_features))
-                + _pack_array(clf.wpca.mean) + _pack_array(clf.wpca.projection)
+        return (struct.pack("<B", 1) + _pack_array(clf.wpca.mean)
+                + _pack_array(clf.wpca.projection)
                 + _pack_array(clf.train_vectors) + _pack_array(clf.train_labels))
     raise TypeError(f"unknown classifier type {type(clf).__name__}")
 
@@ -203,22 +178,17 @@ def _pack_classifier(clf) -> bytes:
 def _unpack_classifier(cur: _Cursor):
     kind = cur.unpack("<B")[0]
     if kind == 0:
-        cost_c = cur.unpack("<d")[0]
         classes = cur.array()
         weights = cur.array()
-        bias = cur.array()
-        return LinearSvmModel(classes=classes, weights=weights, bias=bias,
-                              cost_c=cost_c)
+        return LinearSvmModel(classes=classes, weights=weights)
     if kind == 1:
-        sqrt_flag = bool(cur.unpack("<B")[0])
         mean = cur.array()
         projection = cur.array()
         train_vectors = cur.array()
         train_labels = cur.array()
         return WpcaCosineModel(wpca=WpcaModel(mean=mean, projection=projection),
                                train_vectors=train_vectors,
-                               train_labels=train_labels,
-                               sqrt_features=sqrt_flag)
+                               train_labels=train_labels)
     raise ModelFormatError(f"section {cur.section}: unknown classifier kind")
 
 
@@ -226,10 +196,9 @@ def save_model(model: TrainedModel, path) -> None:
     payloads = [
         format_config(model.config).encode("utf-8"),
         _pack_bank(model.bank1),
-        _pack_whiten(model.whiten1),
+        _pack_array(model.whiten1.matrix),
         _pack_bank(model.bank2),
-        _pack_whiten(model.whiten2),
-        _pack_encoder(model.encoder),
+        _pack_array(model.whiten2.matrix),
         _pack_classifier(model.classifier),
     ]
     with open(path, "wb") as fh:
@@ -272,18 +241,25 @@ def load_model(path) -> TrainedModel:
         raise ModelFormatError("trailing bytes after final section")
 
     config = parse_config(sections["config"].decode("utf-8"))
+    errors = validate_config(config)
+    if errors:
+        raise ModelFormatError("section config: invalid config: "
+                               + "; ".join(errors))
     cur = {name: _Cursor(sections[name], name) for name in _SECTIONS[1:]}
-    bank1 = _unpack_bank(cur["bank1"])
-    whiten1 = _unpack_whiten(cur["whiten1"])
-    bank2 = _unpack_bank(cur["bank2"])
-    whiten2 = _unpack_whiten(cur["whiten2"])
-    encoder = _unpack_encoder(cur["encoder"])
-    classifier = _unpack_classifier(cur["classifier"])
+    try:
+        model = TrainedModel(
+            config=config, bank1=_unpack_bank(cur["bank1"]),
+            whiten1=WhiteningTransform(cur["whiten1"].array()),
+            bank2=_unpack_bank(cur["bank2"]),
+            whiten2=WhiteningTransform(cur["whiten2"].array()),
+            classifier=_unpack_classifier(cur["classifier"]))
+    except ModelFormatError:
+        raise
+    except ValueError as exc:   # arrays invalid or disagreeing with the config
+        raise ModelFormatError(f"invalid model: {exc}") from None
     for c in cur.values():
         c.done()
-    return TrainedModel(config=config, bank1=bank1, bank2=bank2,
-                        whiten1=whiten1, whiten2=whiten2, encoder=encoder,
-                        classifier=classifier)
+    return model
 
 
 def dump_map_pgm(feature_map, path) -> None:

@@ -91,10 +91,6 @@ def feature_of(code_maps: np.ndarray, encoder: EncoderConfig) -> HistogramFeatur
                             counts=dense[indices].astype(np.int64))
 
 
-def encode_image_feature(stack: FeatureMapStack, encoder: EncoderConfig) -> HistogramFeature:
-    return feature_of(compress_groups(stack, encoder.trans_layer), encoder)
-
-
 def write_sparse_features(path, labels, features) -> None:
     """One sample per line: ``label idx:count ...``, 1-based ascending idx."""
     labels = np.asarray(labels)

@@ -12,7 +12,7 @@ import logging
 import multiprocessing as mp
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -118,32 +118,29 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     bank2 = _learn_bank(z2, cfg.l2, cfg, rng, "layer2")
     timer.lap("learn layer2 bank")
 
-    partial = TrainedModel(config=cfg, bank1=bank1, bank2=bank2,
-                           whiten1=whiten1, whiten2=whiten2,
-                           encoder=cfg.encoder(), classifier=_Untrained())
-    features = extract_features(partial, images, jobs=jobs)
+    front = TrainedModel(config=cfg, bank1=bank1, bank2=bank2,
+                         whiten1=whiten1, whiten2=whiten2)
+    features = extract_features(front, images, jobs=jobs)
     timer.lap("extract training features")
 
     if cfg.classifier == "svm":
         classifier = svm_train(features, labels, cfg.svm_c, rng)
     else:
-        dense = features.astype(np.float64)
-        if cfg.wpca_sqrt:
-            dense = dense.copy()
-            dense.data = np.sqrt(dense.data)
-        wpca = wpca_fit(dense, cfg.wpca_dim)
-        vectors = wpca_apply(wpca, dense)
-        classifier = WpcaCosineModel(wpca=wpca, train_vectors=vectors,
-                                     train_labels=labels,
-                                     sqrt_features=cfg.wpca_sqrt)
+        x = _wpca_input(features, cfg)
+        wpca = wpca_fit(x, cfg.wpca_dim)
+        classifier = WpcaCosineModel(wpca=wpca, train_vectors=wpca_apply(wpca, x),
+                                     train_labels=labels)
     timer.lap("train classifier")
-    return TrainedModel(config=cfg, bank1=bank1, bank2=bank2,
-                        whiten1=whiten1, whiten2=whiten2,
-                        encoder=cfg.encoder(), classifier=classifier)
+    return replace(front, classifier=classifier)
 
 
-class _Untrained:
-    """Placeholder classifier while features are being extracted."""
+def _wpca_input(features, cfg: Config) -> sp.csr_matrix:
+    """Features as the WPCA classifier sees them: float64 CSR, counts
+    square-rooted (in a new matrix) when ``wpca_sqrt`` is on."""
+    x = as_csr(features)
+    if cfg.wpca_sqrt:
+        x = sp.csr_matrix((np.sqrt(x.data), x.indices, x.indptr), shape=x.shape)
+    return x
 
 
 _WORKER_MODEL = None
@@ -206,11 +203,7 @@ def predict_features(model: TrainedModel, features) -> np.ndarray:
     if isinstance(clf, LinearSvmModel):
         return svm_predict_many(clf, features)
     if isinstance(clf, WpcaCosineModel):
-        x = as_csr(features).astype(np.float64)
-        if clf.sqrt_features:
-            x = x.copy()
-            x.data = np.sqrt(x.data)
-        projected = wpca_apply(clf.wpca, x)
+        projected = wpca_apply(clf.wpca, _wpca_input(features, model.config))
         return np.array([cosine_nn(clf.train_vectors, clf.train_labels, row)
                          for row in projected], dtype=np.int64)
     raise TypeError("model has no trained classifier")
@@ -275,7 +268,7 @@ def run_ablation(cfg: Config, train_images, train_labels, test_images,
     results = {}
     for lcn_on in (True, False):
         for trans_on in (True, False):
-            variant = cfg.with_overrides(lcn=lcn_on, trans_layer=trans_on)
+            variant = replace(cfg, lcn=lcn_on, trans_layer=trans_on)
             log.info("ablation run lcn=%s trans_layer=%s",
                      "on" if lcn_on else "off", "on" if trans_on else "off")
             model = train_model(variant, train_images, train_labels, jobs=jobs)

@@ -15,20 +15,11 @@ import numpy as np
 
 from .linalg import jacobi_eigh
 from .rng import Rng
-from .types import DAE, PCA, FilterBank, GrayImage, PatchMatrix, PatchShape
+from .types import DAE, PCA, FilterBank, PatchMatrix, PatchShape, as_2d
 
 
 class TrainingDivergedError(RuntimeError):
     """Autoencoder loss became non-finite or ended above its starting value."""
-
-
-def _as_2d(source) -> np.ndarray:
-    if isinstance(source, GrayImage):
-        return source.pixels
-    arr = np.asarray(source, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("patch source must be a 2-D image or map")
-    return arr
 
 
 def offsets_in(source_hw: tuple[int, int], shape: PatchShape) -> int:
@@ -68,7 +59,7 @@ def gather_patches(fetch, locations: np.ndarray, shape: PatchShape) -> PatchMatr
     for pos in order:
         src, r, c = (int(x) for x in locations[pos])
         if src != current:
-            arr = _as_2d(fetch(src))
+            arr = as_2d(fetch(src))
             current = src
         data[:, pos] = arr[r:r + shape.k1, c:c + shape.k2].ravel()
     return PatchMatrix(shape=shape, data=data)
@@ -77,7 +68,7 @@ def gather_patches(fetch, locations: np.ndarray, shape: PatchShape) -> PatchMatr
 def sample_patches(sources, shape: PatchShape, m: int,
                    gen: np.random.Generator) -> PatchMatrix:
     """Sample m random patches from a sequence of images or maps."""
-    arrays = [_as_2d(s) for s in sources]
+    arrays = [as_2d(s) for s in sources]
     locations = draw_patch_locations([a.shape for a in arrays], shape, m, gen)
     return gather_patches(lambda i: arrays[i], locations, shape)
 

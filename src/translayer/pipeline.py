@@ -23,8 +23,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .encoder import binarize, pack_codes
 from .preprocess import LcnParams, center, lcn_rows
-from .types import (DAE, FeatureMapStack, FilterBank, GrayImage, PatchShape,
-                    TrainedModel, WhiteningTransform)
+from .types import (DAE, FeatureMapStack, FilterBank, PatchShape, TrainedModel,
+                    WhiteningTransform, as_2d)
 
 # Factor by which a fused second-layer response must exceed the first-order
 # rounding error of both paths before its sign is trusted.
@@ -34,26 +34,8 @@ _TINY = np.finfo(np.float64).tiny
 _MAX = np.finfo(np.float64).max
 
 
-def _as_map(image) -> np.ndarray:
-    if isinstance(image, GrayImage):
-        return image.pixels
-    arr = np.asarray(image, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D image or map")
-    return arr
-
-
 def _pad_widths(shape: PatchShape):
     return ((shape.k1 - 1) // 2,), ((shape.k2 - 1) // 2,)
-
-
-def pad_same(image, shape: PatchShape):
-    """Zero-pad by (k-1)/2 on each side so response maps keep the input size."""
-    arr = _as_map(image)
-    padded = np.pad(arr, _pad_widths(shape))
-    if isinstance(image, GrayImage):
-        return GrayImage(padded)
-    return padded
 
 
 def window_rows(arr: np.ndarray, shape: PatchShape) -> np.ndarray:
@@ -72,7 +54,7 @@ def map_layer(image, bank: FilterBank, whiten: WhiteningTransform | None = None,
     whitening; both are skipped regardless when the preprocessing flag is
     off. Autoencoder banks add their bias and squash through tanh.
     """
-    arr = _as_map(image)
+    arr = as_2d(image)
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("empty input")
     rows = window_rows(arr, bank.shape)
@@ -123,7 +105,7 @@ def code_maps(image, model: TrainedModel) -> np.ndarray:
     layer1 = map_layer(image, model.bank1, model.whiten1, lcn, flag)
     l1_bits = binarize(layer1)
     l2_bits = _layer2_bits(layer1, model.bank2, model.whiten2, lcn, flag)
-    return pack_codes(l1_bits, l2_bits, model.encoder.trans_layer)
+    return pack_codes(l1_bits, l2_bits, model.config.trans_layer)
 
 
 def _fused_filters(bank: FilterBank, whiten: WhiteningTransform | None,

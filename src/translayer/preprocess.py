@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import jacobi_eigh
-from .types import PatchMatrix, WhiteningTransform
+from .types import PatchMatrix, WhiteningTransform, as_2d
 
 
 @dataclass(frozen=True)
@@ -51,20 +51,10 @@ def lcn_patch(patch: np.ndarray, params: LcnParams) -> np.ndarray:
     return lcn_rows(vec[None, :], params)[0]
 
 
-def _column_data(patches) -> np.ndarray:
-    """Columns-as-patches array from a PatchMatrix or a raw (d, m) array."""
-    if isinstance(patches, PatchMatrix):
-        return patches.data
-    arr = np.asarray(patches, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("expected a (dim, m) array of patch columns")
-    return arr
-
-
 def lcn_matrix(patches, params: LcnParams):
     """Apply :func:`lcn_patch` independently to every column."""
     # contiguous rows keep the per-patch reduction order identical to lcn_patch
-    rows = np.ascontiguousarray(_column_data(patches).T)
+    rows = np.ascontiguousarray(as_2d(patches).T)
     out = lcn_rows(rows, params).T
     if isinstance(patches, PatchMatrix):
         return PatchMatrix(shape=patches.shape, data=out)
@@ -86,7 +76,7 @@ def whiten_fit(patches, epsilon: float = 0.1) -> WhiteningTransform:
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    data = _column_data(patches)
+    data = as_2d(patches)
     if data.shape[1] < 2:
         raise ValueError("whitening needs at least two patches")
     cov = column_covariance(data)
@@ -96,11 +86,11 @@ def whiten_fit(patches, epsilon: float = 0.1) -> WhiteningTransform:
         raise ValueError("singular covariance: epsilon=0 needs full-rank patches")
     matrix = (eigvecs * (1.0 / np.sqrt(shifted))) @ eigvecs.T
     matrix = 0.5 * (matrix + matrix.T)
-    return WhiteningTransform(matrix=matrix, epsilon=float(epsilon))
+    return WhiteningTransform(matrix=matrix)
 
 
 def whiten_apply(transform: WhiteningTransform, patches):
-    data = _column_data(patches)
+    data = as_2d(patches)
     if transform.dim != data.shape[0]:
         raise ValueError("whitening dimension does not match patch size")
     out = transform.matrix @ data

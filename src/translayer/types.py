@@ -8,7 +8,7 @@ number produced by sliding the reshaped kernel over the image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -85,6 +85,18 @@ class PatchMatrix:
         return self.data.shape[1]
 
 
+def as_2d(value) -> np.ndarray:
+    """The float64 2-D array of an image, a patch matrix or an array-like."""
+    if isinstance(value, GrayImage):
+        return value.pixels
+    if isinstance(value, PatchMatrix):
+        return value.data
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError("expected a 2-D image, map or patch matrix")
+    return arr
+
+
 ORTHO_TOL = 1e-8
 
 
@@ -141,7 +153,6 @@ class WhiteningTransform:
     """Symmetric decorrelating matrix U (D + eps I)^(-1/2) U^T."""
 
     matrix: np.ndarray
-    epsilon: float
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -173,11 +184,6 @@ class FeatureMapStack:
         if l2.shape[0] != l1.shape[0] or l2.shape[2:] != l1.shape[1:]:
             raise ValueError("layer sizes inconsistent")
 
-    @property
-    def image_size(self) -> tuple[int, int]:
-        h, w = self.layer1.shape[1:]
-        return (w, h)
-
     def map_count(self, trans_layer: bool) -> int:
         l1, l2 = self.layer1.shape[0], self.layer2.shape[1]
         return l1 * (l2 + 1) if trans_layer else l1 * l2
@@ -185,7 +191,7 @@ class FeatureMapStack:
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Block histogram geometry plus the run's toggle record."""
+    """Block histogram geometry, bin count and the trans-layer flag."""
 
     block_w: int
     block_h: int
@@ -193,7 +199,6 @@ class EncoderConfig:
     stride_y: int
     bins: int
     trans_layer: bool
-    lcn_enabled: bool
 
     def __post_init__(self):
         if self.block_w < 1 or self.block_h < 1:
@@ -245,7 +250,7 @@ _KEYS = (
     "learner", "dae_corruption", "dae_epochs", "dae_lr", "dae_tradeoff_c",
     "patches_per_layer", "block_w", "block_h", "stride_x", "stride_y",
     "trans_layer", "preprocess_at_extraction", "classifier", "svm_c",
-    "wpca_dim", "wpca_sqrt", "seed", "bins",
+    "wpca_dim", "wpca_sqrt", "seed",
 )
 
 
@@ -277,10 +282,6 @@ class Config:
     wpca_dim: int = 64
     wpca_sqrt: bool = False
     seed: int = 0
-    bins: Optional[int] = None  # derived as 2**l1 when omitted
-
-    def resolved_bins(self) -> int:
-        return 2**self.l1 if self.bins is None else self.bins
 
     def patch_shape(self) -> PatchShape:
         return PatchShape(self.patch_k1, self.patch_k2)
@@ -291,13 +292,9 @@ class Config:
             block_h=self.block_h,
             stride_x=self.stride_x,
             stride_y=self.stride_y,
-            bins=self.resolved_bins(),
+            bins=2**self.l1,
             trans_layer=self.trans_layer,
-            lcn_enabled=self.lcn,
         )
-
-    def with_overrides(self, **kw) -> "Config":
-        return replace(self, **kw)
 
 
 def validate_config(config: Config) -> list[str]:
@@ -313,8 +310,6 @@ def validate_config(config: Config) -> list[str]:
         val = getattr(config, name)
         if not 1 <= val <= MAX_FILTERS:
             errors.append(f"{name} must lie in 1..{MAX_FILTERS}")
-    if 1 <= config.l1 <= MAX_FILTERS and config.resolved_bins() != 2**config.l1:
-        errors.append("bins must equal 2^L1")
     if config.lcn_c <= 0:
         errors.append("lcn_c must be > 0")
     if config.whiten_epsilon < 0:
@@ -389,8 +384,6 @@ def parse_config(text: str) -> Config:
                 kwargs[key] = int(raw)
             elif hint == "float":
                 kwargs[key] = float(raw)
-            elif key == "bins":
-                kwargs[key] = int(raw)
             else:
                 kwargs[key] = raw
         except ValueError as exc:
@@ -408,8 +401,6 @@ def format_config(config: Config) -> str:
     lines = []
     for key in _KEYS:
         val = getattr(config, key)
-        if key == "bins":
-            val = config.resolved_bins()
         if isinstance(val, bool):
             rendered = "on" if val else "off"
         elif isinstance(val, float):
@@ -422,31 +413,50 @@ def format_config(config: Config) -> str:
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """Everything needed to map an image to a label."""
+    """Everything needed to map an image to a label.
+
+    ``config`` is the only record of the settings; the learned arrays must
+    agree with it. ``classifier`` is None until the classifier is trained.
+    """
 
     config: Config
     bank1: FilterBank
     bank2: FilterBank
     whiten1: WhiteningTransform
     whiten2: WhiteningTransform
-    encoder: EncoderConfig
-    classifier: object
+    classifier: object = None
 
     def __post_init__(self):
-        if 2**self.bank1.count != self.encoder.bins:
-            raise ValueError("bank1 filter count inconsistent with encoder bins")
+        cfg = self.config
+        for name, bank, count in (("bank1", self.bank1, cfg.l1),
+                                  ("bank2", self.bank2, cfg.l2)):
+            if bank.count != count:
+                raise ValueError(f"{name} has {bank.count} filters, config "
+                                 f"says {count}")
+            if bank.shape != cfg.patch_shape():
+                raise ValueError(f"{name} patch shape differs from the config")
+            if bank.layer_kind != cfg.learner:
+                raise ValueError(f"{name} is a {bank.layer_kind} bank, config "
+                                 f"says {cfg.learner}")
         if self.bank1.shape.dim != self.whiten1.dim:
             raise ValueError("layer-1 whitening dimension mismatch")
         if self.bank2.shape.dim != self.whiten2.dim:
             raise ValueError("layer-2 whitening dimension mismatch")
+        if self.classifier is not None:
+            from .classify import LinearSvmModel, WpcaCosineModel
+            kind = {LinearSvmModel: "svm", WpcaCosineModel: "wpca_cosine"}.get(
+                type(self.classifier))
+            if kind != cfg.classifier:
+                raise ValueError(f"{type(self.classifier).__name__} classifier, "
+                                 f"config says {cfg.classifier}")
+
+    @property
+    def encoder(self) -> EncoderConfig:
+        return self.config.encoder()
 
     def feature_dim(self, image_w: int, image_h: int) -> int:
-        groups = self.bank2.count + (1 if self.encoder.trans_layer else 0)
-        nx = (image_w - self.encoder.block_w) // self.encoder.stride_x + 1
-        ny = (image_h - self.encoder.block_h) // self.encoder.stride_y + 1
-        return groups * nx * ny * self.encoder.bins
-
-
-def derived_stride(block_side: int) -> int:
-    """Half the block side, floored, never below one pixel."""
-    return max(1, block_side // 2)
+        enc = self.encoder
+        groups = self.bank2.count + (1 if enc.trans_layer else 0)
+        nx = (image_w - enc.block_w) // enc.stride_x + 1
+        ny = (image_h - enc.block_h) // enc.stride_y + 1
+        return groups * nx * ny * enc.bins

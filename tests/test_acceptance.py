@@ -19,7 +19,7 @@ from translayer import (Config, GrayImage, Rng, load_config, svm_train,
 from translayer.classify import svm_predict_many
 from translayer.cli import main
 from translayer.dataio import read_amat
-from translayer.encoder import encode_image_feature
+from translayer.encoder import compress_groups, feature_of
 from translayer.experiment import run_ablation
 from translayer.filters import dae_gradients, dae_objective
 from translayer.pipeline import build_stack
@@ -222,7 +222,8 @@ def test_acceptance_5e_histogram_conservation(tiny_model):
     expected = groups * nx * ny * encoder.block_w * encoder.block_h
     for _ in range(1000):
         image = GrayImage(gen.random((28, 28)))
-        feat = encode_image_feature(build_stack(image, tiny_model), encoder)
+        codes = compress_groups(build_stack(image, tiny_model), encoder.trans_layer)
+        feat = feature_of(codes, encoder)
         assert feat.total == expected
     report("5e", "histogram counts conserved on 1000 random images")
 

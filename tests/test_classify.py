@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from translayer import Rng, cosine_nn, svm_predict, svm_train, wpca_apply, wpca_fit
+from translayer import Rng, cosine_nn, svm_train, wpca_apply, wpca_fit
 from translayer import classify
 from translayer.classify import as_csr, svm_predict_many, wpca_fit as _wpca_fit
 
@@ -86,13 +86,27 @@ def test_scale_invariance_with_rescaled_cost():
 def test_predict_tie_breaks_to_smallest_label():
     model = svm_train(SEPARABLE_X, SEPARABLE_Y, cost_c=1.0, rng=Rng(5))
     # zero vector scores 0 for every class under the no-bias form
-    assert svm_predict(model, np.zeros(2)) == 0
+    assert svm_predict_many(model, np.zeros((1, 2)))[0] == 0
 
 
 def test_sparse_input_accepted():
     x = sp.csr_matrix(SEPARABLE_X)
     model = svm_train(x, SEPARABLE_Y, cost_c=1.0, rng=Rng(6))
     assert np.array_equal(svm_predict_many(model, x), SEPARABLE_Y)
+
+
+def test_as_csr_returns_float64_csr_without_copying():
+    x = sp.csr_matrix(SEPARABLE_X)
+    assert as_csr(x) is x
+
+
+def test_svm_train_leaves_features_unchanged():
+    x = sp.csr_matrix(np.random.default_rng(8).random((12, 5)))
+    y = np.arange(12) % 3
+    before = [a.copy() for a in (x.data, x.indices, x.indptr)]
+    svm_train(x, y, cost_c=1.0, rng=Rng(8))
+    for arr, old in zip((x.data, x.indices, x.indptr), before):
+        assert arr.dtype == old.dtype and arr.tobytes() == old.tobytes()
 
 
 def test_single_class_rejected():

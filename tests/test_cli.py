@@ -168,6 +168,15 @@ def test_seed_override(workdir, tmp_path):
     assert load_model(tmp_path / "m77.bin").config.seed == 77
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_inspect_count_below_one_is_usage_error(count, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["inspect", "--model", "m.bin", "--out", "dump",
+              "--samples", "t.amat", "--count", count])
+    assert exc.value.code == 2
+    assert "--count" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 @pytest.mark.parametrize("argv", [
     ["train", "--config", "c.conf", "--train", "t.amat", "--model", "m.bin"],

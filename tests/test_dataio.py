@@ -1,12 +1,18 @@
 import os
 import struct
+import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from translayer.dataio import (DataFormatError, ModelFormatError, dump_map_pgm,
                                load_model, read_amat, read_idx, save_model)
-from translayer.experiment import extract_features, predict_features
+from translayer.experiment import (extract_features, predict_features,
+                                   train_model)
+from translayer.types import format_config
+
+from conftest import tiny_config
 
 
 def write_idx_fixture(tmp_path, pixels, labels):
@@ -142,20 +148,32 @@ def test_amat_non_integer_label(tmp_path):
 
 # --- model container ------------------------------------------------------
 
-def test_model_roundtrip_bytes_and_predictions(tmp_path, tiny_model, glyph_test):
+def assert_roundtrip(tmp_path, model, images):
     path_a = tmp_path / "model.bin"
     path_b = tmp_path / "model2.bin"
-    save_model(tiny_model, path_a)
+    save_model(model, path_a)
     loaded = load_model(path_a)
     save_model(loaded, path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
 
-    images = glyph_test[0][:10]
-    feats = extract_features(tiny_model, images)
+    feats = extract_features(model, images)
     feats2 = extract_features(loaded, images)
     assert (feats != feats2).nnz == 0
-    assert np.array_equal(predict_features(tiny_model, feats),
+    assert np.array_equal(predict_features(model, feats),
                           predict_features(loaded, feats2))
+
+
+def test_model_roundtrip_bytes_and_predictions(tmp_path, tiny_model, glyph_test):
+    assert_roundtrip(tmp_path, tiny_model, glyph_test[0][:10])
+
+
+def test_wpca_sqrt_model_roundtrip_bytes_and_predictions(tmp_path, glyph_train,
+                                                         glyph_test):
+    # the square-root flag is read from the stored config
+    images, labels = glyph_train
+    cfg = tiny_config(classifier="wpca_cosine", wpca_dim=20, wpca_sqrt=True)
+    model = train_model(cfg, images[:30], labels[:30])
+    assert_roundtrip(tmp_path, model, glyph_test[0][:10])
 
 
 def test_model_corrupt_byte_names_section(tmp_path, tiny_model):
@@ -178,10 +196,47 @@ def test_model_version_error(tmp_path, tiny_model):
     path = tmp_path / "model.bin"
     save_model(tiny_model, path)
     blob = bytearray(path.read_bytes())
-    blob[:8] = b"DTLNMDL2"
+    blob[:8] = b"DTLNMDL1"
     path.write_bytes(bytes(blob))
-    with pytest.raises(ModelFormatError, match="version"):
+    with pytest.raises(ModelFormatError, match="version 1"):
         load_model(path)
+
+
+def rewrite_config(path, config):
+    """Replace the config section of a saved model, with a valid checksum."""
+    blob = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", blob, 8)
+    payload = format_config(config).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(payload)) + payload
+                     + struct.pack("<I", zlib.crc32(payload))
+                     + blob[8 + 8 + length + 4:])
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(l1=8), "bank1 has 4 filters"),
+    (dict(l2=3), "bank2 has 4 filters"),
+    (dict(patch_k1=5), "patch shape"),
+    (dict(learner="dae"), "pca bank"),
+    (dict(classifier="wpca_cosine"), "LinearSvmModel"),
+    (dict(l1=0), "invalid config"),
+    (dict(stride_x=9), "invalid config"),
+], ids=["l1", "l2", "patch", "learner", "classifier", "l1-range", "stride"])
+def test_config_disagreeing_with_model_rejected(tmp_path, tiny_model,
+                                                overrides, message):
+    path = tmp_path / "model.bin"
+    save_model(tiny_model, path)
+    rewrite_config(path, replace(tiny_model.config, **overrides))
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(path)
+
+
+def test_rewritten_config_with_same_settings_loads(tmp_path, tiny_model):
+    path = tmp_path / "model.bin"
+    save_model(tiny_model, path)
+    before = path.read_bytes()
+    rewrite_config(path, tiny_model.config)
+    assert path.read_bytes() == before
+    assert load_model(path).config == tiny_model.config
 
 
 def test_model_unknown_magic(tmp_path):

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 from translayer import (EncoderConfig, FeatureMapStack, binarize,
                         compress_groups, feature_of, partition_blocks,
                         read_sparse_features, write_sparse_features)
-from translayer.encoder import bit_weights, encode_image_feature
+from translayer.encoder import bit_weights
 
 
 def encoder(bins=256, block=7, stride=3, trans=True):
     return EncoderConfig(block_w=block, block_h=block, stride_x=stride,
-                         stride_y=stride, bins=bins, trans_layer=trans,
-                         lcn_enabled=True)
+                         stride_y=stride, bins=bins, trans_layer=trans)
 
 
 # --- binarize -------------------------------------------------------------
@@ -156,8 +155,7 @@ def test_histogram_conservation_property(seed, block_stride):
     gen = np.random.default_rng(seed)
     codes = gen.integers(0, 16, size=(2, 12, 14)).astype(np.uint16)
     enc = EncoderConfig(block_w=block, block_h=block, stride_x=stride,
-                        stride_y=stride, bins=16, trans_layer=True,
-                        lcn_enabled=False)
+                        stride_y=stride, bins=16, trans_layer=True)
     feat = feature_of(codes, enc)
     nx = (14 - block) // stride + 1
     ny = (12 - block) // stride + 1
@@ -191,8 +189,9 @@ def test_feature_deterministic(tiny_model, glyph_train):
     from translayer.pipeline import build_stack
     image = glyph_train[0][2]
     stack = build_stack(image, tiny_model)
-    a = encode_image_feature(stack, tiny_model.encoder)
-    b = encode_image_feature(stack, tiny_model.encoder)
+    enc = tiny_model.encoder
+    a = feature_of(compress_groups(stack, enc.trans_layer), enc)
+    b = feature_of(compress_groups(stack, enc.trans_layer), enc)
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.counts, b.counts)
     assert a.indices.tobytes() == b.indices.tobytes()

@@ -48,9 +48,8 @@ def test_more_than_sixteen_first_layer_maps_rejected(tiny_model, glyph_test):
     model = TrainedModel(config=cfg,
                          bank1=FilterBank(layer_kind=PCA, shape=shape, weights=q.T),
                          bank2=tiny_model.bank2,
-                         whiten1=WhiteningTransform(np.eye(shape.dim), 0.1),
-                         whiten2=tiny_model.whiten2, encoder=cfg.encoder(),
-                         classifier=None)
+                         whiten1=WhiteningTransform(np.eye(shape.dim)),
+                         whiten2=tiny_model.whiten2)
     with pytest.raises(ValueError, match="16-bit"):
         extract_features(model, glyph_test[0][:1])
 

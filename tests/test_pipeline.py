@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from translayer import (Config, FilterBank, GrayImage, PatchShape,
                         TrainedModel, WhiteningTransform, build_stack,
-                        compress_groups, map_layer, pad_same, pipeline)
+                        compress_groups, map_layer, pipeline)
 from translayer.pipeline import code_maps
 from translayer.preprocess import LcnParams, lcn_patch
 from translayer.types import DAE, PCA
@@ -23,33 +23,6 @@ def dae_bank(weights, biases, side):
     return FilterBank(layer_kind=DAE, shape=PatchShape(side, side),
                       weights=np.asarray(weights, dtype=np.float64),
                       biases=np.asarray(biases, dtype=np.float64))
-
-
-# --- padding ----------------------------------------------------------------
-
-def test_pad_sizes():
-    img = GrayImage(np.zeros((28, 28)))
-    padded = pad_same(img, PatchShape(7, 7))
-    assert padded.pixels.shape == (34, 34)
-
-
-def test_pad_identity_for_unit_shape():
-    img = GrayImage(np.random.default_rng(0).random((5, 4)))
-    out = pad_same(img, PatchShape(1, 1))
-    assert np.array_equal(out.pixels, img.pixels)
-
-
-def test_pad_zero_border_and_asymmetric_sides():
-    arr = np.ones((4, 4))
-    out = pad_same(arr, PatchShape(3, 5))
-    assert out.shape == (6, 8)
-    assert out[0].sum() == 0 and out[:, 0].sum() == 0 and out[:, 1].sum() == 0
-    assert np.array_equal(out[1:5, 2:6], arr)
-
-
-def test_pad_all_zero():
-    out = pad_same(np.zeros((3, 3)), PatchShape(3, 3))
-    assert not out.any()
 
 
 # --- single-layer mapping -----------------------------------------------
@@ -71,7 +44,7 @@ def test_constant_image_with_preprocessing():
     # zero padding keeps an all-zero image constant in every window; for a
     # nonzero constant, only interior windows stay constant
     lcn = LcnParams(10.0)
-    wh = WhiteningTransform(matrix=np.eye(9), epsilon=0.0)
+    wh = WhiteningTransform(matrix=np.eye(9))
     bank = pca_bank(np.random.default_rng(2).normal(size=(2, 9)), 3)
     biases = np.array([0.3, -0.2])
     dbank = dae_bank(np.zeros((2, 9)) + 0.1 * np.eye(2, 9), biases, 3)
@@ -119,7 +92,7 @@ def test_matches_naive_window_oracle(kind, flag):
     img = gen.random((12, 12))
     lcn = LcnParams(10.0)
     mat = gen.normal(size=(9, 9))
-    wh = WhiteningTransform(matrix=0.5 * (mat + mat.T), epsilon=0.1)
+    wh = WhiteningTransform(matrix=0.5 * (mat + mat.T))
     if kind == PCA:
         bank = pca_bank(gen.normal(size=(3, 9)), 3)
     else:
@@ -192,11 +165,10 @@ def random_model(learner, l1, l2, seed, **flags):
     def whiten():
         q, _ = np.linalg.qr(gen.normal(size=(shape.dim, shape.dim)))
         mat = (q * gen.uniform(0.5, 3.0, shape.dim)) @ q.T
-        return WhiteningTransform(matrix=0.5 * (mat + mat.T), epsilon=0.1)
+        return WhiteningTransform(matrix=0.5 * (mat + mat.T))
 
     return TrainedModel(config=cfg, bank1=bank(l1), bank2=bank(l2),
-                        whiten1=whiten(), whiten2=whiten(),
-                        encoder=cfg.encoder(), classifier=None)
+                        whiten1=whiten(), whiten2=whiten())
 
 
 @st.composite

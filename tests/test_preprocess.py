@@ -113,7 +113,7 @@ def test_whiten_fit_rejects_rank_deficient_eps_zero():
 
 def test_whiten_apply_identity_transform():
     from translayer import WhiteningTransform
-    tr = WhiteningTransform(matrix=np.eye(3), epsilon=0.0)
+    tr = WhiteningTransform(matrix=np.eye(3))
     data = np.arange(6.0).reshape(3, 2)
     assert np.array_equal(whiten_apply(tr, data), data)
 

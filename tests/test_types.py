@@ -3,7 +3,7 @@ import pytest
 
 from translayer import (Config, EncoderConfig, GrayImage, HistogramFeature,
                         PatchShape, Rng, parse_config, validate_config)
-from translayer.types import ConfigError, derived_stride, format_config
+from translayer.types import ConfigError, format_config
 
 
 def test_default_config_is_valid():
@@ -19,11 +19,6 @@ def test_reference_digit_config_ok():
 def test_even_patch_side_rejected():
     errors = validate_config(Config(patch_k1=6))
     assert any("odd" in e for e in errors)
-
-
-def test_bins_must_match_l1():
-    errors = validate_config(Config(l1=8, bins=128))
-    assert any("2^L1" in e for e in errors)
 
 
 def test_l_range_checked():
@@ -44,8 +39,10 @@ def test_parse_roundtrip():
 
 
 def test_parse_rejects_unknown_key():
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config("patch_k1=7\nnot_a_key=3\n")
+    # the bin count follows from l1; bins is not a key
+    for text in ("patch_k1=7\nnot_a_key=3\n", "l1=8\nbins=256\n"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(text)
 
 
 def test_parse_rejects_bad_bool():
@@ -87,7 +84,7 @@ def test_histogram_feature_invariants():
 def test_encoder_config_requires_power_of_two_bins():
     with pytest.raises(ValueError):
         EncoderConfig(block_w=7, block_h=7, stride_x=3, stride_y=3,
-                      bins=100, trans_layer=True, lcn_enabled=True)
+                      bins=100, trans_layer=True)
 
 
 def test_rng_streams_are_deterministic_and_distinct():
@@ -106,9 +103,3 @@ def test_rng_rejects_out_of_range_seed():
     with pytest.raises(ValueError):
         Rng(2**64)
 
-
-def test_derived_stride_is_half_block_floored():
-    assert derived_stride(7) == 3
-    assert derived_stride(4) == 2
-    assert derived_stride(28) == 14
-    assert derived_stride(1) == 1
