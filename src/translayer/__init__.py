@@ -3,8 +3,7 @@ encoding and linear classification."""
 
 from .classify import (LinearSvmModel, WpcaCosineModel, WpcaModel, cosine_nn,
                        svm_predict_many, svm_train, wpca_apply, wpca_fit)
-from .encoder import (binarize, compress_groups, feature_of, partition_blocks,
-                      read_sparse_features, write_sparse_features)
+from .encoder import binarize, compress_groups, feature_of
 from .experiment import (EvalResult, evaluate_model, extract_features,
                          train_model)
 from .filters import (DaeTrainConfig, learn_dae_filters, learn_pca_filters,

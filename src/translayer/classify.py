@@ -19,7 +19,6 @@ import scipy.sparse as sp
 
 from .linalg import fix_signs, jacobi_eigh
 from .rng import Rng
-from .types import HistogramFeature
 
 SVM_TOL = 0.1
 SVM_MAX_PASSES = 1000
@@ -51,28 +50,14 @@ class WpcaCosineModel:
 
 
 def as_csr(features) -> sp.csr_matrix:
-    """Accept a CSR matrix, a dense array, or a list of HistogramFeature.
+    """A feature batch as a float64 CSR matrix.
 
-    A float64 CSR matrix comes back as the same object, not a copy.
+    Batches come from ``extract_features`` as float64 CSR and are returned
+    as the same object, not a copy; dense arrays are converted.
     """
     if sp.issparse(features):
         return features.tocsr().astype(np.float64, copy=False)
-    if isinstance(features, np.ndarray):
-        return sp.csr_matrix(features.astype(np.float64))
-    rows, cols, vals = [], [], []
-    dim = 0
-    for r, feat in enumerate(features):
-        if not isinstance(feat, HistogramFeature):
-            raise TypeError("expected HistogramFeature entries")
-        rows.append(np.full(feat.indices.size, r, dtype=np.int64))
-        cols.append(feat.indices)
-        vals.append(feat.counts.astype(np.float64))
-        dim = max(dim, feat.dim)
-    if not rows:
-        raise ValueError("no samples")
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(features), dim))
+    return sp.csr_matrix(np.asarray(features, dtype=np.float64))
 
 
 def _solve_binary(indptr, indices, data, y, dim, cost_c, qii, gen,
@@ -181,12 +166,6 @@ def svm_predict_many(model: LinearSvmModel, features) -> np.ndarray:
     return model.classes[np.argmax(scores, axis=1)]
 
 
-def _dense(features) -> np.ndarray:
-    if sp.issparse(features):
-        return np.asarray(features.todense(), dtype=np.float64)
-    return np.asarray(features, dtype=np.float64)
-
-
 def wpca_fit(features, target_dim: int) -> WpcaModel:
     """Mean-centered principal projection, rows scaled by 1/sqrt(eigenvalue).
 
@@ -195,38 +174,28 @@ def wpca_fit(features, target_dim: int) -> WpcaModel:
     """
     if target_dim < 1:
         raise ValueError("target_dim must be >= 1")
-    sparse_input = sp.issparse(features)
-    n, d = features.shape
+    x = as_csr(features)
+    n, d = x.shape
     if n < 2:
         raise ValueError("need at least two samples")
-    mean = (np.asarray(features.mean(axis=0)).ravel() if sparse_input
-            else np.asarray(features, dtype=np.float64).mean(axis=0))
+    mean = np.asarray(x.mean(axis=0)).ravel()
 
     if d <= n:
-        x = _dense(features)
-        centered = x - mean
+        centered = x.toarray() - mean
         cov = (centered.T @ centered) / (n - 1)
         eigvals, eigvecs = jacobi_eigh(cov)
         components = eigvecs  # columns
     else:
         # Gram-side decomposition; avoids densifying wide feature matrices
-        if sparse_input:
-            gram_xx = np.asarray((features @ features.T).todense(), dtype=np.float64)
-            xm = np.asarray(features @ mean).ravel()
-        else:
-            x = np.asarray(features, dtype=np.float64)
-            gram_xx = x @ x.T
-            xm = x @ mean
+        gram_xx = (x @ x.T).toarray()
+        xm = np.asarray(x @ mean).ravel()
         gram = (gram_xx - xm[:, None] - xm[None, :] + float(mean @ mean)) / (n - 1)
         eigvals, dual_vecs = jacobi_eigh(gram)
         keep_for_lift = eigvals > max(eigvals[0], 0.0) * EIGENVALUE_FLOOR
         lift = []
         for r in range(int(keep_for_lift.sum())):
             v = dual_vecs[:, r]
-            if sparse_input:
-                u = np.asarray(features.T @ v).ravel() - mean * float(v.sum())
-            else:
-                u = x.T @ v - mean * float(v.sum())
+            u = np.asarray(x.T @ v).ravel() - mean * float(v.sum())
             lift.append(u / np.sqrt((n - 1) * eigvals[r]))
         components = fix_signs(np.stack(lift, axis=1)) if lift else np.zeros((d, 0))
         eigvals = eigvals[:components.shape[1]]
@@ -242,12 +211,7 @@ def wpca_fit(features, target_dim: int) -> WpcaModel:
 
 
 def wpca_apply(model: WpcaModel, features) -> np.ndarray:
-    x = _dense(features)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    out = (x - model.mean) @ model.projection.T
-    return out[0] if single else out
+    return (as_csr(features).toarray() - model.mean) @ model.projection.T
 
 
 def cosine_nn(train_vectors: np.ndarray, train_labels: np.ndarray,

@@ -149,24 +149,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-layer unsupervised feature learning experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_run_flags(p, seed):
         p.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes for extraction")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
 
     p_train = sub.add_parser("train", help="learn filters and a classifier")
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--train", required=True, nargs="+")
     p_train.add_argument("--model", required=True)
-    add_common(p_train)
+    add_run_flags(p_train, seed=True)
     p_train.set_defaults(fn=cmd_train)
 
     p_eval = sub.add_parser("eval", help="score a model on a test set")
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--test", required=True, nargs="+")
     p_eval.add_argument("--out", required=True)
-    add_common(p_eval)
+    add_run_flags(p_eval, seed=False)
     p_eval.set_defaults(fn=cmd_eval)
 
     p_abl = sub.add_parser("ablate", help="2x2 grid over lcn and trans_layer")
@@ -174,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl.add_argument("--train", required=True, nargs="+")
     p_abl.add_argument("--test", required=True, nargs="+")
     p_abl.add_argument("--out", required=True)
-    add_common(p_abl)
+    add_run_flags(p_abl, seed=True)
     p_abl.set_defaults(fn=cmd_ablate)
 
     p_insp = sub.add_parser("inspect", help="dump filters and maps as PGM")
@@ -182,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_insp.add_argument("--out", required=True)
     p_insp.add_argument("--samples", nargs="+", default=None)
     p_insp.add_argument("--count", type=_positive_int, default=5)
-    add_common(p_insp)
     p_insp.set_defaults(fn=cmd_inspect)
     return parser
 

@@ -18,9 +18,9 @@ import zlib
 import numpy as np
 
 from .classify import LinearSvmModel, WpcaCosineModel, WpcaModel
-from .types import (DAE, FilterBank, GrayImage, PCA, PatchShape, TrainedModel,
-                    WhiteningTransform, format_config, parse_config,
-                    validate_config)
+from .types import (DAE, ConfigError, FilterBank, GrayImage, PCA, PatchShape,
+                    TrainedModel, WhiteningTransform, format_config,
+                    parse_config, validate_config)
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -240,7 +240,10 @@ def load_model(path) -> TrainedModel:
     if pos != len(blob):
         raise ModelFormatError("trailing bytes after final section")
 
-    config = parse_config(sections["config"].decode("utf-8"))
+    try:
+        config = parse_config(sections["config"].decode("utf-8"))
+    except (UnicodeDecodeError, ConfigError) as exc:
+        raise ModelFormatError(f"section config: {exc}") from None
     errors = validate_config(config)
     if errors:
         raise ModelFormatError("section config: invalid config: "

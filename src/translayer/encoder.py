@@ -48,16 +48,6 @@ def pack_codes(l1_bits: np.ndarray, l2_bits: np.ndarray,
     return np.tensordot(bit_weights(l1), groups, axes=(0, 0)).astype(np.uint16)
 
 
-def partition_blocks(map_size: tuple[int, int], encoder: EncoderConfig) -> list[tuple[int, int]]:
-    """Top-left (x, y) corners of every histogram block, row-major order."""
-    w, h = map_size
-    if encoder.block_w > w or encoder.block_h > h:
-        raise ValueError("block larger than the map")
-    xs = range(0, w - encoder.block_w + 1, encoder.stride_x)
-    ys = range(0, h - encoder.block_h + 1, encoder.stride_y)
-    return [(x, y) for y in ys for x in xs]
-
-
 def block_counts(map_size: tuple[int, int], encoder: EncoderConfig) -> tuple[int, int]:
     w, h = map_size
     nx = (w - encoder.block_w) // encoder.stride_x + 1
@@ -68,8 +58,6 @@ def block_counts(map_size: tuple[int, int], encoder: EncoderConfig) -> tuple[int
 def feature_of(code_maps: np.ndarray, encoder: EncoderConfig) -> HistogramFeature:
     """Concatenated per-block code histograms of all code maps."""
     maps = np.asarray(code_maps)
-    if maps.ndim == 2:
-        maps = maps[None]
     if maps.ndim != 3:
         raise ValueError("expected (groups, h, w) code maps")
     if maps.min() < 0 or maps.max() >= encoder.bins:
@@ -89,43 +77,3 @@ def feature_of(code_maps: np.ndarray, encoder: EncoderConfig) -> HistogramFeatur
     return HistogramFeature(dim=dense.size,
                             indices=indices.astype(np.int64),
                             counts=dense[indices].astype(np.int64))
-
-
-def write_sparse_features(path, labels, features) -> None:
-    """One sample per line: ``label idx:count ...``, 1-based ascending idx."""
-    labels = np.asarray(labels)
-    if labels.shape[0] != len(features):
-        raise ValueError("label/feature count mismatch")
-    with open(path, "w", encoding="ascii") as fh:
-        for label, feat in zip(labels, features):
-            cells = " ".join(f"{int(i) + 1}:{int(c)}"
-                             for i, c in zip(feat.indices, feat.counts))
-            fh.write(f"{int(label)} {cells}".rstrip() + "\n")
-
-
-def read_sparse_features(path, dim: int | None = None):
-    """Parse the sparse text format back into labels and features."""
-    labels = []
-    rows = []
-    max_index = -1
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            try:
-                labels.append(int(tokens[0]))
-                pairs = [tok.split(":", 1) for tok in tokens[1:]]
-                idx = np.array([int(i) - 1 for i, _ in pairs], dtype=np.int64)
-                cnt = np.array([int(c) for _, c in pairs], dtype=np.int64)
-            except (ValueError, IndexError):
-                raise ValueError(f"line {lineno}: malformed sparse feature") from None
-            if idx.size and (np.diff(idx) <= 0).any():
-                raise ValueError(f"line {lineno}: indices must be ascending")
-            if idx.size:
-                max_index = max(max_index, int(idx[-1]))
-            rows.append((idx, cnt))
-    if dim is None:
-        dim = max_index + 1
-    features = [HistogramFeature(dim=dim, indices=i, counts=c) for i, c in rows]
-    return np.asarray(labels, dtype=np.int64), features

@@ -23,7 +23,7 @@ from . import encoder
 from .filters import (DaeTrainConfig, draw_patch_locations, gather_patches,
                       learn_dae_filters, learn_pca_filters, sample_patches)
 # build_stack is not called here; perfbench's tracer wraps experiment.build_stack
-from .pipeline import build_stack, code_maps, map_layer  # noqa: F401
+from .pipeline import build_stack, code_maps, extraction_steps, map_layer  # noqa: F401
 from .preprocess import LcnParams, lcn_matrix, whiten_apply, whiten_fit
 from .rng import Rng
 from .types import (Config, DAE, TrainedModel, validate_config)
@@ -82,7 +82,6 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
 
     rng = Rng(cfg.seed)
     shape = cfg.patch_shape()
-    lcn = LcnParams(cfg.lcn_c) if cfg.lcn else None
     timer = StageTimer()
 
     patches1 = sample_patches(images, shape, cfg.patches_per_layer,
@@ -102,12 +101,12 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     locations = draw_patch_locations(sizes, shape, cfg.patches_per_layer,
                                      rng.stream("patches.layer2"))
     cache = {"idx": -1, "maps": None}
+    lcn, whiten, _ = extraction_steps(cfg, whiten1)
 
     def fetch(source_idx: int):
         image_idx, map_idx = divmod(source_idx, cfg.l1)
         if cache["idx"] != image_idx:
-            cache["maps"] = map_layer(images[image_idx], bank1, whiten1, lcn,
-                                      cfg.preprocess_at_extraction)
+            cache["maps"] = map_layer(images[image_idx], bank1, whiten, lcn)
             cache["idx"] = image_idx
         return cache["maps"][map_idx]
 

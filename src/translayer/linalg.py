@@ -42,8 +42,7 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL,
-                max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a symmetric matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
@@ -63,9 +62,9 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL,
     if n == 1:
         return a[0, :1].copy(), v
 
-    thresh = tol * max(1.0, float(np.linalg.norm(a)))
+    thresh = OFFDIAG_TOL * max(1.0, float(np.linalg.norm(a)))
     converged = _offdiag_norm(a) <= thresh
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         if converged:
             break
         for p in range(n - 1):
@@ -100,7 +99,7 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL,
         converged = _offdiag_norm(a) <= thresh
     if not converged:
         raise EigenConvergenceError(
-            f"jacobi sweeps exhausted ({max_sweeps}) before convergence")
+            f"jacobi sweeps exhausted ({MAX_SWEEPS}) before convergence")
 
     eigvals = np.diag(a).copy()
     order = np.argsort(-eigvals, kind="stable")

@@ -1,10 +1,10 @@
 """Mapping images through both filter layers.
 
 Each output pixel is the response of a filter to the window centered on it
-in the zero-padded input, so maps keep the input's size. With
-``preprocess_at_extraction`` on (the default), every window is contrast
-normalized and whitened with the layer's training-fit transform before the
-dot product; switching it off gives the plain sliding correlation.
+in the zero-padded input, so maps keep the input's size. Each window is
+contrast normalized and whitened with the layer's training-fit transform
+before the dot product; :func:`extraction_steps` decides which of the two
+steps run, and with neither the map is the plain sliding correlation.
 
 :func:`build_stack` keeps every response as a float map. Feature
 extraction only needs the binary codes, so :func:`code_maps` computes the
@@ -23,8 +23,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .encoder import binarize, pack_codes
 from .preprocess import LcnParams, center, lcn_rows
-from .types import (DAE, FeatureMapStack, FilterBank, PatchShape, TrainedModel,
-                    WhiteningTransform, as_2d)
+from .types import (DAE, Config, FeatureMapStack, FilterBank, PatchShape,
+                    TrainedModel, WhiteningTransform, as_2d)
 
 # Factor by which a fused second-layer response must exceed the first-order
 # rounding error of both paths before its sign is trusted.
@@ -46,25 +46,22 @@ def window_rows(arr: np.ndarray, shape: PatchShape) -> np.ndarray:
 
 
 def map_layer(image, bank: FilterBank, whiten: WhiteningTransform | None = None,
-              lcn: LcnParams | None = None,
-              preprocess_at_extraction: bool = True) -> np.ndarray:
+              lcn: LcnParams | None = None) -> np.ndarray:
     """Response maps of one filter bank, shape (L, h, w).
 
     ``lcn=None`` skips contrast normalization and ``whiten=None`` skips
-    whitening; both are skipped regardless when the preprocessing flag is
-    off. Autoencoder banks add their bias and squash through tanh.
+    whitening. Autoencoder banks add their bias and squash through tanh.
     """
     arr = as_2d(image)
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("empty input")
     rows = window_rows(arr, bank.shape)
-    if preprocess_at_extraction:
-        if lcn is not None:
-            rows = lcn_rows(rows, lcn)
-        if whiten is not None:
-            if whiten.dim != bank.shape.dim:
-                raise ValueError("whitening dimension mismatch")
-            rows = rows @ whiten.matrix  # symmetric, so right-multiply works
+    if lcn is not None:
+        rows = lcn_rows(rows, lcn)
+    if whiten is not None:
+        if whiten.dim != bank.shape.dim:
+            raise ValueError("whitening dimension mismatch")
+        rows = rows @ whiten.matrix  # symmetric, so right-multiply works
     responses = rows @ bank.weights.T
     if bank.layer_kind == DAE:
         responses = np.tanh(responses + bank.biases[None, :])
@@ -72,9 +69,17 @@ def map_layer(image, bank: FilterBank, whiten: WhiteningTransform | None = None,
     return responses.T.reshape(bank.count, h, w).copy()
 
 
-def _extraction_params(model: TrainedModel):
-    lcn = LcnParams(model.config.lcn_c) if model.config.lcn else None
-    return lcn, model.config.preprocess_at_extraction
+def extraction_steps(config: Config, whiten1: WhiteningTransform,
+                     whiten2: WhiteningTransform | None = None):
+    """The preprocessing extraction applies, as ``(lcn, whiten1, whiten2)``.
+
+    Each step that is off is None: contrast normalization without ``lcn``,
+    all three without ``preprocess_at_extraction``.
+    """
+    if not config.preprocess_at_extraction:
+        return None, None, None
+    lcn = LcnParams(config.lcn_c) if config.lcn else None
+    return lcn, whiten1, whiten2
 
 
 def build_stack(image, model: TrainedModel) -> FeatureMapStack:
@@ -84,14 +89,15 @@ def build_stack(image, model: TrainedModel) -> FeatureMapStack:
     first-layer maps also reach the encoder is decided later by the
     trans-layer flag.
     """
-    lcn, flag = _extraction_params(model)
-    layer1 = map_layer(image, model.bank1, model.whiten1, lcn, flag)
+    lcn, whiten1, whiten2 = extraction_steps(model.config, model.whiten1,
+                                             model.whiten2)
+    layer1 = map_layer(image, model.bank1, whiten1, lcn)
     l1 = model.bank1.count
     l2 = model.bank2.count
     h, w = layer1.shape[1:]
     layer2 = np.empty((l1, l2, h, w), dtype=np.float64)
     for i in range(l1):
-        layer2[i] = map_layer(layer1[i], model.bank2, model.whiten2, lcn, flag)
+        layer2[i] = map_layer(layer1[i], model.bank2, whiten2, lcn)
     return FeatureMapStack(layer1=layer1, layer2=layer2)
 
 
@@ -101,10 +107,11 @@ def code_maps(image, model: TrainedModel) -> np.ndarray:
     Equal to ``compress_groups(build_stack(image, model), trans_layer)``,
     including its checks, without computing second-layer float maps.
     """
-    lcn, flag = _extraction_params(model)
-    layer1 = map_layer(image, model.bank1, model.whiten1, lcn, flag)
+    lcn, whiten1, whiten2 = extraction_steps(model.config, model.whiten1,
+                                             model.whiten2)
+    layer1 = map_layer(image, model.bank1, whiten1, lcn)
     l1_bits = binarize(layer1)
-    l2_bits = _layer2_bits(layer1, model.bank2, model.whiten2, lcn, flag)
+    l2_bits = _layer2_bits(layer1, model.bank2, whiten2, lcn)
     return pack_codes(l1_bits, l2_bits, model.config.trans_layer)
 
 
@@ -150,8 +157,8 @@ def _window_max_abs(padded: np.ndarray, shape: PatchShape) -> np.ndarray:
 
 
 def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
-                 whiten: WhiteningTransform | None, lcn: LcnParams | None,
-                 flag: bool) -> np.ndarray:
+                 whiten: WhiteningTransform | None,
+                 lcn: LcnParams | None) -> np.ndarray:
     """Binarized second-layer maps of every first-layer map, (L1, L2, h, w).
 
     All L1 maps share one window matrix and one product. A pixel's bit is
@@ -161,8 +168,7 @@ def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
     pixel is recomputed by the same :func:`map_layer` call
     :func:`build_stack` makes.
     """
-    fused_whiten, fused_lcn = (whiten, lcn) if flag else (None, None)
-    filters, coef = _fused_filters(bank, fused_whiten, fused_lcn)
+    filters, coef = _fused_filters(bank, whiten, lcn)
     l1, h, w = layer1.shape
     d = bank.shape.dim
     padded = np.pad(layer1, ((0,),) + _pad_widths(bank.shape))
@@ -172,11 +178,11 @@ def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
     cols = np.ascontiguousarray(windows.transpose(3, 4, 0, 1, 2)).reshape(d, -1)
     response = filters @ cols
     scale = _window_max_abs(padded, bank.shape).reshape(-1)
-    c = fused_lcn.c if fused_lcn is not None else 0.0
+    c = lcn.c if lcn is not None else 0.0
     # the constant term covers rounding of values in the subnormal range
     bound = scale * coef[:, None] + _SIGN_SAFETY * d * (1.0 + c) * _TINY
     if bank.layer_kind == DAE:
-        if fused_lcn is not None:
+        if lcn is not None:
             _, std = center(cols, axis=0)
             response /= std + c
             bound /= std + c
@@ -189,5 +195,5 @@ def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
     bits = (response > 0).reshape(bank.count, l1, h, w).transpose(1, 0, 2, 3)
     bits = bits.astype(np.uint8)
     for i in np.flatnonzero(fallback):
-        bits[i] = binarize(map_layer(layer1[i], bank, whiten, lcn, flag))
+        bits[i] = binarize(map_layer(layer1[i], bank, whiten, lcn))
     return bits

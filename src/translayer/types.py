@@ -35,14 +35,6 @@ class GrayImage:
             raise ValueError("pixel values must lie in [0, 1]")
         object.__setattr__(self, "pixels", p)
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 @dataclass(frozen=True)
 class PatchShape:
@@ -79,10 +71,6 @@ class PatchMatrix:
         if not np.isfinite(d).all():
             raise ValueError("patch matrix contains non-finite entries")
         object.__setattr__(self, "data", d)
-
-    @property
-    def columns(self) -> int:
-        return self.data.shape[1]
 
 
 def as_2d(value) -> np.ndarray:
@@ -183,10 +171,6 @@ class FeatureMapStack:
             raise ValueError("layer1 must be 3-D and layer2 4-D")
         if l2.shape[0] != l1.shape[0] or l2.shape[2:] != l1.shape[1:]:
             raise ValueError("layer sizes inconsistent")
-
-    def map_count(self, trans_layer: bool) -> int:
-        l1, l2 = self.layer1.shape[0], self.layer2.shape[1]
-        return l1 * (l2 + 1) if trans_layer else l1 * l2
 
 
 @dataclass(frozen=True)
@@ -453,10 +437,3 @@ class TrainedModel:
     @property
     def encoder(self) -> EncoderConfig:
         return self.config.encoder()
-
-    def feature_dim(self, image_w: int, image_h: int) -> int:
-        enc = self.encoder
-        groups = self.bank2.count + (1 if enc.trans_layer else 0)
-        nx = (image_w - enc.block_w) // enc.stride_x + 1
-        ny = (image_h - enc.block_h) // enc.stride_y + 1
-        return groups * nx * ny * enc.bins

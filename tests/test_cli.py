@@ -183,10 +183,22 @@ def test_inspect_count_below_one_is_usage_error(count, capsys):
     ["eval", "--model", "m.bin", "--test", "t.amat", "--out", "r.txt"],
     ["ablate", "--config", "c.conf", "--train", "t.amat", "--test", "t.amat",
      "--out", "r.txt"],
-    ["inspect", "--model", "m.bin", "--out", "dump"],
-], ids=["train", "eval", "ablate", "inspect"])
+], ids=["train", "eval", "ablate"])
 def test_jobs_below_one_is_usage_error(argv, jobs, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--jobs", jobs])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--model", "m.bin", "--test", "t.amat", "--out", "r.txt",
+     "--seed", "1"],
+    ["inspect", "--model", "m.bin", "--out", "dump", "--jobs", "2"],
+    ["inspect", "--model", "m.bin", "--out", "dump", "--seed", "1"],
+], ids=["eval-seed", "inspect-jobs", "inspect-seed"])
+def test_flag_the_command_never_reads_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err

@@ -202,17 +202,22 @@ def test_model_version_error(tmp_path, tiny_model):
         load_model(path)
 
 
-def rewrite_config(path, config):
-    """Replace the config section of a saved model, with a valid checksum."""
+def rewrite_config(path, config, edit=None):
+    """Replace the config section of a saved model, with a valid checksum.
+
+    ``edit``, if given, rewrites the section's bytes before they are stored.
+    """
     blob = path.read_bytes()
     (length,) = struct.unpack_from("<Q", blob, 8)
     payload = format_config(config).encode("utf-8")
+    if edit is not None:
+        payload = edit(payload)
     path.write_bytes(blob[:8] + struct.pack("<Q", len(payload)) + payload
                      + struct.pack("<I", zlib.crc32(payload))
                      + blob[8 + 8 + length + 4:])
 
 
-@pytest.mark.parametrize("overrides, message", [
+@pytest.mark.parametrize("change, message", [
     (dict(l1=8), "bank1 has 4 filters"),
     (dict(l2=3), "bank2 has 4 filters"),
     (dict(patch_k1=5), "patch shape"),
@@ -220,12 +225,23 @@ def rewrite_config(path, config):
     (dict(classifier="wpca_cosine"), "LinearSvmModel"),
     (dict(l1=0), "invalid config"),
     (dict(stride_x=9), "invalid config"),
-], ids=["l1", "l2", "patch", "learner", "classifier", "l1-range", "stride"])
+    (lambda text: text + b"future_key=1\n",
+     "section config: line 25: unknown key 'future_key'"),
+    (lambda text: text.replace(b"\nl1=4\n", b"\nl1=four\n"),
+     "section config: l1: "),
+    (lambda text: text + b"# \xff\n", "section config: 'utf-8' codec"),
+], ids=["l1", "l2", "patch", "learner", "classifier", "l1-range", "stride",
+        "unknown-key", "l1-not-int", "not-utf8"])
 def test_config_disagreeing_with_model_rejected(tmp_path, tiny_model,
-                                                overrides, message):
+                                                change, message):
+    """``change`` is a dict of config overrides or an edit of the raw
+    section bytes."""
     path = tmp_path / "model.bin"
     save_model(tiny_model, path)
-    rewrite_config(path, replace(tiny_model.config, **overrides))
+    if callable(change):
+        rewrite_config(path, tiny_model.config, edit=change)
+    else:
+        rewrite_config(path, replace(tiny_model.config, **change))
     with pytest.raises(ModelFormatError, match=message):
         load_model(path)
 

@@ -4,8 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from translayer import (EncoderConfig, FeatureMapStack, binarize,
-                        compress_groups, feature_of, partition_blocks,
-                        read_sparse_features, write_sparse_features)
+                        compress_groups, feature_of)
 from translayer.encoder import bit_weights
 
 
@@ -96,31 +95,54 @@ def test_pack_unpack_bijection():
 
 # --- block partition ---------------------------------------------------------
 
+def block_origins(size, block, stride):
+    """Top-left (x, y) of each block of a size x size map, in feature order.
+
+    The code at (x, y) is 32 y + x, so a block's smallest code names its
+    top-left corner.
+    """
+    enc = encoder(bins=1024, block=block, stride=stride)
+    ys, xs = np.mgrid[:size, :size]
+    feat = feature_of((32 * ys + xs)[None].astype(np.uint16), enc)
+    block_of = feat.indices // enc.bins
+    firsts = feat.indices[np.r_[0, np.flatnonzero(np.diff(block_of)) + 1]]
+    return [(int(c % 32), int(c // 32)) for c in firsts % enc.bins]
+
+
 def test_block_grid_28_7_3():
-    blocks = partition_blocks((28, 28), encoder(block=7, stride=3))
+    blocks = block_origins(28, block=7, stride=3)
     assert len(blocks) == 64
     xs = sorted({x for x, _ in blocks})
     assert xs == [0, 3, 6, 9, 12, 15, 18, 21]
 
 
 def test_single_block_when_block_covers_map():
-    blocks = partition_blocks((28, 28), encoder(block=28, stride=14))
+    blocks = block_origins(28, block=28, stride=14)
     assert blocks == [(0, 0)]
 
 
 def test_block_grid_28_14_7():
-    blocks = partition_blocks((28, 28), encoder(block=14, stride=7))
+    blocks = block_origins(28, block=14, stride=7)
     assert len(blocks) == 9
 
 
 def test_block_larger_than_map_rejected():
-    with pytest.raises(ValueError):
-        partition_blocks((6, 6), encoder(block=7, stride=3))
+    with pytest.raises(ValueError, match="block larger"):
+        feature_of(np.zeros((1, 6, 6), dtype=np.uint16),
+                   encoder(block=7, stride=3))
 
 
 def test_blocks_row_major_order():
-    blocks = partition_blocks((10, 10), encoder(block=7, stride=3))
-    assert blocks == [(0, 0), (3, 0), (0, 3), (3, 3)]
+    # 7x7 blocks at stride 3 on a 10x10 map start at x, y in {0, 3}; pixel
+    # (row 0, col 9) lies only in the block at x=3, y=0, the second block
+    # in row-major order (the third in column-major order)
+    codes = np.zeros((1, 10, 10), dtype=np.uint16)
+    codes[0, 0, 9] = 1
+    enc = encoder(bins=16, block=7, stride=3)
+    feat = feature_of(codes, enc)
+    assert feat.dim == 4 * 16
+    assert feat.indices.tolist() == [0, 16, 17, 32, 48]
+    assert feat.counts.tolist() == [49, 48, 1, 49, 49]
 
 
 # --- block histograms -----------------------------------------------------
@@ -173,7 +195,8 @@ def test_translation_by_stride_permutes_block_histograms():
 
     def block_hists(code_map):
         out = {}
-        for (x, y) in partition_blocks((24, 24), enc):
+        corners = range(0, 24 - 4 + 1, 2)
+        for (x, y) in [(x, y) for y in corners for x in corners]:
             block = code_map[y:y + 4, x:x + 4]
             out[(x, y)] = np.bincount(block.ravel(), minlength=16)
         return out
@@ -195,30 +218,3 @@ def test_feature_deterministic(tiny_model, glyph_train):
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.counts, b.counts)
     assert a.indices.tobytes() == b.indices.tobytes()
-
-
-# --- sparse text format -------------------------------------------------
-
-def test_sparse_text_roundtrip(tmp_path):
-    from translayer import HistogramFeature
-    feats = [
-        HistogramFeature(dim=10, indices=np.array([0, 4, 9]),
-                         counts=np.array([3, 1, 2])),
-        HistogramFeature(dim=10, indices=np.array([2]), counts=np.array([7])),
-    ]
-    path = tmp_path / "feats.txt"
-    write_sparse_features(path, [5, 1], feats)
-    text = path.read_text()
-    assert text.splitlines()[0] == "5 1:3 5:1 10:2"  # 1-based indices
-    labels, again = read_sparse_features(path, dim=10)
-    assert labels.tolist() == [5, 1]
-    for orig, back in zip(feats, again):
-        assert np.array_equal(orig.indices, back.indices)
-        assert np.array_equal(orig.counts, back.counts)
-
-
-def test_sparse_text_rejects_descending_indices(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("1 5:2 3:1\n")
-    with pytest.raises(ValueError, match="ascending"):
-        read_sparse_features(path)

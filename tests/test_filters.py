@@ -17,7 +17,7 @@ def gen(seed=0):
 def test_single_offset_source_repeats_whole_image():
     img = GrayImage(np.arange(49.0).reshape(7, 7) / 48.0)
     pm = sample_patches([img], PatchShape(7, 7), 3, gen())
-    assert pm.columns == 3
+    assert pm.data.shape[1] == 3
     for c in range(3):
         assert np.array_equal(pm.data[:, c], img.pixels.ravel())
 

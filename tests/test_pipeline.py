@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from translayer import (Config, FilterBank, GrayImage, PatchShape,
                         TrainedModel, WhiteningTransform, build_stack,
                         compress_groups, map_layer, pipeline)
-from translayer.pipeline import code_maps
+from translayer.pipeline import code_maps, extraction_steps
 from translayer.preprocess import LcnParams, lcn_patch
 from translayer.types import DAE, PCA
 
@@ -35,7 +35,7 @@ def delta_bank(side):
 
 def test_delta_filter_reproduces_input():
     img = np.random.default_rng(1).random((9, 9))
-    out = map_layer(img, delta_bank(3), preprocess_at_extraction=False)
+    out = map_layer(img, delta_bank(3))
     assert out.shape == (1, 9, 9)
     assert np.abs(out[0] - img).max() < 1e-15
 
@@ -50,21 +50,23 @@ def test_constant_image_with_preprocessing():
     dbank = dae_bank(np.zeros((2, 9)) + 0.1 * np.eye(2, 9), biases, 3)
 
     zero = GrayImage(np.zeros((6, 6)))
-    assert np.abs(map_layer(zero, bank, wh, lcn, True)).max() == 0.0
-    dae = map_layer(zero, dbank, wh, lcn, True)
+    assert np.abs(map_layer(zero, bank, wh, lcn)).max() == 0.0
+    dae = map_layer(zero, dbank, wh, lcn)
     for i, b in enumerate(biases):
         assert np.abs(dae[i] - np.tanh(b)).max() < 1e-15
 
     half = GrayImage(np.full((6, 6), 0.5))
-    pca_interior = map_layer(half, bank, wh, lcn, True)[:, 1:5, 1:5]
+    pca_interior = map_layer(half, bank, wh, lcn)[:, 1:5, 1:5]
     assert np.abs(pca_interior).max() == 0.0
-    dae_interior = map_layer(half, dbank, wh, lcn, True)[:, 1:5, 1:5]
+    dae_interior = map_layer(half, dbank, wh, lcn)[:, 1:5, 1:5]
     for i, b in enumerate(biases):
         assert np.abs(dae_interior[i] - np.tanh(b)).max() < 1e-15
 
 
-def brute_force_map(img, bank, whiten, lcn, flag):
-    """Naive per-pixel oracle: pad, slice the window, preprocess, dot."""
+def brute_force_map(img, bank, whiten, lcn):
+    """Naive per-pixel oracle: pad, slice the window, preprocess, dot.
+
+    ``lcn=None`` and ``whiten=None`` skip their step."""
     k1, k2 = bank.shape.k1, bank.shape.k2
     padded = np.pad(img, (((k1 - 1) // 2,), ((k2 - 1) // 2,)))
     h, w = img.shape
@@ -72,11 +74,10 @@ def brute_force_map(img, bank, whiten, lcn, flag):
     for r in range(h):
         for c in range(w):
             window = padded[r:r + k1, c:c + k2].ravel()
-            if flag:
-                if lcn is not None:
-                    window = lcn_patch(window, lcn)
-                if whiten is not None:
-                    window = whiten.matrix @ window
+            if lcn is not None:
+                window = lcn_patch(window, lcn)
+            if whiten is not None:
+                window = whiten.matrix @ window
             for f in range(bank.count):
                 val = float(bank.weights[f] @ window)
                 if bank.layer_kind == DAE:
@@ -97,8 +98,10 @@ def test_matches_naive_window_oracle(kind, flag):
         bank = pca_bank(gen.normal(size=(3, 9)), 3)
     else:
         bank = dae_bank(gen.normal(scale=0.4, size=(3, 9)), gen.normal(size=3), 3)
-    got = map_layer(img, bank, wh, lcn, flag)
-    want = brute_force_map(img, bank, wh, lcn, flag)
+    if not flag:
+        wh, lcn = None, None
+    got = map_layer(img, bank, wh, lcn)
+    want = brute_force_map(img, bank, wh, lcn)
     assert np.abs(got - want).max() < 1e-12
 
 
@@ -106,8 +109,8 @@ def test_response_linearity_without_preprocessing():
     gen = np.random.default_rng(4)
     img = gen.random((10, 10))
     bank = pca_bank(gen.normal(size=(2, 25)), 5)
-    one = map_layer(img, bank, preprocess_at_extraction=False)
-    scaled = map_layer(2.5 * img, bank, preprocess_at_extraction=False)
+    one = map_layer(img, bank)
+    scaled = map_layer(2.5 * img, bank)
     assert np.abs(scaled - 2.5 * one).max() < 1e-10
 
 
@@ -119,16 +122,21 @@ def test_stack_shapes_and_counts(tiny_model, glyph_train):
     l1, l2 = tiny_model.bank1.count, tiny_model.bank2.count
     assert stack.layer1.shape == (l1, 28, 28)
     assert stack.layer2.shape == (l1, l2, 28, 28)
-    assert stack.map_count(trans_layer=True) == l1 * (l2 + 1)
-    assert stack.map_count(trans_layer=False) == l1 * l2
+    assert compress_groups(stack, trans_layer=True).shape == (l2 + 1, 28, 28)
+    assert compress_groups(stack, trans_layer=False).shape == (l2, 28, 28)
 
 
-def test_map_count_eight_by_eight():
-    from translayer.types import FeatureMapStack
-    stack = FeatureMapStack(layer1=np.zeros((8, 4, 4)),
-                            layer2=np.zeros((8, 8, 4, 4)))
-    assert stack.map_count(trans_layer=True) == 72
-    assert stack.map_count(trans_layer=False) == 64
+@pytest.mark.parametrize("preprocess", [True, False])
+@pytest.mark.parametrize("lcn", [True, False])
+def test_extraction_steps_are_none_when_off(preprocess, lcn):
+    cfg = Config(lcn=lcn, lcn_c=4.0, preprocess_at_extraction=preprocess)
+    w1, w2 = WhiteningTransform(np.eye(2)), WhiteningTransform(2 * np.eye(2))
+    got_lcn, got_w1, got_w2 = extraction_steps(cfg, w1, w2)
+    if not preprocess:
+        assert (got_lcn, got_w1, got_w2) == (None, None, None)
+        return
+    assert got_w1 is w1 and got_w2 is w2
+    assert got_lcn == (LcnParams(4.0) if lcn else None)
 
 
 def test_build_stack_is_pure(tiny_model, glyph_train):

@@ -63,7 +63,7 @@ def test_gray_image_invariants():
     with pytest.raises(ValueError):
         GrayImage(np.zeros((0, 3)))
     img = GrayImage(np.zeros((3, 5)))
-    assert (img.height, img.width) == (3, 5)
+    assert img.pixels.shape == (3, 5)
 
 
 def test_patch_shape_invariants():
