@@ -6,15 +6,12 @@ from .classify import (LinearSvmModel, WpcaCosineModel, WpcaModel, cosine_nn,
 from .encoder import binarize, compress_groups, feature_of
 from .experiment import (EvalResult, evaluate_model, extract_features,
                          train_model)
-from .filters import (DaeTrainConfig, learn_dae_filters, learn_pca_filters,
-                      sample_patches)
+from .filters import learn_dae_filters, learn_pca_filters, sample_patches
 from .pipeline import build_stack, map_layer
-from .preprocess import (LcnParams, lcn_matrix, lcn_patch, whiten_apply,
-                         whiten_fit)
+from .preprocess import lcn_matrix, whiten_apply, whiten_fit
 from .rng import Rng
-from .types import (Config, EncoderConfig, FeatureMapStack, FilterBank,
-                    GrayImage, HistogramFeature, PatchMatrix, PatchShape,
-                    TrainedModel, WhiteningTransform, load_config,
+from .types import (Config, FilterBank, GrayImage, HistogramFeature,
+                    PatchShape, TrainedModel, WhiteningTransform, load_config,
                     parse_config, validate_config)
 
 __version__ = "0.1.0"

@@ -35,6 +35,12 @@ def _require_file(path):
     return path
 
 
+def _require_out_dir(path):
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise UsageError(f"no such output directory: {directory}")
+
+
 def load_dataset(paths):
     """One path: 785-column text. Two paths: IDX images + labels."""
     for p in paths:
@@ -72,6 +78,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _require_out_dir(args.out)
     model = dataio.load_model(_require_file(args.model))
     images, labels = load_dataset(args.test)
     if len(images) == 0:
@@ -88,6 +95,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    _require_out_dir(args.out)
     cfg = _load_validated_config(args.config, args.seed)
     train_images, train_labels = load_dataset(args.train)
     test_images, test_labels = load_dataset(args.test)
@@ -114,17 +122,17 @@ def cmd_inspect(args) -> int:
     if args.samples:
         images, _ = load_dataset(args.samples)
         for s, image in enumerate(images[:args.count]):
-            stack = build_stack(image, model)
+            layer1, layer2 = build_stack(image, model)
             tag = f"sample{s:03d}"
-            for i in range(stack.layer1.shape[0]):
-                dataio.dump_map_pgm(stack.layer1[i],
+            for i in range(layer1.shape[0]):
+                dataio.dump_map_pgm(layer1[i],
                                     os.path.join(args.out, f"{tag}_l1_{i:02d}.pgm"))
-            for i in range(stack.layer2.shape[0]):
-                for j in range(stack.layer2.shape[1]):
+            for i in range(layer2.shape[0]):
+                for j in range(layer2.shape[1]):
                     dataio.dump_map_pgm(
-                        stack.layer2[i, j],
+                        layer2[i, j],
                         os.path.join(args.out, f"{tag}_l2_{i:02d}_{j:02d}.pgm"))
-            codes = compress_groups(stack, model.config.trans_layer)
+            codes = compress_groups((layer1, layer2), model.config.trans_layer)
             for g in range(codes.shape[0]):
                 dataio.dump_map_pgm(codes[g],
                                     os.path.join(args.out, f"{tag}_code_{g:02d}.pgm"))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .types import EncoderConfig, FeatureMapStack, HistogramFeature
+from .types import Config, HistogramFeature
 
 
 def binarize(feature_map: np.ndarray) -> np.ndarray:
@@ -30,9 +30,11 @@ def bit_weights(l1: int) -> np.ndarray:
     return (1 << np.arange(l1 - 1, -1, -1)).astype(np.uint16)
 
 
-def compress_groups(stack: FeatureMapStack, trans_layer: bool) -> np.ndarray:
-    """Pack binarized maps into code maps, shape (groups, h, w) uint16."""
-    return pack_codes(binarize(stack.layer1), binarize(stack.layer2), trans_layer)
+def compress_groups(stack, trans_layer: bool) -> np.ndarray:
+    """Pack the binarized maps of a ``(layer1, layer2)`` stack into code
+    maps, shape (groups, h, w) uint16."""
+    layer1, layer2 = stack
+    return pack_codes(binarize(layer1), binarize(layer2), trans_layer)
 
 
 def pack_codes(l1_bits: np.ndarray, l2_bits: np.ndarray,
@@ -48,31 +50,33 @@ def pack_codes(l1_bits: np.ndarray, l2_bits: np.ndarray,
     return np.tensordot(bit_weights(l1), groups, axes=(0, 0)).astype(np.uint16)
 
 
-def block_counts(map_size: tuple[int, int], encoder: EncoderConfig) -> tuple[int, int]:
+def block_counts(map_size: tuple[int, int], cfg: Config) -> tuple[int, int]:
     w, h = map_size
-    nx = (w - encoder.block_w) // encoder.stride_x + 1
-    ny = (h - encoder.block_h) // encoder.stride_y + 1
+    nx = (w - cfg.block_w) // cfg.stride_x + 1
+    ny = (h - cfg.block_h) // cfg.stride_y + 1
     return nx, ny
 
 
-def feature_of(code_maps: np.ndarray, encoder: EncoderConfig) -> HistogramFeature:
-    """Concatenated per-block code histograms of all code maps."""
+def feature_of(code_maps: np.ndarray, cfg: Config) -> HistogramFeature:
+    """Concatenated per-block code histograms of all code maps, with the
+    block geometry of ``cfg`` and 2^l1 bins per block."""
     maps = np.asarray(code_maps)
+    bins = 2**cfg.l1
     if maps.ndim != 3:
         raise ValueError("expected (groups, h, w) code maps")
-    if maps.min() < 0 or maps.max() >= encoder.bins:
+    if maps.min() < 0 or maps.max() >= bins:
         raise ValueError("code outside [0, bins)")
     groups, h, w = maps.shape
-    nx, ny = block_counts((w, h), encoder)
-    if encoder.block_w > w or encoder.block_h > h:
+    nx, ny = block_counts((w, h), cfg)
+    if cfg.block_w > w or cfg.block_h > h:
         raise ValueError("block larger than the map")
     blocks = groups * nx * ny
-    view = sliding_window_view(maps, (encoder.block_h, encoder.block_w), axis=(1, 2))
-    tiles = view[:, ::encoder.stride_y, ::encoder.stride_x]
+    view = sliding_window_view(maps, (cfg.block_h, cfg.block_w), axis=(1, 2))
+    tiles = view[:, ::cfg.stride_y, ::cfg.stride_x]
     # each (map, block) pair owns a run of `bins` slots, in (map, block) order
     flat = tiles.reshape(blocks, -1).astype(np.intp)
-    flat += (np.arange(blocks, dtype=np.intp) * encoder.bins)[:, None]
-    dense = np.bincount(flat.ravel(), minlength=blocks * encoder.bins)
+    flat += (np.arange(blocks, dtype=np.intp) * bins)[:, None]
+    dense = np.bincount(flat.ravel(), minlength=blocks * bins)
     indices = np.flatnonzero(dense != 0)    # numpy finds nonzeros fastest in bools
     return HistogramFeature(dim=dense.size,
                             indices=indices.astype(np.int64),

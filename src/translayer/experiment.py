@@ -20,11 +20,11 @@ import scipy.sparse as sp
 from .classify import (LinearSvmModel, WpcaCosineModel, as_csr, cosine_nn,
                        svm_predict_many, svm_train, wpca_apply, wpca_fit)
 from . import encoder
-from .filters import (DaeTrainConfig, draw_patch_locations, gather_patches,
-                      learn_dae_filters, learn_pca_filters, sample_patches)
+from .filters import (draw_patch_locations, gather_patches, learn_dae_filters,
+                      learn_pca_filters, sample_patches)
 # build_stack is not called here; perfbench's tracer wraps experiment.build_stack
 from .pipeline import build_stack, code_maps, extraction_steps, map_layer  # noqa: F401
-from .preprocess import LcnParams, lcn_matrix, whiten_apply, whiten_fit
+from .preprocess import lcn_matrix, whiten_apply, whiten_fit
 from .rng import Rng
 from .types import (Config, DAE, TrainedModel, validate_config)
 
@@ -43,20 +43,16 @@ class StageTimer:
 
 def _preprocess_patches(patches, cfg: Config):
     if cfg.lcn:
-        patches = lcn_matrix(patches, LcnParams(cfg.lcn_c))
+        patches = lcn_matrix(patches, cfg.lcn_c)
     transform = whiten_fit(patches, cfg.whiten_epsilon)
     return whiten_apply(transform, patches), transform
 
 
-def _learn_bank(patches, count, cfg: Config, rng: Rng, layer: str):
+def _learn_bank(z, count, cfg: Config, rng: Rng, layer: str):
     if cfg.learner == DAE:
-        dae_cfg = DaeTrainConfig(rng=_layer_rng(rng, layer),
-                                 tradeoff_c=cfg.dae_tradeoff_c,
-                                 corruption_rate=cfg.dae_corruption,
-                                 epochs=cfg.dae_epochs,
-                                 learning_rate=cfg.dae_lr)
-        return learn_dae_filters(patches, count, dae_cfg)
-    bank = learn_pca_filters(patches, count)
+        return learn_dae_filters(z, cfg.patch_shape(), count, cfg,
+                                 _layer_rng(rng, layer))
+    bank = learn_pca_filters(z, cfg.patch_shape(), count)
     ortho = np.abs(bank.weights @ bank.weights.T - np.eye(count)).max()
     log.info("%s pca orthonormality residual %.3g", layer, ortho)
     log.info("%s pca eigenvalue spectrum %s", layer,
@@ -151,7 +147,7 @@ def _init_worker(model):
 
 
 def _encode_one(model, image):
-    return encoder.feature_of(code_maps(image, model), model.encoder)
+    return encoder.feature_of(code_maps(image, model), model.config)
 
 
 def _worker_encode(image):

@@ -1,21 +1,22 @@
 """Filter bank learning from random patches.
 
-Two learners share the same preprocessed patch matrix: a principal
-component bank (top eigenvectors of Z Z^T, orthonormal rows) and a
-tied-weight tanh autoencoder trained on corrupted patches by minibatch
-stochastic gradient descent. Patch sampling is uniform over every
-(source, top-left offset) pair and fully determined by the seed.
+Two learners share the same preprocessed (k1*k2, m) patch matrix: a
+principal component bank (top eigenvectors of Z Z^T, orthonormal rows) and
+a tied-weight tanh autoencoder trained on corrupted patches by minibatch
+stochastic gradient descent, with the ``dae_*`` settings of the
+:class:`Config`. Patch sampling is uniform over every (source, top-left
+offset) pair and fully determined by the seed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import jacobi_eigh
 from .rng import Rng
-from .types import DAE, PCA, FilterBank, PatchMatrix, PatchShape, as_2d
+from .types import DAE, MAX_FILTERS, PCA, Config, FilterBank, PatchShape, as_2d
+
+DAE_MINIBATCH = 256  # patches per autoencoder gradient step
 
 
 class TrainingDivergedError(RuntimeError):
@@ -46,7 +47,7 @@ def draw_patch_locations(source_sizes, shape: PatchShape, m: int,
     return np.stack([src, rows, cols], axis=1)
 
 
-def gather_patches(fetch, locations: np.ndarray, shape: PatchShape) -> PatchMatrix:
+def gather_patches(fetch, locations: np.ndarray, shape: PatchShape) -> np.ndarray:
     """Extract row-major flattened patches at previously drawn locations.
 
     ``fetch(source_index)`` returns the 2-D array for a source; it is called
@@ -62,52 +63,26 @@ def gather_patches(fetch, locations: np.ndarray, shape: PatchShape) -> PatchMatr
             arr = as_2d(fetch(src))
             current = src
         data[:, pos] = arr[r:r + shape.k1, c:c + shape.k2].ravel()
-    return PatchMatrix(shape=shape, data=data)
+    return data
 
 
 def sample_patches(sources, shape: PatchShape, m: int,
-                   gen: np.random.Generator) -> PatchMatrix:
+                   gen: np.random.Generator) -> np.ndarray:
     """Sample m random patches from a sequence of images or maps."""
     arrays = [as_2d(s) for s in sources]
     locations = draw_patch_locations([a.shape for a in arrays], shape, m, gen)
     return gather_patches(lambda i: arrays[i], locations, shape)
 
 
-def learn_pca_filters(patches: PatchMatrix, count: int) -> FilterBank:
+def learn_pca_filters(z: np.ndarray, shape: PatchShape, count: int) -> FilterBank:
     """Top-``count`` eigenvectors of Z Z^T as orthonormal filter rows."""
-    if not 1 <= count <= patches.shape.dim:
+    if not 1 <= count <= shape.dim:
         raise ValueError("filter count must lie in 1..k1*k2")
-    z = patches.data
     scatter = z @ z.T
     eigvals, eigvecs = jacobi_eigh(scatter)
     weights = eigvecs[:, :count].T.copy()
-    return FilterBank(layer_kind=PCA, shape=patches.shape, weights=weights,
+    return FilterBank(layer_kind=PCA, shape=shape, weights=weights,
                       spectrum=eigvals)
-
-
-@dataclass(frozen=True)
-class DaeTrainConfig:
-    """Training knobs for the denoising autoencoder."""
-
-    rng: Rng
-    tradeoff_c: float = 1.0
-    corruption_rate: float = 0.10
-    epochs: int = 50
-    learning_rate: float = 0.01
-    minibatch: int = 256
-
-    def __post_init__(self):
-        if not 0.0 <= self.corruption_rate < 1.0:
-            raise ValueError("corruption_rate must lie in [0, 1)")
-        # zero is allowed (performs no updates); negative rates never are
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.minibatch < 1:
-            raise ValueError("minibatch must be >= 1")
-        if self.tradeoff_c <= 0:
-            raise ValueError("tradeoff_c must be > 0")
 
 
 def dae_forward(w, b, b_dec, z_corrupt):
@@ -135,19 +110,22 @@ def dae_gradients(w, b, b_dec, z_clean, z_corrupt, tradeoff_c, reg_scale=1.0):
     return grad_w, grad_b, grad_b_dec
 
 
-def train_dae(z_clean: np.ndarray, count: int, cfg: DaeTrainConfig):
+def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng):
     """Minibatch SGD on the corrupted-reconstruction objective.
 
-    Updates use the per-sample mean of the batch gradient (learning rate is
-    batch-size independent), decaying as lr/sqrt(epoch); the corruption
-    mask is an independent Bernoulli zeroing per entry, resampled every
-    epoch. Returns ``(w, b, b_dec, stats)`` where stats holds the per-epoch
+    The ``dae_*`` fields of ``cfg`` set the corruption rate, epoch count,
+    learning rate and tradeoff; ``rng`` seeds the init, corruption and
+    order streams. Updates use the per-sample mean of the batch gradient
+    (learning rate is batch-size independent), decaying as lr/sqrt(epoch);
+    the corruption mask is an independent Bernoulli zeroing per entry,
+    resampled every epoch. Returns ``(w, b, b_dec, stats)`` where stats holds the per-epoch
     running loss and the clean-input reconstruction MSE after each epoch.
     """
     d, m = z_clean.shape
-    init_gen = cfg.rng.stream("dae.init")
-    corrupt_gen = cfg.rng.stream("dae.corrupt")
-    order_gen = cfg.rng.stream("dae.order")
+    init_gen = rng.stream("dae.init")
+    corrupt_gen = rng.stream("dae.corrupt")
+    order_gen = rng.stream("dae.order")
+    tradeoff_c = cfg.dae_tradeoff_c
 
     bound = 1.0 / np.sqrt(d)
     w = init_gen.uniform(-bound, bound, size=(count, d))
@@ -156,22 +134,22 @@ def train_dae(z_clean: np.ndarray, count: int, cfg: DaeTrainConfig):
 
     epoch_loss = []
     epoch_mse = []
-    for epoch in range(1, cfg.epochs + 1):
-        lr = cfg.learning_rate / np.sqrt(epoch)
-        if cfg.corruption_rate > 0.0:
-            keep = corrupt_gen.random((d, m)) >= cfg.corruption_rate
+    for epoch in range(1, cfg.dae_epochs + 1):
+        lr = cfg.dae_lr / np.sqrt(epoch)
+        if cfg.dae_corruption > 0.0:
+            keep = corrupt_gen.random((d, m)) >= cfg.dae_corruption
             z_corrupt = z_clean * keep
         else:
             z_corrupt = z_clean
         order = order_gen.permutation(m)
         running = 0.0
-        for start in range(0, m, cfg.minibatch):
-            batch = order[start:start + cfg.minibatch]
+        for start in range(0, m, DAE_MINIBATCH):
+            batch = order[start:start + DAE_MINIBATCH]
             zb = z_clean[:, batch]
             ztb = z_corrupt[:, batch]
             scale = batch.size / m
-            running += dae_objective(w, b, b_dec, zb, ztb, cfg.tradeoff_c, scale)
-            gw, gb, gbp = dae_gradients(w, b, b_dec, zb, ztb, cfg.tradeoff_c, scale)
+            running += dae_objective(w, b, b_dec, zb, ztb, tradeoff_c, scale)
+            gw, gb, gbp = dae_gradients(w, b, b_dec, zb, ztb, tradeoff_c, scale)
             step = lr / batch.size
             w -= step * gw
             b -= step * gb
@@ -189,14 +167,14 @@ def train_dae(z_clean: np.ndarray, count: int, cfg: DaeTrainConfig):
     return w, b, b_dec, {"loss": epoch_loss, "recon_mse": epoch_mse}
 
 
-def learn_dae_filters(patches: PatchMatrix, count: int,
-                      cfg: DaeTrainConfig) -> FilterBank:
+def learn_dae_filters(z: np.ndarray, shape: PatchShape, count: int,
+                      cfg: Config, rng: Rng) -> FilterBank:
     """Train the autoencoder and return encoder weights and biases.
 
     The decoder bias is fitted but dropped from the bank; only the encoder
     side is used for feature mapping.
     """
-    if not 1 <= count <= 16:
-        raise ValueError("filter count must lie in 1..16")
-    w, b, _, _ = train_dae(patches.data, count, cfg)
-    return FilterBank(layer_kind=DAE, shape=patches.shape, weights=w, biases=b)
+    if not 1 <= count <= MAX_FILTERS:
+        raise ValueError(f"filter count must lie in 1..{MAX_FILTERS}")
+    w, b, _, _ = train_dae(z, count, cfg, rng)
+    return FilterBank(layer_kind=DAE, shape=shape, weights=w, biases=b)

@@ -4,7 +4,8 @@ Each output pixel is the response of a filter to the window centered on it
 in the zero-padded input, so maps keep the input's size. Each window is
 contrast normalized and whitened with the layer's training-fit transform
 before the dot product; :func:`extraction_steps` decides which of the two
-steps run, and with neither the map is the plain sliding correlation.
+steps run, and with neither the map is the plain sliding correlation. The
+contrast step is given as its constant ``c``, or None when it is off.
 
 :func:`build_stack` keeps every response as a float map. Feature
 extraction only needs the binary codes, so :func:`code_maps` computes the
@@ -22,9 +23,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .encoder import binarize, pack_codes
-from .preprocess import LcnParams, center, lcn_rows
-from .types import (DAE, Config, FeatureMapStack, FilterBank, PatchShape,
-                    TrainedModel, WhiteningTransform, as_2d)
+from .preprocess import center, lcn_rows
+from .types import (DAE, Config, FilterBank, PatchShape, TrainedModel,
+                    WhiteningTransform, as_2d)
 
 # Factor by which a fused second-layer response must exceed the first-order
 # rounding error of both paths before its sign is trusted.
@@ -46,11 +47,12 @@ def window_rows(arr: np.ndarray, shape: PatchShape) -> np.ndarray:
 
 
 def map_layer(image, bank: FilterBank, whiten: WhiteningTransform | None = None,
-              lcn: LcnParams | None = None) -> np.ndarray:
+              lcn: float | None = None) -> np.ndarray:
     """Response maps of one filter bank, shape (L, h, w).
 
-    ``lcn=None`` skips contrast normalization and ``whiten=None`` skips
-    whitening. Autoencoder banks add their bias and squash through tanh.
+    ``lcn`` is the contrast constant; None skips contrast normalization, and
+    ``whiten=None`` skips whitening. Autoencoder banks add their bias and
+    squash through tanh.
     """
     arr = as_2d(image)
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -73,17 +75,17 @@ def extraction_steps(config: Config, whiten1: WhiteningTransform,
                      whiten2: WhiteningTransform | None = None):
     """The preprocessing extraction applies, as ``(lcn, whiten1, whiten2)``.
 
-    Each step that is off is None: contrast normalization without ``lcn``,
-    all three without ``preprocess_at_extraction``.
+    ``lcn`` is the contrast constant ``lcn_c``. Each step that is off is
+    None: contrast normalization without ``lcn``, all three without
+    ``preprocess_at_extraction``.
     """
     if not config.preprocess_at_extraction:
         return None, None, None
-    lcn = LcnParams(config.lcn_c) if config.lcn else None
-    return lcn, whiten1, whiten2
+    return (config.lcn_c if config.lcn else None), whiten1, whiten2
 
 
-def build_stack(image, model: TrainedModel) -> FeatureMapStack:
-    """Both layers' maps for one image.
+def build_stack(image, model: TrainedModel) -> tuple[np.ndarray, np.ndarray]:
+    """Both layers' maps for one image: (L1, h, w) and (L1, L2, h, w).
 
     Second-layer maps are computed from every first-layer map; whether the
     first-layer maps also reach the encoder is decided later by the
@@ -98,7 +100,7 @@ def build_stack(image, model: TrainedModel) -> FeatureMapStack:
     layer2 = np.empty((l1, l2, h, w), dtype=np.float64)
     for i in range(l1):
         layer2[i] = map_layer(layer1[i], model.bank2, whiten2, lcn)
-    return FeatureMapStack(layer1=layer1, layer2=layer2)
+    return layer1, layer2
 
 
 def code_maps(image, model: TrainedModel) -> np.ndarray:
@@ -116,7 +118,7 @@ def code_maps(image, model: TrainedModel) -> np.ndarray:
 
 
 def _fused_filters(bank: FilterBank, whiten: WhiteningTransform | None,
-                   lcn: LcnParams | None):
+                   lcn: float | None):
     """Fused filters H and each filter's error coefficient.
 
     ``H @ window`` is the window path's response before any bias, times
@@ -158,7 +160,7 @@ def _window_max_abs(padded: np.ndarray, shape: PatchShape) -> np.ndarray:
 
 def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
                  whiten: WhiteningTransform | None,
-                 lcn: LcnParams | None) -> np.ndarray:
+                 lcn: float | None) -> np.ndarray:
     """Binarized second-layer maps of every first-layer map, (L1, L2, h, w).
 
     All L1 maps share one window matrix and one product. A pixel's bit is
@@ -178,7 +180,7 @@ def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
     cols = np.ascontiguousarray(windows.transpose(3, 4, 0, 1, 2)).reshape(d, -1)
     response = filters @ cols
     scale = _window_max_abs(padded, bank.shape).reshape(-1)
-    c = lcn.c if lcn is not None else 0.0
+    c = lcn if lcn is not None else 0.0
     # the constant term covers rounding of values in the subnormal range
     bound = scale * coef[:, None] + _SIGN_SAFETY * d * (1.0 + c) * _TINY
     if bank.layer_kind == DAE:

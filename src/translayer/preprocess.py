@@ -3,29 +3,18 @@
 Both are applied to flattened patches before each layer's unsupervised
 learning and, by default, to every window during extraction. The contrast
 step subtracts the patch mean and divides by the population standard
-deviation plus a constant; the whitening step multiplies by the symmetric
-decorrelating matrix fit on the training patch sample.
+deviation plus the constant ``c`` (``Config.lcn_c``, which keeps the
+denominator positive); the whitening step multiplies by the symmetric
+decorrelating matrix fit on the training patch sample. Patch matrices are
+(k1*k2, m) arrays, one patch per column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import jacobi_eigh
-from .types import PatchMatrix, WhiteningTransform, as_2d
-
-
-@dataclass(frozen=True)
-class LcnParams:
-    """Additive constant in the contrast denominator (keeps it finite)."""
-
-    c: float = 10.0
-
-    def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("lcn constant c must be > 0")
+from .types import WhiteningTransform, as_2d
 
 
 def center(patches: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -37,28 +26,19 @@ def center(patches: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return centered, std
 
 
-def lcn_rows(rows: np.ndarray, params: LcnParams) -> np.ndarray:
-    """Contrast-normalize each row of a (m, d) array of flattened patches."""
+def lcn_rows(rows: np.ndarray, c: float) -> np.ndarray:
+    """Contrast-normalize each row of a (m, d) array of flattened patches:
+    (x - mean) / (population std + c)."""
     centered, std = center(rows, axis=1)
-    return centered / (std + params.c)
+    return centered / (std + c)
 
 
-def lcn_patch(patch: np.ndarray, params: LcnParams) -> np.ndarray:
-    """Normalize one flattened patch: (x - mean) / (population std + c)."""
-    vec = np.asarray(patch, dtype=np.float64)
-    if vec.ndim != 1:
-        raise ValueError("patch must be a flat vector")
-    return lcn_rows(vec[None, :], params)[0]
-
-
-def lcn_matrix(patches, params: LcnParams):
-    """Apply :func:`lcn_patch` independently to every column."""
-    # contiguous rows keep the per-patch reduction order identical to lcn_patch
+def lcn_matrix(patches, c: float) -> np.ndarray:
+    """Apply :func:`lcn_rows` independently to every column."""
+    # contiguous rows keep each patch's reduction order identical to
+    # lcn_rows on that patch alone
     rows = np.ascontiguousarray(as_2d(patches).T)
-    out = lcn_rows(rows, params).T
-    if isinstance(patches, PatchMatrix):
-        return PatchMatrix(shape=patches.shape, data=out)
-    return out
+    return lcn_rows(rows, c).T
 
 
 def column_covariance(data: np.ndarray) -> np.ndarray:
@@ -89,11 +69,8 @@ def whiten_fit(patches, epsilon: float = 0.1) -> WhiteningTransform:
     return WhiteningTransform(matrix=matrix)
 
 
-def whiten_apply(transform: WhiteningTransform, patches):
+def whiten_apply(transform: WhiteningTransform, patches) -> np.ndarray:
     data = as_2d(patches)
     if transform.dim != data.shape[0]:
         raise ValueError("whitening dimension does not match patch size")
-    out = transform.matrix @ data
-    if isinstance(patches, PatchMatrix):
-        return PatchMatrix(shape=patches.shape, data=out)
-    return out
+    return transform.matrix @ data

@@ -1,9 +1,12 @@
 """Shared domain types and run configuration.
 
-Images are wrapped in :class:`GrayImage`; intermediate feature maps stay
-plain 2-D float arrays for speed. Patch matrices keep patches as columns,
-flattened row-major, so a filter row dotted with a column is the same
-number produced by sliding the reshaped kernel over the image.
+:class:`Config` is the only record of the settings and
+:func:`validate_config` its only check; library functions read the fields
+they need from it. Images are wrapped in :class:`GrayImage`; feature maps
+and patch matrices stay plain float arrays. A patch matrix is (k1*k2, m),
+one patch per column flattened row-major, so a filter row dotted with a
+column is the same number produced by sliding the reshaped kernel over the
+image.
 """
 
 from __future__ import annotations
@@ -55,30 +58,10 @@ class PatchShape:
         return self.k1 * self.k2
 
 
-@dataclass(frozen=True)
-class PatchMatrix:
-    """Column-stacked flattened patches, shape (k1*k2, m)."""
-
-    shape: PatchShape
-    data: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
-        if d.ndim != 2 or d.shape[0] != self.shape.dim:
-            raise ValueError("patch data must be (k1*k2, m)")
-        if d.shape[1] < 1:
-            raise ValueError("patch matrix needs at least one column")
-        if not np.isfinite(d).all():
-            raise ValueError("patch matrix contains non-finite entries")
-        object.__setattr__(self, "data", d)
-
-
 def as_2d(value) -> np.ndarray:
-    """The float64 2-D array of an image, a patch matrix or an array-like."""
+    """The float64 2-D array of an image or an array-like."""
     if isinstance(value, GrayImage):
         return value.pixels
-    if isinstance(value, PatchMatrix):
-        return value.data
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("expected a 2-D image, map or patch matrix")
@@ -158,42 +141,6 @@ class WhiteningTransform:
 
 
 @dataclass(frozen=True)
-class FeatureMapStack:
-    """All response maps for one image: layer1 (L1, h, w), layer2 (L1, L2, h, w)."""
-
-    layer1: np.ndarray
-    layer2: np.ndarray
-
-    def __post_init__(self):
-        l1 = np.asarray(self.layer1)
-        l2 = np.asarray(self.layer2)
-        if l1.ndim != 3 or l2.ndim != 4:
-            raise ValueError("layer1 must be 3-D and layer2 4-D")
-        if l2.shape[0] != l1.shape[0] or l2.shape[2:] != l1.shape[1:]:
-            raise ValueError("layer sizes inconsistent")
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    """Block histogram geometry, bin count and the trans-layer flag."""
-
-    block_w: int
-    block_h: int
-    stride_x: int
-    stride_y: int
-    bins: int
-    trans_layer: bool
-
-    def __post_init__(self):
-        if self.block_w < 1 or self.block_h < 1:
-            raise ValueError("block sides must be >= 1")
-        if self.stride_x < 1 or self.stride_y < 1:
-            raise ValueError("strides must be >= 1")
-        if self.bins < 2 or (self.bins & (self.bins - 1)) != 0:
-            raise ValueError("bins must be a power of two")
-
-
-@dataclass(frozen=True)
 class HistogramFeature:
     """Sparse concatenated block histograms.
 
@@ -219,10 +166,6 @@ class HistogramFeature:
                 raise ValueError("stored counts must be positive")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "counts", cnt)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 _TRUE = {"on", "true", "1", "yes"}
@@ -270,16 +213,6 @@ class Config:
     def patch_shape(self) -> PatchShape:
         return PatchShape(self.patch_k1, self.patch_k2)
 
-    def encoder(self) -> EncoderConfig:
-        return EncoderConfig(
-            block_w=self.block_w,
-            block_h=self.block_h,
-            stride_x=self.stride_x,
-            stride_y=self.stride_y,
-            bins=2**self.l1,
-            trans_layer=self.trans_layer,
-        )
-
 
 def validate_config(config: Config) -> list[str]:
     """Return every violated invariant as a message; empty list means ok."""
@@ -311,9 +244,9 @@ def validate_config(config: Config) -> list[str]:
     if config.patches_per_layer < 1:
         errors.append("patches_per_layer must be >= 1")
     if config.block_w < 1 or config.block_h < 1:
-        errors.append("block sides must be >= 1")
+        errors.append("block_w and block_h must be >= 1")
     if config.stride_x < 1 or config.stride_y < 1:
-        errors.append("strides must be >= 1")
+        errors.append("stride_x and stride_y must be >= 1")
     else:
         if config.stride_x > config.block_w or config.stride_y > config.block_h:
             errors.append("stride must not exceed the block side")
@@ -435,5 +368,6 @@ class TrainedModel:
                                  f"config says {cfg.classifier}")
 
     @property
-    def encoder(self) -> EncoderConfig:
-        return self.config.encoder()
+    def encoder(self) -> Config:
+        # perfbench/phases.py reads model.encoder.trans_layer
+        return self.config

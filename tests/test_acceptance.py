@@ -200,10 +200,10 @@ def test_acceptance_5c_dae_gradient_check(d, count, seed):
 
 
 def test_acceptance_5d_pca_reconstruction_optimality():
-    from translayer import PatchMatrix, PatchShape, learn_pca_filters
+    from translayer import PatchShape, learn_pca_filters
     gen = np.random.default_rng(62)
     z = gen.normal(size=(25, 5000))
-    bank = learn_pca_filters(PatchMatrix(shape=PatchShape(5, 5), data=z), 4)
+    bank = learn_pca_filters(z, PatchShape(5, 5), 4)
     w = bank.weights
     pca_err = np.linalg.norm(z - w.T @ (w @ z)) ** 2
     for trial in range(200):
@@ -215,16 +215,16 @@ def test_acceptance_5d_pca_reconstruction_optimality():
 
 def test_acceptance_5e_histogram_conservation(tiny_model):
     gen = np.random.default_rng(63)
-    encoder = tiny_model.encoder
-    nx = (28 - encoder.block_w) // encoder.stride_x + 1
-    ny = (28 - encoder.block_h) // encoder.stride_y + 1
+    cfg = tiny_model.config
+    nx = (28 - cfg.block_w) // cfg.stride_x + 1
+    ny = (28 - cfg.block_h) // cfg.stride_y + 1
     groups = tiny_model.bank2.count + 1
-    expected = groups * nx * ny * encoder.block_w * encoder.block_h
+    expected = groups * nx * ny * cfg.block_w * cfg.block_h
     for _ in range(1000):
         image = GrayImage(gen.random((28, 28)))
-        codes = compress_groups(build_stack(image, tiny_model), encoder.trans_layer)
-        feat = feature_of(codes, encoder)
-        assert feat.total == expected
+        codes = compress_groups(build_stack(image, tiny_model), cfg.trans_layer)
+        feat = feature_of(codes, cfg)
+        assert feat.counts.sum() == expected
     report("5e", "histogram counts conserved on 1000 random images")
 
 

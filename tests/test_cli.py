@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from translayer import cli
 from translayer.cli import main
 from translayer.dataio import load_model
 
@@ -85,6 +86,27 @@ def test_missing_data_path_exits_2(workdir, capsys):
                "--out", str(workdir / "never.txt")])
     assert rc == 2
     assert "no such file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_missing_output_directory_exits_2_before_the_run(command, workdir,
+                                                         tmp_path, monkeypatch,
+                                                         capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr(cli, "evaluate_model", never)
+    monkeypatch.setattr(cli, "run_ablation", never)
+    test = str(workdir / "test.amat")
+    if command == "eval":
+        argv = ["eval", "--model", str(workdir / "model.bin"), "--test", test]
+    else:
+        argv = ["ablate", "--config", str(smoke_config(tmp_path)),
+                "--train", str(workdir / "train.amat"), "--test", test]
+    out = tmp_path / "nodir" / "r.txt"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 2
+    assert f"no such output directory: {out.parent}" in capsys.readouterr().err
 
 
 def test_bad_config_exits_2(workdir, tmp_path, capsys):

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from translayer import (EncoderConfig, FeatureMapStack, binarize,
-                        compress_groups, feature_of)
+from translayer import Config, binarize, compress_groups, feature_of
 from translayer.encoder import bit_weights
 
 
 def encoder(bins=256, block=7, stride=3, trans=True):
-    return EncoderConfig(block_w=block, block_h=block, stride_x=stride,
-                         stride_y=stride, bins=bins, trans_layer=trans)
+    """A config whose 2^l1 histogram bins number ``bins``."""
+    return Config(l1=bins.bit_length() - 1, block_w=block, block_h=block,
+                  stride_x=stride, stride_y=stride, trans_layer=trans)
 
 
 # --- binarize -------------------------------------------------------------
@@ -32,8 +32,8 @@ def test_binarize_shifted_positive():
 # --- code packing ----------------------------------------------------------
 
 def stack_from_bits(l1_bits, l2_bits):
-    return FeatureMapStack(layer1=np.asarray(l1_bits, dtype=np.float64),
-                           layer2=np.asarray(l2_bits, dtype=np.float64))
+    return (np.asarray(l1_bits, dtype=np.float64),
+            np.asarray(l2_bits, dtype=np.float64))
 
 
 def test_bit_weights_msb_is_first_map():
@@ -101,12 +101,13 @@ def block_origins(size, block, stride):
     The code at (x, y) is 32 y + x, so a block's smallest code names its
     top-left corner.
     """
-    enc = encoder(bins=1024, block=block, stride=stride)
+    bins = 1024
     ys, xs = np.mgrid[:size, :size]
-    feat = feature_of((32 * ys + xs)[None].astype(np.uint16), enc)
-    block_of = feat.indices // enc.bins
+    feat = feature_of((32 * ys + xs)[None].astype(np.uint16),
+                      encoder(bins=bins, block=block, stride=stride))
+    block_of = feat.indices // bins
     firsts = feat.indices[np.r_[0, np.flatnonzero(np.diff(block_of)) + 1]]
-    return [(int(c % 32), int(c // 32)) for c in firsts % enc.bins]
+    return [(int(c % 32), int(c // 32)) for c in firsts % bins]
 
 
 def test_block_grid_28_7_3():
@@ -168,7 +169,7 @@ def test_histogram_conservation():
     gen = np.random.default_rng(4)
     codes = gen.integers(0, 256, size=(5, 28, 28)).astype(np.uint16)
     feat = feature_of(codes, encoder())
-    assert feat.total == 5 * 64 * 49
+    assert feat.counts.sum() == 5 * 64 * 49
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([(4, 2), (7, 3), (5, 5)]))
@@ -176,12 +177,10 @@ def test_histogram_conservation_property(seed, block_stride):
     block, stride = block_stride
     gen = np.random.default_rng(seed)
     codes = gen.integers(0, 16, size=(2, 12, 14)).astype(np.uint16)
-    enc = EncoderConfig(block_w=block, block_h=block, stride_x=stride,
-                        stride_y=stride, bins=16, trans_layer=True)
-    feat = feature_of(codes, enc)
+    feat = feature_of(codes, encoder(bins=16, block=block, stride=stride))
     nx = (14 - block) // stride + 1
     ny = (12 - block) // stride + 1
-    assert feat.total == 2 * nx * ny * block * block
+    assert feat.counts.sum() == 2 * nx * ny * block * block
 
 
 def test_translation_by_stride_permutes_block_histograms():
@@ -212,9 +211,9 @@ def test_feature_deterministic(tiny_model, glyph_train):
     from translayer.pipeline import build_stack
     image = glyph_train[0][2]
     stack = build_stack(image, tiny_model)
-    enc = tiny_model.encoder
-    a = feature_of(compress_groups(stack, enc.trans_layer), enc)
-    b = feature_of(compress_groups(stack, enc.trans_layer), enc)
+    cfg = tiny_model.config
+    a = feature_of(compress_groups(stack, cfg.trans_layer), cfg)
+    b = feature_of(compress_groups(stack, cfg.trans_layer), cfg)
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.counts, b.counts)
     assert a.indices.tobytes() == b.indices.tobytes()

@@ -7,7 +7,7 @@ from translayer import (Config, FilterBank, GrayImage, PatchShape,
                         TrainedModel, WhiteningTransform, build_stack,
                         compress_groups, map_layer, pipeline)
 from translayer.pipeline import code_maps, extraction_steps
-from translayer.preprocess import LcnParams, lcn_patch
+from translayer.preprocess import lcn_rows
 from translayer.types import DAE, PCA
 
 
@@ -43,7 +43,7 @@ def test_delta_filter_reproduces_input():
 def test_constant_image_with_preprocessing():
     # zero padding keeps an all-zero image constant in every window; for a
     # nonzero constant, only interior windows stay constant
-    lcn = LcnParams(10.0)
+    lcn = 10.0
     wh = WhiteningTransform(matrix=np.eye(9))
     bank = pca_bank(np.random.default_rng(2).normal(size=(2, 9)), 3)
     biases = np.array([0.3, -0.2])
@@ -75,7 +75,7 @@ def brute_force_map(img, bank, whiten, lcn):
         for c in range(w):
             window = padded[r:r + k1, c:c + k2].ravel()
             if lcn is not None:
-                window = lcn_patch(window, lcn)
+                window = lcn_rows(window[None, :], lcn)[0]
             if whiten is not None:
                 window = whiten.matrix @ window
             for f in range(bank.count):
@@ -91,7 +91,7 @@ def brute_force_map(img, bank, whiten, lcn):
 def test_matches_naive_window_oracle(kind, flag):
     gen = np.random.default_rng(3)
     img = gen.random((12, 12))
-    lcn = LcnParams(10.0)
+    lcn = 10.0
     mat = gen.normal(size=(9, 9))
     wh = WhiteningTransform(matrix=0.5 * (mat + mat.T))
     if kind == PCA:
@@ -120,8 +120,8 @@ def test_stack_shapes_and_counts(tiny_model, glyph_train):
     image = glyph_train[0][0]
     stack = build_stack(image, tiny_model)
     l1, l2 = tiny_model.bank1.count, tiny_model.bank2.count
-    assert stack.layer1.shape == (l1, 28, 28)
-    assert stack.layer2.shape == (l1, l2, 28, 28)
+    assert stack[0].shape == (l1, 28, 28)
+    assert stack[1].shape == (l1, l2, 28, 28)
     assert compress_groups(stack, trans_layer=True).shape == (l2 + 1, 28, 28)
     assert compress_groups(stack, trans_layer=False).shape == (l2, 28, 28)
 
@@ -136,7 +136,7 @@ def test_extraction_steps_are_none_when_off(preprocess, lcn):
         assert (got_lcn, got_w1, got_w2) == (None, None, None)
         return
     assert got_w1 is w1 and got_w2 is w2
-    assert got_lcn == (LcnParams(4.0) if lcn else None)
+    assert got_lcn == (4.0 if lcn else None)
 
 
 def test_build_stack_is_pure(tiny_model, glyph_train):
@@ -144,8 +144,8 @@ def test_build_stack_is_pure(tiny_model, glyph_train):
     before = image.pixels.copy()
     a = build_stack(image, tiny_model)
     b = build_stack(image, tiny_model)
-    assert np.array_equal(a.layer1, b.layer1)
-    assert np.array_equal(a.layer2, b.layer2)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
     assert np.array_equal(image.pixels, before)
 
 

@@ -3,29 +3,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from translayer import PatchMatrix, PatchShape
-from translayer.preprocess import (LcnParams, column_covariance, lcn_matrix,
-                                   lcn_patch, whiten_apply, whiten_fit)
-
-P10 = LcnParams(10.0)
-
-
-def patch_matrix(data):
-    data = np.asarray(data, dtype=np.float64)
-    side = {1: (1, 1), 9: (3, 3), 49: (7, 7), 25: (5, 5)}[data.shape[0]]
-    return PatchMatrix(shape=PatchShape(*side), data=data)
+from translayer import Config, validate_config
+from translayer.preprocess import (column_covariance, lcn_matrix, lcn_rows,
+                                   whiten_apply, whiten_fit)
 
 
 # --- contrast normalization ---------------------------------------------
 
 def test_lcn_constant_patch_is_zero():
-    out = lcn_patch(np.full(9, 5.0), P10)
-    assert np.array_equal(out, np.zeros(9))
+    out = lcn_rows(np.full((1, 9), 5.0), 10.0)
+    assert np.array_equal(out, np.zeros((1, 9)))
 
 
 def test_lcn_hand_computed_example():
     # mean 1, population std 1, so (x - 1) / (1 + 10)
-    out = lcn_patch(np.array([0.0, 2.0, 2.0, 0.0]), P10)
+    out = lcn_rows(np.array([[0.0, 2.0, 2.0, 0.0]]), 10.0)[0]
     expected = np.array([-1, 1, 1, -1]) / 11.0
     assert np.abs(out - expected).max() < 1e-15
 
@@ -33,41 +25,39 @@ def test_lcn_hand_computed_example():
 def test_lcn_affine_invariance_in_small_c_limit():
     # residual is ~|x| * c / (a * std), so keep std well above 1
     gen = np.random.default_rng(0)
-    p = gen.normal(scale=5.0, size=25)
-    tiny = LcnParams(1e-9)
-    base = lcn_patch(p, tiny)
+    p = gen.normal(scale=5.0, size=(1, 25))
+    tiny = 1e-9
+    base = lcn_rows(p, tiny)
     for a in (1.0, 3.0):
         for b in (0.0, 7.0):
-            assert np.abs(lcn_patch(a * p + b, tiny) - base).max() < 1e-9
+            assert np.abs(lcn_rows(a * p + b, tiny) - base).max() < 1e-9
 
 
 def test_lcn_requires_positive_c():
-    with pytest.raises(ValueError):
-        LcnParams(0.0)
+    assert "lcn_c must be > 0" in validate_config(Config(lcn_c=0.0))
 
 
 def test_lcn_matrix_constant_columns():
-    pm = patch_matrix(np.ones((9, 2)) * 3.0)
-    assert np.array_equal(lcn_matrix(pm, P10).data, np.zeros((9, 2)))
+    out = lcn_matrix(np.ones((9, 2)) * 3.0, 10.0)
+    assert np.array_equal(out, np.zeros((9, 2)))
 
 
 def test_lcn_matrix_single_column_matches_patch():
     gen = np.random.default_rng(1)
     col = gen.normal(size=49)
-    pm = patch_matrix(col[:, None])
-    assert np.array_equal(lcn_matrix(pm, P10).data[:, 0], lcn_patch(col, P10))
+    assert np.array_equal(lcn_matrix(col[:, None], 10.0)[:, 0],
+                          lcn_rows(col[None, :], 10.0)[0])
 
 
 def test_lcn_matrix_column_means_vanish():
     gen = np.random.default_rng(2)
-    pm = patch_matrix(gen.normal(size=(49, 1000)))
-    out = lcn_matrix(pm, P10).data
+    out = lcn_matrix(gen.normal(size=(49, 1000)), 10.0)
     assert np.abs(out.mean(axis=0)).max() < 1e-12
 
 
 @given(st.lists(st.floats(-100, 100), min_size=4, max_size=4))
 def test_lcn_output_mean_zero_property(values):
-    out = lcn_patch(np.asarray(values), P10)
+    out = lcn_rows(np.asarray([values]), 10.0)
     assert abs(out.mean()) < 1e-12
 
 
@@ -126,9 +116,9 @@ def test_whiten_apply_dimension_mismatch():
 
 def test_whiten_large_sample_eigenvalues_bounded():
     gen = np.random.default_rng(6)
-    pm = PatchMatrix(shape=PatchShape(7, 7), data=gen.normal(size=(49, 100000)))
-    tr = whiten_fit(pm, 0.1)
-    out = whiten_apply(tr, pm)
-    eigs = np.linalg.eigvalsh(column_covariance(out.data))
+    patches = gen.normal(size=(49, 100000))
+    tr = whiten_fit(patches, 0.1)
+    out = whiten_apply(tr, patches)
+    eigs = np.linalg.eigvalsh(column_covariance(out))
     assert eigs.min() > 0.0
     assert eigs.max() <= 1.0 + 1e-10  # lambda / (lambda + 0.1) <= 1

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from translayer import (Config, EncoderConfig, GrayImage, HistogramFeature,
-                        PatchShape, Rng, parse_config, validate_config)
+from translayer import (Config, GrayImage, HistogramFeature, PatchShape, Rng,
+                        parse_config, validate_config)
 from translayer.types import ConfigError, format_config
 
 
@@ -29,6 +29,20 @@ def test_l_range_checked():
 def test_stride_fit_checked():
     errors = validate_config(Config(stride_x=9, block_w=7))
     assert any("stride" in e for e in errors)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("dae_corruption", 1.0, "dae_corruption must lie in [0, 1)"),
+    ("dae_epochs", 0, "dae_epochs must be >= 1"),
+    ("dae_lr", 0.0, "dae_lr must be > 0"),
+    ("dae_tradeoff_c", 0.0, "dae_tradeoff_c must be > 0"),
+    ("lcn_c", 0.0, "lcn_c must be > 0"),
+    ("block_w", 0, "block_w and block_h must be >= 1"),
+    ("stride_x", 0, "stride_x and stride_y must be >= 1"),
+])
+def test_settings_checked_only_by_validate_config(field, value, message):
+    # library calls take these settings unchecked from the Config
+    assert message in validate_config(Config(**{field: value}))
 
 
 def test_parse_roundtrip():
@@ -78,13 +92,7 @@ def test_histogram_feature_invariants():
     with pytest.raises(ValueError):
         HistogramFeature(dim=4, indices=np.array([5]), counts=np.array([1]))
     feat = HistogramFeature(dim=10, indices=np.array([1, 4]), counts=np.array([2, 3]))
-    assert feat.total == 5
-
-
-def test_encoder_config_requires_power_of_two_bins():
-    with pytest.raises(ValueError):
-        EncoderConfig(block_w=7, block_h=7, stride_x=3, stride_y=3,
-                      bins=100, trans_layer=True)
+    assert feat.counts.sum() == 5
 
 
 def test_rng_streams_are_deterministic_and_distinct():
