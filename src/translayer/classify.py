@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from .forkpool import fork_pool, shared_zeros, worker_state
 from .linalg import fix_signs, jacobi_eigh
 from .rng import Rng
 
@@ -115,9 +116,39 @@ def _solve_binary(indptr, indices, data, y, dim, cost_c, qii, gen,
     return w, history, max_violation
 
 
+def _solve_class(problem, k):
+    """Solve class ``k``'s binary problem into row ``k`` of the weights.
+
+    Returns the class's objective history and the largest violation of
+    its last pass.
+    """
+    x, indices, y_all, classes, cost_c, qii, rng, weights = problem
+    cls = int(classes[k])
+    y = np.where(y_all == cls, 1.0, -1.0)
+    gen = rng.stream(f"svm.class.{cls}")
+    w, hist, violation = _solve_binary(
+        x.indptr, indices, x.data, y, weights.shape[1], cost_c, qii, gen,
+        SVM_TOL, SVM_MAX_PASSES)
+    weights[k] = w
+    return np.asarray(hist), violation
+
+
+def _solve_class_in_worker(k):
+    return _solve_class(worker_state(), k)
+
+
 def svm_train(features, labels, cost_c: float = 1.0,
-              rng: Rng | None = None) -> LinearSvmModel:
-    """One-vs-rest linear SVM on sparse features."""
+              rng: Rng | None = None, jobs: int = 1) -> LinearSvmModel:
+    """One-vs-rest linear SVM on sparse features.
+
+    At ``jobs`` > 1 the classes are solved by ``min(jobs, n_classes)``
+    forked workers, which read the features copy-on-write and write each
+    class's weights into one output array shared with this process; only
+    the objective histories and final violations come back through the
+    pool. Each class draws its own stream, seeded from its label, so the
+    result does not depend on ``jobs``. Non-convergence warnings are
+    logged here, in class order.
+    """
     x = as_csr(features)
     y_all = np.asarray(labels, dtype=np.int64)
     if y_all.shape[0] != x.shape[0]:
@@ -133,24 +164,24 @@ def svm_train(features, labels, cost_c: float = 1.0,
 
     qii = np.asarray(x.multiply(x).sum(axis=1)).ravel()
 
-    dim = x.shape[1]
-    indices = x.indices.astype(np.intp)
-    weights = np.zeros((classes.size, dim))
-    histories = []
-    for k, cls in enumerate(classes):
-        y = np.where(y_all == cls, 1.0, -1.0)
-        gen = rng.stream(f"svm.class.{int(cls)}")
-        w, hist, violation = _solve_binary(
-            x.indptr, indices, x.data, y, dim, cost_c, qii, gen,
-            SVM_TOL, SVM_MAX_PASSES)
+    workers = min(jobs, classes.size)
+    shape = (classes.size, x.shape[1])
+    weights = shared_zeros(shape) if workers > 1 else np.zeros(shape)
+    problem = (x, x.indices.astype(np.intp), y_all, classes, cost_c, qii,
+               rng, weights)
+    with fork_pool(workers, problem) as pool:
+        if pool is None:
+            solved = [_solve_class(problem, k) for k in range(classes.size)]
+        else:
+            solved = pool.map(_solve_class_in_worker, range(classes.size),
+                              chunksize=1)
+    for cls, (hist, violation) in zip(classes, solved):
         if violation >= SVM_TOL:
             log.warning("SVM class %d did not converge: %d passes, max "
                         "violation %.4g >= tolerance %g", int(cls), len(hist),
                         violation, SVM_TOL)
-        weights[k] = w
-        histories.append(np.asarray(hist))
     return LinearSvmModel(classes=classes, weights=weights,
-                          objective_history=histories)
+                          objective_history=[hist for hist, _ in solved])
 
 
 def decision_values(model: LinearSvmModel, features) -> np.ndarray:
@@ -183,35 +214,34 @@ def wpca_fit(features, target_dim: int) -> WpcaModel:
     if d <= n:
         centered = x.toarray() - mean
         cov = (centered.T @ centered) / (n - 1)
-        eigvals, eigvecs = jacobi_eigh(cov)
-        components = eigvecs  # columns
+        eigvals, components = jacobi_eigh(cov)  # components are columns
     else:
         # Gram-side decomposition; avoids densifying wide feature matrices
         gram_xx = (x @ x.T).toarray()
         xm = np.asarray(x @ mean).ravel()
         gram = (gram_xx - xm[:, None] - xm[None, :] + float(mean @ mean)) / (n - 1)
         eigvals, dual_vecs = jacobi_eigh(gram)
-        keep_for_lift = eigvals > max(eigvals[0], 0.0) * EIGENVALUE_FLOOR
-        lift = []
-        for r in range(int(keep_for_lift.sum())):
-            v = dual_vecs[:, r]
-            u = np.asarray(x.T @ v).ravel() - mean * float(v.sum())
-            lift.append(u / np.sqrt((n - 1) * eigvals[r]))
-        components = fix_signs(np.stack(lift, axis=1)) if lift else np.zeros((d, 0))
-        eigvals = eigvals[:components.shape[1]]
 
     floor = max(float(eigvals[0]), 0.0) * EIGENVALUE_FLOOR
     usable = int((eigvals > floor).sum())
     if target_dim > usable:
         raise ValueError(
             f"target_dim {target_dim} exceeds usable rank {usable}")
+    if d > n:
+        # lift to feature space only the dual vectors the projection uses
+        dual = dual_vecs[:, :target_dim]
+        dual_sums = np.array([float(v.sum()) for v in dual.T])
+        components = fix_signs((np.asarray(x.T @ dual) - mean[:, None] * dual_sums)
+                               / np.sqrt((n - 1) * eigvals[:target_dim]))
     scale = 1.0 / np.sqrt(eigvals[:target_dim])
     projection = components[:, :target_dim].T * scale[:, None]
     return WpcaModel(mean=mean, projection=projection)
 
 
 def wpca_apply(model: WpcaModel, features) -> np.ndarray:
-    return (as_csr(features).toarray() - model.mean) @ model.projection.T
+    dense = as_csr(features).toarray()
+    dense -= model.mean  # in place: one dense copy of the batch, not two
+    return dense @ model.projection.T
 
 
 def cosine_nn(train_vectors: np.ndarray, train_labels: np.ndarray,

@@ -66,6 +66,7 @@ def _load_validated_config(path, seed_override):
 
 
 def cmd_train(args) -> int:
+    _require_out_dir(args.model)
     cfg = _load_validated_config(args.config, args.seed)
     images, labels = load_dataset(args.train)
     log.info("training on %d images, seed %d", len(images), cfg.seed)
@@ -159,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_run_flags(p, seed):
         p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes for extraction")
+                       help="worker processes for feature extraction and "
+                            "the per-class SVM solves")
         if seed:
             p.add_argument("--seed", type=int, default=None,
                            help="override the config seed")

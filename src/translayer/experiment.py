@@ -1,17 +1,18 @@
 """End-to-end orchestration: train both layers, encode, classify, evaluate.
 
 Feature extraction is a pure function of (model, image), so it can fan out
-over a process pool; chunks are merged back in input order, which keeps
-every result identical to the single-process run. One pool serves a whole
-call, including every chunk of an evaluation.
+over ``jobs`` forked workers; chunks are merged back in input order, which
+keeps every result identical to the single-process run. One pool serves a
+whole call, including every chunk of an evaluation. Training then passes
+the same ``jobs`` to ``svm_train``, which forks its own pool after the
+features exist and solves the one-vs-rest classes in parallel, each
+writing its weights into one output array shared with the parent.
 """
 
 from __future__ import annotations
 
 import logging
-import multiprocessing as mp
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from .classify import (LinearSvmModel, WpcaCosineModel, as_csr, cosine_nn,
 from . import encoder
 from .filters import (draw_patch_locations, gather_patches, learn_dae_filters,
                       learn_pca_filters, sample_patches)
+from .forkpool import fork_pool, worker_state
 # build_stack is not called here; perfbench's tracer wraps experiment.build_stack
 from .pipeline import build_stack, code_maps, extraction_steps, map_layer  # noqa: F401
 from .preprocess import lcn_matrix, whiten_apply, whiten_fit
@@ -119,7 +121,7 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     timer.lap("extract training features")
 
     if cfg.classifier == "svm":
-        classifier = svm_train(features, labels, cfg.svm_c, rng)
+        classifier = svm_train(features, labels, cfg.svm_c, rng, jobs=jobs)
     else:
         x = _wpca_input(features, cfg)
         wpca = wpca_fit(x, cfg.wpca_dim)
@@ -138,32 +140,13 @@ def _wpca_input(features, cfg: Config) -> sp.csr_matrix:
     return x
 
 
-_WORKER_MODEL = None
-
-
-def _init_worker(model):
-    global _WORKER_MODEL
-    _WORKER_MODEL = model
-
-
 def _encode_one(model, image):
     return encoder.feature_of(code_maps(image, model), model.config)
 
 
 def _worker_encode(image):
-    feat = _encode_one(_WORKER_MODEL, image)
+    feat = _encode_one(worker_state(), image)
     return feat.indices, feat.counts, feat.dim
-
-
-@contextmanager
-def _extraction_pool(model: TrainedModel, jobs: int):
-    """A pool of ``jobs`` forked workers holding ``model``; None at jobs=1."""
-    if jobs <= 1:
-        yield None
-        return
-    ctx = mp.get_context("fork")
-    with ctx.Pool(jobs, initializer=_init_worker, initargs=(model,)) as pool:
-        yield pool
 
 
 def _features(model: TrainedModel, images, pool) -> sp.csr_matrix:
@@ -189,7 +172,7 @@ def extract_features(model: TrainedModel, images, jobs: int = 1) -> sp.csr_matri
     """Histogram features for a batch of images as a CSR matrix."""
     if len(images) == 0:
         raise ValueError("no samples")
-    with _extraction_pool(model, jobs) as pool:
+    with fork_pool(jobs, model) as pool:
         return _features(model, images, pool)
 
 
@@ -231,7 +214,7 @@ def evaluate_model(model: TrainedModel, images, labels, jobs: int = 1,
     classes = np.union1d(model_classes, np.unique(labels))
     index = {int(c): i for i, c in enumerate(classes)}
     confusion = np.zeros((classes.size, classes.size), dtype=np.int64)
-    with _extraction_pool(model, jobs) as pool:
+    with fork_pool(jobs, model) as pool:
         for start in range(0, len(images), chunk):
             feats = _features(model, images[start:start + chunk], pool)
             preds = predict_features(model, feats)

@@ -34,11 +34,9 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     filter) signs reproducible.
     """
     out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0.0:
-            out[:, j] = -col
+    lead = np.argmax(np.abs(out), axis=0)
+    flip = out[lead, np.arange(out.shape[1])] < 0.0
+    out[:, flip] = -out[:, flip]
     return out
 
 

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -228,6 +229,54 @@ def test_converged_training_logs_no_warning(caplog):
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
+def count_features(n_classes, seed):
+    """Sparse histogram-like counts with one shifted column per class."""
+    gen = np.random.default_rng(seed)
+    labels = np.arange(90) % n_classes
+    counts = gen.integers(0, 4, size=(90, 200)).astype(np.float64)
+    counts[gen.random(counts.shape) < 0.8] = 0.0
+    counts[np.arange(90), labels] += 3.0
+    return sp.csr_matrix(counts), labels
+
+
+@pytest.mark.parametrize("jobs,n_classes", [(2, 5), (4, 3)])
+def test_parallel_classes_match_serial(jobs, n_classes):
+    # jobs=4 over 3 classes: more workers asked for than classes or cores
+    x, y = count_features(n_classes, seed=21)
+    serial = svm_train(x, y, cost_c=0.5, rng=Rng(6))
+    parallel = svm_train(x, y, cost_c=0.5, rng=Rng(6), jobs=jobs)
+    assert np.array_equal(serial.weights, parallel.weights)
+    assert len(parallel.objective_history) == n_classes
+    for got, want in zip(parallel.objective_history, serial.objective_history):
+        assert np.array_equal(got, want)
+
+
+def test_parallel_warnings_match_serial(monkeypatch, caplog):
+    x, y = count_features(4, seed=22)
+    monkeypatch.setattr(classify, "SVM_MAX_PASSES", 1)
+    messages = []
+    for jobs in (1, 2):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="translayer"):
+            svm_train(x, y, cost_c=1.0, rng=Rng(7), jobs=jobs)
+        messages.append([r.getMessage() for r in caplog.records
+                         if r.levelname == "WARNING"])
+    assert len(messages[0]) == 4
+    assert [f"class {cls} " in text for cls, text in enumerate(messages[0])] == [True] * 4
+    assert messages[1] == messages[0]
+
+
+def test_worker_error_reaches_caller(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("solver state corrupt")
+
+    monkeypatch.setattr(classify, "_solve_binary", broken)
+    x, y = count_features(3, seed=23)
+    with pytest.raises(RuntimeError, match="solver state corrupt"):
+        svm_train(x, y, rng=Rng(8), jobs=2)
+    assert multiprocessing.active_children() == []
+
+
 # --- whitened principal projection -------------------------------------
 
 def test_isotropic_sample_unit_variances():
@@ -258,6 +307,16 @@ def test_target_dim_beyond_rank_rejected():
     x = np.stack([t, 2 * t], axis=1)  # rank 1
     with pytest.raises(ValueError, match="rank"):
         wpca_fit(x, 2)
+
+
+@pytest.mark.parametrize("scores,target_dim", [
+    (np.linspace(-1, 1, 6), 2),   # rank 1
+    (np.ones(6), 1),              # identical rows: rank 0
+])
+def test_target_dim_beyond_rank_rejected_on_gram_route(scores, target_dim):
+    x = np.outer(scores, np.arange(1.0, 11.0))  # d > n forces the gram route
+    with pytest.raises(ValueError, match="rank"):
+        wpca_fit(x, target_dim)
 
 
 def test_gram_route_matches_covariance_route():

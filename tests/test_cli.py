@@ -88,23 +88,29 @@ def test_missing_data_path_exits_2(workdir, capsys):
     assert "no such file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["eval", "ablate"])
+@pytest.mark.parametrize("command", ["eval", "ablate", "train"])
 def test_missing_output_directory_exits_2_before_the_run(command, workdir,
                                                          tmp_path, monkeypatch,
                                                          capsys):
     def never(*args, **kwargs):
-        raise AssertionError("the run started before --out was checked")
+        raise AssertionError("the run started before its output was checked")
 
     monkeypatch.setattr(cli, "evaluate_model", never)
     monkeypatch.setattr(cli, "run_ablation", never)
+    monkeypatch.setattr(cli, "train_model", never)
     test = str(workdir / "test.amat")
-    if command == "eval":
-        argv = ["eval", "--model", str(workdir / "model.bin"), "--test", test]
-    else:
-        argv = ["ablate", "--config", str(smoke_config(tmp_path)),
-                "--train", str(workdir / "train.amat"), "--test", test]
     out = tmp_path / "nodir" / "r.txt"
-    rc = main(argv + ["--out", str(out)])
+    if command == "eval":
+        argv = ["eval", "--model", str(workdir / "model.bin"), "--test", test,
+                "--out", str(out)]
+    elif command == "ablate":
+        argv = ["ablate", "--config", str(smoke_config(tmp_path)),
+                "--train", str(workdir / "train.amat"), "--test", test,
+                "--out", str(out)]
+    else:
+        argv = ["train", "--config", str(smoke_config(tmp_path)),
+                "--train", str(workdir / "train.amat"), "--model", str(out)]
+    rc = main(argv)
     assert rc == 2
     assert f"no such output directory: {out.parent}" in capsys.readouterr().err
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from translayer import (FilterBank, TrainedModel, WhiteningTransform,
-                        evaluate_model, experiment, extract_features,
+                        evaluate_model, extract_features, forkpool,
                         train_model)
+from translayer.dataio import save_model
 from translayer.experiment import format_eval_report, predict_features
 from translayer.types import PCA
 
@@ -22,16 +23,27 @@ def test_evaluation_forks_one_pool_for_all_chunks(tiny_model, glyph_test,
     images, labels = glyph_test
     serial = evaluate_model(tiny_model, images, labels, jobs=1, chunk=7)
     contexts = []
-    get_context = experiment.mp.get_context
+    get_context = forkpool.mp.get_context
 
     def counting(method):
         contexts.append(method)
         return get_context(method)
 
-    monkeypatch.setattr(experiment.mp, "get_context", counting)
+    monkeypatch.setattr(forkpool.mp, "get_context", counting)
     parallel = evaluate_model(tiny_model, images, labels, jobs=2, chunk=7)
     assert len(contexts) == 1
     assert np.array_equal(serial.confusion, parallel.confusion)
+
+
+def test_parallel_training_saves_the_same_bytes(glyph_train, tmp_path):
+    images, labels = glyph_train
+    cfg = tiny_config(patches_per_layer=200)
+    saved = []
+    for jobs in (1, 2):
+        path = tmp_path / f"jobs{jobs}.bin"
+        save_model(train_model(cfg, images[:30], labels[:30], jobs=jobs), path)
+        saved.append(path.read_bytes())
+    assert saved[1] == saved[0]
 
 
 def test_nan_pixel_rejected(tiny_model):

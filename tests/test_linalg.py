@@ -38,6 +38,22 @@ def test_fix_signs_tie_uses_first_entry():
     assert out[0, 0] == 0.5 and out[1, 0] == -0.5
 
 
+def test_fix_signs_matches_column_loop():
+    gen = np.random.default_rng(6)
+    v = gen.standard_normal((9, 7))
+    v[2, :3] = 4.0
+    v[5, :3] = -4.0   # ties between a positive and a negative lead
+    v[5, 3] = -4.0    # a lone negative lead
+    want = v.copy()
+    for j in range(want.shape[1]):
+        col = want[:, j]
+        if col[int(np.argmax(np.abs(col)))] < 0.0:
+            want[:, j] = -col
+    got = fix_signs(v)
+    assert np.array_equal(got, want)
+    assert got.flags["C_CONTIGUOUS"]
+
+
 def test_one_by_one():
     vals, vecs = jacobi_eigh(np.array([[4.0]]))
     assert vals[0] == 4.0 and vecs[0, 0] == 1.0
