@@ -24,6 +24,11 @@ from .rng import Rng
 SVM_TOL = 0.1
 SVM_MAX_PASSES = 1000
 EIGENVALUE_FLOOR = 1e-10  # relative to the largest eigenvalue
+# Largest WPCA eigenproblem, min(training images, feature dimension), that
+# training accepts. One jacobi_eigh of a Gram matrix on a 2-vCPU VM took
+# 0.35 s at n=140, 3.7 s at 280, 17 s at 420, 46 s at 560 and 81 s at 700;
+# past ~600 one solve takes about a minute.
+WPCA_MAX_N = 600
 
 log = logging.getLogger("translayer")
 
@@ -33,6 +38,20 @@ class LinearSvmModel:
     classes: np.ndarray          # sorted ascending
     weights: np.ndarray          # (n_classes, dim)
     objective_history: Optional[list] = field(default=None, compare=False)
+
+
+class WpcaSizeError(ValueError):
+    """The WPCA eigenproblem is larger than ``WPCA_MAX_N``."""
+
+
+def check_wpca_size(n_samples: int, feature_dim: int):
+    """Fail fast, before any extraction, on a WPCA fit too large to solve."""
+    size = min(n_samples, feature_dim)
+    if size > WPCA_MAX_N:
+        raise WpcaSizeError(
+            f"wpca_cosine would eigendecompose a {size} x {size} matrix "
+            f"(min of {n_samples} training images and feature dimension "
+            f"{feature_dim}); the limit is {WPCA_MAX_N}")
 
 
 @dataclass(frozen=True)

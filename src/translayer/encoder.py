@@ -57,6 +57,14 @@ def block_counts(map_size: tuple[int, int], cfg: Config) -> tuple[int, int]:
     return nx, ny
 
 
+def feature_dim(image_shape: tuple[int, int], cfg: Config) -> int:
+    """Length of the feature vector of an ``(h, w)`` image: one run of
+    2^l1 bins per (code map, block)."""
+    h, w = image_shape
+    nx, ny = block_counts((w, h), cfg)
+    return (cfg.l2 + cfg.trans_layer) * nx * ny * 2**cfg.l1
+
+
 def feature_of(code_maps: np.ndarray, cfg: Config) -> HistogramFeature:
     """Concatenated per-block code histograms of all code maps, with the
     block geometry of ``cfg`` and 2^l1 bins per block."""

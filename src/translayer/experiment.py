@@ -18,8 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .classify import (LinearSvmModel, WpcaCosineModel, as_csr, cosine_nn,
-                       svm_predict_many, svm_train, wpca_apply, wpca_fit)
+from .classify import (LinearSvmModel, WpcaCosineModel, as_csr,
+                       check_wpca_size, cosine_nn, svm_predict_many, svm_train,
+                       wpca_apply, wpca_fit)
 from . import encoder
 from .filters import (draw_patch_locations, gather_patches, learn_dae_filters,
                       learn_pca_filters, sample_patches)
@@ -77,6 +78,8 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != len(images):
         raise ValueError("label/image count mismatch")
+    if cfg.classifier == "wpca_cosine":
+        check_wpca_size(len(images), encoder.feature_dim(images[0].pixels.shape, cfg))
 
     rng = Rng(cfg.seed)
     shape = cfg.patch_shape()

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from translayer import Config, binarize, compress_groups, feature_of
-from translayer.encoder import bit_weights
+from translayer.encoder import bit_weights, feature_dim
 
 
 def encoder(bins=256, block=7, stride=3, trans=True):
@@ -163,6 +163,14 @@ def test_feature_dimension_arithmetic():
     codes = gen.integers(0, 256, size=(9, 28, 28)).astype(np.uint16)
     feat = feature_of(codes, encoder())
     assert feat.dim == 9 * 64 * 256 == 147456
+    assert feature_dim((28, 28), encoder()) == feat.dim
+
+
+def test_feature_dim_of_non_square_maps():
+    # h=12, w=14 with unequal block sides and strides: nx=4, ny=5
+    cfg = Config(l1=2, l2=2, block_w=5, block_h=4, stride_x=3, stride_y=2)
+    codes = np.zeros((3, 12, 14), dtype=np.uint16)
+    assert feature_of(codes, cfg).dim == feature_dim((12, 14), cfg) == 3 * 4 * 5 * 4
 
 
 def test_histogram_conservation():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from translayer import (FilterBank, TrainedModel, WhiteningTransform,
-                        evaluate_model, extract_features, forkpool,
-                        train_model)
+from translayer import (FilterBank, TrainedModel, WhiteningTransform, classify,
+                        encoder, evaluate_model, experiment, extract_features,
+                        forkpool, train_model)
 from translayer.dataio import save_model
 from translayer.experiment import format_eval_report, predict_features
 from translayer.types import PCA
@@ -70,6 +70,8 @@ def test_feature_dim_matches_model_arithmetic(tiny_model, glyph_test):
     feats = extract_features(tiny_model, glyph_test[0][:2])
     # l1=4: 5 groups x 64 blocks x 16 bins
     assert feats.shape[1] == 5 * 64 * 16
+    assert feats.shape[1] == encoder.feature_dim(glyph_test[0][0].pixels.shape,
+                                                 tiny_model.config)
 
 
 def test_trans_layer_off_shrinks_features(glyph_train):
@@ -77,6 +79,7 @@ def test_trans_layer_off_shrinks_features(glyph_train):
     model = train_model(tiny_config(trans_layer=False), images[:30], labels[:30])
     feats = extract_features(model, images[:2])
     assert feats.shape[1] == 4 * 64 * 16  # L2 groups only
+    assert feats.shape[1] == encoder.feature_dim(images[0].pixels.shape, model.config)
 
 
 def test_unequal_filter_counts(glyph_train):
@@ -85,6 +88,7 @@ def test_unequal_filter_counts(glyph_train):
     model = train_model(tiny_config(l1=3, l2=5), images[:30], labels[:30])
     feats = extract_features(model, images[:2])
     assert feats.shape[1] == (5 + 1) * 64 * 8
+    assert feats.shape[1] == encoder.feature_dim(images[0].pixels.shape, model.config)
 
 
 def test_dae_learner_end_to_end(glyph_train, glyph_test):
@@ -150,3 +154,25 @@ def test_invalid_config_rejected(glyph_train):
     images, labels = glyph_train
     with pytest.raises(ValueError, match="invalid config"):
         train_model(tiny_config(l1=0), images[:10], labels[:10])
+
+
+def test_oversized_wpca_training_set_fails_before_extraction(glyph_train,
+                                                              monkeypatch):
+    def no_patches(*args, **kwargs):
+        raise AssertionError("sampled patches before the size check")
+
+    monkeypatch.setattr(classify, "WPCA_MAX_N", 25)
+    monkeypatch.setattr(experiment, "sample_patches", no_patches)
+    images, labels = glyph_train
+    cfg = tiny_config(classifier="wpca_cosine", wpca_dim=5)
+    with pytest.raises(classify.WpcaSizeError, match=r"26 x 26 .* limit is 25"):
+        train_model(cfg, images[:26], labels[:26])
+
+
+def test_wpca_size_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(classify, "WPCA_MAX_N", 25)
+    classify.check_wpca_size(25, 1000)
+    classify.check_wpca_size(1000, 25)  # the feature dimension can bind too
+    with pytest.raises(classify.WpcaSizeError,
+                       match="26 training images and feature dimension 40"):
+        classify.check_wpca_size(26, 40)
