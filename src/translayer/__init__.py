@@ -10,8 +10,8 @@ from .filters import learn_dae_filters, learn_pca_filters, sample_patches
 from .pipeline import build_stack, map_layer
 from .preprocess import lcn_matrix, whiten_apply, whiten_fit
 from .rng import Rng
-from .types import (Config, FilterBank, GrayImage, HistogramFeature,
-                    PatchShape, TrainedModel, WhiteningTransform, load_config,
-                    parse_config, validate_config)
+from .types import (Config, FilterBank, GrayImage, PatchShape, TrainedModel,
+                    WhiteningTransform, load_config, parse_config,
+                    validate_config)
 
 __version__ = "0.1.0"

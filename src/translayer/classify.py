@@ -205,9 +205,10 @@ def svm_train(features, labels, cost_c: float = 1.0,
 
 def decision_values(model: LinearSvmModel, features) -> np.ndarray:
     x = as_csr(features)
-    if x.shape[1] > model.weights.shape[1]:
-        raise ValueError("feature dimension exceeds the model's")
-    return np.asarray(x @ model.weights[:, :x.shape[1]].T)
+    if x.shape[1] != model.weights.shape[1]:
+        raise ValueError(f"features have dimension {x.shape[1]}, the model "
+                         f"{model.weights.shape[1]}")
+    return np.asarray(x @ model.weights.T)
 
 
 def svm_predict_many(model: LinearSvmModel, features) -> np.ndarray:

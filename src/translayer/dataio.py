@@ -1,12 +1,16 @@
 """Dataset readers, the model container format, and image dumps.
 
 Models are stored in a versioned binary container: an 8-byte magic
-``DTLNMDL2`` followed by six length-prefixed sections (config text,
+``DTLNMDL3`` followed by six length-prefixed sections (config text,
 bank1, whiten1, bank2, whiten2, classifier), each closed by a CRC32 of
-its payload. The config section is the only record of the settings; the
-other sections hold learned arrays, and loading rejects a file whose
-arrays disagree with its config. All floats are little-endian 64-bit, so
-a save/load/save cycle is byte-identical.
+its payload. The config section is the only record of the settings. Each
+other section holds learned arrays and nothing else, in the layout the
+config decides: a bank holds its weights, plus its biases when
+``learner=dae``; a whitening section its matrix; the classifier section
+``classes, weights`` (svm) or ``mean, projection, train_vectors,
+train_labels`` (wpca_cosine). Loading rejects a file whose arrays
+disagree with its config. All numbers are little-endian 64-bit, so a
+save/load/save cycle is byte-identical.
 """
 
 from __future__ import annotations
@@ -18,13 +22,13 @@ import zlib
 import numpy as np
 
 from .classify import LinearSvmModel, WpcaCosineModel, WpcaModel
-from .types import (DAE, ConfigError, FilterBank, GrayImage, PCA, PatchShape,
-                    TrainedModel, WhiteningTransform, format_config,
-                    parse_config, validate_config)
+from .types import (DAE, ConfigError, FilterBank, GrayImage, TrainedModel,
+                    WhiteningTransform, format_config, parse_config,
+                    validate_config)
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-MODEL_MAGIC = b"DTLNMDL2"
+MODEL_MAGIC = b"DTLNMDL3"
 _SECTIONS = ("config", "bank1", "whiten1", "bank2", "whiten2", "classifier")
 
 
@@ -100,11 +104,13 @@ def read_amat(path):
 
 # --- model container ---------------------------------------------------
 
+_ARRAY_DTYPES = {0: "<f8", 1: "<i8"}   # array kind byte -> stored dtype
+
+
 def _pack_array(arr) -> bytes:
     a = np.ascontiguousarray(arr)
-    kind = {"f": 0, "i": 1, "u": 2}[a.dtype.kind]
-    dt = {0: "<f8", 1: "<i8", 2: "<u8"}[kind]
-    a = a.astype(dt)
+    kind = {"f": 0, "i": 1}[a.dtype.kind]
+    a = a.astype(_ARRAY_DTYPES[kind])
     head = struct.pack("<BB", kind, a.ndim)
     dims = struct.pack(f"<{a.ndim}q", *a.shape)
     return head + dims + a.tobytes()
@@ -129,78 +135,43 @@ class _Cursor:
     def array(self):
         kind, ndim = self.unpack("<BB")
         shape = self.unpack(f"<{ndim}q")
-        dt = {0: "<f8", 1: "<i8", 2: "<u8"}.get(kind)
+        dt = _ARRAY_DTYPES.get(kind)
         if dt is None:
             raise ModelFormatError(f"section {self.section}: bad array kind")
         size = int(np.prod(shape)) if ndim else 1
         arr = np.frombuffer(self.take(size * 8), dtype=dt).reshape(shape)
-        return arr.astype({0: np.float64, 1: np.int64, 2: np.uint64}[kind])
+        return arr.astype(np.float64 if kind == 0 else np.int64)
 
-    def done(self):
-        if self.pos != len(self.buf):
-            raise ModelFormatError(f"section {self.section}: trailing bytes")
-
-
-def _pack_bank(bank: FilterBank) -> bytes:
-    parts = [struct.pack("<BII", 0 if bank.layer_kind == PCA else 1,
-                         bank.shape.k1, bank.shape.k2),
-             _pack_array(bank.weights),
-             struct.pack("<B", 1 if bank.biases is not None else 0)]
-    if bank.biases is not None:
-        parts.append(_pack_array(bank.biases))
-    parts.append(struct.pack("<B", 1 if bank.spectrum is not None else 0))
-    if bank.spectrum is not None:
-        parts.append(_pack_array(bank.spectrum))
-    return b"".join(parts)
+    def arrays(self, count):
+        """Every array left in the section; they must number ``count``."""
+        out = []
+        while self.pos < len(self.buf):
+            out.append(self.array())
+        if len(out) != count:
+            raise ModelFormatError(f"section {self.section}: the config "
+                                   f"needs {count} arrays, found {len(out)}")
+        return out
 
 
-def _unpack_bank(cur: _Cursor) -> FilterBank:
-    kind, k1, k2 = cur.unpack("<BII")
-    weights = cur.array()
-    biases = cur.array() if cur.unpack("<B")[0] else None
-    spectrum = cur.array() if cur.unpack("<B")[0] else None
-    return FilterBank(layer_kind=PCA if kind == 0 else DAE,
-                      shape=PatchShape(k1, k2), weights=weights,
-                      biases=biases, spectrum=spectrum)
+def _bank_arrays(bank: FilterBank):
+    return [bank.weights] if bank.biases is None else [bank.weights, bank.biases]
 
 
-def _pack_classifier(clf) -> bytes:
+def _classifier_arrays(clf):
     if isinstance(clf, LinearSvmModel):
-        return (struct.pack("<B", 0) + _pack_array(clf.classes)
-                + _pack_array(clf.weights))
+        return [clf.classes, clf.weights]
     if isinstance(clf, WpcaCosineModel):
-        return (struct.pack("<B", 1) + _pack_array(clf.wpca.mean)
-                + _pack_array(clf.wpca.projection)
-                + _pack_array(clf.train_vectors) + _pack_array(clf.train_labels))
+        return [clf.wpca.mean, clf.wpca.projection, clf.train_vectors,
+                clf.train_labels]
     raise TypeError(f"unknown classifier type {type(clf).__name__}")
 
 
-def _unpack_classifier(cur: _Cursor):
-    kind = cur.unpack("<B")[0]
-    if kind == 0:
-        classes = cur.array()
-        weights = cur.array()
-        return LinearSvmModel(classes=classes, weights=weights)
-    if kind == 1:
-        mean = cur.array()
-        projection = cur.array()
-        train_vectors = cur.array()
-        train_labels = cur.array()
-        return WpcaCosineModel(wpca=WpcaModel(mean=mean, projection=projection),
-                               train_vectors=train_vectors,
-                               train_labels=train_labels)
-    raise ModelFormatError(f"section {cur.section}: unknown classifier kind")
-
-
 def save_model(model: TrainedModel, path) -> None:
-    payloads = [
-        format_config(model.config).encode("utf-8"),
-        _pack_bank(model.bank1),
-        _pack_array(model.whiten1.matrix),
-        _pack_bank(model.bank2),
-        _pack_array(model.whiten2.matrix),
-        _pack_classifier(model.classifier),
-    ]
+    sections = [_bank_arrays(model.bank1), [model.whiten1.matrix],
+                _bank_arrays(model.bank2), [model.whiten2.matrix],
+                _classifier_arrays(model.classifier)]
+    payloads = [format_config(model.config).encode("utf-8")]
+    payloads += [b"".join(map(_pack_array, arrays)) for arrays in sections]
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         for payload in payloads:
@@ -214,55 +185,55 @@ def load_model(path) -> TrainedModel:
         blob = fh.read()
     if len(blob) < len(MODEL_MAGIC):
         raise ModelFormatError("file too short to be a model")
-    magic = blob[:8]
+    cur = _Cursor(blob, "magic")
+    magic = cur.take(len(MODEL_MAGIC))
     if magic != MODEL_MAGIC:
         if magic[:7] == MODEL_MAGIC[:7]:
             raise ModelFormatError(
                 f"unsupported model format version {magic[7:8].decode(errors='replace')}")
         raise ModelFormatError("not a model file (bad magic)")
 
-    pos = 8
     sections = {}
     for name in _SECTIONS:
-        if pos + 8 > len(blob):
-            raise ModelFormatError(f"section {name}: truncated length")
-        (length,) = struct.unpack_from("<Q", blob, pos)
-        pos += 8
-        if pos + length + 4 > len(blob):
-            raise ModelFormatError(f"section {name}: truncated payload")
-        payload = blob[pos:pos + length]
-        pos += length
-        (crc,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
+        cur.section = name
+        (length,) = cur.unpack("<Q")
+        payload = cur.take(length)
+        (crc,) = cur.unpack("<I")
         if zlib.crc32(payload) != crc:
             raise ModelFormatError(f"section {name}: checksum mismatch")
-        sections[name] = payload
-    if pos != len(blob):
+        sections[name] = _Cursor(payload, name)
+    if cur.pos != len(blob):
         raise ModelFormatError("trailing bytes after final section")
 
     try:
-        config = parse_config(sections["config"].decode("utf-8"))
+        config = parse_config(sections["config"].buf.decode("utf-8"))
     except (UnicodeDecodeError, ConfigError) as exc:
         raise ModelFormatError(f"section config: {exc}") from None
     errors = validate_config(config)
     if errors:
         raise ModelFormatError("section config: invalid config: "
                                + "; ".join(errors))
-    cur = {name: _Cursor(sections[name], name) for name in _SECTIONS[1:]}
+    bank_arrays = 2 if config.learner == DAE else 1   # weights[, biases]
     try:
-        model = TrainedModel(
-            config=config, bank1=_unpack_bank(cur["bank1"]),
-            whiten1=WhiteningTransform(cur["whiten1"].array()),
-            bank2=_unpack_bank(cur["bank2"]),
-            whiten2=WhiteningTransform(cur["whiten2"].array()),
-            classifier=_unpack_classifier(cur["classifier"]))
+        bank1, bank2 = (
+            FilterBank(config.learner, config.patch_shape(),
+                       *sections[name].arrays(bank_arrays))
+            for name in ("bank1", "bank2"))
+        whiten1, whiten2 = (WhiteningTransform(*sections[name].arrays(1))
+                            for name in ("whiten1", "whiten2"))
+        if config.classifier == "svm":
+            classifier = LinearSvmModel(*sections["classifier"].arrays(2))
+        else:
+            mean, projection, vectors, labels = sections["classifier"].arrays(4)
+            classifier = WpcaCosineModel(WpcaModel(mean, projection), vectors,
+                                         labels)
+        return TrainedModel(config=config, bank1=bank1, bank2=bank2,
+                            whiten1=whiten1, whiten2=whiten2,
+                            classifier=classifier)
     except ModelFormatError:
         raise
     except ValueError as exc:   # arrays invalid or disagreeing with the config
         raise ModelFormatError(f"invalid model: {exc}") from None
-    for c in cur.values():
-        c.done()
-    return model
 
 
 def dump_map_pgm(feature_map, path) -> None:

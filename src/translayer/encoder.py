@@ -11,10 +11,20 @@ order, form the image's sparse feature vector.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .types import Config, HistogramFeature
+from .types import Config
+
+
+class SparseFeature(NamedTuple):
+    """One image's feature vector: the strictly increasing int64 positions
+    of its nonzero bins and their positive int64 counts."""
+
+    indices: np.ndarray
+    counts: np.ndarray
 
 
 def binarize(feature_map: np.ndarray) -> np.ndarray:
@@ -65,7 +75,7 @@ def feature_dim(image_shape: tuple[int, int], cfg: Config) -> int:
     return (cfg.l2 + cfg.trans_layer) * nx * ny * 2**cfg.l1
 
 
-def feature_of(code_maps: np.ndarray, cfg: Config) -> HistogramFeature:
+def feature_of(code_maps: np.ndarray, cfg: Config) -> SparseFeature:
     """Concatenated per-block code histograms of all code maps, with the
     block geometry of ``cfg`` and 2^l1 bins per block."""
     maps = np.asarray(code_maps)
@@ -86,6 +96,5 @@ def feature_of(code_maps: np.ndarray, cfg: Config) -> HistogramFeature:
     flat += (np.arange(blocks, dtype=np.intp) * bins)[:, None]
     dense = np.bincount(flat.ravel(), minlength=blocks * bins)
     indices = np.flatnonzero(dense != 0)    # numpy finds nonzeros fastest in bools
-    return HistogramFeature(dim=dense.size,
-                            indices=indices.astype(np.int64),
-                            counts=dense[indices].astype(np.int64))
+    return SparseFeature(indices.astype(np.int64),
+                         dense[indices].astype(np.int64))

@@ -29,7 +29,7 @@ from .forkpool import fork_pool, worker_state
 from .pipeline import build_stack, code_maps, extraction_steps, map_layer  # noqa: F401
 from .preprocess import lcn_matrix, whiten_apply, whiten_fit
 from .rng import Rng
-from .types import (Config, DAE, TrainedModel, validate_config)
+from .types import Config, DAE, TrainedModel, as_2d, validate_config
 
 log = logging.getLogger("translayer")
 
@@ -78,8 +78,18 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != len(images):
         raise ValueError("label/image count mismatch")
+    h, w = images[0].pixels.shape
+    if cfg.block_w > w or cfg.block_h > h:
+        raise ValueError(f"block {cfg.block_w}x{cfg.block_h} is larger than "
+                         f"the {w}x{h} images")
     if cfg.classifier == "wpca_cosine":
-        check_wpca_size(len(images), encoder.feature_dim(images[0].pixels.shape, cfg))
+        dim = encoder.feature_dim((h, w), cfg)
+        check_wpca_size(len(images), dim)
+        # a centered sample of n images has rank at most n - 1
+        if cfg.wpca_dim > min(len(images) - 1, dim):
+            raise ValueError(
+                f"wpca_dim {cfg.wpca_dim} exceeds min(training images - 1, "
+                f"feature dimension) = min({len(images) - 1}, {dim})")
 
     rng = Rng(cfg.seed)
     shape = cfg.patch_shape()
@@ -148,27 +158,23 @@ def _encode_one(model, image):
 
 
 def _worker_encode(image):
-    feat = _encode_one(worker_state(), image)
-    return feat.indices, feat.counts, feat.dim
+    return _encode_one(worker_state(), image)
 
 
 def _features(model: TrainedModel, images, pool) -> sp.csr_matrix:
+    sizes = {as_2d(image).shape for image in images}
+    if len(sizes) != 1:
+        raise ValueError(f"images differ in size: {sorted(sizes)}")
     if pool is not None:
-        triples = pool.map(_worker_encode, images, chunksize=16)
+        pairs = pool.map(_worker_encode, images, chunksize=16)
     else:
-        triples = []
-        for image in images:
-            feat = _encode_one(model, image)
-            triples.append((feat.indices, feat.counts, feat.dim))
-    dim = triples[0][2]
-    indptr = np.zeros(len(triples) + 1, dtype=np.int64)
-    for r, (idx, _, d) in enumerate(triples):
-        if d != dim:
-            raise ValueError("inconsistent feature dimensions across images")
-        indptr[r + 1] = indptr[r] + idx.size
-    indices = np.concatenate([idx for idx, _, _ in triples])
-    data = np.concatenate([cnt for _, cnt, _ in triples]).astype(np.float64)
-    return sp.csr_matrix((data, indices, indptr), shape=(len(triples), dim))
+        pairs = [_encode_one(model, image) for image in images]
+    indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
+    np.cumsum([idx.size for idx, _ in pairs], out=indptr[1:])
+    indices = np.concatenate([idx for idx, _ in pairs])
+    data = np.concatenate([cnt for _, cnt in pairs]).astype(np.float64)
+    dim = encoder.feature_dim(sizes.pop(), model.config)
+    return sp.csr_matrix((data, indices, indptr), shape=(len(pairs), dim))
 
 
 def extract_features(model: TrainedModel, images, jobs: int = 1) -> sp.csr_matrix:

@@ -91,23 +91,23 @@ def dae_forward(w, b, b_dec, z_corrupt):
     return hidden, recon
 
 
-def dae_objective(w, b, b_dec, z_clean, z_corrupt, tradeoff_c, reg_scale=1.0):
-    """Reconstruction objective: C * ||Z - recon||_F^2 + ||W||_F^2."""
-    _, recon = dae_forward(w, b, b_dec, z_corrupt)
-    err = recon - z_clean
-    return tradeoff_c * float(np.sum(err * err)) + reg_scale * float(np.sum(w * w))
+def dae_value_and_grad(w, b, b_dec, z_clean, z_corrupt, tradeoff_c,
+                       reg_scale=1.0):
+    """Reconstruction objective C * ||Z - recon||_F^2 + reg_scale * ||W||_F^2
+    and its analytic gradients w.r.t. (W, b, b'), from one forward pass.
 
-
-def dae_gradients(w, b, b_dec, z_clean, z_corrupt, tradeoff_c, reg_scale=1.0):
-    """Analytic gradients of :func:`dae_objective` w.r.t. (W, b, b')."""
+    Returns ``(objective, grad_w, grad_b, grad_b_dec)``.
+    """
     hidden, recon = dae_forward(w, b, b_dec, z_corrupt)
     err = recon - z_clean
+    objective = (tradeoff_c * float(np.sum(err * err))
+                 + reg_scale * float(np.sum(w * w)))
     g_dec = 2.0 * tradeoff_c * err * (1.0 - recon * recon)     # (d, n)
     g_hid = (w @ g_dec) * (1.0 - hidden * hidden)              # (L, n)
     grad_w = g_hid @ z_corrupt.T + hidden @ g_dec.T + 2.0 * reg_scale * w
     grad_b = g_hid.sum(axis=1)
     grad_b_dec = g_dec.sum(axis=1)
-    return grad_w, grad_b, grad_b_dec
+    return objective, grad_w, grad_b, grad_b_dec
 
 
 def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng):
@@ -148,8 +148,9 @@ def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng):
             zb = z_clean[:, batch]
             ztb = z_corrupt[:, batch]
             scale = batch.size / m
-            running += dae_objective(w, b, b_dec, zb, ztb, tradeoff_c, scale)
-            gw, gb, gbp = dae_gradients(w, b, b_dec, zb, ztb, tradeoff_c, scale)
+            loss, gw, gb, gbp = dae_value_and_grad(w, b, b_dec, zb, ztb,
+                                                   tradeoff_c, scale)
+            running += loss
             step = lr / batch.size
             w -= step * gw
             b -= step * gb

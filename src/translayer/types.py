@@ -140,46 +140,8 @@ class WhiteningTransform:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class HistogramFeature:
-    """Sparse concatenated block histograms.
-
-    ``indices`` are strictly increasing positions into the dense histogram
-    vector and ``counts`` the nonzero counts at those positions.
-    """
-
-    dim: int
-    indices: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        cnt = np.asarray(self.counts, dtype=np.int64)
-        if idx.shape != cnt.shape or idx.ndim != 1:
-            raise ValueError("indices and counts must be matching 1-D arrays")
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= self.dim:
-                raise ValueError("index out of range")
-            if (np.diff(idx) <= 0).any():
-                raise ValueError("indices must be strictly increasing")
-            if (cnt <= 0).any():
-                raise ValueError("stored counts must be positive")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "counts", cnt)
-
-
 _TRUE = {"on", "true", "1", "yes"}
 _FALSE = {"off", "false", "0", "no"}
-
-# exact config-file keys, in canonical serialization order
-_KEYS = (
-    "patch_k1", "patch_k2", "l1", "l2", "lcn", "lcn_c", "whiten_epsilon",
-    "learner", "dae_corruption", "dae_epochs", "dae_lr", "dae_tradeoff_c",
-    "patches_per_layer", "block_w", "block_h", "stride_x", "stride_y",
-    "trans_layer", "preprocess_at_extraction", "classifier", "svm_c",
-    "wpca_dim", "wpca_sqrt", "seed",
-)
-
 
 @dataclass(frozen=True)
 class Config:
@@ -214,6 +176,10 @@ class Config:
         return PatchShape(self.patch_k1, self.patch_k2)
 
 
+# exact config-file keys, in canonical serialization order
+_KEYS = tuple(f.name for f in fields(Config))
+
+
 def validate_config(config: Config) -> list[str]:
     """Return every violated invariant as a message; empty list means ok."""
     errors = []
@@ -227,6 +193,9 @@ def validate_config(config: Config) -> list[str]:
         val = getattr(config, name)
         if not 1 <= val <= MAX_FILTERS:
             errors.append(f"{name} must lie in 1..{MAX_FILTERS}")
+        elif config.learner == PCA and val > config.patch_k1 * config.patch_k2:
+            errors.append(f"{name} must be <= patch_k1*patch_k2 = "
+                          f"{config.patch_k1 * config.patch_k2} with learner pca")
     if config.lcn_c <= 0:
         errors.append("lcn_c must be > 0")
     if config.whiten_epsilon < 0:

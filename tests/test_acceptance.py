@@ -19,9 +19,9 @@ from translayer import (Config, GrayImage, Rng, load_config, svm_train,
 from translayer.classify import svm_predict_many
 from translayer.cli import main
 from translayer.dataio import read_amat
-from translayer.encoder import compress_groups, feature_of
+from translayer.encoder import compress_groups, feature_dim, feature_of
 from translayer.experiment import run_ablation
-from translayer.filters import dae_gradients, dae_objective
+from translayer.filters import dae_value_and_grad
 from translayer.pipeline import build_stack
 from translayer.preprocess import column_covariance, whiten_apply, whiten_fit
 
@@ -174,7 +174,7 @@ def test_acceptance_5c_dae_gradient_check(d, count, seed):
     bp = gen.normal(scale=0.1, size=d)
     z = gen.normal(scale=0.5, size=(d, 5))
     zt = z * (gen.random((d, 5)) >= 0.1)
-    gw, gb, gbp = dae_gradients(w, b, bp, z, zt, 1.0)
+    _, gw, gb, gbp = dae_value_and_grad(w, b, bp, z, zt, 1.0)
     h = 1e-5
 
     def fd(arr):
@@ -184,9 +184,9 @@ def test_acceptance_5c_dae_gradient_check(d, count, seed):
             i = it.multi_index
             orig = arr[i]
             arr[i] = orig + h
-            up = dae_objective(w, b, bp, z, zt, 1.0)
+            up = dae_value_and_grad(w, b, bp, z, zt, 1.0)[0]
             arr[i] = orig - h
-            dn = dae_objective(w, b, bp, z, zt, 1.0)
+            dn = dae_value_and_grad(w, b, bp, z, zt, 1.0)[0]
             arr[i] = orig
             out[i] = (up - dn) / (2 * h)
         return out
@@ -220,12 +220,17 @@ def test_acceptance_5e_histogram_conservation(tiny_model):
     ny = (28 - cfg.block_h) // cfg.stride_y + 1
     groups = tiny_model.bank2.count + 1
     expected = groups * nx * ny * cfg.block_w * cfg.block_h
+    dim = feature_dim((28, 28), cfg)
     for _ in range(1000):
         image = GrayImage(gen.random((28, 28)))
         codes = compress_groups(build_stack(image, tiny_model), cfg.trans_layer)
         feat = feature_of(codes, cfg)
         assert feat.counts.sum() == expected
-    report("5e", "histogram counts conserved on 1000 random images")
+        assert (np.diff(feat.indices) > 0).all()
+        assert (feat.counts > 0).all()
+        assert feat.indices[-1] < dim
+    report("5e", "histogram counts conserved, indices increasing and in "
+                 "range, counts positive on 1000 random images")
 
 
 def test_acceptance_5f_end_to_end_determinism(smoke_artifacts):

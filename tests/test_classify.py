@@ -90,6 +90,14 @@ def test_predict_tie_breaks_to_smallest_label():
     assert svm_predict_many(model, np.zeros((1, 2)))[0] == 0
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_feature_width_must_match_model(width):
+    model = svm_train(SEPARABLE_X, SEPARABLE_Y, cost_c=1.0, rng=Rng(5))
+    with pytest.raises(ValueError,
+                       match=f"features have dimension {width}, the model 2"):
+        svm_predict_many(model, np.ones((1, width)))
+
+
 def test_sparse_input_accepted():
     x = sp.csr_matrix(SEPARABLE_X)
     model = svm_train(x, SEPARABLE_Y, cost_c=1.0, rng=Rng(6))

@@ -125,6 +125,21 @@ def test_bad_config_exits_2(workdir, tmp_path, capsys):
     assert "odd" in capsys.readouterr().err
 
 
+def test_pca_filters_beyond_patch_pixels_exit_2_before_reading_data(
+        workdir, tmp_path, capsys, monkeypatch):
+    def no_data(paths):
+        raise AssertionError("read training data before checking the config")
+
+    monkeypatch.setattr(cli, "load_dataset", no_data)
+    rc = main(["train", "--config",
+               str(smoke_config(tmp_path, patch_k1=1, patch_k2=3, l1=4)),
+               "--train", str(workdir / "train.amat"),
+               "--model", str(tmp_path / "m.bin")])
+    assert rc == 2
+    assert ("l1 must be <= patch_k1*patch_k2 = 3 with learner pca"
+            in capsys.readouterr().err)
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["train"])  # missing required flags

@@ -176,6 +176,57 @@ def test_wpca_sqrt_model_roundtrip_bytes_and_predictions(tmp_path, glyph_train,
     assert_roundtrip(tmp_path, model, glyph_test[0][:10])
 
 
+def section_arrays(path):
+    """Arrays of each section after the config, parsed by a test-local
+    reader that doubles as the format oracle: each array is a kind byte
+    (0 float64, 1 int64), ndim, the int64 shape and the data, and a section
+    holds nothing else."""
+    blob = path.read_bytes()
+    pos, payloads, sections = 8, [], []
+    while pos < len(blob):
+        (length,) = struct.unpack_from("<Q", blob, pos)
+        payloads.append(blob[pos + 8:pos + 8 + length])
+        pos += 8 + length + 4
+    for payload in payloads[1:]:
+        arrays, at = [], 0
+        while at < len(payload):
+            kind, ndim = struct.unpack_from("<BB", payload, at)
+            shape = struct.unpack_from(f"<{ndim}q", payload, at + 2)
+            at += 2 + 8 * ndim
+            count = int(np.prod(shape))
+            arrays.append(np.frombuffer(payload, ("<f8", "<i8")[kind], count,
+                                        at).reshape(shape))
+            at += 8 * count
+        sections.append(arrays)
+    return sections
+
+
+def test_sections_after_the_config_hold_only_arrays(tmp_path, tiny_model,
+                                                    glyph_train):
+    images, labels = glyph_train
+    dae = train_model(tiny_config(learner="dae", dae_epochs=2,
+                                  classifier="wpca_cosine", wpca_dim=5),
+                      images[:20], labels[:20])
+    svm, wpca = tiny_model.classifier, dae.classifier
+    for model, banks, classifier in (
+            (tiny_model, [[m.weights] for m in (tiny_model.bank1, tiny_model.bank2)],
+             [svm.classes, svm.weights]),
+            (dae, [[m.weights, m.biases] for m in (dae.bank1, dae.bank2)],
+             [wpca.wpca.mean, wpca.wpca.projection, wpca.train_vectors,
+              wpca.train_labels])):
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        expected = [banks[0], [model.whiten1.matrix], banks[1],
+                    [model.whiten2.matrix], classifier]
+        got = section_arrays(path)
+        assert [len(arrays) for arrays in got] == [len(e) for e in expected]
+        for arrays, want in zip(got, expected):
+            for a, b in zip(arrays, want):
+                assert np.array_equal(a, b)
+        # the pca spectrum is logged at fit time, not stored
+        assert load_model(path).bank1.spectrum is None
+
+
 def test_model_corrupt_byte_names_section(tmp_path, tiny_model):
     path = tmp_path / "model.bin"
     save_model(tiny_model, path)
@@ -196,9 +247,10 @@ def test_model_version_error(tmp_path, tiny_model):
     path = tmp_path / "model.bin"
     save_model(tiny_model, path)
     blob = bytearray(path.read_bytes())
-    blob[:8] = b"DTLNMDL1"
+    blob[:8] = b"DTLNMDL2"
     path.write_bytes(bytes(blob))
-    with pytest.raises(ModelFormatError, match="version 1"):
+    with pytest.raises(ModelFormatError,
+                       match="unsupported model format version 2"):
         load_model(path)
 
 
@@ -220,9 +272,10 @@ def rewrite_config(path, config, edit=None):
 @pytest.mark.parametrize("change, message", [
     (dict(l1=8), "bank1 has 4 filters"),
     (dict(l2=3), "bank2 has 4 filters"),
-    (dict(patch_k1=5), "patch shape"),
-    (dict(learner="dae"), "pca bank"),
-    (dict(classifier="wpca_cosine"), "LinearSvmModel"),
+    (dict(patch_k1=5), r"invalid model: weights must be \(L, k1\*k2\)"),
+    (dict(learner="dae"), "section bank1: the config needs 2 arrays, found 1"),
+    (dict(classifier="wpca_cosine"),
+     "section classifier: the config needs 4 arrays, found 2"),
     (dict(l1=0), "invalid config"),
     (dict(stride_x=9), "invalid config"),
     (lambda text: text + b"future_key=1\n",

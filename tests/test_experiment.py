@@ -53,6 +53,15 @@ def test_nan_pixel_rejected(tiny_model):
         extract_features(tiny_model, [image])
 
 
+def test_mixed_image_sizes_rejected_before_encoding(tiny_model, monkeypatch):
+    def no_encoding(*args):
+        raise AssertionError("encoded an image before the size check")
+
+    monkeypatch.setattr(experiment, "code_maps", no_encoding)
+    with pytest.raises(ValueError, match=r"differ in size: \[\(28, 28\), \(28, 30\)\]"):
+        extract_features(tiny_model, [np.zeros((28, 28)), np.zeros((28, 30))])
+
+
 def test_more_than_sixteen_first_layer_maps_rejected(tiny_model, glyph_test):
     cfg = tiny_config(l1=17)
     shape = cfg.patch_shape()
@@ -167,6 +176,45 @@ def test_oversized_wpca_training_set_fails_before_extraction(glyph_train,
     cfg = tiny_config(classifier="wpca_cosine", wpca_dim=5)
     with pytest.raises(classify.WpcaSizeError, match=r"26 x 26 .* limit is 25"):
         train_model(cfg, images[:26], labels[:26])
+
+
+def no_patches(*args, **kwargs):
+    raise AssertionError("sampled patches before the config check")
+
+
+@pytest.mark.parametrize("block", [dict(block_w=29), dict(block_h=29)])
+def test_block_larger_than_image_fails_before_sampling(glyph_train, monkeypatch,
+                                                       block):
+    monkeypatch.setattr(experiment, "sample_patches", no_patches)
+    images, labels = glyph_train
+    with pytest.raises(ValueError, match="larger than the 28x28 images"):
+        train_model(tiny_config(**block), images[:10], labels[:10])
+
+
+@pytest.mark.parametrize("n, wpca_dim, fits", [(20, 19, True), (20, 20, False)])
+def test_wpca_dim_beyond_centered_rank_fails_before_sampling(
+        glyph_train, monkeypatch, n, wpca_dim, fits):
+    monkeypatch.setattr(experiment, "sample_patches", no_patches)
+    images, labels = glyph_train
+    cfg = tiny_config(classifier="wpca_cosine", wpca_dim=wpca_dim)
+    if fits:
+        with pytest.raises(AssertionError, match="sampled patches"):
+            train_model(cfg, images[:n], labels[:n])
+    else:
+        with pytest.raises(ValueError, match=r"wpca_dim 20 exceeds .* "
+                                             r"= min\(19, 5120\)"):
+            train_model(cfg, images[:n], labels[:n])
+
+
+def test_wpca_dim_beyond_feature_dim_fails_before_sampling(glyph_train,
+                                                          monkeypatch):
+    monkeypatch.setattr(experiment, "sample_patches", no_patches)
+    images, labels = glyph_train
+    # l1=l2=1, one 28x28 block: (1 + 1) groups x 1 block x 2 bins = 4
+    cfg = tiny_config(classifier="wpca_cosine", wpca_dim=5, l1=1, l2=1,
+                      block_w=28, block_h=28, stride_x=1, stride_y=1)
+    with pytest.raises(ValueError, match=r"= min\(19, 4\)"):
+        train_model(cfg, images[:20], labels[:20])
 
 
 def test_wpca_size_limit_is_inclusive(monkeypatch):

@@ -4,8 +4,8 @@ import pytest
 from translayer import (Config, GrayImage, PatchShape, Rng, learn_dae_filters,
                         learn_pca_filters, sample_patches)
 from translayer import filters
-from translayer.filters import (TrainingDivergedError, dae_gradients,
-                                dae_objective, train_dae)
+from translayer.filters import (TrainingDivergedError, dae_value_and_grad,
+                                train_dae)
 
 
 def gen(seed=0):
@@ -146,7 +146,7 @@ def test_gradients_match_finite_differences(d, side, count, seed):
     z = gen_local.normal(scale=0.5, size=(d, 5))
     zt = z * (gen_local.random((d, 5)) >= 0.1)
     c = 1.3
-    gw, gb, gbp = dae_gradients(w, b, bp, z, zt, c)
+    _, gw, gb, gbp = dae_value_and_grad(w, b, bp, z, zt, c)
 
     h = 1e-5
     def fd(arr):
@@ -156,9 +156,9 @@ def test_gradients_match_finite_differences(d, side, count, seed):
             i = it.multi_index
             orig = arr[i]
             arr[i] = orig + h
-            up = dae_objective(w, b, bp, z, zt, c)
+            up = dae_value_and_grad(w, b, bp, z, zt, c)[0]
             arr[i] = orig - h
-            dn = dae_objective(w, b, bp, z, zt, c)
+            dn = dae_value_and_grad(w, b, bp, z, zt, c)[0]
             arr[i] = orig
             out[i] = (up - dn) / (2 * h)
         return out

@@ -1,9 +1,15 @@
+import glob
+import os
+
 import numpy as np
 import pytest
 
-from translayer import (Config, GrayImage, HistogramFeature, PatchShape, Rng,
+from translayer import (Config, GrayImage, PatchShape, Rng, load_config,
                         parse_config, validate_config)
 from translayer.types import ConfigError, format_config
+
+CONFIGS = sorted(glob.glob(os.path.join(
+    os.path.dirname(__file__), os.pardir, "configs", "*.conf")))
 
 
 def test_default_config_is_valid():
@@ -24,6 +30,18 @@ def test_even_patch_side_rejected():
 def test_l_range_checked():
     assert any("l1" in e for e in validate_config(Config(l1=0)))
     assert any("l2" in e for e in validate_config(Config(l2=17)))
+
+
+@pytest.mark.parametrize("field", ["l1", "l2"])
+def test_pca_filters_at_most_patch_pixels(field):
+    # pca filters are orthonormal rows of length k1*k2
+    message = f"{field} must be <= patch_k1*patch_k2 = 3 with learner pca"
+    assert message in validate_config(Config(patch_k1=1, patch_k2=3,
+                                             **{field: 4}))
+    assert validate_config(Config(patch_k1=1, patch_k2=3, l1=3, l2=3)) == []
+    # autoencoder banks may be overcomplete
+    assert validate_config(Config(patch_k1=1, patch_k2=3, learner="dae",
+                                  **{field: 4})) == []
 
 
 def test_stride_fit_checked():
@@ -50,6 +68,20 @@ def test_parse_roundtrip():
     again = parse_config(format_config(cfg))
     assert format_config(again) == format_config(cfg)
     assert again.lcn is False and again.learner == "dae" and again.seed == 99
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+def test_shipped_config_is_valid_and_canonical(path):
+    cfg = load_config(path)
+    assert validate_config(cfg) == []
+    with open(path, encoding="utf-8") as fh:
+        text = "".join(line for line in fh if not line.startswith("#"))
+    assert text == format_config(cfg)
+
+
+def test_shipped_configs_found():
+    # an empty glob would leave the parametrized check above with no cases
+    assert CONFIGS, "no configs/*.conf found"
 
 
 def test_parse_rejects_unknown_key():
@@ -84,15 +116,6 @@ def test_patch_shape_invariants():
     with pytest.raises(ValueError):
         PatchShape(2, 3)
     assert PatchShape(3, 5).dim == 15
-
-
-def test_histogram_feature_invariants():
-    with pytest.raises(ValueError):
-        HistogramFeature(dim=10, indices=np.array([3, 3]), counts=np.array([1, 1]))
-    with pytest.raises(ValueError):
-        HistogramFeature(dim=4, indices=np.array([5]), counts=np.array([1]))
-    feat = HistogramFeature(dim=10, indices=np.array([1, 4]), counts=np.array([2, 3]))
-    assert feat.counts.sum() == 5
 
 
 def test_rng_streams_are_deterministic_and_distinct():
