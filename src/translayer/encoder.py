@@ -6,7 +6,9 @@ Group 0 holds the first-layer maps themselves (dropped when the
 trans-layer flag is off); group j collects the j-th second-layer map of
 every first-layer map. Each code map is cut into (possibly overlapping)
 blocks whose code histograms, concatenated in (map, block row-major)
-order, form the image's sparse feature vector.
+order, form the image's sparse feature vector. A histogram is read off
+the block's sorted codes, one bin per run of equal codes, so its cost
+follows the block's pixel count and not the 2^L1 bins.
 """
 
 from __future__ import annotations
@@ -35,11 +37,6 @@ def binarize(feature_map: np.ndarray) -> np.ndarray:
     return (arr > 0).astype(np.uint8)
 
 
-def bit_weights(l1: int) -> np.ndarray:
-    """Per-map bit weights 2^(L1-i) for first-layer index i = 1..L1."""
-    return (1 << np.arange(l1 - 1, -1, -1)).astype(np.uint16)
-
-
 def compress_groups(stack, trans_layer: bool) -> np.ndarray:
     """Pack the binarized maps of a ``(layer1, layer2)`` stack into code
     maps, shape (groups, h, w) uint16."""
@@ -55,9 +52,11 @@ def pack_codes(l1_bits: np.ndarray, l2_bits: np.ndarray,
     if l1 > 16:
         raise ValueError("groups of more than 16 maps overflow 16-bit codes")
     parts = [l1_bits[:, None], l2_bits] if trans_layer else [l2_bits]
-    # float64 holds every code exactly and takes the BLAS product
-    groups = np.concatenate(parts, axis=1, dtype=np.float64)
-    return np.tensordot(bit_weights(l1), groups, axes=(0, 0)).astype(np.uint16)
+    # integer arithmetic: each 0/1 map, as uint16, is shifted to its bit
+    # position L1-i and the maps of a group are OR-ed together
+    bits = np.concatenate(parts, axis=1, dtype=np.uint16)
+    bits <<= np.arange(l1 - 1, -1, -1, dtype=np.uint16)[:, None, None, None]
+    return np.bitwise_or.reduce(bits, axis=0)
 
 
 def block_counts(map_size: tuple[int, int], cfg: Config) -> tuple[int, int]:
@@ -91,10 +90,17 @@ def feature_of(code_maps: np.ndarray, cfg: Config) -> SparseFeature:
     blocks = groups * nx * ny
     view = sliding_window_view(maps, (cfg.block_h, cfg.block_w), axis=(1, 2))
     tiles = view[:, ::cfg.stride_y, ::cfg.stride_x]
-    # each (map, block) pair owns a run of `bins` slots, in (map, block) order
-    flat = tiles.reshape(blocks, -1).astype(np.intp)
-    flat += (np.arange(blocks, dtype=np.intp) * bins)[:, None]
-    dense = np.bincount(flat.ravel(), minlength=blocks * bins)
-    indices = np.flatnonzero(dense != 0)    # numpy finds nonzeros fastest in bools
-    return SparseFeature(indices.astype(np.int64),
-                         dense[indices].astype(np.int64))
+    # one row of codes per (map, block) pair, in (map, block) order; np.array
+    # copies, so sorting never touches the caller's maps
+    flat = np.array(tiles).reshape(blocks, -1)
+    flat.sort(axis=1)
+    # each run of equal codes in a sorted row is one nonzero bin
+    per_block = flat.shape[1]
+    flat = flat.ravel()
+    starts = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    starts[::per_block] = True
+    pos = np.flatnonzero(starts)
+    indices = pos // per_block * bins + flat[pos]
+    counts = np.diff(pos, append=flat.size)
+    return SparseFeature(indices, counts)

@@ -2,11 +2,15 @@
 
 Feature extraction is a pure function of (model, image), so it can fan out
 over ``jobs`` forked workers; chunks are merged back in input order, which
-keeps every result identical to the single-process run. One pool serves a
-whole call, including every chunk of an evaluation. Training then passes
-the same ``jobs`` to ``svm_train``, which forks its own pool after the
-features exist and solves the one-vs-rest classes in parallel, each
-writing its weights into one output array shared with the parent.
+keeps every result identical to the single-process run. A worker sends back
+each image's ``(indices, counts)`` in the narrowest dtypes that hold them:
+int32 indices wherever scipy indexes the CSR matrix with int32, and counts
+sized to a block's pixel count. The parent so unpickles a fraction of the
+int64 pair, and builds the same matrix. One pool serves a whole call,
+including every chunk of an evaluation. Training then passes the same
+``jobs`` to ``svm_train``, which forks its own pool after the features
+exist and solves the one-vs-rest classes in parallel, each writing its
+weights into one output array shared with the parent.
 """
 
 from __future__ import annotations
@@ -154,7 +158,14 @@ def _wpca_input(features, cfg: Config) -> sp.csr_matrix:
 
 
 def _encode_one(model, image):
-    return encoder.feature_of(code_maps(image, model), model.config)
+    """One image's ``(indices, counts)``, narrowed as the module describes."""
+    cfg = model.config
+    codes = code_maps(image, model)
+    feat = encoder.feature_of(codes, cfg)
+    dim = encoder.feature_dim(codes.shape[1:], cfg)
+    index_dtype = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
+    return (feat.indices.astype(index_dtype),
+            feat.counts.astype(np.min_scalar_type(cfg.block_w * cfg.block_h)))
 
 
 def _worker_encode(image):
@@ -172,7 +183,7 @@ def _features(model: TrainedModel, images, pool) -> sp.csr_matrix:
     indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
     np.cumsum([idx.size for idx, _ in pairs], out=indptr[1:])
     indices = np.concatenate([idx for idx, _ in pairs])
-    data = np.concatenate([cnt for _, cnt in pairs]).astype(np.float64)
+    data = np.concatenate([cnt for _, cnt in pairs], dtype=np.float64)
     dim = encoder.feature_dim(sizes.pop(), model.config)
     return sp.csr_matrix((data, indices, indptr), shape=(len(pairs), dim))
 

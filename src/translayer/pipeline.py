@@ -14,7 +14,10 @@ that absorb whitening and the mean subtraction of contrast normalization.
 A sign is used only where a forward-error bound certifies that the window
 path rounds to the same bit; every second-layer map holding an uncertified
 pixel is recomputed on the window path, so the codes equal those of
-:func:`build_stack` bit for bit.
+:func:`build_stack` bit for bit. With an autoencoder and contrast
+normalization the window std is taken with the arithmetic of
+``preprocess.center`` inside the window matrix itself, once the product and
+the window bound have read it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .encoder import binarize, pack_codes
-from .preprocess import center, lcn_rows
+from .preprocess import center, centered_std, lcn_rows
 from .types import (DAE, Config, FilterBank, PatchShape, TrainedModel,
                     WhiteningTransform, as_2d)
 
@@ -177,7 +180,8 @@ def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
     # one column per window, in (map, row, col) order
     windows = sliding_window_view(padded, (bank.shape.k1, bank.shape.k2),
                                   axis=(1, 2))
-    cols = np.ascontiguousarray(windows.transpose(3, 4, 0, 1, 2)).reshape(d, -1)
+    # np.array copies even 1x1 windows, so cols never aliases padded
+    cols = np.array(windows.transpose(3, 4, 0, 1, 2), order="C").reshape(d, -1)
     response = filters @ cols
     scale = _window_max_abs(padded, bank.shape).reshape(-1)
     c = lcn if lcn is not None else 0.0
@@ -185,7 +189,9 @@ def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
     bound = scale * coef[:, None] + _SIGN_SAFETY * d * (1.0 + c) * _TINY
     if bank.layer_kind == DAE:
         if lcn is not None:
-            _, std = center(cols, axis=0)
+            # the window std, by center's arithmetic; cols is not read
+            # again, so the deviations and then their squares overwrite it
+            std = centered_std(center(cols, axis=0, out=cols), axis=0, out=cols)
             response /= std + c
             bound /= std + c
         response += bank.biases[:, None]

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from translayer import Config, binarize, compress_groups, feature_of
-from translayer.encoder import bit_weights, feature_dim
+from translayer.encoder import block_counts, feature_dim, pack_codes
 
 
 def encoder(bins=256, block=7, stride=3, trans=True):
@@ -37,7 +39,10 @@ def stack_from_bits(l1_bits, l2_bits):
 
 
 def test_bit_weights_msb_is_first_map():
-    assert list(bit_weights(8)) == [128, 64, 32, 16, 8, 4, 2, 1]
+    # first-layer map i alone, set at pixel column i, gives the code 2^(L1-i)
+    l1_bits = np.eye(8, dtype=np.uint8).reshape(8, 1, 8)
+    codes = pack_codes(l1_bits, np.zeros((8, 1, 1, 8), dtype=np.uint8), True)
+    assert codes[0, 0].tolist() == [128, 64, 32, 16, 8, 4, 2, 1]
 
 
 def test_hand_packed_code():
@@ -82,6 +87,18 @@ def test_trans_layer_off_drops_first_group():
     off = compress_groups(stack, trans_layer=False)
     assert on.shape[0] == 4 and off.shape[0] == 3
     assert np.array_equal(on[1:], off)
+
+
+@given(st.integers(1, 16), st.booleans(), st.integers(0, 2**32 - 1))
+def test_pack_codes_weighs_bits_by_first_layer_index(l1, trans, seed):
+    gen = np.random.default_rng(seed)
+    l1_bits = (gen.random((l1, 3, 4)) > 0.5).astype(np.uint8)
+    l2_bits = (gen.random((l1, 2, 3, 4)) > 0.5).astype(np.uint8)
+    groups = np.concatenate([l1_bits[:, None], l2_bits], axis=1)
+    want = (groups * 2**np.arange(l1 - 1, -1, -1)[:, None, None, None]).sum(0)
+    got = pack_codes(l1_bits, l2_bits, trans)
+    assert got.dtype == np.uint16
+    assert np.array_equal(got, want[0 if trans else 1:])
 
 
 def test_pack_unpack_bijection():
@@ -227,3 +244,79 @@ def test_feature_deterministic(tiny_model, glyph_train):
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.counts, b.counts)
     assert a.indices.tobytes() == b.indices.tobytes()
+
+
+# --- against a per-block oracle ----------------------------------------------
+
+def oracle_histograms(codes, cfg):
+    """np.unique per block, the block's bins offset by block * 2^l1."""
+    groups, h, w = codes.shape
+    nx, ny = block_counts((w, h), cfg)
+    indices, counts = [], []
+    for g in range(groups):
+        for by in range(ny):
+            for bx in range(nx):
+                y, x = by * cfg.stride_y, bx * cfg.stride_x
+                block = codes[g, y:y + cfg.block_h, x:x + cfg.block_w]
+                vals, cnt = np.unique(block, return_counts=True)
+                offset = ((g * ny + by) * nx + bx) * 2**cfg.l1
+                indices.append(offset + vals.astype(np.int64))
+                counts.append(cnt)
+    return np.concatenate(indices), np.concatenate(counts)
+
+
+@st.composite
+def codes_and_geometry(draw):
+    """Code maps of 1..16-bit codes under a drawn block geometry: group 0 is
+    one constant, so each of its blocks holds a single code; the other
+    groups are random with the codes 0 and 2^l1 - 1 planted."""
+    l1 = draw(st.integers(1, 16))
+    bw, bh = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cfg = Config(l1=l1, block_w=bw, block_h=bh, stride_x=draw(st.integers(1, 4)),
+                 stride_y=draw(st.integers(1, 4)))
+    h, w = draw(st.integers(bh, 12)), draw(st.integers(bw, 12))
+    top = 2**l1 - 1
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = gen.integers(0, top + 1, size=(draw(st.integers(2, 3)), h, w))
+    codes[0] = draw(st.sampled_from([0, top, int(gen.integers(0, top + 1))]))
+    codes[1:, 0, 0] = 0
+    codes[1:, -1, -1] = top
+    return codes.astype(np.uint16), cfg
+
+
+@given(codes_and_geometry())
+def test_feature_of_matches_per_block_oracle(case):
+    codes, cfg = case
+    feat = feature_of(codes, cfg)
+    want_indices, want_counts = oracle_histograms(codes, cfg)
+    assert feat.indices.dtype == feat.counts.dtype == np.int64
+    assert np.array_equal(feat.indices, want_indices)
+    assert np.array_equal(feat.counts, want_counts)
+    assert (np.diff(feat.indices) > 0).all()
+    nx, ny = block_counts((codes.shape[2], codes.shape[1]), cfg)
+    blocks = codes.shape[0] * nx * ny
+    assert feat.counts.sum() == blocks * cfg.block_w * cfg.block_h
+
+
+def test_feature_of_leaves_its_input_alone():
+    # one block covering the whole map: the block's row is the map itself
+    codes = np.arange(16, dtype=np.uint16)[::-1].reshape(1, 4, 4)
+    before = codes.copy()
+    feature_of(codes, encoder(bins=16, block=4, stride=1))
+    assert np.array_equal(codes, before)
+
+
+def test_sixteen_bit_codes_need_no_dense_bins():
+    # 17 maps x 64 blocks x 2^16 int64 bins would be 570 MB
+    cfg = Config(l1=16, l2=16)
+    gen = np.random.default_rng(6)
+    codes = gen.integers(0, 2**16, size=(17, 28, 28)).astype(np.uint16)
+    tracemalloc.start()
+    try:
+        feat = feature_of(codes, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert feat.counts.sum() == 17 * 64 * 49
+    assert feat.indices[-1] < feature_dim((28, 28), cfg)

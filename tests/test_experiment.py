@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from translayer import (FilterBank, TrainedModel, WhiteningTransform, classify,
-                        encoder, evaluate_model, experiment, extract_features,
-                        forkpool, train_model)
+from translayer import (FilterBank, GrayImage, TrainedModel, WhiteningTransform,
+                        classify, encoder, evaluate_model, experiment,
+                        extract_features, forkpool, train_model)
 from translayer.dataio import save_model
 from translayer.experiment import format_eval_report, predict_features
+from translayer.pipeline import code_maps
 from translayer.types import PCA
 
 from conftest import tiny_config
@@ -16,6 +20,37 @@ def test_parallel_extraction_matches_serial(tiny_model, glyph_test):
     serial = extract_features(tiny_model, images, jobs=1)
     parallel = extract_features(tiny_model, images, jobs=2)
     assert (serial != parallel).nnz == 0
+
+
+def int64_pair_csr(model, images):
+    """The batch's CSR built from feature_of's int64 pairs, unnarrowed."""
+    feats = [encoder.feature_of(code_maps(image, model), model.config)
+             for image in images]
+    indptr = np.cumsum([0] + [f.indices.size for f in feats])
+    dim = encoder.feature_dim(images[0].pixels.shape, model.config)
+    return sp.csr_matrix((np.concatenate([f.counts for f in feats]).astype(float),
+                          np.concatenate([f.indices for f in feats]), indptr),
+                         shape=(len(images), dim))
+
+
+@pytest.mark.parametrize("block", [7, 28])
+def test_narrow_worker_payload_keeps_the_csr(tiny_model, glyph_test, block):
+    # a 28x28 block is the whole image: 784 pixels, so a count can pass 255
+    cfg = replace(tiny_model.config, block_w=block, block_h=block)
+    model = replace(tiny_model, config=cfg, classifier=None)
+    images = glyph_test[0][:6] + [GrayImage(np.zeros((28, 28)))]
+    indices, counts = experiment._encode_one(model, images[-1])
+    assert indices.dtype == np.int32
+    assert counts.dtype == (np.uint8 if block == 7 else np.uint16)
+    want = int64_pair_csr(model, images)
+    assert want.indices.dtype == want.indptr.dtype == np.int32
+    for jobs in (1, 2):
+        got = extract_features(model, images, jobs=jobs)
+        for name in ("indices", "indptr", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    if block == 28:
+        assert want.data.max() == 28 * 28
 
 
 def test_evaluation_forks_one_pool_for_all_chunks(tiny_model, glyph_test,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -151,13 +153,14 @@ def test_build_stack_is_pure(tiny_model, glyph_train):
 
 # --- sign-only extraction ----------------------------------------------------
 
-def random_model(learner, l1, l2, seed, **flags):
-    """A model with random banks and whitening on 3x5 patches.
+def random_model(learner, l1, l2, seed, k1=3, k2=5, **flags):
+    """A model with random banks and whitening on k1 x k2 patches.
 
     Autoencoder banks give their first filter a zero bias, so that its sign
     on a constant window rests on rounding alone.
     """
-    cfg = Config(patch_k1=3, patch_k2=5, l1=l1, l2=l2, learner=learner, **flags)
+    cfg = Config(patch_k1=k1, patch_k2=k2, l1=l1, l2=l2, learner=learner,
+                 **flags)
     gen = np.random.default_rng(seed)
     shape = cfg.patch_shape()
 
@@ -238,3 +241,30 @@ def test_uncertified_map_falls_back_to_window_path(monkeypatch):
     assert len(calls) > 1      # layer 1, then at least one second-layer map
     want = compress_groups(build_stack(image, model), True)
     assert np.array_equal(got, want)
+
+
+def test_dae_lcn_code_maps_peak_below_twice_the_window_matrix(glyph_test):
+    # the window std is taken in the window matrix's own buffer, so no
+    # second array of its size is live at once
+    model = random_model(DAE, 8, 8, seed=3, k1=7, k2=7, lcn=True)
+    image = glyph_test[0][0]
+    h, w = image.pixels.shape
+    cols_bytes = model.bank2.shape.dim * model.config.l1 * h * w * 8
+    want = compress_groups(build_stack(image, model), True)
+    tracemalloc.start()
+    try:
+        got = code_maps(image, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 2 * cols_bytes
+
+
+@pytest.mark.parametrize("lcn", [True, False])
+@given(image=flat_region_images(), seed=st.integers(0, 2**32 - 1))
+def test_one_pixel_patch_code_maps_match_float_stack(lcn, image, seed):
+    # with 1x1 patches every window is one pixel of the padded maps
+    model = random_model(DAE, 4, 4, seed, k1=1, k2=1, lcn=lcn)
+    want = compress_groups(build_stack(image, model), True)
+    assert np.array_equal(code_maps(image, model), want)
