@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .forkpool import fork_pool, shared_zeros, worker_state
-from .linalg import fix_signs, jacobi_eigh
+from .linalg import fix_row_signs, jacobi_eigh
 from .rng import Rng
 
 SVM_TOL = 0.1
@@ -222,6 +222,16 @@ def wpca_fit(features, target_dim: int) -> WpcaModel:
 
     Components with eigenvalues below 1e-10 of the largest are dropped;
     asking for more components than survive raises.
+
+    With more features than samples (d > n) the eigenproblem is solved on
+    the n x n Gram matrix, whose uncentered part ``X X^T`` is one dense
+    BLAS product. On integer counts every partial sum is an integer no
+    larger than the largest row's squared norm (576 * 49**2 for 576
+    blocks of 7 x 7 pixels), far below 2**53, so the product is exact in
+    any summation order; non-integer (``wpca_sqrt``) features can move in
+    the last bits. The dense n x d copy is the size of the one
+    ``wpca_apply`` makes of the same batch and is freed before the lift.
+    The lift ``X^T V`` stays sparse, and its rows are the components.
     """
     if target_dim < 1:
         raise ValueError("target_dim must be >= 1")
@@ -236,8 +246,9 @@ def wpca_fit(features, target_dim: int) -> WpcaModel:
         cov = (centered.T @ centered) / (n - 1)
         eigvals, components = jacobi_eigh(cov)  # components are columns
     else:
-        # Gram-side decomposition; avoids densifying wide feature matrices
-        gram_xx = (x @ x.T).toarray()
+        dense = x.toarray()
+        gram_xx = dense @ dense.T
+        del dense
         xm = np.asarray(x @ mean).ravel()
         gram = (gram_xx - xm[:, None] - xm[None, :] + float(mean @ mean)) / (n - 1)
         eigvals, dual_vecs = jacobi_eigh(gram)
@@ -247,15 +258,19 @@ def wpca_fit(features, target_dim: int) -> WpcaModel:
     if target_dim > usable:
         raise ValueError(
             f"target_dim {target_dim} exceeds usable rank {usable}")
-    if d > n:
-        # lift to feature space only the dual vectors the projection uses
-        dual = dual_vecs[:, :target_dim]
-        dual_sums = np.array([float(v.sum()) for v in dual.T])
-        components = fix_signs((np.asarray(x.T @ dual) - mean[:, None] * dual_sums)
-                               / np.sqrt((n - 1) * eigvals[:target_dim]))
     scale = 1.0 / np.sqrt(eigvals[:target_dim])
-    projection = components[:, :target_dim].T * scale[:, None]
-    return WpcaModel(mean=mean, projection=projection)
+    if d <= n:
+        return WpcaModel(mean=mean,
+                         projection=components[:, :target_dim].T * scale[:, None])
+    # lift to feature space only the dual vectors the projection uses
+    dual = dual_vecs[:, :target_dim]
+    dual_sums = np.array([float(v.sum()) for v in dual.T])
+    rows = np.multiply.outer(dual_sums, mean)
+    np.subtract(np.asarray(x.T @ dual).T, rows, out=rows)
+    rows /= np.sqrt((n - 1) * eigvals[:target_dim])[:, None]
+    fix_row_signs(rows)
+    rows *= scale[:, None]
+    return WpcaModel(mean=mean, projection=rows)
 
 
 def wpca_apply(model: WpcaModel, features) -> np.ndarray:

@@ -110,7 +110,8 @@ def dae_value_and_grad(w, b, b_dec, z_clean, z_corrupt, tradeoff_c,
     return objective, grad_w, grad_b, grad_b_dec
 
 
-def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng):
+def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng,
+              on_epoch=None):
     """Minibatch SGD on the corrupted-reconstruction objective.
 
     The ``dae_*`` fields of ``cfg`` set the corruption rate, epoch count,
@@ -118,8 +119,14 @@ def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng):
     order streams. Updates use the per-sample mean of the batch gradient
     (learning rate is batch-size independent), decaying as lr/sqrt(epoch);
     the corruption mask is an independent Bernoulli zeroing per entry,
-    resampled every epoch. Returns ``(w, b, b_dec, stats)`` where stats holds the per-epoch
-    running loss and the clean-input reconstruction MSE after each epoch.
+    resampled every epoch. Each epoch gathers the clean and corrupted
+    patches once in its shuffled order, and each minibatch is a column
+    slice of those copies. Returns ``(w, b, b_dec, stats)`` where
+    ``stats["loss"]`` holds the running loss of each epoch.
+
+    ``on_epoch(w, b, b_dec)``, if given, is called after each epoch that
+    passes the divergence check. The arrays are the live parameters,
+    which later epochs update in place: copy what must be kept.
     """
     d, m = z_clean.shape
     init_gen = rng.stream("dae.init")
@@ -133,25 +140,25 @@ def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng):
     b_dec = np.zeros(d)
 
     epoch_loss = []
-    epoch_mse = []
     for epoch in range(1, cfg.dae_epochs + 1):
         lr = cfg.dae_lr / np.sqrt(epoch)
+        keep = None
         if cfg.dae_corruption > 0.0:
             keep = corrupt_gen.random((d, m)) >= cfg.dae_corruption
-            z_corrupt = z_clean * keep
-        else:
-            z_corrupt = z_clean
         order = order_gen.permutation(m)
+        zp = z_clean[:, order]
+        # entry (i, j) is z_clean[i, order[j]] * keep[i, order[j]], as a
+        # gather of the corrupted matrix would give
+        ztp = zp if keep is None else zp * keep[:, order]
         running = 0.0
         for start in range(0, m, DAE_MINIBATCH):
-            batch = order[start:start + DAE_MINIBATCH]
-            zb = z_clean[:, batch]
-            ztb = z_corrupt[:, batch]
-            scale = batch.size / m
+            zb = zp[:, start:start + DAE_MINIBATCH]
+            ztb = ztp[:, start:start + DAE_MINIBATCH]
+            size = zb.shape[1]
             loss, gw, gb, gbp = dae_value_and_grad(w, b, b_dec, zb, ztb,
-                                                   tradeoff_c, scale)
+                                                   tradeoff_c, size / m)
             running += loss
-            step = lr / batch.size
+            step = lr / size
             w -= step * gw
             b -= step * gb
             b_dec -= step * gbp
@@ -159,13 +166,13 @@ def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng):
             raise TrainingDivergedError(
                 f"non-finite loss at epoch {epoch}; lower the learning rate")
         epoch_loss.append(running)
-        _, recon = dae_forward(w, b, b_dec, z_clean)
-        epoch_mse.append(float(np.mean((recon - z_clean) ** 2)))
+        if on_epoch is not None:
+            on_epoch(w, b, b_dec)
 
     # slack absorbs summation-order noise when the loss is exactly flat
     if epoch_loss[-1] > epoch_loss[0] + 1e-9 * max(1.0, abs(epoch_loss[0])):
         raise TrainingDivergedError("training loss ended above its initial value")
-    return w, b, b_dec, {"loss": epoch_loss, "recon_mse": epoch_mse}
+    return w, b, b_dec, {"loss": epoch_loss}
 
 
 def learn_dae_filters(z: np.ndarray, shape: PatchShape, count: int,

@@ -6,22 +6,72 @@ on the way in. The caller's state reaches each worker through the pool
 initializer and is read back there with :func:`worker_state`. Results
 that are too large to send back through the pool go into an array from
 :func:`shared_zeros`, which is allocated before the fork.
+
+Each worker sets every OpenBLAS the process has loaded to one thread, so
+``jobs`` workers do not each start one BLAS thread per core.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import logging
 import mmap
 import multiprocessing as mp
+import os
 from contextlib import contextmanager
 
 import numpy as np
 
+# the thread setter's name in numpy's bundled 64-bit-integer OpenBLAS, in
+# other 64-bit-integer builds and in the plain build
+BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                       "openblas_set_num_threads64_",
+                       "openblas_set_num_threads")
+
+log = logging.getLogger("translayer")
+
 _STATE = None
 
 
-def _init(state):
+def openblas_libraries() -> list[ctypes.CDLL]:
+    """Every OpenBLAS library mapped into this process (Linux only).
+
+    Opening a library that is already loaded returns the loaded copy.
+    """
+    maps = "/proc/self/maps"
+    if not os.path.exists(maps):
+        return []
+    with open(maps) as fh:
+        fields = (line.split(maxsplit=5) for line in fh)
+        paths = {f[5].rstrip("\n") for f in fields
+                 if len(f) == 6 and "openblas" in os.path.basename(f[5])}
+    return [ctypes.CDLL(path) for path in sorted(paths)]
+
+
+@functools.cache
+def _blas_thread_setters() -> tuple:
+    """The thread setter of each loaded OpenBLAS; warns once if none."""
+    setters = []
+    for lib in openblas_libraries():
+        fn = next((getattr(lib, name) for name in BLAS_THREAD_SETTERS
+                   if hasattr(lib, name)), None)
+        if fn is not None:
+            fn.argtypes = [ctypes.c_int]
+            fn.restype = None
+            setters.append(fn)
+    if not setters:
+        log.warning("no OpenBLAS thread setter found: forked workers keep "
+                    "the BLAS thread count; set OPENBLAS_NUM_THREADS=1 "
+                    "when using --jobs above 1")
+    return tuple(setters)
+
+
+def _init(state, blas_setters):
     global _STATE
     _STATE = state
+    for set_threads in blas_setters:
+        set_threads(1)
 
 
 def worker_state():
@@ -36,7 +86,8 @@ def fork_pool(jobs: int, state):
         yield None
         return
     ctx = mp.get_context("fork")
-    with ctx.Pool(jobs, initializer=_init, initargs=(state,)) as pool:
+    with ctx.Pool(jobs, initializer=_init,
+                  initargs=(state, _blas_thread_setters())) as pool:
         yield pool
 
 

@@ -30,17 +30,25 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
+def fix_row_signs(rows: np.ndarray) -> None:
+    """Flip, in place, each row so its largest-magnitude entry is positive.
+
+    Ties pick the first such entry. The scan runs along rows, so a
+    C-contiguous ``rows`` is read in memory order.
+    """
+    lead = np.argmax(np.abs(rows), axis=1)
+    rows[rows[np.arange(rows.shape[0]), lead] < 0.0] *= -1.0
+
+
 def fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive.
 
     Ties pick the first such entry. Makes eigenvector (and therefore
-    filter) signs reproducible.
+    filter) signs reproducible. Returns a C-contiguous copy.
     """
-    out = vectors.copy()
-    lead = np.argmax(np.abs(out), axis=0)
-    flip = out[lead, np.arange(out.shape[1])] < 0.0
-    out[:, flip] = -out[:, flip]
-    return out
+    rows = np.array(vectors.T, order="C")
+    fix_row_signs(rows)
+    return np.ascontiguousarray(rows.T)
 
 
 def round_robin_schedule(n: int) -> list[tuple[np.ndarray, np.ndarray]]:

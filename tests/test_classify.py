@@ -346,6 +346,66 @@ def test_wpca_accepts_sparse():
     assert np.abs(proj.var(axis=0, ddof=1) - 1.0).max() < 1e-6
 
 
+def block_counts(n, blocks, bins, seed, one_bin=False):
+    """Integer block-histogram features: each row spreads 49 pixels per
+    block over ``bins`` bins, or puts all 49 in one bin (``one_bin``)."""
+    gen = np.random.default_rng(seed)
+    if one_bin:
+        counts = np.zeros((n, blocks, bins))
+        hit = gen.integers(0, bins, size=(n, blocks))
+        counts[np.arange(n)[:, None], np.arange(blocks)[None, :], hit] = 49.0
+    else:
+        counts = gen.multinomial(49, np.full(bins, 1.0 / bins),
+                                 size=(n, blocks)).astype(np.float64)
+    return sp.csr_matrix(counts.reshape(n, blocks * bins))
+
+
+@pytest.mark.parametrize("n,blocks,bins,one_bin", [
+    (30, 16, 16, False),
+    (12, 576, 256, True),    # every block histogram holds 49 in one bin
+])
+def test_dense_gram_equals_sparse_gram_on_counts(n, blocks, bins, one_bin):
+    x = block_counts(n, blocks, bins, seed=n, one_bin=one_bin)
+    dense = x.toarray()
+    sparse_gram = (x @ x.T).toarray()
+    if one_bin:
+        assert sparse_gram.max() == blocks * 49 ** 2
+    assert np.array_equal(dense @ dense.T, sparse_gram)
+
+
+def wpca_fit_gram_reference(x, target_dim):
+    """The Gram route before the dense product: sparse ``x @ x.T`` and
+    components lifted in column layout, signs fixed per column."""
+    from translayer.linalg import fix_signs, jacobi_eigh
+    n = x.shape[0]
+    mean = np.asarray(x.mean(axis=0)).ravel()
+    gram_xx = (x @ x.T).toarray()
+    xm = np.asarray(x @ mean).ravel()
+    gram = (gram_xx - xm[:, None] - xm[None, :] + float(mean @ mean)) / (n - 1)
+    eigvals, dual_vecs = jacobi_eigh(gram)
+    dual = dual_vecs[:, :target_dim]
+    dual_sums = np.array([float(v.sum()) for v in dual.T])
+    components = fix_signs((np.asarray(x.T @ dual) - mean[:, None] * dual_sums)
+                           / np.sqrt((n - 1) * eigvals[:target_dim]))
+    scale = 1.0 / np.sqrt(eigvals[:target_dim])
+    return mean, components.T * scale[:, None]
+
+
+@pytest.mark.parametrize("n,blocks,bins,target_dim,one_bin", [
+    (30, 16, 16, 8, False),
+    (25, 9, 256, 24, False),
+    (20, 36, 64, 5, True),
+])
+def test_gram_route_matches_sparse_reference_on_counts(n, blocks, bins,
+                                                      target_dim, one_bin):
+    x = block_counts(n, blocks, bins, seed=100 + n, one_bin=one_bin)
+    model = wpca_fit(x, target_dim)
+    mean, projection = wpca_fit_gram_reference(x, target_dim)
+    assert np.array_equal(model.mean, mean)
+    assert np.array_equal(model.projection, projection)
+    assert model.projection.flags["C_CONTIGUOUS"]
+
+
 # --- cosine nearest neighbor -------------------------------------------
 
 def test_exact_match_wins():

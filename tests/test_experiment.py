@@ -1,3 +1,4 @@
+import ctypes
 from dataclasses import replace
 
 import numpy as np
@@ -68,6 +69,44 @@ def test_evaluation_forks_one_pool_for_all_chunks(tiny_model, glyph_test,
     parallel = evaluate_model(tiny_model, images, labels, jobs=2, chunk=7)
     assert len(contexts) == 1
     assert np.array_equal(serial.confusion, parallel.confusion)
+
+
+BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+def blas_thread_counts():
+    """The thread count of each loaded OpenBLAS that has a getter."""
+    counts = []
+    for lib in forkpool.openblas_libraries():
+        name = next((n for n in BLAS_THREAD_GETTERS if hasattr(lib, n)), None)
+        if name is not None:
+            getter = getattr(lib, name)
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            counts.append(getter())
+    return counts
+
+
+def _blas_threads_in_worker(_):
+    return blas_thread_counts()
+
+
+def test_forked_workers_run_one_blas_thread():
+    before = blas_thread_counts()
+    if not before:
+        pytest.skip("no OpenBLAS thread getter in this process")
+    setters = forkpool._blas_thread_setters()
+    try:
+        for set_threads in setters:
+            set_threads(2)   # more than one, whatever the environment set
+        with forkpool.fork_pool(2, None) as pool:
+            seen = pool.map(_blas_threads_in_worker, range(4), chunksize=1)
+        assert seen == [[1] * len(before)] * 4
+        assert blas_thread_counts() == [2] * len(before)  # the parent keeps its own
+    finally:
+        for set_threads, count in zip(setters, before):
+            set_threads(count)
+    assert blas_thread_counts() == before
 
 
 def test_parallel_training_saves_the_same_bytes(glyph_train, tmp_path):

@@ -4,8 +4,8 @@ import pytest
 from translayer import (Config, GrayImage, PatchShape, Rng, learn_dae_filters,
                         learn_pca_filters, sample_patches)
 from translayer import filters
-from translayer.filters import (TrainingDivergedError, dae_value_and_grad,
-                                train_dae)
+from translayer.filters import (TrainingDivergedError, dae_forward,
+                                dae_value_and_grad, train_dae)
 
 
 def gen(seed=0):
@@ -131,10 +131,72 @@ def test_training_reduces_reconstruction_error(monkeypatch):
     gen_local = np.random.default_rng(10)
     z = gen_local.uniform(-0.5, 0.5, size=(4, 10))
     cfg = toy_cfg(monkeypatch, minibatch=10, dae_epochs=300, dae_lr=0.05)
-    _, _, _, stats = train_dae(z, 4, cfg, Rng(13))
-    mse = np.asarray(stats["recon_mse"])
+    curve = []
+
+    def clean_mse(w, b, b_dec):
+        _, recon = dae_forward(w, b, b_dec, z)
+        curve.append(float(np.mean((recon - z) ** 2)))
+
+    train_dae(z, 4, cfg, Rng(13), on_epoch=clean_mse)
+    mse = np.asarray(curve)
     assert mse[-1] < 0.05
     assert (np.diff(mse[3:]) <= 1e-12).all()  # monotone after the transient
+
+
+def train_dae_reference(z_clean, count, cfg, rng):
+    """The per-batch gather loop that ``train_dae`` replaced: the corrupted
+    matrix is built whole and each minibatch gathers its columns."""
+    d, m = z_clean.shape
+    init_gen = rng.stream("dae.init")
+    corrupt_gen = rng.stream("dae.corrupt")
+    order_gen = rng.stream("dae.order")
+    bound = 1.0 / np.sqrt(d)
+    w = init_gen.uniform(-bound, bound, size=(count, d))
+    b = np.zeros(count)
+    b_dec = np.zeros(d)
+    epoch_loss = []
+    for epoch in range(1, cfg.dae_epochs + 1):
+        lr = cfg.dae_lr / np.sqrt(epoch)
+        if cfg.dae_corruption > 0.0:
+            keep = corrupt_gen.random((d, m)) >= cfg.dae_corruption
+            z_corrupt = z_clean * keep
+        else:
+            z_corrupt = z_clean
+        order = order_gen.permutation(m)
+        running = 0.0
+        for start in range(0, m, filters.DAE_MINIBATCH):
+            batch = order[start:start + filters.DAE_MINIBATCH]
+            loss, gw, gb, gbp = dae_value_and_grad(
+                w, b, b_dec, z_clean[:, batch], z_corrupt[:, batch],
+                cfg.dae_tradeoff_c, batch.size / m)
+            running += loss
+            step = lr / batch.size
+            w -= step * gw
+            b -= step * gb
+            b_dec -= step * gbp
+        epoch_loss.append(running)
+    return w, b, b_dec, epoch_loss
+
+
+@pytest.mark.parametrize("d,m,count,corruption,minibatch", [
+    (9, 512, 4, 0.1, None),     # m a multiple of the batch size
+    (25, 777, 6, 0.1, None),    # a short last batch
+    (9, 300, 5, 0.0, None),     # no corruption: one gather per epoch
+    (16, 130, 3, 0.25, 32),     # a patched batch size, short last batch
+    (9, 90, 4, 0.0, 30),
+])
+def test_train_dae_matches_per_batch_gather(monkeypatch, d, m, count,
+                                            corruption, minibatch):
+    if minibatch is not None:
+        monkeypatch.setattr(filters, "DAE_MINIBATCH", minibatch)
+    z = np.random.default_rng(d * m).normal(scale=0.3, size=(d, m))
+    cfg = Config(dae_corruption=corruption, dae_epochs=4, dae_lr=0.05)
+    w, b, b_dec, stats = train_dae(z, count, cfg, Rng(7))
+    rw, rb, rb_dec, rloss = train_dae_reference(z, count, cfg, Rng(7))
+    assert np.array_equal(w, rw)
+    assert np.array_equal(b, rb)
+    assert np.array_equal(b_dec, rb_dec)
+    assert stats["loss"] == rloss
 
 
 @pytest.mark.parametrize("d,side,count,seed", [(9, 3, 4, 20), (25, 5, 3, 21)])

@@ -60,6 +60,25 @@ def test_fix_signs_matches_column_loop():
     assert got.flags["C_CONTIGUOUS"]
 
 
+def test_fix_signs_tall_matches_column_loop():
+    # the (d, k) shape of a WPCA lift, d >> k
+    gen = np.random.default_rng(8)
+    v = gen.standard_normal((5000, 6))
+    v[17, 1] = -9.0                    # a lone negative lead
+    v[40, 2], v[41, 2] = 9.0, -9.0     # ties: the first entry decides
+    v[40, 3], v[41, 3] = -9.0, 9.0
+    want = v.copy()
+    for j in range(want.shape[1]):
+        col = want[:, j]
+        if col[int(np.argmax(np.abs(col)))] < 0.0:
+            want[:, j] = -col
+    got = fix_signs(v)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[:, 1], -v[:, 1])
+    assert np.array_equal(got[:, 3], -v[:, 3])
+    assert got.flags["C_CONTIGUOUS"]
+
+
 def test_one_by_one():
     vals, vecs = jacobi_eigh(np.array([[4.0]]))
     assert vals[0] == 4.0 and vecs[0, 0] == 1.0
