@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .forkpool import fork_pool, shared_zeros, worker_state
+from .forkpool import fork_pool, shared_zeros
 from .linalg import fix_row_signs, jacobi_eigh
 from .rng import Rng
 
@@ -38,6 +38,14 @@ class LinearSvmModel:
     classes: np.ndarray          # sorted ascending
     weights: np.ndarray          # (n_classes, dim)
     objective_history: Optional[list] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        classes, weights = self.classes, self.weights
+        if (classes.ndim != 1 or (np.diff(classes) <= 0).any()
+                or weights.ndim != 2 or weights.shape[0] != classes.size):
+            raise ValueError(f"svm needs sorted unique 1-D classes and one "
+                             f"weight row per class, got classes {classes} "
+                             f"and weights of shape {weights.shape}")
 
 
 class WpcaSizeError(ValueError):
@@ -67,6 +75,21 @@ class WpcaCosineModel:
     wpca: WpcaModel
     train_vectors: np.ndarray    # projected training set
     train_labels: np.ndarray
+
+    def __post_init__(self):
+        shapes = (self.wpca.mean.shape, self.wpca.projection.shape,
+                  self.train_vectors.shape, self.train_labels.shape)
+        mean, projection, vectors, labels = shapes
+        if (len(projection) != 2 or len(labels) != 1 or mean != projection[1:]
+                or vectors != (labels[0], projection[0])):
+            raise ValueError("wpca_cosine needs mean, projection, train_vectors "
+                             "and train_labels of shapes (d,), (k, d), (n, k), "
+                             "(n,), got " + ", ".join(map(str, shapes)))
+
+    @property
+    def classes(self) -> np.ndarray:
+        """The training labels, sorted and unique."""
+        return np.unique(self.train_labels)
 
 
 def as_csr(features) -> sp.csr_matrix:
@@ -152,21 +175,17 @@ def _solve_class(problem, k):
     return np.asarray(hist), violation
 
 
-def _solve_class_in_worker(k):
-    return _solve_class(worker_state(), k)
-
-
 def svm_train(features, labels, cost_c: float = 1.0,
               rng: Rng | None = None, jobs: int = 1) -> LinearSvmModel:
     """One-vs-rest linear SVM on sparse features.
 
-    At ``jobs`` > 1 the classes are solved by ``min(jobs, n_classes)``
-    forked workers, which read the features copy-on-write and write each
-    class's weights into one output array shared with this process; only
-    the objective histories and final violations come back through the
-    pool. Each class draws its own stream, seeded from its label, so the
-    result does not depend on ``jobs``. Non-convergence warnings are
-    logged here, in class order.
+    The classes are solved by ``run(_solve_class, range(n_classes), 1)``
+    over ``forkpool.fork_pool(min(jobs, n_classes), problem)``, each
+    writing its weights into one ``shared_zeros`` array at every ``jobs``;
+    only the objective histories and final violations are returned. Each
+    class draws its own stream, seeded from its label, so the result does
+    not depend on ``jobs``. Non-convergence warnings are logged here, in
+    class order.
     """
     x = as_csr(features)
     y_all = np.asarray(labels, dtype=np.int64)
@@ -183,17 +202,11 @@ def svm_train(features, labels, cost_c: float = 1.0,
 
     qii = np.asarray(x.multiply(x).sum(axis=1)).ravel()
 
-    workers = min(jobs, classes.size)
-    shape = (classes.size, x.shape[1])
-    weights = shared_zeros(shape) if workers > 1 else np.zeros(shape)
+    weights = shared_zeros((classes.size, x.shape[1]))
     problem = (x, x.indices.astype(np.intp), y_all, classes, cost_c, qii,
                rng, weights)
-    with fork_pool(workers, problem) as pool:
-        if pool is None:
-            solved = [_solve_class(problem, k) for k in range(classes.size)]
-        else:
-            solved = pool.map(_solve_class_in_worker, range(classes.size),
-                              chunksize=1)
+    with fork_pool(min(jobs, classes.size), problem) as run:
+        solved = run(_solve_class, range(classes.size), 1)
     for cls, (hist, violation) in zip(classes, solved):
         if violation >= SVM_TOL:
             log.warning("SVM class %d did not converge: %d passes, max "

@@ -1,16 +1,15 @@
 """End-to-end orchestration: train both layers, encode, classify, evaluate.
 
-Feature extraction is a pure function of (model, image), so it can fan out
-over ``jobs`` forked workers; chunks are merged back in input order, which
-keeps every result identical to the single-process run. A worker sends back
-each image's ``(indices, counts)`` in the narrowest dtypes that hold them:
-int32 indices wherever scipy indexes the CSR matrix with int32, and counts
-sized to a block's pixel count. The parent so unpickles a fraction of the
-int64 pair, and builds the same matrix. One pool serves a whole call,
-including every chunk of an evaluation. Training then passes the same
-``jobs`` to ``svm_train``, which forks its own pool after the features
-exist and solves the one-vs-rest classes in parallel, each writing its
-weights into one output array shared with the parent.
+Feature extraction is a pure function of (model, image): a batch is one
+call ``run(_encode_one, images, 16)`` of ``forkpool.fork_pool(jobs,
+model)``, so every ``jobs`` runs the same function on the same model. Each
+image comes back as ``(indices, counts)`` in the narrowest dtypes that hold
+them: int32 indices wherever scipy indexes the CSR matrix with int32, and
+counts sized to a block's pixel count. The parent so unpickles a fraction
+of the int64 pair, and builds the same matrix. One pool serves a whole
+call, including every chunk of an evaluation. Training then passes the
+same ``jobs`` to ``svm_train``, which forks its own pool after the
+features exist.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .classify import (LinearSvmModel, WpcaCosineModel, as_csr,
 from . import encoder
 from .filters import (draw_patch_locations, gather_patches, learn_dae_filters,
                       learn_pca_filters, sample_patches)
-from .forkpool import fork_pool, worker_state
+from .forkpool import fork_pool
 # build_stack is not called here; perfbench's tracer wraps experiment.build_stack
 from .pipeline import build_stack, code_maps, extraction_steps, map_layer  # noqa: F401
 from .preprocess import lcn_matrix, whiten_apply, whiten_fit
@@ -82,7 +81,7 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != len(images):
         raise ValueError("label/image count mismatch")
-    h, w = images[0].pixels.shape
+    h, w = _image_size(images)
     if cfg.block_w > w or cfg.block_h > h:
         raise ValueError(f"block {cfg.block_w}x{cfg.block_h} is larger than "
                          f"the {w}x{h} images")
@@ -110,9 +109,7 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     # layer-2 patches come from first-layer maps; maps are built lazily for
     # the images the draw actually touches, all L1 maps of an image forming
     # consecutive sources
-    sizes = []
-    for img in images:
-        sizes.extend([img.pixels.shape] * cfg.l1)
+    sizes = [(h, w)] * (len(images) * cfg.l1)
     locations = draw_patch_locations(sizes, shape, cfg.patches_per_layer,
                                      rng.stream("patches.layer2"))
     cache = {"idx": -1, "maps": None}
@@ -168,23 +165,21 @@ def _encode_one(model, image):
             feat.counts.astype(np.min_scalar_type(cfg.block_w * cfg.block_h)))
 
 
-def _worker_encode(image):
-    return _encode_one(worker_state(), image)
-
-
-def _features(model: TrainedModel, images, pool) -> sp.csr_matrix:
+def _image_size(images) -> tuple[int, int]:
+    """The (h, w) shared by every image of a nonempty batch."""
     sizes = {as_2d(image).shape for image in images}
     if len(sizes) != 1:
         raise ValueError(f"images differ in size: {sorted(sizes)}")
-    if pool is not None:
-        pairs = pool.map(_worker_encode, images, chunksize=16)
-    else:
-        pairs = [_encode_one(model, image) for image in images]
+    return sizes.pop()
+
+
+def _features(model: TrainedModel, images, run) -> sp.csr_matrix:
+    dim = encoder.feature_dim(_image_size(images), model.config)
+    pairs = run(_encode_one, images, 16)
     indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
     np.cumsum([idx.size for idx, _ in pairs], out=indptr[1:])
     indices = np.concatenate([idx for idx, _ in pairs])
     data = np.concatenate([cnt for _, cnt in pairs], dtype=np.float64)
-    dim = encoder.feature_dim(sizes.pop(), model.config)
     return sp.csr_matrix((data, indices, indptr), shape=(len(pairs), dim))
 
 
@@ -192,8 +187,8 @@ def extract_features(model: TrainedModel, images, jobs: int = 1) -> sp.csr_matri
     """Histogram features for a batch of images as a CSR matrix."""
     if len(images) == 0:
         raise ValueError("no samples")
-    with fork_pool(jobs, model) as pool:
-        return _features(model, images, pool)
+    with fork_pool(jobs, model) as run:
+        return _features(model, images, run)
 
 
 def predict_features(model: TrainedModel, features) -> np.ndarray:
@@ -228,15 +223,12 @@ def evaluate_model(model: TrainedModel, images, labels, jobs: int = 1,
         raise ValueError("no samples")
     if labels.shape[0] != len(images):
         raise ValueError("label/image count mismatch")
-    model_classes = (model.classifier.classes
-                     if isinstance(model.classifier, LinearSvmModel)
-                     else np.unique(model.classifier.train_labels))
-    classes = np.union1d(model_classes, np.unique(labels))
+    classes = np.union1d(model.classifier.classes, np.unique(labels))
     index = {int(c): i for i, c in enumerate(classes)}
     confusion = np.zeros((classes.size, classes.size), dtype=np.int64)
-    with fork_pool(jobs, model) as pool:
+    with fork_pool(jobs, model) as run:
         for start in range(0, len(images), chunk):
-            feats = _features(model, images[start:start + chunk], pool)
+            feats = _features(model, images[start:start + chunk], run)
             preds = predict_features(model, feats)
             for true, pred in zip(labels[start:start + chunk], preds):
                 confusion[index[int(true)], index[int(pred)]] += 1

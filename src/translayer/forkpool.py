@@ -1,10 +1,10 @@
 """Fan work out over forked worker processes.
 
-Workers are forked, not spawned, so they see the parent's arrays (the
-model, the training features) copy-on-write and nothing large is pickled
-on the way in. The caller's state reaches each worker through the pool
-initializer and is read back there with :func:`worker_state`. Results
-that are too large to send back through the pool go into an array from
+:func:`fork_pool` yields ``run(fn, items, chunksize)``, which returns
+``[fn(state, item) for item in items]`` at every ``jobs``. Workers are
+forked, not spawned, so they see ``state`` (the model, the training
+features) copy-on-write and nothing large is pickled on the way in.
+Results too large to send back through the pool go into an array from
 :func:`shared_zeros`, which is allocated before the fork.
 
 Each worker sets every OpenBLAS the process has loaded to one thread, so
@@ -74,21 +74,23 @@ def _init(state, blas_setters):
         set_threads(1)
 
 
-def worker_state():
-    """The ``state`` that the pool this worker belongs to was created with."""
-    return _STATE
+def _call(fn, item):
+    return fn(_STATE, item)
 
 
 @contextmanager
 def fork_pool(jobs: int, state):
-    """A pool of ``jobs`` forked workers holding ``state``; None at jobs <= 1."""
+    """Yield ``run(fn, items, chunksize)`` = ``[fn(state, item) for item in
+    items]``, run over ``jobs`` forked workers when ``jobs > 1``. ``fn``
+    must be defined at module level, where a worker can look it up."""
     if jobs <= 1:
-        yield None
+        yield lambda fn, items, chunksize: [fn(state, item) for item in items]
         return
     ctx = mp.get_context("fork")
     with ctx.Pool(jobs, initializer=_init,
                   initargs=(state, _blas_thread_setters())) as pool:
-        yield pool
+        yield lambda fn, items, chunksize: pool.map(
+            functools.partial(_call, fn), items, chunksize=chunksize)
 
 
 def shared_zeros(shape) -> np.ndarray:

@@ -33,22 +33,12 @@ def _offdiag_norm(a: np.ndarray) -> float:
 def fix_row_signs(rows: np.ndarray) -> None:
     """Flip, in place, each row so its largest-magnitude entry is positive.
 
-    Ties pick the first such entry. The scan runs along rows, so a
+    Ties pick the first such entry. Makes eigenvector (and therefore
+    filter) signs reproducible. The scan runs along rows, so a
     C-contiguous ``rows`` is read in memory order.
     """
     lead = np.argmax(np.abs(rows), axis=1)
     rows[rows[np.arange(rows.shape[0]), lead] < 0.0] *= -1.0
-
-
-def fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive.
-
-    Ties pick the first such entry. Makes eigenvector (and therefore
-    filter) signs reproducible. Returns a C-contiguous copy.
-    """
-    rows = np.array(vectors.T, order="C")
-    fix_row_signs(rows)
-    return np.ascontiguousarray(rows.T)
 
 
 def round_robin_schedule(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -97,8 +87,8 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a symmetric matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
-    descending order and eigenvectors as the corresponding columns, signs
-    fixed by :func:`fix_signs`.
+    descending order and eigenvectors as the corresponding columns (a
+    C-contiguous array), each column's sign fixed by :func:`fix_row_signs`.
     """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -136,4 +126,6 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     eigvals = np.diag(a).copy()
     order = np.argsort(-eigvals, kind="stable")
-    return eigvals[order], fix_signs(vt.T[:, order])
+    rows = vt[order]
+    fix_row_signs(rows)
+    return eigvals[order], np.ascontiguousarray(rows.T)

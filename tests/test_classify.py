@@ -376,7 +376,7 @@ def test_dense_gram_equals_sparse_gram_on_counts(n, blocks, bins, one_bin):
 def wpca_fit_gram_reference(x, target_dim):
     """The Gram route before the dense product: sparse ``x @ x.T`` and
     components lifted in column layout, signs fixed per column."""
-    from translayer.linalg import fix_signs, jacobi_eigh
+    from translayer.linalg import fix_row_signs, jacobi_eigh
     n = x.shape[0]
     mean = np.asarray(x.mean(axis=0)).ravel()
     gram_xx = (x @ x.T).toarray()
@@ -385,10 +385,12 @@ def wpca_fit_gram_reference(x, target_dim):
     eigvals, dual_vecs = jacobi_eigh(gram)
     dual = dual_vecs[:, :target_dim]
     dual_sums = np.array([float(v.sum()) for v in dual.T])
-    components = fix_signs((np.asarray(x.T @ dual) - mean[:, None] * dual_sums)
-                           / np.sqrt((n - 1) * eigvals[:target_dim]))
+    components = ((np.asarray(x.T @ dual) - mean[:, None] * dual_sums)
+                  / np.sqrt((n - 1) * eigvals[:target_dim]))
+    rows = components.T.copy()
+    fix_row_signs(rows)
     scale = 1.0 / np.sqrt(eigvals[:target_dim])
-    return mean, components.T * scale[:, None]
+    return mean, rows * scale[:, None]
 
 
 @pytest.mark.parametrize("n,blocks,bins,target_dim,one_bin", [

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import zlib
 from dataclasses import replace
@@ -306,6 +307,79 @@ def test_rewritten_config_with_same_settings_loads(tmp_path, tiny_model):
     rewrite_config(path, tiny_model.config)
     assert path.read_bytes() == before
     assert load_model(path).config == tiny_model.config
+
+
+def rewrite_classifier(path, edit):
+    """Replace the classifier section, the last one, of a saved model by
+    ``edit`` of its arrays, packed as :func:`section_arrays` reads them and
+    with a valid checksum."""
+    blob = path.read_bytes()
+    pos = 8
+    for _ in range(5):
+        (length,) = struct.unpack_from("<Q", blob, pos)
+        pos += 8 + length + 4
+    payload = b""
+    for arr in edit(section_arrays(path)[-1]):
+        kind = 0 if arr.dtype.kind == "f" else 1
+        payload += (struct.pack("<BB", kind, arr.ndim)
+                    + struct.pack(f"<{arr.ndim}q", *arr.shape)
+                    + arr.astype(("<f8", "<i8")[kind]).tobytes())
+    path.write_bytes(blob[:pos] + struct.pack("<Q", len(payload)) + payload
+                     + struct.pack("<I", zlib.crc32(payload)))
+
+
+@pytest.fixture(scope="module")
+def tiny_wpca_model(glyph_train):
+    images, labels = glyph_train
+    return train_model(tiny_config(classifier="wpca_cosine", wpca_dim=5),
+                       images[:20], labels[:20])
+
+
+def test_rewritten_classifier_with_same_arrays_loads(tmp_path, tiny_model,
+                                                     tiny_wpca_model):
+    for model in (tiny_model, tiny_wpca_model):
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        before = path.read_bytes()
+        rewrite_classifier(path, lambda arrays: arrays)
+        assert path.read_bytes() == before
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: [c[0], c[1][:-1]], r"\[0 1 2 3 4 5 6 7 8 9\] .* \(9, 5120\)"),
+    (lambda c: [c[0][:-1], c[1]], r"\[0 1 2 3 4 5 6 7 8\] .* \(10, 5120\)"),
+    (lambda c: [c[0][::-1], c[1]], r"\[9 8 7 6 5 4 3 2 1 0\]"),
+    (lambda c: [np.sort(np.r_[c[0][:-1], c[0][:1]]), c[1]],
+     r"\[0 0 1 2 3 4 5 6 7 8\]"),
+    (lambda c: [c[0][None], c[1]], r"\[\[0 1 2 3 4 5 6 7 8 9\]\]"),
+], ids=["fewer-rows", "more-rows", "reversed", "duplicate", "2-d-classes"])
+def test_svm_arrays_disagreeing_with_each_other_rejected(tmp_path, tiny_model,
+                                                         edit, message):
+    path = tmp_path / "model.bin"
+    save_model(tiny_model, path)
+    rewrite_classifier(path, edit)
+    with pytest.raises(ModelFormatError,
+                       match="invalid model: svm needs .* got classes " + message):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit, got", [
+    (lambda c: [c[0], c[1], c[2], c[3][:-5]], "(5120,), (5, 5120), (20, 5), (15,)"),
+    (lambda c: [c[0], c[1], c[2][:, :-1], c[3]], "(5120,), (5, 5120), (20, 4), (20,)"),
+    (lambda c: [c[0][:-1], c[1], c[2], c[3]], "(5119,), (5, 5120), (20, 5), (20,)"),
+    (lambda c: [c[0], c[1][0], c[2], c[3]], "(5120,), (5120,), (20, 5), (20,)"),
+    (lambda c: [c[0], c[1], c[2], c[3][:, None]], "(5120,), (5, 5120), (20, 5), (20, 1)"),
+], ids=["fewer-labels", "narrow-vectors", "short-mean", "1-d-projection",
+        "2-d-labels"])
+def test_wpca_arrays_disagreeing_with_each_other_rejected(
+        tmp_path, tiny_wpca_model, edit, got):
+    path = tmp_path / "model.bin"
+    save_model(tiny_wpca_model, path)
+    rewrite_classifier(path, edit)
+    with pytest.raises(ModelFormatError, match=r"invalid model: wpca_cosine "
+                       r"needs .* got " + re.escape(got) + "$"):
+        load_model(path)
 
 
 def test_model_unknown_magic(tmp_path):

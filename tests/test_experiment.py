@@ -87,7 +87,7 @@ def blas_thread_counts():
     return counts
 
 
-def _blas_threads_in_worker(_):
+def _blas_threads_in_worker(_state, _item):
     return blas_thread_counts()
 
 
@@ -99,8 +99,8 @@ def test_forked_workers_run_one_blas_thread():
     try:
         for set_threads in setters:
             set_threads(2)   # more than one, whatever the environment set
-        with forkpool.fork_pool(2, None) as pool:
-            seen = pool.map(_blas_threads_in_worker, range(4), chunksize=1)
+        with forkpool.fork_pool(2, None) as run:
+            seen = run(_blas_threads_in_worker, range(4), 1)
         assert seen == [[1] * len(before)] * 4
         assert blas_thread_counts() == [2] * len(before)  # the parent keeps its own
     finally:
@@ -134,6 +134,25 @@ def test_mixed_image_sizes_rejected_before_encoding(tiny_model, monkeypatch):
     monkeypatch.setattr(experiment, "code_maps", no_encoding)
     with pytest.raises(ValueError, match=r"differ in size: \[\(28, 28\), \(28, 30\)\]"):
         extract_features(tiny_model, [np.zeros((28, 28)), np.zeros((28, 30))])
+
+
+def test_mixed_image_sizes_rejected_before_sampling(glyph_train, monkeypatch):
+    monkeypatch.setattr(experiment, "sample_patches", no_patches)
+    images, labels = glyph_train
+    mixed = images[:9] + [np.zeros((28, 30))]
+    with pytest.raises(ValueError, match=r"differ in size: \[\(28, 28\), \(28, 30\)\]"):
+        train_model(tiny_config(), mixed, labels[:10])
+
+
+def test_training_on_plain_arrays_saves_the_same_bytes(glyph_train, tmp_path):
+    images, labels = glyph_train
+    cfg = tiny_config(patches_per_layer=200)
+    saved = []
+    for batch in (images[:20], [image.pixels for image in images[:20]]):
+        path = tmp_path / "model.bin"
+        save_model(train_model(cfg, batch, labels[:20]), path)
+        saved.append(path.read_bytes())
+    assert saved[1] == saved[0]
 
 
 def test_more_than_sixteen_first_layer_maps_rejected(tiny_model, glyph_test):

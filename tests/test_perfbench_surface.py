@@ -6,6 +6,7 @@ full benchmark run. These checks import ``perfbench/spans.py`` as it is and
 exercise the same calls on tiny inputs.
 """
 
+import dataclasses
 import os
 import sys
 
@@ -20,14 +21,38 @@ PERFBENCH = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
 
-@pytest.fixture(scope="module")
-def spans():
+def perfbench_module(name):
     sys.path.insert(0, PERFBENCH)
     try:
-        import spans as module
+        return __import__(name)
     finally:
         sys.path.remove(PERFBENCH)
-    return module
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return perfbench_module("spans")
+
+
+def test_phases_run_on_a_small_workload(tmp_path):
+    # every model attribute and default the phases read: img.pixels,
+    # model.bank1.shape, classifier.objective_history, model.encoder and
+    # evaluate_model's chunk; and the jobs=1 against jobs=2 comparison
+    phases = perfbench_module("phases")
+    workloads = perfbench_module("workloads")
+    workload = dataclasses.replace(workloads.WORKLOADS["train_svm"],
+                                   n_train=20, n_test=12)
+    phases.setup(workload, 1, str(tmp_path))
+    trained = phases.train(workload, 1, str(tmp_path), jobs=2)
+    evaluated = phases.evaluate(workload, str(tmp_path), jobs=2)
+    checked = phases.checks(workload, str(tmp_path), jobs=2)
+    assert trained["images"] == 20 and len(trained["svm_passes"]) >= 2
+    assert all(passes >= 1 for passes in trained["svm_passes"])
+    assert evaluated["samples"] == 12
+    assert checked["roundtrip_identical"] and checked["parallel_equal"]
+    assert checked["test_chunks"] == 1
+    assert 0.0 <= checked["const_window_frac"] < 1.0
+    assert len(checked["code_digest"]) == len(checked["prediction_digest"]) == 16
 
 
 def test_every_binding_resolves(spans):
