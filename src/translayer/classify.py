@@ -216,11 +216,17 @@ def svm_train(features, labels, cost_c: float = 1.0,
                           objective_history=[hist for hist, _ in solved])
 
 
-def decision_values(model: LinearSvmModel, features) -> np.ndarray:
+def _as_csr_of_width(features, width: int) -> sp.csr_matrix:
+    """``as_csr(features)``, rejecting a width other than the model's."""
     x = as_csr(features)
-    if x.shape[1] != model.weights.shape[1]:
+    if x.shape[1] != width:
         raise ValueError(f"features have dimension {x.shape[1]}, the model "
-                         f"{model.weights.shape[1]}")
+                         f"{width}")
+    return x
+
+
+def decision_values(model: LinearSvmModel, features) -> np.ndarray:
+    x = _as_csr_of_width(features, model.weights.shape[1])
     return np.asarray(x @ model.weights.T)
 
 
@@ -287,7 +293,7 @@ def wpca_fit(features, target_dim: int) -> WpcaModel:
 
 
 def wpca_apply(model: WpcaModel, features) -> np.ndarray:
-    dense = as_csr(features).toarray()
+    dense = _as_csr_of_width(features, model.mean.shape[0]).toarray()
     dense -= model.mean  # in place: one dense copy of the batch, not two
     return dense @ model.projection.T
 

@@ -45,11 +45,12 @@ def load_dataset(paths):
     """One path: 785-column text. Two paths: IDX images + labels."""
     for p in paths:
         _require_file(p)
-    if len(paths) == 1:
-        return dataio.read_amat(paths[0])
-    if len(paths) == 2:
-        return dataio.read_idx(paths[0], paths[1])
-    raise UsageError("expected one (text) or two (idx images labels) data paths")
+    if len(paths) not in (1, 2):
+        raise UsageError("expected one (text) or two (idx images labels) data paths")
+    images, labels = (dataio.read_amat if len(paths) == 1 else dataio.read_idx)(*paths)
+    if len(images) == 0:
+        raise UsageError(f"no samples in {' '.join(paths)}")
+    return images, labels
 
 
 def _load_validated_config(path, seed_override):
@@ -82,8 +83,6 @@ def cmd_eval(args) -> int:
     _require_out_dir(args.out)
     model = dataio.load_model(_require_file(args.model))
     images, labels = load_dataset(args.test)
-    if len(images) == 0:
-        raise UsageError("no samples in the test set")
     t0 = time.perf_counter()
     result = evaluate_model(model, images, labels, jobs=args.jobs)
     log.info("evaluated %d samples in %.1f s", result.samples,

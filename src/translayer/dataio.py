@@ -1,7 +1,7 @@
 """Dataset readers, the model container format, and image dumps.
 
 Models are stored in a versioned binary container: an 8-byte magic
-``DTLNMDL3`` followed by six length-prefixed sections (config text,
+``DTLNMDL4`` followed by six length-prefixed sections (config text,
 bank1, whiten1, bank2, whiten2, classifier), each closed by a CRC32 of
 its payload. The config section is the only record of the settings. Each
 other section holds learned arrays and nothing else, in the layout the
@@ -28,7 +28,7 @@ from .types import (DAE, ConfigError, FilterBank, GrayImage, TrainedModel,
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-MODEL_MAGIC = b"DTLNMDL3"
+MODEL_MAGIC = b"DTLNMDL4"
 _SECTIONS = ("config", "bank1", "whiten1", "bank2", "whiten2", "classifier")
 
 

@@ -29,7 +29,7 @@ from .filters import (draw_patch_locations, gather_patches, learn_dae_filters,
                       learn_pca_filters, sample_patches)
 from .forkpool import fork_pool
 # build_stack is not called here; perfbench's tracer wraps experiment.build_stack
-from .pipeline import build_stack, code_maps, extraction_steps, map_layer  # noqa: F401
+from .pipeline import build_stack, code_maps, lcn_constant, map_layer  # noqa: F401
 from .preprocess import lcn_matrix, whiten_apply, whiten_fit
 from .rng import Rng
 from .types import Config, DAE, TrainedModel, as_2d, validate_config
@@ -48,8 +48,9 @@ class StageTimer:
 
 
 def _preprocess_patches(patches, cfg: Config):
-    if cfg.lcn:
-        patches = lcn_matrix(patches, cfg.lcn_c)
+    lcn = lcn_constant(cfg)
+    if lcn is not None:
+        patches = lcn_matrix(patches, lcn)
     transform = whiten_fit(patches, cfg.whiten_epsilon)
     return whiten_apply(transform, patches), transform
 
@@ -81,6 +82,8 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != len(images):
         raise ValueError("label/image count mismatch")
+    if cfg.classifier == "svm" and np.unique(labels).size < 2:
+        raise ValueError("need at least two classes")
     h, w = _image_size(images)
     if cfg.block_w > w or cfg.block_h > h:
         raise ValueError(f"block {cfg.block_w}x{cfg.block_h} is larger than "
@@ -113,12 +116,12 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     locations = draw_patch_locations(sizes, shape, cfg.patches_per_layer,
                                      rng.stream("patches.layer2"))
     cache = {"idx": -1, "maps": None}
-    lcn, whiten, _ = extraction_steps(cfg, whiten1)
+    lcn = lcn_constant(cfg)
 
     def fetch(source_idx: int):
         image_idx, map_idx = divmod(source_idx, cfg.l1)
         if cache["idx"] != image_idx:
-            cache["maps"] = map_layer(images[image_idx], bank1, whiten, lcn)
+            cache["maps"] = map_layer(images[image_idx], bank1, whiten1, lcn)
             cache["idx"] = image_idx
         return cache["maps"][map_idx]
 

@@ -3,9 +3,9 @@
 Each output pixel is the response of a filter to the window centered on it
 in the zero-padded input, so maps keep the input's size. Each window is
 contrast normalized and whitened with the layer's training-fit transform
-before the dot product; :func:`extraction_steps` decides which of the two
-steps run, and with neither the map is the plain sliding correlation. The
-contrast step is given as its constant ``c``, or None when it is off.
+before the dot product, the two steps its filters were learned with. The
+contrast step is given as its constant ``c`` (:func:`lcn_constant`), or
+None when the config turns it off; whitening always runs.
 
 :func:`build_stack` keeps every response as a float map. Feature
 extraction only needs the binary codes, so :func:`code_maps` computes the
@@ -49,24 +49,23 @@ def window_rows(arr: np.ndarray, shape: PatchShape) -> np.ndarray:
     return windows.reshape(arr.size, shape.dim)
 
 
-def map_layer(image, bank: FilterBank, whiten: WhiteningTransform | None = None,
+def map_layer(image, bank: FilterBank, whiten: WhiteningTransform,
               lcn: float | None = None) -> np.ndarray:
     """Response maps of one filter bank, shape (L, h, w).
 
-    ``lcn`` is the contrast constant; None skips contrast normalization, and
-    ``whiten=None`` skips whitening. Autoencoder banks add their bias and
-    squash through tanh.
+    Each window is contrast normalized with the constant ``lcn`` (None skips
+    the step) and whitened with ``whiten`` before the filter product.
+    Autoencoder banks add their bias and squash through tanh.
     """
     arr = as_2d(image)
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("empty input")
+    if whiten.dim != bank.shape.dim:
+        raise ValueError("whitening dimension mismatch")
     rows = window_rows(arr, bank.shape)
     if lcn is not None:
         rows = lcn_rows(rows, lcn)
-    if whiten is not None:
-        if whiten.dim != bank.shape.dim:
-            raise ValueError("whitening dimension mismatch")
-        rows = rows @ whiten.matrix  # symmetric, so right-multiply works
+    rows = rows @ whiten.matrix  # symmetric, so right-multiply works
     responses = rows @ bank.weights.T
     if bank.layer_kind == DAE:
         responses = np.tanh(responses + bank.biases[None, :])
@@ -74,17 +73,9 @@ def map_layer(image, bank: FilterBank, whiten: WhiteningTransform | None = None,
     return responses.T.reshape(bank.count, h, w).copy()
 
 
-def extraction_steps(config: Config, whiten1: WhiteningTransform,
-                     whiten2: WhiteningTransform | None = None):
-    """The preprocessing extraction applies, as ``(lcn, whiten1, whiten2)``.
-
-    ``lcn`` is the contrast constant ``lcn_c``. Each step that is off is
-    None: contrast normalization without ``lcn``, all three without
-    ``preprocess_at_extraction``.
-    """
-    if not config.preprocess_at_extraction:
-        return None, None, None
-    return (config.lcn_c if config.lcn else None), whiten1, whiten2
+def lcn_constant(config: Config) -> float | None:
+    """The contrast constant extraction uses: ``lcn_c``, None with ``lcn`` off."""
+    return config.lcn_c if config.lcn else None
 
 
 def build_stack(image, model: TrainedModel) -> tuple[np.ndarray, np.ndarray]:
@@ -94,15 +85,14 @@ def build_stack(image, model: TrainedModel) -> tuple[np.ndarray, np.ndarray]:
     first-layer maps also reach the encoder is decided later by the
     trans-layer flag.
     """
-    lcn, whiten1, whiten2 = extraction_steps(model.config, model.whiten1,
-                                             model.whiten2)
-    layer1 = map_layer(image, model.bank1, whiten1, lcn)
+    lcn = lcn_constant(model.config)
+    layer1 = map_layer(image, model.bank1, model.whiten1, lcn)
     l1 = model.bank1.count
     l2 = model.bank2.count
     h, w = layer1.shape[1:]
     layer2 = np.empty((l1, l2, h, w), dtype=np.float64)
     for i in range(l1):
-        layer2[i] = map_layer(layer1[i], model.bank2, whiten2, lcn)
+        layer2[i] = map_layer(layer1[i], model.bank2, model.whiten2, lcn)
     return layer1, layer2
 
 
@@ -112,15 +102,14 @@ def code_maps(image, model: TrainedModel) -> np.ndarray:
     Equal to ``compress_groups(build_stack(image, model), trans_layer)``,
     including its checks, without computing second-layer float maps.
     """
-    lcn, whiten1, whiten2 = extraction_steps(model.config, model.whiten1,
-                                             model.whiten2)
-    layer1 = map_layer(image, model.bank1, whiten1, lcn)
+    lcn = lcn_constant(model.config)
+    layer1 = map_layer(image, model.bank1, model.whiten1, lcn)
     l1_bits = binarize(layer1)
-    l2_bits = _layer2_bits(layer1, model.bank2, whiten2, lcn)
+    l2_bits = _layer2_bits(layer1, model.bank2, model.whiten2, lcn)
     return pack_codes(l1_bits, l2_bits, model.config.trans_layer)
 
 
-def _fused_filters(bank: FilterBank, whiten: WhiteningTransform | None,
+def _fused_filters(bank: FilterBank, whiten: WhiteningTransform,
                    lcn: float | None):
     """Fused filters H and each filter's error coefficient.
 
@@ -133,11 +122,8 @@ def _fused_filters(bank: FilterBank, whiten: WhiteningTransform | None,
     |H @ window - exact| and (std + c) times the window path's error stay
     below ``coef * max|window|`` with the safety factor to spare.
     """
-    weights = bank.weights
-    gain = np.abs(weights)
-    if whiten is not None:
-        weights = weights @ whiten.matrix.T
-        gain = gain @ np.abs(whiten.matrix).T
+    weights = bank.weights @ whiten.matrix.T
+    gain = np.abs(bank.weights) @ np.abs(whiten.matrix).T
     if lcn is not None:
         weights = weights - weights.mean(axis=1, keepdims=True)
     d = bank.shape.dim
@@ -162,7 +148,7 @@ def _window_max_abs(padded: np.ndarray, shape: PatchShape) -> np.ndarray:
 
 
 def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
-                 whiten: WhiteningTransform | None,
+                 whiten: WhiteningTransform,
                  lcn: float | None) -> np.ndarray:
     """Binarized second-layer maps of every first-layer map, (L1, L2, h, w).
 

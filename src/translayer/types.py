@@ -165,7 +165,6 @@ class Config:
     stride_x: int = 3
     stride_y: int = 3
     trans_layer: bool = True
-    preprocess_at_extraction: bool = True
     classifier: str = "svm"
     svm_c: float = 1.0
     wpca_dim: int = 64

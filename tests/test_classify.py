@@ -346,6 +346,14 @@ def test_wpca_accepts_sparse():
     assert np.abs(proj.var(axis=0, ddof=1) - 1.0).max() < 1e-6
 
 
+@pytest.mark.parametrize("width", [30, 50])
+def test_wpca_feature_width_must_match_model(width):
+    model = wpca_fit(np.random.default_rng(12).random((25, 40)), 3)
+    with pytest.raises(ValueError,
+                       match=f"features have dimension {width}, the model 40"):
+        wpca_apply(model, sp.csr_matrix((2, width)))
+
+
 def block_counts(n, blocks, bins, seed, one_bin=False):
     """Integer block-histogram features: each row spreads 49 pixels per
     block over ``bins`` bins, or puts all 49 in one bin (``one_bin``)."""

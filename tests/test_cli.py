@@ -146,13 +146,32 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
-def test_empty_test_set_errors(workdir, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["train", "eval", "ablate-train",
+                                     "ablate-test"])
+def test_empty_test_set_errors(command, workdir, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started on an empty data file")
+
+    monkeypatch.setattr(cli, "evaluate_model", never)
+    monkeypatch.setattr(cli, "run_ablation", never)
+    monkeypatch.setattr(cli, "train_model", never)
     empty = tmp_path / "empty.amat"
     empty.write_text("")
-    rc = main(["eval", "--model", str(workdir / "model.bin"),
-               "--test", str(empty), "--out", str(tmp_path / "r.txt")])
-    assert rc == 2
-    assert "no samples" in capsys.readouterr().err
+    data = str(workdir / "train.amat")
+    out = str(tmp_path / "r.txt")
+    config = str(smoke_config(tmp_path))
+    argv = {
+        "train": ["train", "--config", config, "--train", str(empty),
+                  "--model", out],
+        "eval": ["eval", "--model", str(workdir / "model.bin"),
+                 "--test", str(empty), "--out", out],
+        "ablate-train": ["ablate", "--config", config, "--train", str(empty),
+                         "--test", data, "--out", out],
+        "ablate-test": ["ablate", "--config", config, "--train", data,
+                        "--test", str(empty), "--out", out],
+    }[command]
+    assert main(argv) == 2
+    assert f"no samples in {empty}" in capsys.readouterr().err
 
 
 def test_inspect_dumps_expected_counts(workdir, tmp_path):

@@ -248,10 +248,10 @@ def test_model_version_error(tmp_path, tiny_model):
     path = tmp_path / "model.bin"
     save_model(tiny_model, path)
     blob = bytearray(path.read_bytes())
-    blob[:8] = b"DTLNMDL2"
+    blob[:8] = b"DTLNMDL3"
     path.write_bytes(bytes(blob))
     with pytest.raises(ModelFormatError,
-                       match="unsupported model format version 2"):
+                       match="unsupported model format version 3"):
         load_model(path)
 
 
@@ -280,7 +280,7 @@ def rewrite_config(path, config, edit=None):
     (dict(l1=0), "invalid config"),
     (dict(stride_x=9), "invalid config"),
     (lambda text: text + b"future_key=1\n",
-     "section config: line 25: unknown key 'future_key'"),
+     "section config: line 24: unknown key 'future_key'"),
     (lambda text: text.replace(b"\nl1=4\n", b"\nl1=four\n"),
      "section config: l1: "),
     (lambda text: text + b"# \xff\n", "section config: 'utf-8' codec"),

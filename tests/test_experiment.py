@@ -275,6 +275,14 @@ def no_patches(*args, **kwargs):
     raise AssertionError("sampled patches before the config check")
 
 
+def test_single_class_svm_training_fails_before_sampling(glyph_train,
+                                                         monkeypatch):
+    monkeypatch.setattr(experiment, "sample_patches", no_patches)
+    images, _ = glyph_train
+    with pytest.raises(ValueError, match="need at least two classes"):
+        train_model(tiny_config(), images[:10], np.full(10, 3))
+
+
 @pytest.mark.parametrize("block", [dict(block_w=29), dict(block_h=29)])
 def test_block_larger_than_image_fails_before_sampling(glyph_train, monkeypatch,
                                                        block):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from translayer import (Config, FilterBank, GrayImage, PatchShape,
                         TrainedModel, WhiteningTransform, build_stack,
                         compress_groups, map_layer, pipeline)
-from translayer.pipeline import code_maps, extraction_steps
+from translayer.pipeline import code_maps, lcn_constant
 from translayer.preprocess import lcn_rows
 from translayer.types import DAE, PCA
 
@@ -35,9 +35,13 @@ def delta_bank(side):
     return FilterBank(layer_kind=PCA, shape=PatchShape(side, side), weights=w)
 
 
+def identity_whitening(side):
+    return WhiteningTransform(matrix=np.eye(side * side))
+
+
 def test_delta_filter_reproduces_input():
     img = np.random.default_rng(1).random((9, 9))
-    out = map_layer(img, delta_bank(3))
+    out = map_layer(img, delta_bank(3), identity_whitening(3))
     assert out.shape == (1, 9, 9)
     assert np.abs(out[0] - img).max() < 1e-15
 
@@ -68,7 +72,7 @@ def test_constant_image_with_preprocessing():
 def brute_force_map(img, bank, whiten, lcn):
     """Naive per-pixel oracle: pad, slice the window, preprocess, dot.
 
-    ``lcn=None`` and ``whiten=None`` skip their step."""
+    ``lcn=None`` skips contrast normalization."""
     k1, k2 = bank.shape.k1, bank.shape.k2
     padded = np.pad(img, (((k1 - 1) // 2,), ((k2 - 1) // 2,)))
     h, w = img.shape
@@ -78,8 +82,7 @@ def brute_force_map(img, bank, whiten, lcn):
             window = padded[r:r + k1, c:c + k2].ravel()
             if lcn is not None:
                 window = lcn_rows(window[None, :], lcn)[0]
-            if whiten is not None:
-                window = whiten.matrix @ window
+            window = whiten.matrix @ window
             for f in range(bank.count):
                 val = float(bank.weights[f] @ window)
                 if bank.layer_kind == DAE:
@@ -89,19 +92,17 @@ def brute_force_map(img, bank, whiten, lcn):
 
 
 @pytest.mark.parametrize("kind", [PCA, DAE])
-@pytest.mark.parametrize("flag", [False, True])
-def test_matches_naive_window_oracle(kind, flag):
+@pytest.mark.parametrize("lcn_on", [False, True])
+def test_matches_naive_window_oracle(kind, lcn_on):
     gen = np.random.default_rng(3)
     img = gen.random((12, 12))
-    lcn = 10.0
+    lcn = 10.0 if lcn_on else None
     mat = gen.normal(size=(9, 9))
     wh = WhiteningTransform(matrix=0.5 * (mat + mat.T))
     if kind == PCA:
         bank = pca_bank(gen.normal(size=(3, 9)), 3)
     else:
         bank = dae_bank(gen.normal(scale=0.4, size=(3, 9)), gen.normal(size=3), 3)
-    if not flag:
-        wh, lcn = None, None
     got = map_layer(img, bank, wh, lcn)
     want = brute_force_map(img, bank, wh, lcn)
     assert np.abs(got - want).max() < 1e-12
@@ -111,8 +112,8 @@ def test_response_linearity_without_preprocessing():
     gen = np.random.default_rng(4)
     img = gen.random((10, 10))
     bank = pca_bank(gen.normal(size=(2, 25)), 5)
-    one = map_layer(img, bank)
-    scaled = map_layer(2.5 * img, bank)
+    one = map_layer(img, bank, identity_whitening(5))
+    scaled = map_layer(2.5 * img, bank, identity_whitening(5))
     assert np.abs(scaled - 2.5 * one).max() < 1e-10
 
 
@@ -128,17 +129,9 @@ def test_stack_shapes_and_counts(tiny_model, glyph_train):
     assert compress_groups(stack, trans_layer=False).shape == (l2, 28, 28)
 
 
-@pytest.mark.parametrize("preprocess", [True, False])
 @pytest.mark.parametrize("lcn", [True, False])
-def test_extraction_steps_are_none_when_off(preprocess, lcn):
-    cfg = Config(lcn=lcn, lcn_c=4.0, preprocess_at_extraction=preprocess)
-    w1, w2 = WhiteningTransform(np.eye(2)), WhiteningTransform(2 * np.eye(2))
-    got_lcn, got_w1, got_w2 = extraction_steps(cfg, w1, w2)
-    if not preprocess:
-        assert (got_lcn, got_w1, got_w2) == (None, None, None)
-        return
-    assert got_w1 is w1 and got_w2 is w2
-    assert got_lcn == (4.0 if lcn else None)
+def test_lcn_constant_is_none_when_off(lcn):
+    assert lcn_constant(Config(lcn=lcn, lcn_c=4.0)) == (4.0 if lcn else None)
 
 
 def test_build_stack_is_pure(tiny_model, glyph_train):
@@ -202,12 +195,10 @@ def flat_region_images(draw):
 
 @pytest.mark.parametrize("learner", [PCA, DAE])
 @pytest.mark.parametrize("lcn", [True, False])
-@pytest.mark.parametrize("preprocess", [True, False])
 @pytest.mark.parametrize("trans", [True, False])
 @given(image=flat_region_images(), seed=st.integers(0, 2**32 - 1))
-def test_code_maps_match_float_stack(learner, lcn, preprocess, trans, image, seed):
-    model = random_model(learner, 4, 4, seed, lcn=lcn, trans_layer=trans,
-                         preprocess_at_extraction=preprocess)
+def test_code_maps_match_float_stack(learner, lcn, trans, image, seed):
+    model = random_model(learner, 4, 4, seed, lcn=lcn, trans_layer=trans)
     want = compress_groups(build_stack(image, model), trans)
     got = code_maps(image, model)
     assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -1,5 +1,7 @@
 import glob
 import os
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -82,6 +84,16 @@ def test_shipped_config_is_valid_and_canonical(path):
 def test_shipped_configs_found():
     # an empty glob would leave the parametrized check above with no cases
     assert CONFIGS, "no configs/*.conf found"
+
+
+def test_readme_lists_exactly_the_config_fields():
+    # shipped configs are held to the same key set by the canonical-text
+    # check of configs/, since format_config writes every field
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("## Configuration", 1)[1].split("```", 2)[1]
+    keys = re.findall(r"(\w+)=", re.sub(r"#.*", "", block))
+    assert sorted(keys) == sorted(f.name for f in fields(Config))
 
 
 def test_parse_rejects_unknown_key():
