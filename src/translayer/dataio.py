@@ -138,6 +138,9 @@ class _Cursor:
         dt = _ARRAY_DTYPES.get(kind)
         if dt is None:
             raise ModelFormatError(f"section {self.section}: bad array kind")
+        if any(dim < 0 for dim in shape):
+            raise ModelFormatError(f"section {self.section}: negative array "
+                                   "dimension")
         size = int(np.prod(shape)) if ndim else 1
         arr = np.frombuffer(self.take(size * 8), dtype=dt).reshape(shape)
         return arr.astype(np.float64 if kind == 0 else np.int64)
@@ -216,8 +219,7 @@ def load_model(path) -> TrainedModel:
     bank_arrays = 2 if config.learner == DAE else 1   # weights[, biases]
     try:
         bank1, bank2 = (
-            FilterBank(config.learner, config.patch_shape(),
-                       *sections[name].arrays(bank_arrays))
+            FilterBank(config.patch_shape(), *sections[name].arrays(bank_arrays))
             for name in ("bank1", "bank2"))
         whiten1, whiten2 = (WhiteningTransform(*sections[name].arrays(1))
                             for name in ("whiten1", "whiten2"))

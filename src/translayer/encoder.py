@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .types import Config
+from .types import MAX_FILTERS, Config
 
 
 class SparseFeature(NamedTuple):
@@ -49,8 +49,9 @@ def pack_codes(l1_bits: np.ndarray, l2_bits: np.ndarray,
     """Code maps (groups, h, w) uint16 from 0/1 maps: first-layer bits
     (L1, h, w) and second-layer bits (L1, L2, h, w)."""
     l1 = l1_bits.shape[0]
-    if l1 > 16:
-        raise ValueError("groups of more than 16 maps overflow 16-bit codes")
+    if l1 > MAX_FILTERS:
+        raise ValueError(f"groups of more than {MAX_FILTERS} maps overflow "
+                         "16-bit codes")
     parts = [l1_bits[:, None], l2_bits] if trans_layer else [l2_bits]
     # integer arithmetic: each 0/1 map, as uint16, is shifted to its bit
     # position L1-i and the maps of a group are OR-ed together
@@ -60,7 +61,12 @@ def pack_codes(l1_bits: np.ndarray, l2_bits: np.ndarray,
 
 
 def block_counts(map_size: tuple[int, int], cfg: Config) -> tuple[int, int]:
-    w, h = map_size
+    """Blocks across and down an ``(h, w)`` map; a block larger than the
+    map is rejected."""
+    h, w = map_size
+    if cfg.block_w > w or cfg.block_h > h:
+        raise ValueError(f"block {cfg.block_w}x{cfg.block_h} is larger than "
+                         f"the {w}x{h} images")
     nx = (w - cfg.block_w) // cfg.stride_x + 1
     ny = (h - cfg.block_h) // cfg.stride_y + 1
     return nx, ny
@@ -69,8 +75,7 @@ def block_counts(map_size: tuple[int, int], cfg: Config) -> tuple[int, int]:
 def feature_dim(image_shape: tuple[int, int], cfg: Config) -> int:
     """Length of the feature vector of an ``(h, w)`` image: one run of
     2^l1 bins per (code map, block)."""
-    h, w = image_shape
-    nx, ny = block_counts((w, h), cfg)
+    nx, ny = block_counts(image_shape, cfg)
     return (cfg.l2 + cfg.trans_layer) * nx * ny * 2**cfg.l1
 
 
@@ -84,9 +89,7 @@ def feature_of(code_maps: np.ndarray, cfg: Config) -> SparseFeature:
     if maps.min() < 0 or maps.max() >= bins:
         raise ValueError("code outside [0, bins)")
     groups, h, w = maps.shape
-    nx, ny = block_counts((w, h), cfg)
-    if cfg.block_w > w or cfg.block_h > h:
-        raise ValueError("block larger than the map")
+    nx, ny = block_counts((h, w), cfg)
     blocks = groups * nx * ny
     view = sliding_window_view(maps, (cfg.block_h, cfg.block_w), axis=(1, 2))
     tiles = view[:, ::cfg.stride_y, ::cfg.stride_x]

@@ -14,6 +14,7 @@ features exist.
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass, replace
@@ -25,14 +26,14 @@ from .classify import (LinearSvmModel, WpcaCosineModel, as_csr,
                        check_wpca_size, cosine_nn, svm_predict_many, svm_train,
                        wpca_apply, wpca_fit)
 from . import encoder
-from .filters import (draw_patch_locations, gather_patches, learn_dae_filters,
-                      learn_pca_filters, sample_patches)
+from .filters import (common_size, draw_patch_locations, gather_patches,
+                      learn_dae_filters, learn_pca_filters, sample_patches)
 from .forkpool import fork_pool
 # build_stack is not called here; perfbench's tracer wraps experiment.build_stack
 from .pipeline import build_stack, code_maps, lcn_constant, map_layer  # noqa: F401
 from .preprocess import lcn_matrix, whiten_apply, whiten_fit
 from .rng import Rng
-from .types import Config, DAE, TrainedModel, as_2d, validate_config
+from .types import Config, DAE, TrainedModel, validate_config
 
 log = logging.getLogger("translayer")
 
@@ -84,12 +85,9 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
         raise ValueError("label/image count mismatch")
     if cfg.classifier == "svm" and np.unique(labels).size < 2:
         raise ValueError("need at least two classes")
-    h, w = _image_size(images)
-    if cfg.block_w > w or cfg.block_h > h:
-        raise ValueError(f"block {cfg.block_w}x{cfg.block_h} is larger than "
-                         f"the {w}x{h} images")
+    h, w = common_size(images)
+    dim = encoder.feature_dim((h, w), cfg)   # rejects a block larger than (h, w)
     if cfg.classifier == "wpca_cosine":
-        dim = encoder.feature_dim((h, w), cfg)
         check_wpca_size(len(images), dim)
         # a centered sample of n images has rank at most n - 1
         if cfg.wpca_dim > min(len(images) - 1, dim):
@@ -111,21 +109,18 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
 
     # layer-2 patches come from first-layer maps; maps are built lazily for
     # the images the draw actually touches, all L1 maps of an image forming
-    # consecutive sources
-    sizes = [(h, w)] * (len(images) * cfg.l1)
-    locations = draw_patch_locations(sizes, shape, cfg.patches_per_layer,
+    # consecutive sources, which gather_patches visits in ascending order
+    locations = draw_patch_locations(len(images) * cfg.l1, (h, w), shape,
+                                     cfg.patches_per_layer,
                                      rng.stream("patches.layer2"))
-    cache = {"idx": -1, "maps": None}
     lcn = lcn_constant(cfg)
 
-    def fetch(source_idx: int):
-        image_idx, map_idx = divmod(source_idx, cfg.l1)
-        if cache["idx"] != image_idx:
-            cache["maps"] = map_layer(images[image_idx], bank1, whiten1, lcn)
-            cache["idx"] = image_idx
-        return cache["maps"][map_idx]
+    @functools.lru_cache(maxsize=1)
+    def maps_of(image_idx: int):
+        return map_layer(images[image_idx], bank1, whiten1, lcn)
 
-    patches2 = gather_patches(fetch, locations, shape)
+    patches2 = gather_patches(lambda src: maps_of(src // cfg.l1)[src % cfg.l1],
+                              locations, shape)
     timer.lap("sample layer2 patches")
     z2, whiten2 = _preprocess_patches(patches2, cfg)
     timer.lap("preprocess layer2")
@@ -168,16 +163,8 @@ def _encode_one(model, image):
             feat.counts.astype(np.min_scalar_type(cfg.block_w * cfg.block_h)))
 
 
-def _image_size(images) -> tuple[int, int]:
-    """The (h, w) shared by every image of a nonempty batch."""
-    sizes = {as_2d(image).shape for image in images}
-    if len(sizes) != 1:
-        raise ValueError(f"images differ in size: {sorted(sizes)}")
-    return sizes.pop()
-
-
 def _features(model: TrainedModel, images, run) -> sp.csr_matrix:
-    dim = encoder.feature_dim(_image_size(images), model.config)
+    dim = encoder.feature_dim(common_size(images), model.config)
     pairs = run(_encode_one, images, 16)
     indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
     np.cumsum([idx.size for idx, _ in pairs], out=indptr[1:])

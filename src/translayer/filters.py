@@ -14,7 +14,7 @@ import numpy as np
 
 from .linalg import jacobi_eigh
 from .rng import Rng
-from .types import DAE, MAX_FILTERS, PCA, Config, FilterBank, PatchShape, as_2d
+from .types import MAX_FILTERS, Config, FilterBank, PatchShape, as_2d
 
 DAE_MINIBATCH = 256  # patches per autoencoder gradient step
 
@@ -23,28 +23,19 @@ class TrainingDivergedError(RuntimeError):
     """Autoencoder loss became non-finite or ended above its starting value."""
 
 
-def offsets_in(source_hw: tuple[int, int], shape: PatchShape) -> int:
-    h, w = source_hw
-    if h < shape.k1 or w < shape.k2:
-        raise ValueError("source smaller than the patch shape")
-    return (h - shape.k1 + 1) * (w - shape.k2 + 1)
-
-
-def draw_patch_locations(source_sizes, shape: PatchShape, m: int,
-                         gen: np.random.Generator) -> np.ndarray:
-    """Draw m (source, row, col) triples uniformly over all valid positions."""
+def draw_patch_locations(sources: int, size: tuple[int, int], shape: PatchShape,
+                         m: int, gen: np.random.Generator) -> np.ndarray:
+    """Draw m (source, row, col) triples uniformly over all valid positions
+    of ``sources`` sources of one ``(h, w)`` size."""
     if m < 1:
         raise ValueError("need at least one patch")
-    counts = np.array([offsets_in(hw, shape) for hw in source_sizes], dtype=np.int64)
-    bounds = np.cumsum(counts)
-    total = int(bounds[-1])
-    flat = gen.integers(0, total, size=m)
-    src = np.searchsorted(bounds, flat, side="right")
-    local = flat - (bounds[src] - counts[src])
-    widths = np.array([hw[1] - shape.k2 + 1 for hw in source_sizes], dtype=np.int64)
-    rows = local // widths[src]
-    cols = local % widths[src]
-    return np.stack([src, rows, cols], axis=1)
+    h, w = size
+    if h < shape.k1 or w < shape.k2:
+        raise ValueError("source smaller than the patch shape")
+    rows, cols = h - shape.k1 + 1, w - shape.k2 + 1
+    flat = gen.integers(0, sources * rows * cols, size=m)
+    src, local = np.divmod(flat, rows * cols)
+    return np.stack([src, local // cols, local % cols], axis=1)
 
 
 def gather_patches(fetch, locations: np.ndarray, shape: PatchShape) -> np.ndarray:
@@ -66,11 +57,21 @@ def gather_patches(fetch, locations: np.ndarray, shape: PatchShape) -> np.ndarra
     return data
 
 
+def common_size(sources) -> tuple[int, int]:
+    """The (h, w) shared by every image or map of a nonempty sequence."""
+    sizes = {as_2d(source).shape for source in sources}
+    if len(sizes) != 1:
+        raise ValueError(f"images differ in size: {sorted(sizes)}")
+    return sizes.pop()
+
+
 def sample_patches(sources, shape: PatchShape, m: int,
                    gen: np.random.Generator) -> np.ndarray:
-    """Sample m random patches from a sequence of images or maps."""
+    """Sample m random patches from a sequence of images or maps of one
+    size."""
     arrays = [as_2d(s) for s in sources]
-    locations = draw_patch_locations([a.shape for a in arrays], shape, m, gen)
+    locations = draw_patch_locations(len(arrays), common_size(arrays), shape,
+                                     m, gen)
     return gather_patches(lambda i: arrays[i], locations, shape)
 
 
@@ -81,8 +82,7 @@ def learn_pca_filters(z: np.ndarray, shape: PatchShape, count: int) -> FilterBan
     scatter = z @ z.T
     eigvals, eigvecs = jacobi_eigh(scatter)
     weights = eigvecs[:, :count].T.copy()
-    return FilterBank(layer_kind=PCA, shape=shape, weights=weights,
-                      spectrum=eigvals)
+    return FilterBank(shape=shape, weights=weights, spectrum=eigvals)
 
 
 def dae_forward(w, b, b_dec, z_corrupt):
@@ -185,4 +185,4 @@ def learn_dae_filters(z: np.ndarray, shape: PatchShape, count: int,
     if not 1 <= count <= MAX_FILTERS:
         raise ValueError(f"filter count must lie in 1..{MAX_FILTERS}")
     w, b, _, _ = train_dae(z, count, cfg, rng)
-    return FilterBank(layer_kind=DAE, shape=shape, weights=w, biases=b)
+    return FilterBank(shape=shape, weights=w, biases=b)

@@ -1,12 +1,12 @@
 """Per-patch contrast normalization and whitening.
 
 Both are applied to flattened patches before each layer's unsupervised
-learning and, by default, to every window during extraction. The contrast
-step subtracts the patch mean and divides by the population standard
-deviation plus the constant ``c`` (``Config.lcn_c``, which keeps the
-denominator positive); the whitening step multiplies by the symmetric
-decorrelating matrix fit on the training patch sample. Patch matrices are
-(k1*k2, m) arrays, one patch per column.
+learning and to every window during extraction. The contrast step
+subtracts the patch mean and divides by the population standard deviation
+plus the constant ``c`` (``Config.lcn_c``, which keeps the denominator
+positive); the whitening step multiplies by the symmetric decorrelating
+matrix fit on the training patch sample. Patch matrices are (k1*k2, m)
+arrays, one patch per column.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ image.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -76,36 +77,29 @@ class FilterBank:
     """Learned convolution weights for one layer.
 
     ``weights`` rows reshape row-major to k1 x k2 kernels. Banks learned by
-    the autoencoder carry per-filter biases; principal-component banks have
-    orthonormal rows and optionally keep the full eigenvalue spectrum for
-    diagnostics.
+    the autoencoder carry per-filter biases, and a bank with biases is an
+    autoencoder bank; principal-component banks have orthonormal rows and
+    optionally keep the full eigenvalue spectrum for diagnostics.
     """
 
-    layer_kind: str
     shape: PatchShape
     weights: np.ndarray
     biases: Optional[np.ndarray] = None
     spectrum: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.layer_kind not in (PCA, DAE):
-            raise ValueError("layer_kind must be 'pca' or 'dae'")
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[1] != self.shape.dim:
             raise ValueError("weights must be (L, k1*k2)")
         if not np.isfinite(w).all():
             raise ValueError("weights contain non-finite entries")
         object.__setattr__(self, "weights", w)
-        if self.layer_kind == DAE:
-            if self.biases is None:
-                raise ValueError("autoencoder bank requires biases")
+        if self.biases is not None:
             b = np.asarray(self.biases, dtype=np.float64)
             if b.shape != (w.shape[0],) or not np.isfinite(b).all():
                 raise ValueError("biases must be a finite length-L vector")
             object.__setattr__(self, "biases", b)
-        elif self.biases is not None:
-            raise ValueError("pca bank must not carry biases")
-        if self.layer_kind == PCA:
+        else:
             gram = w @ w.T
             resid = np.abs(gram - np.eye(w.shape[0])).max()
             if resid >= ORTHO_TOL:
@@ -113,6 +107,10 @@ class FilterBank:
         if self.spectrum is not None:
             s = np.asarray(self.spectrum, dtype=np.float64)
             object.__setattr__(self, "spectrum", s)
+
+    @property
+    def layer_kind(self) -> str:
+        return PCA if self.biases is None else DAE
 
     @property
     def count(self) -> int:
@@ -195,6 +193,9 @@ def validate_config(config: Config) -> list[str]:
         elif config.learner == PCA and val > config.patch_k1 * config.patch_k2:
             errors.append(f"{name} must be <= patch_k1*patch_k2 = "
                           f"{config.patch_k1 * config.patch_k2} with learner pca")
+    for name in ("lcn_c", "whiten_epsilon", "dae_lr", "dae_tradeoff_c", "svm_c"):
+        if not math.isfinite(getattr(config, name)):
+            errors.append(f"{name} must be finite")
     if config.lcn_c <= 0:
         errors.append("lcn_c must be > 0")
     if config.whiten_epsilon < 0:

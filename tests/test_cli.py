@@ -125,6 +125,15 @@ def test_bad_config_exits_2(workdir, tmp_path, capsys):
     assert "odd" in capsys.readouterr().err
 
 
+def test_non_finite_setting_exits_2(workdir, tmp_path, capsys):
+    rc = main(["train", "--config", str(smoke_config(tmp_path, lcn_c="inf")),
+               "--train", str(workdir / "train.amat"),
+               "--model", str(tmp_path / "m.bin")])
+    assert rc == 2
+    assert "lcn_c must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_pca_filters_beyond_patch_pixels_exit_2_before_reading_data(
         workdir, tmp_path, capsys, monkeypatch):
     def no_data(paths):

@@ -382,6 +382,24 @@ def test_wpca_arrays_disagreeing_with_each_other_rejected(
         load_model(path)
 
 
+def test_negative_array_dimension_rejected(tmp_path, tiny_model):
+    # a (-1,) array followed by the section's own bytes: a negative length
+    # would move the reader back to re-read them
+    path = tmp_path / "model.bin"
+    save_model(tiny_model, path)
+    blob = path.read_bytes()
+    pos = 8
+    for _ in range(5):
+        (length,) = struct.unpack_from("<Q", blob, pos)
+        pos += 8 + length + 4
+    payload = struct.pack("<BBq", 0, 1, -1) + blob[pos + 8:-4]
+    path.write_bytes(blob[:pos] + struct.pack("<Q", len(payload)) + payload
+                     + struct.pack("<I", zlib.crc32(payload)))
+    with pytest.raises(ModelFormatError,
+                       match="section classifier: negative array dimension"):
+        load_model(path)
+
+
 def test_model_unknown_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTAMODELXXXX")

@@ -134,6 +134,13 @@ def test_block_grid_28_7_3():
     assert xs == [0, 3, 6, 9, 12, 15, 18, 21]
 
 
+def test_block_counts_take_height_then_width():
+    cfg = Config(block_w=4, block_h=4, stride_x=2, stride_y=2)
+    assert block_counts((10, 20), cfg) == (9, 4)   # (across, down)
+    with pytest.raises(ValueError, match="block 4x4 is larger than the 20x3"):
+        block_counts((3, 20), cfg)
+
+
 def test_single_block_when_block_covers_map():
     blocks = block_origins(28, block=28, stride=14)
     assert blocks == [(0, 0)]
@@ -145,7 +152,7 @@ def test_block_grid_28_14_7():
 
 
 def test_block_larger_than_map_rejected():
-    with pytest.raises(ValueError, match="block larger"):
+    with pytest.raises(ValueError, match="block 7x7 is larger than the 6x6"):
         feature_of(np.zeros((1, 6, 6), dtype=np.uint16),
                    encoder(block=7, stride=3))
 
@@ -251,7 +258,7 @@ def test_feature_deterministic(tiny_model, glyph_train):
 def oracle_histograms(codes, cfg):
     """np.unique per block, the block's bins offset by block * 2^l1."""
     groups, h, w = codes.shape
-    nx, ny = block_counts((w, h), cfg)
+    nx, ny = block_counts((h, w), cfg)
     indices, counts = [], []
     for g in range(groups):
         for by in range(ny):
@@ -293,7 +300,7 @@ def test_feature_of_matches_per_block_oracle(case):
     assert np.array_equal(feat.indices, want_indices)
     assert np.array_equal(feat.counts, want_counts)
     assert (np.diff(feat.indices) > 0).all()
-    nx, ny = block_counts((codes.shape[2], codes.shape[1]), cfg)
+    nx, ny = block_counts(codes.shape[1:], cfg)
     blocks = codes.shape[0] * nx * ny
     assert feat.counts.sum() == blocks * cfg.block_w * cfg.block_h
 

@@ -7,11 +7,11 @@ import scipy.sparse as sp
 
 from translayer import (FilterBank, GrayImage, TrainedModel, WhiteningTransform,
                         classify, encoder, evaluate_model, experiment,
-                        extract_features, forkpool, train_model)
+                        forkpool, train_model)
 from translayer.dataio import save_model
-from translayer.experiment import format_eval_report, predict_features
+from translayer.experiment import (extract_features, format_eval_report,
+                                  predict_features)
 from translayer.pipeline import code_maps
-from translayer.types import PCA
 
 from conftest import tiny_config
 
@@ -160,7 +160,7 @@ def test_more_than_sixteen_first_layer_maps_rejected(tiny_model, glyph_test):
     shape = cfg.patch_shape()
     q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(shape.dim, 17)))
     model = TrainedModel(config=cfg,
-                         bank1=FilterBank(layer_kind=PCA, shape=shape, weights=q.T),
+                         bank1=FilterBank(shape=shape, weights=q.T),
                          bank2=tiny_model.bank2,
                          whiten1=WhiteningTransform(np.eye(shape.dim)),
                          whiten2=tiny_model.whiten2)

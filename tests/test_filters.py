@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from translayer import (Config, GrayImage, PatchShape, Rng, learn_dae_filters,
-                        learn_pca_filters, sample_patches)
+                        learn_pca_filters)
 from translayer import filters
 from translayer.filters import (TrainingDivergedError, dae_forward,
-                                dae_value_and_grad, train_dae)
+                                dae_value_and_grad, sample_patches, train_dae)
 
 
 def gen(seed=0):
@@ -25,7 +25,7 @@ def test_single_offset_source_repeats_whole_image():
 def test_offsets_stay_in_bounds():
     gen_local = Rng(1).stream("test")
     from translayer.filters import draw_patch_locations
-    locs = draw_patch_locations([(28, 28)], PatchShape(7, 7), 5000, gen_local)
+    locs = draw_patch_locations(1, (28, 28), PatchShape(7, 7), 5000, gen_local)
     assert locs[:, 1].min() >= 0 and locs[:, 1].max() <= 21
     assert locs[:, 2].min() >= 0 and locs[:, 2].max() <= 21
     # with 5000 draws over 484 offsets, both extremes should be hit
@@ -36,8 +36,7 @@ def test_many_sources_nearly_all_hit():
     # 100000 draws over 12000 sources miss a given source with prob
     # (1 - 1/12000)^100000 ~ 2.4e-4; far fewer than 1% missed
     from translayer.filters import draw_patch_locations
-    sizes = [(8, 8)] * 12000
-    locs = draw_patch_locations(sizes, PatchShape(7, 7), 100000, gen(2))
+    locs = draw_patch_locations(12000, (8, 8), PatchShape(7, 7), 100000, gen(2))
     hit = np.unique(locs[:, 0]).size
     assert hit >= 0.99 * 12000
 
@@ -52,6 +51,12 @@ def test_sampling_deterministic_per_seed():
 def test_source_smaller_than_patch_rejected():
     with pytest.raises(ValueError):
         sample_patches([np.zeros((3, 3))], PatchShape(5, 5), 1, gen())
+
+
+def test_sources_of_differing_sizes_rejected():
+    with pytest.raises(ValueError, match=r"differ in size: \[\(8, 8\), \(9, 8\)\]"):
+        sample_patches([np.zeros((8, 8)), np.zeros((9, 8))], PatchShape(5, 5), 1,
+                       gen())
 
 
 # --- pca filters ----------------------------------------------------------

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from translayer import (Config, FilterBank, GrayImage, PatchShape,
-                        TrainedModel, WhiteningTransform, build_stack,
-                        compress_groups, map_layer, pipeline)
-from translayer.pipeline import code_maps, lcn_constant
+                        TrainedModel, WhiteningTransform, compress_groups,
+                        pipeline)
+from translayer.pipeline import build_stack, code_maps, lcn_constant, map_layer
 from translayer.preprocess import lcn_rows
 from translayer.types import DAE, PCA
 
@@ -17,12 +17,11 @@ def pca_bank(weights, side):
     w = np.asarray(weights, dtype=np.float64)
     # orthonormalize rows so the bank invariant holds
     q, _ = np.linalg.qr(w.T)
-    return FilterBank(layer_kind=PCA, shape=PatchShape(side, side),
-                      weights=q.T[: w.shape[0]])
+    return FilterBank(shape=PatchShape(side, side), weights=q.T[: w.shape[0]])
 
 
 def dae_bank(weights, biases, side):
-    return FilterBank(layer_kind=DAE, shape=PatchShape(side, side),
+    return FilterBank(shape=PatchShape(side, side),
                       weights=np.asarray(weights, dtype=np.float64),
                       biases=np.asarray(biases, dtype=np.float64))
 
@@ -32,7 +31,7 @@ def dae_bank(weights, biases, side):
 def delta_bank(side):
     w = np.zeros((1, side * side))
     w[0, (side * side) // 2] = 1.0
-    return FilterBank(layer_kind=PCA, shape=PatchShape(side, side), weights=w)
+    return FilterBank(shape=PatchShape(side, side), weights=w)
 
 
 def identity_whitening(side):
@@ -160,10 +159,10 @@ def random_model(learner, l1, l2, seed, k1=3, k2=5, **flags):
     def bank(count):
         if learner == PCA:
             q, _ = np.linalg.qr(gen.normal(size=(shape.dim, count)))
-            return FilterBank(layer_kind=PCA, shape=shape, weights=q.T)
+            return FilterBank(shape=shape, weights=q.T)
         biases = gen.normal(scale=0.3, size=count)
         biases[0] = 0.0
-        return FilterBank(layer_kind=DAE, shape=shape, biases=biases,
+        return FilterBank(shape=shape, biases=biases,
                           weights=gen.normal(scale=0.4, size=(count, shape.dim)))
 
     def whiten():

@@ -6,9 +6,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from translayer import (Config, GrayImage, PatchShape, Rng, load_config,
-                        parse_config, validate_config)
-from translayer.types import ConfigError, format_config
+from translayer import (Config, FilterBank, GrayImage, PatchShape, Rng,
+                        TrainedModel, WhiteningTransform, load_config,
+                        validate_config)
+from translayer.types import ConfigError, format_config, parse_config
 
 CONFIGS = sorted(glob.glob(os.path.join(
     os.path.dirname(__file__), os.pardir, "configs", "*.conf")))
@@ -63,6 +64,14 @@ def test_stride_fit_checked():
 def test_settings_checked_only_by_validate_config(field, value, message):
     # library calls take these settings unchecked from the Config
     assert message in validate_config(Config(**{field: value}))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["lcn_c", "whiten_epsilon", "dae_lr",
+                                   "dae_tradeoff_c", "svm_c"])
+def test_non_finite_float_settings_rejected(field, value):
+    assert (f"{field} must be finite"
+            in validate_config(parse_config(f"{field}={value}\n")))
 
 
 def test_parse_roundtrip():
@@ -128,6 +137,19 @@ def test_patch_shape_invariants():
     with pytest.raises(ValueError):
         PatchShape(2, 3)
     assert PatchShape(3, 5).dim == 15
+
+
+def test_filter_bank_kind_follows_its_biases():
+    shape = PatchShape(1, 3)
+    pca = FilterBank(shape, np.eye(3)[:2])
+    dae = FilterBank(shape, np.ones((2, 3)), biases=np.zeros(2))
+    assert (pca.layer_kind, dae.layer_kind) == ("pca", "dae")
+    with pytest.raises(TypeError):
+        FilterBank(shape, np.eye(3)[:2], layer_kind="pca")
+    cfg = Config(patch_k1=1, patch_k2=3, l1=2, l2=2)
+    with pytest.raises(ValueError, match="bank1 is a dae bank, config says pca"):
+        TrainedModel(cfg, dae, pca, WhiteningTransform(np.eye(3)),
+                     WhiteningTransform(np.eye(3)))
 
 
 def test_rng_streams_are_deterministic_and_distinct():
