@@ -18,16 +18,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .forkpool import fork_pool, shared_zeros
-from .linalg import fix_row_signs, jacobi_eigh
+from .linalg import EIGENVALUE_FLOOR, fix_row_signs, jacobi_eigh
 from .rng import Rng
 
 SVM_TOL = 0.1
 SVM_MAX_PASSES = 1000
-EIGENVALUE_FLOOR = 1e-10  # relative to the largest eigenvalue
 # Largest WPCA eigenproblem, min(training images, feature dimension), that
-# training accepts. One jacobi_eigh of a Gram matrix on a 2-vCPU VM took
-# 0.35 s at n=140, 3.7 s at 280, 17 s at 420, 46 s at 560 and 81 s at 700;
-# past ~600 one solve takes about a minute.
+# training accepts, bound by the dense n x d copy behind the Gram (708 MB at
+# n=600 and dae_wpca's d=147456), not by the solve: one jacobi_eigh of a
+# Gram matrix takes 0.007 s at n=140 and 0.05 s at n=600 on a 2-vCPU VM.
 WPCA_MAX_N = 600
 
 log = logging.getLogger("translayer")
@@ -239,8 +238,9 @@ def svm_predict_many(model: LinearSvmModel, features) -> np.ndarray:
 def wpca_fit(features, target_dim: int) -> WpcaModel:
     """Mean-centered principal projection, rows scaled by 1/sqrt(eigenvalue).
 
-    Components with eigenvalues below 1e-10 of the largest are dropped;
-    asking for more components than survive raises.
+    Components with eigenvalues at or below ``linalg.EIGENVALUE_FLOOR``
+    times the features' sum of squares over n - 1 are dropped; asking for
+    more components than survive raises.
 
     With more features than samples (d > n) the eigenproblem is solved on
     the n x n Gram matrix, whose uncentered part ``X X^T`` is one dense
@@ -272,7 +272,7 @@ def wpca_fit(features, target_dim: int) -> WpcaModel:
         gram = (gram_xx - xm[:, None] - xm[None, :] + float(mean @ mean)) / (n - 1)
         eigvals, dual_vecs = jacobi_eigh(gram)
 
-    floor = max(float(eigvals[0]), 0.0) * EIGENVALUE_FLOOR
+    floor = EIGENVALUE_FLOOR * np.einsum("i,i->", x.data, x.data) / (n - 1)
     usable = int((eigvals > floor).sum())
     if target_dim > usable:
         raise ValueError(

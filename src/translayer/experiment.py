@@ -9,7 +9,8 @@ counts sized to a block's pixel count. The parent so unpickles a fraction
 of the int64 pair, and builds the same matrix. One pool serves a whole
 call, including every chunk of an evaluation. Training then passes the
 same ``jobs`` to ``svm_train``, which forks its own pool after the
-features exist.
+features exist. Training and prediction run on one BLAS thread
+(``forkpool.one_blas_thread``), so their bits do not depend on the count.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .classify import (LinearSvmModel, WpcaCosineModel, as_csr,
 from . import encoder
 from .filters import (common_size, draw_patch_locations, gather_patches,
                       learn_dae_filters, learn_pca_filters, sample_patches)
-from .forkpool import fork_pool
+from .forkpool import fork_pool, one_blas_thread
 # build_stack is not called here; perfbench's tracer wraps experiment.build_stack
 from .pipeline import build_stack, code_maps, lcn_constant, map_layer  # noqa: F401
 from .preprocess import lcn_matrix, whiten_apply, whiten_fit
@@ -73,6 +74,7 @@ def _layer_rng(rng: Rng, layer: str) -> Rng:
     return Rng(rng.stream(f"layer-seed.{layer}").integers(0, 2**63))
 
 
+@one_blas_thread()
 def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     """Run the full unsupervised + classifier training pipeline."""
     errors = validate_config(cfg)
@@ -181,6 +183,7 @@ def extract_features(model: TrainedModel, images, jobs: int = 1) -> sp.csr_matri
         return _features(model, images, run)
 
 
+@one_blas_thread()
 def predict_features(model: TrainedModel, features) -> np.ndarray:
     clf = model.classifier
     if isinstance(clf, LinearSvmModel):

@@ -7,8 +7,9 @@ features) copy-on-write and nothing large is pickled on the way in.
 Results too large to send back through the pool go into an array from
 :func:`shared_zeros`, which is allocated before the fork.
 
-Each worker sets every OpenBLAS the process has loaded to one thread, so
-``jobs`` workers do not each start one BLAS thread per core.
+While a pool lives, BLAS runs on one thread (:func:`one_blas_thread`),
+also in the workers, which inherit the count: they do not each start one
+BLAS thread per core, and every ``jobs`` sums in the same order.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
-# the thread setter's name in numpy's bundled 64-bit-integer OpenBLAS, in
-# other 64-bit-integer builds and in the plain build
-BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
-                       "openblas_set_num_threads64_",
-                       "openblas_set_num_threads")
+# the thread-count functions' names, "get" or "set" in place of {}, in
+# numpy's bundled 64-bit-integer OpenBLAS, in other 64-bit-integer builds
+# and in the plain build
+BLAS_THREAD_FUNCTIONS = ("scipy_openblas_{}_num_threads64_",
+                         "openblas_{}_num_threads64_", "openblas_{}_num_threads")
 
 log = logging.getLogger("translayer")
 
@@ -50,28 +51,42 @@ def openblas_libraries() -> list[ctypes.CDLL]:
 
 
 @functools.cache
-def _blas_thread_setters() -> tuple:
-    """The thread setter of each loaded OpenBLAS; warns once if none."""
-    setters = []
-    for lib in openblas_libraries():
-        fn = next((getattr(lib, name) for name in BLAS_THREAD_SETTERS
-                   if hasattr(lib, name)), None)
-        if fn is not None:
-            fn.argtypes = [ctypes.c_int]
-            fn.restype = None
-            setters.append(fn)
-    if not setters:
-        log.warning("no OpenBLAS thread setter found: forked workers keep "
-                    "the BLAS thread count; set OPENBLAS_NUM_THREADS=1 "
-                    "when using --jobs above 1")
-    return tuple(setters)
+def _blas_thread_functions() -> tuple:
+    """``(get, set)`` thread-count functions of each loaded OpenBLAS; warns
+    once if there are none."""
+    found = tuple((getattr(lib, name.format("get")),
+                   getattr(lib, name.format("set")))
+                  for lib in openblas_libraries() for name in BLAS_THREAD_FUNCTIONS
+                  if hasattr(lib, name.format("set")))
+    for get, set_threads in found:
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    if not found:
+        log.warning("no OpenBLAS thread setter found: BLAS keeps its thread "
+                    "count, and results can vary with it; set its thread "
+                    "variable (OPENBLAS_NUM_THREADS, MKL_NUM_THREADS) to 1")
+    return found
 
 
-def _init(state, blas_setters):
+@contextmanager
+def one_blas_thread():
+    """Run the body with every loaded OpenBLAS on one thread, then give each
+    its previous count back. A threaded BLAS splits long dot products and
+    LAPACK's reductions between threads, which moves their last bits."""
+    functions = _blas_thread_functions()
+    previous = [get() for get, _ in functions]
+    for _, set_threads in functions:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(functions, previous):
+            set_threads(count)
+
+
+def _init(state):
     global _STATE
     _STATE = state
-    for set_threads in blas_setters:
-        set_threads(1)
 
 
 def _call(fn, item):
@@ -83,14 +98,14 @@ def fork_pool(jobs: int, state):
     """Yield ``run(fn, items, chunksize)`` = ``[fn(state, item) for item in
     items]``, run over ``jobs`` forked workers when ``jobs > 1``. ``fn``
     must be defined at module level, where a worker can look it up."""
-    if jobs <= 1:
-        yield lambda fn, items, chunksize: [fn(state, item) for item in items]
-        return
-    ctx = mp.get_context("fork")
-    with ctx.Pool(jobs, initializer=_init,
-                  initargs=(state, _blas_thread_setters())) as pool:
-        yield lambda fn, items, chunksize: pool.map(
-            functools.partial(_call, fn), items, chunksize=chunksize)
+    with one_blas_thread():
+        if jobs <= 1:
+            yield lambda fn, items, chunksize: [fn(state, item) for item in items]
+            return
+        ctx = mp.get_context("fork")
+        with ctx.Pool(jobs, initializer=_init, initargs=(state,)) as pool:
+            yield lambda fn, items, chunksize: pool.map(
+                functools.partial(_call, fn), items, chunksize=chunksize)
 
 
 def shared_zeros(shape) -> np.ndarray:

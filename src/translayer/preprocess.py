@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import jacobi_eigh
+from .linalg import EIGENVALUE_FLOOR, jacobi_eigh
 from .types import WhiteningTransform, as_2d
 
 
@@ -55,18 +55,20 @@ def column_covariance(data: np.ndarray) -> np.ndarray:
 def whiten_fit(patches, epsilon: float = 0.1) -> WhiteningTransform:
     """Fit U (D + eps I)^(-1/2) U^T on the sample covariance of the columns.
 
-    With ``epsilon=0`` the training sample must have full-rank covariance,
-    otherwise the inverse square root blows up and a ValueError is raised.
+    With ``epsilon=0`` the training sample must have full-rank covariance
+    (no eigenvalue at or below ``linalg.EIGENVALUE_FLOOR`` times the
+    patches' sum of squares over m - 1), otherwise a ValueError is raised.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
     data = as_2d(patches)
-    if data.shape[1] < 2:
+    m = data.shape[1]
+    if m < 2:
         raise ValueError("whitening needs at least two patches")
     cov = column_covariance(data)
     eigvals, eigvecs = jacobi_eigh(cov)
     shifted = np.maximum(eigvals, 0.0) + epsilon  # clamp eigenvalue roundoff
-    if (shifted <= 0.0).any():
+    if shifted[-1] <= EIGENVALUE_FLOOR * np.einsum("ij,ij->", data, data) / (m - 1):
         raise ValueError("singular covariance: epsilon=0 needs full-rank patches")
     matrix = (eigvecs * (1.0 / np.sqrt(shifted))) @ eigvecs.T
     matrix = 0.5 * (matrix + matrix.T)

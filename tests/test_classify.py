@@ -327,6 +327,18 @@ def test_target_dim_beyond_rank_rejected_on_gram_route(scores, target_dim):
         wpca_fit(x, target_dim)
 
 
+@pytest.mark.parametrize("rows,width", [
+    (6, 17),    # d > n: the gram route
+    (20, 3),    # d <= n: the covariance route
+])
+def test_identical_rows_have_rank_zero(rows, width):
+    # centering leaves rounding error of either sign, and the largest
+    # eigenvalue is that error; the floor must come from the raw scale
+    x = np.outer(np.full(rows, 0.1), np.arange(1.0, width + 1.0))
+    with pytest.raises(ValueError, match="usable rank 0"):
+        wpca_fit(x, 1)
+
+
 def test_gram_route_matches_covariance_route():
     gen = np.random.default_rng(10)
     x = gen.standard_normal((12, 30))  # d > n forces the gram route

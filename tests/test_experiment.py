@@ -95,7 +95,7 @@ def test_forked_workers_run_one_blas_thread():
     before = blas_thread_counts()
     if not before:
         pytest.skip("no OpenBLAS thread getter in this process")
-    setters = forkpool._blas_thread_setters()
+    setters = [set_threads for _, set_threads in forkpool._blas_thread_functions()]
     try:
         for set_threads in setters:
             set_threads(2)   # more than one, whatever the environment set

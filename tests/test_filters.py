@@ -3,9 +3,11 @@ import pytest
 
 from translayer import (Config, GrayImage, PatchShape, Rng, learn_dae_filters,
                         learn_pca_filters)
-from translayer import filters
+from translayer import filters, train_model
 from translayer.filters import (TrainingDivergedError, dae_forward,
                                 dae_value_and_grad, sample_patches, train_dae)
+
+from conftest import make_glyphs, tiny_config
 
 
 def gen(seed=0):
@@ -240,6 +242,15 @@ def test_divergence_detected(monkeypatch):
     cfg = toy_cfg(monkeypatch, minibatch=8, dae_lr=500.0, dae_epochs=30)
     with pytest.raises(TrainingDivergedError):
         train_dae(z, 4, cfg, Rng(13))
+
+
+def test_flat_loss_is_not_divergence():
+    # layer 2's loss is flat here and ends 0.06% above its first epoch,
+    # because each epoch redraws the corruption mask
+    cfg = tiny_config(learner="dae", dae_epochs=2, block_w=5, block_h=4,
+                      stride_x=2, stride_y=3, patches_per_layer=400)
+    model = train_model(cfg, *make_glyphs(60, seed=3))
+    assert model.bank2.biases is not None
 
 
 def test_dae_bank_deterministic_per_seed(monkeypatch):

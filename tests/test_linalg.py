@@ -1,13 +1,10 @@
-import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from translayer import linalg
-from translayer.linalg import (EigenConvergenceError, fix_row_signs,
-                               jacobi_eigh, round_robin_schedule)
+from translayer.linalg import fix_row_signs, jacobi_eigh
 
 
 def fix_column_signs(vectors):
@@ -100,15 +97,20 @@ def test_large_scale_matrix_converges():
     assert np.abs((vecs * vals) @ vecs.T - a).max() < 1e-4  # 1e-13 relative
 
 
+def offdiag_norm(a):
+    return float(np.linalg.norm(a - np.diag(np.diag(a))))
+
+
 def reference_cyclic_eigh(matrix):
-    """The cyclic-order Jacobi solver the round-robin sweep replaced: one
-    rotation at a time over p < q in row order, same tolerance and sort."""
+    """An oracle that shares no code with LAPACK: cyclic-order Jacobi, one
+    rotation at a time over p < q in row order, to an off-diagonal norm of
+    1e-12 (relative, for norms above 1), sorted descending."""
     a = 0.5 * (matrix + matrix.T)
     n = a.shape[0]
     v = np.eye(n)
-    thresh = linalg.OFFDIAG_TOL * max(1.0, float(np.linalg.norm(a)))
-    for _ in range(linalg.MAX_SWEEPS):
-        if linalg._offdiag_norm(a) <= thresh:
+    thresh = 1e-12 * max(1.0, float(np.linalg.norm(a)))
+    for _ in range(100):
+        if offdiag_norm(a) <= thresh:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -145,25 +147,16 @@ def separated_spectrum(n, seed):
     return (q * lam) @ q.T
 
 
-@pytest.mark.parametrize("n", range(2, 51))
-def test_round_robin_schedule_pairs_each_plane_once(n):
-    steps = round_robin_schedule(n)
-    assert len(steps) == n - 1 + n % 2
-    seen = []
-    for p, q in steps:
-        touched = np.concatenate([p, q])
-        assert np.unique(touched).size == touched.size  # disjoint planes
-        assert (p < q).all() and (q < n).all()
-        seen.extend(zip(p.tolist(), q.tolist()))
-    assert sorted(seen) == list(itertools.combinations(range(n), 2))
-
-
 def test_diagonal_input_returns_its_diagonal_exactly():
     diag = np.array([0.5, -2.0, 3.0, 3.0, 7.25, 0.0, 1e-3])
     vals, vecs = jacobi_eigh(np.diag(diag))
-    order = np.argsort(-diag, kind="stable")
-    assert np.array_equal(vals, diag[order])
-    assert np.array_equal(vecs, np.eye(diag.size)[:, order])
+    assert np.array_equal(vals, np.sort(diag)[::-1])
+    # each eigenvector is exactly the unit vector of its diagonal entry;
+    # tied entries may come in either order
+    lead = np.argmax(vecs, axis=0)
+    assert np.array_equal(vecs, np.eye(diag.size)[:, lead])
+    assert np.array_equal(np.sort(lead), np.arange(diag.size))
+    assert np.array_equal(diag[lead], vals)
 
 
 def test_exact_zero_offdiagonal_entries_converge():
@@ -176,15 +169,13 @@ def test_exact_zero_offdiagonal_entries_converge():
     assert np.abs((vecs * vals) @ vecs.T - a).max() < 1e-12
 
 
-def test_overflowing_tau_gives_identity_rotation():
-    # tau^2 overflows (tiny apq, unit gap), and tau itself overflows
-    # (subnormal apq, 1e10 gap); plus one ordinary plane so a sweep runs
+def test_tiny_and_subnormal_offdiagonal_entries_stay_finite():
+    # a tiny entry on a unit gap, a subnormal one on a 1e10 gap, and one
+    # ordinary plane
     a = np.diag([1.0, 2.0, 0.0, 1e10, 3.0, 4.0])
     a[0, 1] = a[1, 0] = 1e-160
     a[2, 3] = a[3, 2] = 1e-310
     a[4, 5] = a[5, 4] = 0.5
-    c, s = linalg._rotation(a, np.array([0, 2]), np.array([1, 3]))
-    assert np.array_equal(c, [[1.0], [1.0]]) and np.array_equal(np.abs(s), [[0.0], [0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         vals, vecs = jacobi_eigh(a)
@@ -210,9 +201,3 @@ def test_agrees_with_cyclic_reference(n, seed):
     ref_vals, ref_vecs = reference_cyclic_eigh(a)
     assert np.abs(vals - ref_vals).max() < 1e-12 * np.abs(ref_vals).max()
     assert np.abs(vecs - ref_vecs).max() < 1e-10
-
-
-def test_sweep_cap_raises_convergence_error(monkeypatch):
-    monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
-    with pytest.raises(EigenConvergenceError, match=r"exhausted \(1\)"):
-        jacobi_eigh(random_symmetric(10, 15))

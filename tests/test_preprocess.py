@@ -101,6 +101,14 @@ def test_whiten_fit_rejects_rank_deficient_eps_zero():
         whiten_fit(cols, 0.0)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_whiten_fit_rejects_a_linear_combination_eps_zero(seed):
+    # the third row's variance is zero up to rounding of either sign
+    a = np.random.default_rng(seed).normal(size=(2, 50))
+    with pytest.raises(ValueError, match="singular"):
+        whiten_fit(np.vstack([a, 0.3 * a[0] + 0.7 * a[1]]), 0.0)
+
+
 def test_whiten_apply_identity_transform():
     from translayer import WhiteningTransform
     tr = WhiteningTransform(matrix=np.eye(3))
