@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -139,12 +140,101 @@ def reference_cyclic_eigh(matrix):
     return eigvals[order], fix_column_signs(v[:, order])
 
 
+class EigenConvergenceError(RuntimeError):
+    """Raised by :func:`reference_round_robin_eigh` at its sweep cap."""
+
+
+def round_robin_schedule(n):
+    """One sweep of disjoint ``(p, q)`` index pairs, ``p < q``, per step.
+
+    The circle method: index 0 stays put while the others rotate one seat
+    per step, so every pair meets exactly once in a sweep. An odd ``n`` is
+    padded with a dummy index ``n`` whose pairs are dropped.
+    """
+    m = n + n % 2
+    seats = list(range(m))
+    steps = []
+    for _ in range(m - 1):
+        pairs = [sorted((seats[i], seats[m - 1 - i])) for i in range(m // 2)]
+        pairs = [pq for pq in pairs if pq[1] < n]
+        steps.append((np.array([p for p, _ in pairs], dtype=np.intp),
+                      np.array([q for _, q in pairs], dtype=np.intp)))
+        seats = [seats[0], seats[-1]] + seats[1:-1]
+    return steps
+
+
+def rotation(a, p, q):
+    """Golub-Van Loan symmetric Schur rotations for the disjoint (p, q)
+    planes, as ``(c, s)`` column vectors.
+
+    A zero ``a[p, q]``, or a ``tau`` whose square overflows, gives the
+    identity rotation (c = 1, s = 0).
+    """
+    apq = a[p, q]
+    nonzero = apq != 0.0
+    with np.errstate(over="ignore"):
+        tau = (a[q, q] - a[p, p]) / np.where(nonzero, 2.0 * apq, 1.0)
+        t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+    t[~nonzero] = 0.0
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    return c[:, None], (t * c)[:, None]
+
+
+def rotate_rows(m, p, q, c, s):
+    rp, rq = m[p], m[q]
+    m[p] = c * rp - s * rq
+    m[q] = s * rp + c * rq
+
+
+def reference_round_robin_eigh(matrix, max_sweeps=100):
+    """A second oracle that shares no code with LAPACK: Jacobi sweeps in
+    round-robin order (Brent & Luk 1985), each step's disjoint plane
+    rotations applied together, to the cyclic oracle's tolerance."""
+    a = 0.5 * (matrix + matrix.T)
+    n = a.shape[0]
+    vt = np.eye(n)  # eigenvectors as rows, so every rotation is a row gather
+    thresh = 1e-12 * max(1.0, float(np.linalg.norm(a)))
+    converged = offdiag_norm(a) <= thresh
+    schedule = round_robin_schedule(n)
+    for _ in range(max_sweeps):
+        if converged:
+            break
+        for p, q in schedule:
+            c, s = rotation(a, p, q)
+            rotate_rows(a, p, q, c, s)
+            # the column rotation, done on rows of the transpose
+            a = np.ascontiguousarray(a.T)
+            rotate_rows(a, p, q, c, s)
+            a[p, q] = a[q, p] = 0.0
+            rotate_rows(vt, p, q, c, s)
+        converged = offdiag_norm(a) <= thresh
+    if not converged:
+        raise EigenConvergenceError(
+            f"jacobi sweeps exhausted ({max_sweeps}) before convergence")
+    eigvals = np.diag(a).copy()
+    order = np.argsort(-eigvals, kind="stable")
+    return eigvals[order], fix_column_signs(vt[order].T)
+
+
 def separated_spectrum(n, seed):
     """Q diag(lam) Q^T with eigenvalues at least 1 apart."""
     gen = np.random.default_rng(seed)
     q, _ = np.linalg.qr(gen.normal(size=(n, n)))
     lam = np.arange(n, 0, -1, dtype=np.float64) + gen.random(n) * 0.5
     return (q * lam) @ q.T
+
+
+@pytest.mark.parametrize("n", range(2, 51))
+def test_round_robin_schedule_pairs_each_plane_once(n):
+    steps = round_robin_schedule(n)
+    assert len(steps) == n - 1 + n % 2
+    seen = []
+    for p, q in steps:
+        touched = np.concatenate([p, q])
+        assert np.unique(touched).size == touched.size  # disjoint planes
+        assert (p < q).all() and (q < n).all()
+        seen.extend(zip(p.tolist(), q.tolist()))
+    assert sorted(seen) == list(itertools.combinations(range(n), 2))
 
 
 def test_diagonal_input_returns_its_diagonal_exactly():
@@ -169,19 +259,22 @@ def test_exact_zero_offdiagonal_entries_converge():
     assert np.abs((vecs * vals) @ vecs.T - a).max() < 1e-12
 
 
-def test_tiny_and_subnormal_offdiagonal_entries_stay_finite():
-    # a tiny entry on a unit gap, a subnormal one on a 1e10 gap, and one
-    # ordinary plane
+def test_overflowing_tau_gives_identity_rotation():
+    # tau^2 overflows (tiny apq, unit gap), and tau itself overflows
+    # (subnormal apq, 1e10 gap); plus one ordinary plane so a sweep runs
     a = np.diag([1.0, 2.0, 0.0, 1e10, 3.0, 4.0])
     a[0, 1] = a[1, 0] = 1e-160
     a[2, 3] = a[3, 2] = 1e-310
     a[4, 5] = a[5, 4] = 0.5
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        vals, vecs = jacobi_eigh(a)
-    assert np.isfinite(vals).all() and np.isfinite(vecs).all()
-    assert np.abs(vecs.T @ vecs - np.eye(6)).max() < 1e-12
-    assert np.abs(np.sort(vals) - np.sort(np.linalg.eigvalsh(a))).max() < 1e-5
+    c, s = rotation(a, np.array([0, 2]), np.array([1, 3]))
+    assert np.array_equal(c, [[1.0], [1.0]]) and np.array_equal(np.abs(s), [[0.0], [0.0]])
+    for solve in (jacobi_eigh, reference_round_robin_eigh):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, vecs = solve(a)
+        assert np.isfinite(vals).all() and np.isfinite(vecs).all()
+        assert np.abs(vecs.T @ vecs - np.eye(6)).max() < 1e-12
+        assert np.abs(np.sort(vals) - np.sort(np.linalg.eigvalsh(a))).max() < 1e-5
 
 
 def test_repeated_eigenvalues_give_orthonormal_vectors():
@@ -201,3 +294,17 @@ def test_agrees_with_cyclic_reference(n, seed):
     ref_vals, ref_vecs = reference_cyclic_eigh(a)
     assert np.abs(vals - ref_vals).max() < 1e-12 * np.abs(ref_vals).max()
     assert np.abs(vecs - ref_vecs).max() < 1e-10
+
+
+@pytest.mark.parametrize("n,seed", [(2, 10), (7, 11), (16, 12), (33, 13), (49, 14)])
+def test_agrees_with_round_robin_reference(n, seed):
+    a = separated_spectrum(n, seed)
+    vals, vecs = jacobi_eigh(a)
+    ref_vals, ref_vecs = reference_round_robin_eigh(a)
+    assert np.abs(vals - ref_vals).max() < 1e-12 * np.abs(ref_vals).max()
+    assert np.abs(vecs - ref_vecs).max() < 1e-10
+
+
+def test_sweep_cap_raises_convergence_error():
+    with pytest.raises(EigenConvergenceError, match=r"exhausted \(1\)"):
+        reference_round_robin_eigh(random_symmetric(10, 15), max_sweeps=1)
