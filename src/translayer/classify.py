@@ -32,6 +32,14 @@ WPCA_MAX_N = 600
 log = logging.getLogger("translayer")
 
 
+def _reject_non_finite(**arrays):
+    """Reject a NaN or inf in a classifier array, which would otherwise
+    predict without any error (argmax picks a NaN decision value)."""
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} holds a non-finite value")
+
+
 @dataclass(frozen=True)
 class LinearSvmModel:
     classes: np.ndarray          # sorted ascending
@@ -45,6 +53,7 @@ class LinearSvmModel:
             raise ValueError(f"svm needs sorted unique 1-D classes and one "
                              f"weight row per class, got classes {classes} "
                              f"and weights of shape {weights.shape}")
+        _reject_non_finite(weights=weights)
 
 
 class WpcaSizeError(ValueError):
@@ -84,6 +93,8 @@ class WpcaCosineModel:
             raise ValueError("wpca_cosine needs mean, projection, train_vectors "
                              "and train_labels of shapes (d,), (k, d), (n, k), "
                              "(n,), got " + ", ".join(map(str, shapes)))
+        _reject_non_finite(mean=self.wpca.mean, projection=self.wpca.projection,
+                           train_vectors=self.train_vectors)
 
     @property
     def classes(self) -> np.ndarray:

@@ -107,13 +107,13 @@ def read_amat(path):
 _ARRAY_DTYPES = {0: "<f8", 1: "<i8"}   # array kind byte -> stored dtype
 
 
-def _pack_array(arr) -> bytes:
-    a = np.ascontiguousarray(arr)
-    kind = {"f": 0, "i": 1}[a.dtype.kind]
-    a = a.astype(_ARRAY_DTYPES[kind])
-    head = struct.pack("<BB", kind, a.ndim)
-    dims = struct.pack(f"<{a.ndim}q", *a.shape)
-    return head + dims + a.tobytes()
+def _array_pieces(arr) -> list:
+    """An array's kind byte, rank and dims, then its little-endian data, as
+    buffers to write one after the other."""
+    kind = {"f": 0, "i": 1}[np.asarray(arr).dtype.kind]
+    a = np.ascontiguousarray(arr, dtype=_ARRAY_DTYPES[kind])
+    head = struct.pack(f"<BB{a.ndim}q", kind, a.ndim, *a.shape)
+    return [head, a.reshape(-1).view(np.uint8)]
 
 
 class _Cursor:
@@ -173,19 +173,23 @@ def save_model(model: TrainedModel, path) -> None:
     sections = [_bank_arrays(model.bank1), [model.whiten1.matrix],
                 _bank_arrays(model.bank2), [model.whiten2.matrix],
                 _classifier_arrays(model.classifier)]
-    payloads = [format_config(model.config).encode("utf-8")]
-    payloads += [b"".join(map(_pack_array, arrays)) for arrays in sections]
+    payloads = [[format_config(model.config).encode("utf-8")]]
+    payloads += [[piece for arr in arrays for piece in _array_pieces(arr)]
+                 for arrays in sections]
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        for payload in payloads:
-            fh.write(struct.pack("<Q", len(payload)))
-            fh.write(payload)
-            fh.write(struct.pack("<I", zlib.crc32(payload)))
+        for pieces in payloads:
+            fh.write(struct.pack("<Q", sum(len(piece) for piece in pieces)))
+            crc = 0
+            for piece in pieces:
+                fh.write(piece)
+                crc = zlib.crc32(piece, crc)
+            fh.write(struct.pack("<I", crc))
 
 
 def load_model(path) -> TrainedModel:
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())   # sections and arrays slice it, uncopied
     if len(blob) < len(MODEL_MAGIC):
         raise ModelFormatError("file too short to be a model")
     cur = _Cursor(blob, "magic")
@@ -193,7 +197,7 @@ def load_model(path) -> TrainedModel:
     if magic != MODEL_MAGIC:
         if magic[:7] == MODEL_MAGIC[:7]:
             raise ModelFormatError(
-                f"unsupported model format version {magic[7:8].decode(errors='replace')}")
+                f"unsupported model format version {bytes(magic[7:8]).decode(errors='replace')}")
         raise ModelFormatError("not a model file (bad magic)")
 
     sections = {}
@@ -209,7 +213,7 @@ def load_model(path) -> TrainedModel:
         raise ModelFormatError("trailing bytes after final section")
 
     try:
-        config = parse_config(sections["config"].buf.decode("utf-8"))
+        config = parse_config(str(sections["config"].buf, "utf-8"))
     except (UnicodeDecodeError, ConfigError) as exc:
         raise ModelFormatError(f"section config: {exc}") from None
     errors = validate_config(config)

@@ -6,11 +6,17 @@ model)``, so every ``jobs`` runs the same function on the same model. Each
 image comes back as ``(indices, counts)`` in the narrowest dtypes that hold
 them: int32 indices wherever scipy indexes the CSR matrix with int32, and
 counts sized to a block's pixel count. The parent so unpickles a fraction
-of the int64 pair, and builds the same matrix. One pool serves a whole
-call, including every chunk of an evaluation. Training then passes the
+of the int64 pair, and builds the same matrix. Training then passes the
 same ``jobs`` to ``svm_train``, which forks its own pool after the
-features exist. Training and prediction run on one BLAS thread
-(``forkpool.one_blas_thread``), so their bits do not depend on the count.
+features exist.
+
+Evaluation splits the test set into tasks of ``chunk`` consecutive images
+(a one-image tail joins the task before it, see :func:`_tasks`), and one
+pool serves every task. A task encodes and scores its images where it
+runs and returns only their labels, so no test feature passes through a
+pipe and no dense batch wider than a task is formed. Training and
+prediction run on one BLAS thread (``forkpool.one_blas_thread``), so their
+bits do not depend on the count.
 """
 
 from __future__ import annotations
@@ -165,9 +171,8 @@ def _encode_one(model, image):
             feat.counts.astype(np.min_scalar_type(cfg.block_w * cfg.block_h)))
 
 
-def _features(model: TrainedModel, images, run) -> sp.csr_matrix:
-    dim = encoder.feature_dim(common_size(images), model.config)
-    pairs = run(_encode_one, images, 16)
+def _csr(pairs, dim: int) -> sp.csr_matrix:
+    """The CSR matrix of ``_encode_one``'s pairs, one row per image."""
     indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
     np.cumsum([idx.size for idx, _ in pairs], out=indptr[1:])
     indices = np.concatenate([idx for idx, _ in pairs])
@@ -179,8 +184,9 @@ def extract_features(model: TrainedModel, images, jobs: int = 1) -> sp.csr_matri
     """Histogram features for a batch of images as a CSR matrix."""
     if len(images) == 0:
         raise ValueError("no samples")
+    dim = encoder.feature_dim(common_size(images), model.config)
     with fork_pool(jobs, model) as run:
-        return _features(model, images, run)
+        return _csr(run(_encode_one, images, 16), dim)
 
 
 @one_blas_thread()
@@ -208,27 +214,58 @@ class EvalResult:
         return 100.0 * self.errors / self.samples
 
 
+def _tasks(n: int, chunk: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each evaluation task: ``chunk`` images each,
+    with a one-image tail joined to the task before it.
+
+    BLAS projects a one-row batch with gemv, which moves the row's last
+    bits, so only ``n == 1`` makes a one-image task. gemm gives each row
+    of a batch of two or more the bits one product of the whole set gives,
+    at least above OpenBLAS's small-matrix cutoff of about 1e6
+    multiply-adds (d = 147456 is far above it). The split does not depend
+    on ``jobs``, so every ``jobs`` runs the same products.
+    """
+    starts = list(range(0, n, chunk))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _predict_task(state, task) -> np.ndarray:
+    """Labels of ``images[start:stop]``, encoded and scored where it runs."""
+    model, images, dim = state
+    start, stop = task
+    pairs = [_encode_one(model, image) for image in images[start:stop]]
+    return predict_features(model, _csr(pairs, dim))
+
+
 def evaluate_model(model: TrainedModel, images, labels, jobs: int = 1,
-                   chunk: int = 512) -> EvalResult:
-    """Extract, predict, and tally a confusion matrix in streaming chunks."""
+                   chunk: int = 32) -> EvalResult:
+    """Extract, predict, and tally a confusion matrix, ``chunk`` (at least
+    2) images per pool task."""
     labels = np.asarray(labels, dtype=np.int64)
     if len(images) == 0:
         raise ValueError("no samples")
     if labels.shape[0] != len(images):
         raise ValueError("label/image count mismatch")
-    classes = np.union1d(model.classifier.classes, np.unique(labels))
-    index = {int(c): i for i, c in enumerate(classes)}
+    if chunk < 2:
+        raise ValueError("chunk must be >= 2")
+    dim = encoder.feature_dim(common_size(images), model.config)
+    clf = model.classifier
+    if isinstance(clf, LinearSvmModel):
+        # scipy multiplies by weights.T in C order, so Fortran-ordered
+        # weights spare every task a copy of them; the values are the same
+        model = replace(model, classifier=replace(
+            clf, weights=np.asfortranarray(clf.weights)))
+    classes = np.union1d(clf.classes, labels)
+    with fork_pool(jobs, (model, images, dim)) as run:
+        preds = np.concatenate(run(_predict_task, _tasks(len(images), chunk), 1))
     confusion = np.zeros((classes.size, classes.size), dtype=np.int64)
-    with fork_pool(jobs, model) as run:
-        for start in range(0, len(images), chunk):
-            feats = _features(model, images[start:start + chunk], run)
-            preds = predict_features(model, feats)
-            for true, pred in zip(labels[start:start + chunk], preds):
-                confusion[index[int(true)], index[int(pred)]] += 1
-    samples = int(confusion.sum())
-    errors = samples - int(np.trace(confusion))
+    np.add.at(confusion, (np.searchsorted(classes, labels),
+                          np.searchsorted(classes, preds)), 1)
+    errors = len(images) - int(np.trace(confusion))
     return EvalResult(classes=classes, confusion=confusion,
-                      samples=samples, errors=errors)
+                      samples=len(images), errors=errors)
 
 
 def format_eval_report(result: EvalResult) -> str:

@@ -67,3 +67,11 @@ def tiny_model(glyph_train):
     """One small trained model shared by io/cli/pipeline tests."""
     images, labels = glyph_train
     return train_model(tiny_config(), images, labels)
+
+
+@pytest.fixture(scope="session")
+def tiny_wpca_model(glyph_train):
+    """A small wpca_cosine model: 20 training images, 5 components."""
+    images, labels = glyph_train
+    return train_model(tiny_config(classifier="wpca_cosine", wpca_dim=5),
+                       images[:20], labels[:20])

@@ -52,6 +52,37 @@ with tempfile.TemporaryDirectory() as tmp:
 """
 
 
+PREDICTION_SCORES = """
+import hashlib
+from types import SimpleNamespace
+import numpy as np
+import scipy.sparse as sp
+from translayer import Config, experiment
+from translayer.classify import WpcaCosineModel, WpcaModel
+
+# a one-row projection is a gemv, which two OpenBLAS threads split along
+# the 5000-long sums at this shape
+gen = np.random.default_rng(0)
+d, k, n = 5000, 100, 30
+clf = WpcaCosineModel(WpcaModel(gen.random(d), gen.standard_normal((k, d))),
+                      gen.standard_normal((n, k)), np.arange(n))
+model = SimpleNamespace(config=Config(classifier="wpca_cosine"), classifier=clf)
+projected = []
+apply = experiment.wpca_apply
+
+
+def recording_apply(*args):
+    projected.append(apply(*args))
+    return projected[-1]
+
+
+experiment.wpca_apply = recording_apply
+labels = experiment.predict_features(model, sp.random(1, d, density=0.1,
+                                                      random_state=1) * 10)
+print(hashlib.sha256(projected[0].tobytes() + labels.tobytes()).hexdigest())
+"""
+
+
 def run_at_blas_threads(threads, script):
     """stdout of ``script`` in a fresh interpreter with OpenBLAS at
     ``threads`` threads."""
@@ -83,6 +114,12 @@ def test_model_bytes_do_not_depend_on_blas_threads(overrides):
     # 8 + 8 maps give features wide enough for threaded dot products
     script = MODEL_BYTES.format(overrides=overrides)
     assert run_at_blas_threads(1, script) == run_at_blas_threads(2, script)
+
+
+def test_prediction_does_not_depend_on_blas_threads():
+    # the scores predict_features computes, not only their argmax
+    assert (run_at_blas_threads(1, PREDICTION_SCORES)
+            == run_at_blas_threads(2, PREDICTION_SCORES))
 
 
 def test_eigh_does_not_depend_on_blas_threads():

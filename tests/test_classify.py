@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from translayer import Rng, cosine_nn, svm_train, wpca_apply, wpca_fit
-from translayer import classify
+from translayer import classify, forkpool
 from translayer.classify import as_csr, svm_predict_many, wpca_fit as _wpca_fit
 
 
@@ -426,6 +426,25 @@ def test_gram_route_matches_sparse_reference_on_counts(n, blocks, bins,
     assert np.array_equal(model.mean, mean)
     assert np.array_equal(model.projection, projection)
     assert model.projection.flags["C_CONTIGUOUS"]
+
+
+def test_wpca_apply_sub_batches_reproduce_the_batch_rows():
+    # evaluation projects a test set task by task, so BLAS must give every
+    # row of a batch of two or more rows the bits one product of the whole
+    # batch gives. gemm does at the benchmark's shapes (d = 147456). A
+    # one-row batch goes to gemv, and OpenBLAS sends products of at most
+    # about 1e6 multiply-adds to a small-matrix kernel; the bits of either
+    # can depend on the batch.
+    gen = np.random.default_rng(9)
+    x = block_counts(12, 576, 256, seed=9)
+    model = classify.WpcaModel(mean=np.asarray(x.mean(axis=0)).ravel(),
+                               projection=gen.standard_normal((24, x.shape[1])))
+    with forkpool.one_blas_thread():
+        whole = wpca_apply(model, x)
+        for start, stop in itertools.combinations(range(x.shape[0] + 1), 2):
+            if stop - start >= 2:
+                assert np.array_equal(wpca_apply(model, x[start:stop]),
+                                      whole[start:stop]), (start, stop)
 
 
 # --- cosine nearest neighbor -------------------------------------------

@@ -1,6 +1,7 @@
 import os
 import re
 import struct
+import warnings
 import zlib
 from dataclasses import replace
 
@@ -328,13 +329,6 @@ def rewrite_classifier(path, edit):
                      + struct.pack("<I", zlib.crc32(payload)))
 
 
-@pytest.fixture(scope="module")
-def tiny_wpca_model(glyph_train):
-    images, labels = glyph_train
-    return train_model(tiny_config(classifier="wpca_cosine", wpca_dim=5),
-                       images[:20], labels[:20])
-
-
 def test_rewritten_classifier_with_same_arrays_loads(tmp_path, tiny_model,
                                                      tiny_wpca_model):
     for model in (tiny_model, tiny_wpca_model):
@@ -380,6 +374,43 @@ def test_wpca_arrays_disagreeing_with_each_other_rejected(
     with pytest.raises(ModelFormatError, match=r"invalid model: wpca_cosine "
                        r"needs .* got " + re.escape(got) + "$"):
         load_model(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("model_name, array", [
+    ("tiny_model", 1), ("tiny_wpca_model", 0), ("tiny_wpca_model", 1),
+    ("tiny_wpca_model", 2)], ids=["svm-weights", "wpca-mean",
+                                  "wpca-projection", "wpca-train-vectors"])
+def test_non_finite_classifier_array_rejected(request, tmp_path, model_name,
+                                              array, value):
+    # a NaN in one svm weight makes argmax pick its class wherever the
+    # feature is nonzero; the model must not load at all
+    path = tmp_path / "model.bin"
+    save_model(request.getfixturevalue(model_name), path)
+
+    def poison(arrays):
+        arrays = [a.copy() for a in arrays]
+        arrays[array].flat[0] = value
+        return arrays
+
+    rewrite_classifier(path, poison)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelFormatError,
+                           match="invalid model: .* holds a non-finite value"):
+            load_model(path)
+
+
+def test_loaded_arrays_own_their_data(tmp_path, tiny_wpca_model):
+    # each array is copied out of the file's bytes, which are then freed
+    path = tmp_path / "model.bin"
+    save_model(tiny_wpca_model, path)
+    model = load_model(path)
+    clf = model.classifier
+    for arr in (model.bank1.weights, model.whiten1.matrix, model.bank2.weights,
+                model.whiten2.matrix, clf.wpca.mean, clf.wpca.projection,
+                clf.train_vectors, clf.train_labels):
+        assert arr.flags.owndata and arr.flags.writeable
 
 
 def test_negative_array_dimension_rejected(tmp_path, tiny_model):

@@ -1,4 +1,5 @@
 import ctypes
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from translayer.experiment import (extract_features, format_eval_report,
                                   predict_features)
 from translayer.pipeline import code_maps
 
-from conftest import tiny_config
+from conftest import make_glyphs, tiny_config
 
 
 def test_parallel_extraction_matches_serial(tiny_model, glyph_test):
@@ -69,6 +70,60 @@ def test_evaluation_forks_one_pool_for_all_chunks(tiny_model, glyph_test,
     parallel = evaluate_model(tiny_model, images, labels, jobs=2, chunk=7)
     assert len(contexts) == 1
     assert np.array_equal(serial.confusion, parallel.confusion)
+
+
+TASK = 4   # images per evaluation task in the tests below
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, TASK, TASK + 1, 2 * TASK + 1])
+@pytest.mark.parametrize("model_name", ["tiny_model", "tiny_wpca_model"])
+def test_evaluation_matches_predicting_every_feature(request, glyph_test,
+                                                     model_name, n, jobs):
+    model = request.getfixturevalue(model_name)
+    images, labels = glyph_test[0][:n], glyph_test[1][:n]
+    preds = predict_features(model, extract_features(model, images))
+    classes = np.union1d(model.classifier.classes, labels)
+    want = np.zeros((classes.size, classes.size), dtype=np.int64)
+    for true, pred in zip(labels, preds):
+        want[np.searchsorted(classes, true), np.searchsorted(classes, pred)] += 1
+    result = evaluate_model(model, images, labels, jobs=jobs, chunk=TASK)
+    assert np.array_equal(result.classes, classes)
+    assert np.array_equal(result.confusion, want)
+    assert (result.samples, result.errors) == (n, int((preds != labels).sum()))
+
+
+def test_evaluation_tasks_never_hold_one_image_of_several():
+    for n in range(1, 60):
+        for chunk in range(2, 12):
+            tasks = experiment._tasks(n, chunk)
+            assert [t[0] for t in tasks[1:]] == [t[1] for t in tasks[:-1]]
+            assert (tasks[0][0], tasks[-1][1]) == (0, n)
+            sizes = [stop - start for start, stop in tasks]
+            assert max(sizes) <= chunk + 1
+            assert min(sizes) >= 2 or n == 1
+            assert sizes[:-1] == [chunk] * (len(sizes) - 1)
+
+
+@pytest.mark.parametrize("chunk", [1, 0])
+def test_evaluation_task_of_one_image_rejected(tiny_model, glyph_test, chunk):
+    with pytest.raises(ValueError, match="chunk must be >= 2"):
+        evaluate_model(tiny_model, *glyph_test, chunk=chunk)
+
+
+def test_evaluation_never_holds_the_dense_batch(tiny_wpca_model):
+    # a task scores its images at a time: 128 images, four tasks of the
+    # default size, peak below the dense n x d input that one projection
+    # of the whole batch takes
+    images, labels = make_glyphs(128, seed=303)
+    dim = encoder.feature_dim(images[0].pixels.shape, tiny_wpca_model.config)
+    tracemalloc.start()
+    try:
+        evaluate_model(tiny_wpca_model, images, labels, jobs=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(images) * dim * 8
 
 
 BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_",
