@@ -24,10 +24,16 @@ from .rng import Rng
 SVM_TOL = 0.1
 SVM_MAX_PASSES = 1000
 # Largest WPCA eigenproblem, min(training images, feature dimension), that
-# training accepts, bound by the dense n x d copy behind the Gram (708 MB at
-# n=600 and dae_wpca's d=147456), not by the solve: one jacobi_eigh of a
-# Gram matrix takes 0.007 s at n=140 and 0.05 s at n=600 on a 2-vCPU VM.
-WPCA_MAX_N = 600
+# training accepts. The Gram route densifies one BUDGET block at a time, so
+# what grows with n is the n x n Gram, its solve and the time to sum it: at
+# n=2400 and dae_wpca's d=147456 (integer counts, 25.7k nonzeros per row),
+# wpca_fit at jobs=2 took 39 s and held 475 MB above its input on a 2-vCPU
+# VM; the dense n x d copy it replaced took 708 MB at n=600.
+WPCA_MAX_N = 2400
+# Bytes of the largest temporary the WPCA fit makes of the training batch
+# in any one process: one dense block of feature columns, or one run of
+# scaled entries when summing the column means.
+BUDGET = 32 * 2**20
 
 log = logging.getLogger("translayer")
 
@@ -61,7 +67,8 @@ class WpcaSizeError(ValueError):
 
 
 def check_wpca_size(n_samples: int, feature_dim: int):
-    """Fail fast, before any extraction, on a WPCA fit too large to solve."""
+    """Fail fast, before any extraction, on a WPCA eigenproblem larger
+    than ``WPCA_MAX_N``."""
     size = min(n_samples, feature_dim)
     if size > WPCA_MAX_N:
         raise WpcaSizeError(
@@ -210,13 +217,16 @@ def svm_train(features, labels, cost_c: float = 1.0,
         raise ValueError("cost_c must be > 0")
     rng = rng if rng is not None else Rng(0)
 
-    qii = np.asarray(x.multiply(x).sum(axis=1)).ravel()
+    # the squares on x's own index arrays, which x.multiply(x) would copy;
+    # the row sums are the same bit for bit
+    qii = np.asarray(sp.csr_matrix((x.data * x.data, x.indices, x.indptr),
+                                   shape=x.shape).sum(axis=1)).ravel()
 
     weights = shared_zeros((classes.size, x.shape[1]))
     problem = (x, x.indices.astype(np.intp), y_all, classes, cost_c, qii,
                rng, weights)
     with fork_pool(min(jobs, classes.size), problem) as run:
-        solved = run(_solve_class, range(classes.size), 1)
+        solved = list(run(_solve_class, range(classes.size), 1))
     for cls, (hist, violation) in zip(classes, solved):
         if violation >= SVM_TOL:
             log.warning("SVM class %d did not converge: %d passes, max "
@@ -246,7 +256,43 @@ def svm_predict_many(model: LinearSvmModel, features) -> np.ndarray:
     return model.classes[np.argmax(scores, axis=1)]
 
 
-def wpca_fit(features, target_dim: int) -> WpcaModel:
+def _column_means(x: sp.csr_matrix) -> np.ndarray:
+    """``x.mean(axis=0)`` bit for bit, without the scaled copy of ``x``
+    scipy makes: each entry times 1/n, added to its column in storage
+    order, a bounded run of entries at a time."""
+    n, d = x.shape
+    mean = np.zeros(d)
+    step = BUDGET // 8
+    for k0 in range(0, x.nnz, step):
+        np.add.at(mean, x.indices[k0:k0 + step], x.data[k0:k0 + step] * (1.0 / n))
+    return mean
+
+
+def _column_blocks(n: int, d: int) -> list[tuple[int, int]]:
+    """``(c0, c1)`` of each block of feature columns the Gram route
+    densifies: ``BUDGET`` bytes of an n-row batch, whatever ``jobs``."""
+    width = max(1, BUDGET // (8 * n))
+    return [(c0, min(c0 + width, d)) for c0 in range(0, d, width)]
+
+
+def _gram_block(x, block) -> np.ndarray:
+    """The n x n Gram ``D D^T`` of the dense column block ``D``."""
+    c0, c1 = block
+    dense = x[:, c0:c1].toarray()
+    return dense @ dense.T
+
+
+def _lift_block(state, block) -> None:
+    """Write columns ``c0:c1`` of the lifted components into ``rows``."""
+    x, dual, dual_sums, mean, norms, rows = state
+    c0, c1 = block
+    out = rows[:, c0:c1]
+    np.multiply.outer(dual_sums, mean[c0:c1], out=out)
+    np.subtract(np.asarray(x[:, c0:c1].T @ dual).T, out, out=out)
+    out /= norms[:, None]
+
+
+def wpca_fit(features, target_dim: int, jobs: int = 1) -> WpcaModel:
     """Mean-centered principal projection, rows scaled by 1/sqrt(eigenvalue).
 
     Components with eigenvalues at or below ``linalg.EIGENVALUE_FLOOR``
@@ -254,14 +300,20 @@ def wpca_fit(features, target_dim: int) -> WpcaModel:
     more components than survive raises.
 
     With more features than samples (d > n) the eigenproblem is solved on
-    the n x n Gram matrix, whose uncentered part ``X X^T`` is one dense
-    BLAS product. On integer counts every partial sum is an integer no
-    larger than the largest row's squared norm (576 * 49**2 for 576
-    blocks of 7 x 7 pixels), far below 2**53, so the product is exact in
-    any summation order; non-integer (``wpca_sqrt``) features can move in
-    the last bits. The dense n x d copy is the size of the one
-    ``wpca_apply`` makes of the same batch and is freed before the lift.
-    The lift ``X^T V`` stays sparse, and its rows are the components.
+    the n x n Gram matrix, and the fit is two fan-outs over
+    ``forkpool.fork_pool(jobs, ...)``, each task one block of feature
+    columns from :func:`_column_blocks` (a split that does not depend on
+    ``jobs``), so no process densifies more than ``BUDGET`` bytes of the
+    batch. The uncentered Gram ``X X^T`` is the sum, in block order, of
+    each block's dense product. On integer counts every partial sum is an
+    integer no larger than the largest row's squared norm (576 * 49**2
+    for 576 blocks of 7 x 7 pixels), far below 2**53, so the Gram is
+    exact in any block split and summation order; non-integer
+    (``wpca_sqrt``) features can move in the last bits. The lift ``X^T
+    V`` stays a sparse product, each task writing its columns of the
+    components into one ``forkpool.shared_zeros`` array; scipy sums every
+    output over the rows of ``X`` in ascending order, whatever the column
+    range, so the rows are those of one whole product.
     """
     if target_dim < 1:
         raise ValueError("target_dim must be >= 1")
@@ -269,16 +321,18 @@ def wpca_fit(features, target_dim: int) -> WpcaModel:
     n, d = x.shape
     if n < 2:
         raise ValueError("need at least two samples")
-    mean = np.asarray(x.mean(axis=0)).ravel()
+    mean = _column_means(x)
 
     if d <= n:
         centered = x.toarray() - mean
         cov = (centered.T @ centered) / (n - 1)
         eigvals, components = jacobi_eigh(cov)  # components are columns
     else:
-        dense = x.toarray()
-        gram_xx = dense @ dense.T
-        del dense
+        blocks = _column_blocks(n, d)
+        gram_xx = np.zeros((n, n))
+        with fork_pool(jobs, x) as run:
+            for partial in run(_gram_block, blocks, 1):
+                gram_xx += partial
         xm = np.asarray(x @ mean).ravel()
         gram = (gram_xx - xm[:, None] - xm[None, :] + float(mean @ mean)) / (n - 1)
         eigvals, dual_vecs = jacobi_eigh(gram)
@@ -295,9 +349,10 @@ def wpca_fit(features, target_dim: int) -> WpcaModel:
     # lift to feature space only the dual vectors the projection uses
     dual = dual_vecs[:, :target_dim]
     dual_sums = np.array([float(v.sum()) for v in dual.T])
-    rows = np.multiply.outer(dual_sums, mean)
-    np.subtract(np.asarray(x.T @ dual).T, rows, out=rows)
-    rows /= np.sqrt((n - 1) * eigvals[:target_dim])[:, None]
+    norms = np.sqrt((n - 1) * eigvals[:target_dim])
+    rows = shared_zeros((target_dim, d))
+    with fork_pool(jobs, (x, dual, dual_sums, mean, norms, rows)) as run:
+        list(run(_lift_block, blocks, 1))
     fix_row_signs(rows)
     rows *= scale[:, None]
     return WpcaModel(mean=mean, projection=rows)

@@ -16,6 +16,8 @@ save/load/save cycle is byte-identical.
 from __future__ import annotations
 
 import gzip
+import math
+import os
 import struct
 import zlib
 
@@ -105,6 +107,7 @@ def read_amat(path):
 # --- model container ---------------------------------------------------
 
 _ARRAY_DTYPES = {0: "<f8", 1: "<i8"}   # array kind byte -> stored dtype
+_SKIP_CHUNK = 1 << 16   # bytes read at a time past a section's bad array
 
 
 def _array_pieces(arr) -> list:
@@ -116,44 +119,106 @@ def _array_pieces(arr) -> list:
     return [head, a.reshape(-1).view(np.uint8)]
 
 
-class _Cursor:
-    def __init__(self, buf, section):
-        self.buf = buf
-        self.pos = 0
-        self.section = section
+class _Section:
+    """The arrays one section holds, or the error that stopped reading them.
 
-    def take(self, count):
-        if self.pos + count > len(self.buf):
-            raise ModelFormatError(f"section {self.section}: truncated payload")
-        out = self.buf[self.pos:self.pos + count]
-        self.pos += count
-        return out
+    The error is raised only when the arrays are asked for, so a checksum
+    or framing fault anywhere in the file, and a bad config, are reported
+    first, as they would be if every section were read before any array.
+    """
+
+    def __init__(self, name):
+        self.name = name
+        self.text = None     # the config section's bytes
+        self.items = []
+        self.error = None
+
+    def arrays(self, count):
+        """The section's arrays; they must number ``count``."""
+        if self.error is not None:
+            raise self.error
+        if len(self.items) != count:
+            raise ModelFormatError(f"section {self.name}: the config "
+                                   f"needs {count} arrays, found {len(self.items)}")
+        return self.items
+
+
+class _Reader:
+    """A model file read front to back, each array straight into its own
+    buffer. Every read is checked against the bytes its section, and the
+    file, have left before anything is allocated for it, and a section's
+    bytes are summed into its CRC32 as they are read."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.pos = 0
+        self.size = os.fstat(fh.fileno()).st_size
+        self.limit = self.size      # end of the payload being read
+        self.name = "magic"
+        self.crc = 0
+
+    def _truncated(self):
+        return ModelFormatError(f"section {self.name}: truncated payload")
+
+    def _check(self, count):
+        """Raise unless ``count`` more bytes are left in the payload."""
+        if self.pos + count > self.limit:
+            raise self._truncated()
+
+    def _fill(self, buf):
+        """Read ``len(buf)`` checked bytes into ``buf``."""
+        if self.fh.readinto(buf) != len(buf):
+            raise self._truncated()
+        self.pos += len(buf)
+        self.crc = zlib.crc32(buf, self.crc)
+
+    def read(self, count) -> bytearray:
+        self._check(count)
+        buf = bytearray(count)
+        self._fill(buf)
+        return buf
 
     def unpack(self, fmt):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
 
-    def array(self):
+    def array(self) -> np.ndarray:
         kind, ndim = self.unpack("<BB")
         shape = self.unpack(f"<{ndim}q")
         dt = _ARRAY_DTYPES.get(kind)
         if dt is None:
-            raise ModelFormatError(f"section {self.section}: bad array kind")
+            raise ModelFormatError(f"section {self.name}: bad array kind")
         if any(dim < 0 for dim in shape):
-            raise ModelFormatError(f"section {self.section}: negative array "
+            raise ModelFormatError(f"section {self.name}: negative array "
                                    "dimension")
-        size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(self.take(size * 8), dtype=dt).reshape(shape)
-        return arr.astype(np.float64 if kind == 0 else np.int64)
+        self._check(8 * math.prod(shape))
+        arr = np.empty(shape, dtype=dt)
+        self._fill(arr.reshape(-1).view(np.uint8))
+        return arr.astype(np.float64 if kind == 0 else np.int64, copy=False)
 
-    def arrays(self, count):
-        """Every array left in the section; they must number ``count``."""
-        out = []
-        while self.pos < len(self.buf):
-            out.append(self.array())
-        if len(out) != count:
-            raise ModelFormatError(f"section {self.section}: the config "
-                                   f"needs {count} arrays, found {len(out)}")
-        return out
+    def section(self, name) -> _Section:
+        """Read section ``name``: its length, payload and checksum."""
+        self.name = name
+        (length,) = self.unpack("<Q")
+        self.limit = self.pos + length
+        if self.limit > self.size:
+            raise self._truncated()
+        self.crc = 0
+        section = _Section(name)
+        if name == "config":
+            section.text = self.read(length)
+        else:
+            try:
+                while self.pos < self.limit:
+                    section.items.append(self.array())
+            except ValueError as exc:   # a ModelFormatError, or numpy's
+                section.error = exc
+                while self.pos < self.limit:    # checksum the rest
+                    self.read(min(self.limit - self.pos, _SKIP_CHUNK))
+        payload_crc, self.limit = self.crc, self.size
+        (crc,) = self.unpack("<I")
+        if payload_crc != crc:
+            raise ModelFormatError(f"section {name}: checksum mismatch")
+        return section
 
 
 def _bank_arrays(bank: FilterBank):
@@ -189,31 +254,21 @@ def save_model(model: TrainedModel, path) -> None:
 
 def load_model(path) -> TrainedModel:
     with open(path, "rb") as fh:
-        blob = memoryview(fh.read())   # sections and arrays slice it, uncopied
-    if len(blob) < len(MODEL_MAGIC):
-        raise ModelFormatError("file too short to be a model")
-    cur = _Cursor(blob, "magic")
-    magic = cur.take(len(MODEL_MAGIC))
-    if magic != MODEL_MAGIC:
-        if magic[:7] == MODEL_MAGIC[:7]:
-            raise ModelFormatError(
-                f"unsupported model format version {bytes(magic[7:8]).decode(errors='replace')}")
-        raise ModelFormatError("not a model file (bad magic)")
-
-    sections = {}
-    for name in _SECTIONS:
-        cur.section = name
-        (length,) = cur.unpack("<Q")
-        payload = cur.take(length)
-        (crc,) = cur.unpack("<I")
-        if zlib.crc32(payload) != crc:
-            raise ModelFormatError(f"section {name}: checksum mismatch")
-        sections[name] = _Cursor(payload, name)
-    if cur.pos != len(blob):
-        raise ModelFormatError("trailing bytes after final section")
+        reader = _Reader(fh)
+        if reader.size < len(MODEL_MAGIC):
+            raise ModelFormatError("file too short to be a model")
+        magic = bytes(reader.read(len(MODEL_MAGIC)))
+        if magic != MODEL_MAGIC:
+            if magic[:7] == MODEL_MAGIC[:7]:
+                raise ModelFormatError(
+                    f"unsupported model format version {magic[7:8].decode(errors='replace')}")
+            raise ModelFormatError("not a model file (bad magic)")
+        sections = {name: reader.section(name) for name in _SECTIONS}
+        if reader.pos != reader.size:
+            raise ModelFormatError("trailing bytes after final section")
 
     try:
-        config = parse_config(str(sections["config"].buf, "utf-8"))
+        config = parse_config(str(sections["config"].text, "utf-8"))
     except (UnicodeDecodeError, ConfigError) as exc:
         raise ModelFormatError(f"section config: {exc}") from None
     errors = validate_config(config)

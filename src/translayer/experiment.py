@@ -7,16 +7,20 @@ image comes back as ``(indices, counts)`` in the narrowest dtypes that hold
 them: int32 indices wherever scipy indexes the CSR matrix with int32, and
 counts sized to a block's pixel count. The parent so unpickles a fraction
 of the int64 pair, and builds the same matrix. Training then passes the
-same ``jobs`` to ``svm_train``, which forks its own pool after the
-features exist.
+same ``jobs`` to the classifier fit, which forks its own pools after the
+features exist: ``svm_train`` solves one class per task, and
+``wpca_fit`` builds its Gram and lift one block of feature columns per
+task.
 
 Evaluation splits the test set into tasks of ``chunk`` consecutive images
 (a one-image tail joins the task before it, see :func:`_tasks`), and one
 pool serves every task. A task encodes and scores its images where it
 runs and returns only their labels, so no test feature passes through a
-pipe and no dense batch wider than a task is formed. Training and
-prediction run on one BLAS thread (``forkpool.one_blas_thread``), so their
-bits do not depend on the count.
+pipe and no dense batch wider than a task is formed. ``wpca_cosine``
+training projects its training set through the same split
+(:func:`_run_tasks`), so it too densifies one task, not the batch, at a
+time. Training and prediction run on one BLAS thread
+(``forkpool.one_blas_thread``), so their bits do not depend on the count.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ from .rng import Rng
 from .types import Config, DAE, TrainedModel, validate_config
 
 log = logging.getLogger("translayer")
+
+# images (or training rows) per pool task when evaluating or projecting
+TASK_IMAGES = 32
 
 
 class StageTimer:
@@ -144,8 +151,9 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
         classifier = svm_train(features, labels, cfg.svm_c, rng, jobs=jobs)
     else:
         x = _wpca_input(features, cfg)
-        wpca = wpca_fit(x, cfg.wpca_dim)
-        classifier = WpcaCosineModel(wpca=wpca, train_vectors=wpca_apply(wpca, x),
+        wpca = wpca_fit(x, cfg.wpca_dim, jobs=jobs)
+        vectors = _run_tasks(jobs, (wpca, x), _project_task, x.shape[0])
+        classifier = WpcaCosineModel(wpca=wpca, train_vectors=vectors,
                                      train_labels=labels)
     timer.lap("train classifier")
     return replace(front, classifier=classifier)
@@ -186,7 +194,7 @@ def extract_features(model: TrainedModel, images, jobs: int = 1) -> sp.csr_matri
         raise ValueError("no samples")
     dim = encoder.feature_dim(common_size(images), model.config)
     with fork_pool(jobs, model) as run:
-        return _csr(run(_encode_one, images, 16), dim)
+        return _csr(list(run(_encode_one, images, 16)), dim)
 
 
 @one_blas_thread()
@@ -231,6 +239,20 @@ def _tasks(n: int, chunk: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
+def _run_tasks(jobs: int, state, fn, n: int, chunk: int = TASK_IMAGES):
+    """``fn(state, (start, stop))`` of every task of ``_tasks(n, chunk)``,
+    run over ``fork_pool(jobs, state)`` and concatenated in task order."""
+    with fork_pool(jobs, state) as run:
+        return np.concatenate(list(run(fn, _tasks(n, chunk), 1)))
+
+
+def _project_task(state, task) -> np.ndarray:
+    """The WPCA projection of training rows ``start:stop``."""
+    wpca, x = state
+    start, stop = task
+    return wpca_apply(wpca, x[start:stop])
+
+
 def _predict_task(state, task) -> np.ndarray:
     """Labels of ``images[start:stop]``, encoded and scored where it runs."""
     model, images, dim = state
@@ -240,7 +262,7 @@ def _predict_task(state, task) -> np.ndarray:
 
 
 def evaluate_model(model: TrainedModel, images, labels, jobs: int = 1,
-                   chunk: int = 32) -> EvalResult:
+                   chunk: int = TASK_IMAGES) -> EvalResult:
     """Extract, predict, and tally a confusion matrix, ``chunk`` (at least
     2) images per pool task."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -258,8 +280,8 @@ def evaluate_model(model: TrainedModel, images, labels, jobs: int = 1,
         model = replace(model, classifier=replace(
             clf, weights=np.asfortranarray(clf.weights)))
     classes = np.union1d(clf.classes, labels)
-    with fork_pool(jobs, (model, images, dim)) as run:
-        preds = np.concatenate(run(_predict_task, _tasks(len(images), chunk), 1))
+    preds = _run_tasks(jobs, (model, images, dim), _predict_task, len(images),
+                       chunk)
     confusion = np.zeros((classes.size, classes.size), dtype=np.int64)
     np.add.at(confusion, (np.searchsorted(classes, labels),
                           np.searchsorted(classes, preds)), 1)

@@ -1,7 +1,8 @@
 """Fan work out over forked worker processes.
 
-:func:`fork_pool` yields ``run(fn, items, chunksize)``, which returns
-``[fn(state, item) for item in items]`` at every ``jobs``. Workers are
+:func:`fork_pool` yields ``run(fn, items, chunksize)``, which iterates
+over ``fn(state, item) for item in items``, in item order, at every
+``jobs``. A caller that sums the results holds one at a time. Workers are
 forked, not spawned, so they see ``state`` (the model, the training
 features) copy-on-write and nothing large is pickled on the way in.
 Results too large to send back through the pool go into an array from
@@ -95,16 +96,17 @@ def _call(fn, item):
 
 @contextmanager
 def fork_pool(jobs: int, state):
-    """Yield ``run(fn, items, chunksize)`` = ``[fn(state, item) for item in
-    items]``, run over ``jobs`` forked workers when ``jobs > 1``. ``fn``
+    """Yield ``run(fn, items, chunksize)``, an iterator over ``fn(state,
+    item) for item in items`` in item order, run over ``jobs`` forked
+    workers when ``jobs > 1``. Consume it inside the ``with`` block. ``fn``
     must be defined at module level, where a worker can look it up."""
     with one_blas_thread():
         if jobs <= 1:
-            yield lambda fn, items, chunksize: [fn(state, item) for item in items]
+            yield lambda fn, items, chunksize: (fn(state, item) for item in items)
             return
         ctx = mp.get_context("fork")
         with ctx.Pool(jobs, initializer=_init, initargs=(state,)) as pool:
-            yield lambda fn, items, chunksize: pool.map(
+            yield lambda fn, items, chunksize: pool.imap(
                 functools.partial(_call, fn), items, chunksize=chunksize)
 
 

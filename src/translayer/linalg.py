@@ -23,11 +23,13 @@ def fix_row_signs(rows: np.ndarray) -> None:
     """Flip, in place, each row so its largest-magnitude entry is positive.
 
     Ties pick the first such entry. Makes eigenvector (and therefore
-    filter) signs reproducible. The scan runs along rows, so a
-    C-contiguous ``rows`` is read in memory order.
+    filter) signs reproducible. One row at a time, so the only temporary
+    is one row's magnitudes; a C-contiguous ``rows`` is read in memory
+    order.
     """
-    lead = np.argmax(np.abs(rows), axis=1)
-    rows[rows[np.arange(rows.shape[0]), lead] < 0.0] *= -1.0
+    for row in rows:
+        if row[np.argmax(np.abs(row))] < 0.0:
+            row *= -1.0
 
 
 def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

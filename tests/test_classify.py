@@ -1,6 +1,7 @@
 import itertools
 import logging
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -426,6 +427,48 @@ def test_gram_route_matches_sparse_reference_on_counts(n, blocks, bins,
     assert np.array_equal(model.mean, mean)
     assert np.array_equal(model.projection, projection)
     assert model.projection.flags["C_CONTIGUOUS"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("n,target_dim", [(2, 1), (3, 2), (30, 8)])
+@pytest.mark.parametrize("width", [1, 7, 50])
+def test_blocked_gram_route_matches_sparse_reference(monkeypatch, jobs, n,
+                                                    target_dim, width):
+    # d = 144 columns in blocks of 1, 7 and 50: 7 and 50 leave a short
+    # last block, and the split must not change a bit at any jobs
+    monkeypatch.setattr(classify, "BUDGET", 8 * n * width)
+    x = block_counts(n, 9, 16, seed=200 + n)
+    assert len(classify._column_blocks(n, x.shape[1])) == -(-144 // width)
+    model = wpca_fit(x, target_dim, jobs=jobs)
+    mean, projection = wpca_fit_gram_reference(x, target_dim)
+    assert np.array_equal(model.mean, mean)
+    assert np.array_equal(model.projection, projection)
+
+
+@pytest.mark.parametrize("budget", [8, 8 * 1000, classify.BUDGET])
+def test_column_means_equal_scipy_mean(monkeypatch, budget):
+    # square-rooted counts, as wpca_sqrt feeds them: not integers, so the
+    # order of the additions shows in the bits
+    monkeypatch.setattr(classify, "BUDGET", budget)
+    x = block_counts(40, 30, 16, seed=41)
+    x.data = np.sqrt(x.data)
+    assert classify._column_means(x).tobytes() == \
+        np.asarray(x.mean(axis=0)).ravel().tobytes()
+
+
+def test_gram_route_never_holds_the_dense_batch():
+    # 60 x 147456 counts are 70.8 MB dense; the fit densifies one column
+    # block of at most BUDGET bytes at a time
+    x = block_counts(60, 576, 256, seed=60, one_bin=True)
+    dense_bytes = x.shape[0] * x.shape[1] * 8
+    assert dense_bytes > 2 * classify.BUDGET
+    tracemalloc.start()
+    try:
+        wpca_fit(x, 4, jobs=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes
 
 
 def test_wpca_apply_sub_batches_reproduce_the_batch_rows():

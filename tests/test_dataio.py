@@ -1,6 +1,7 @@
 import os
 import re
 import struct
+import tracemalloc
 import warnings
 import zlib
 from dataclasses import replace
@@ -428,6 +429,60 @@ def test_negative_array_dimension_rejected(tmp_path, tiny_model):
                      + struct.pack("<I", zlib.crc32(payload)))
     with pytest.raises(ModelFormatError,
                        match="section classifier: negative array dimension"):
+        load_model(path)
+
+
+def classifier_offset(blob):
+    """Where the classifier section, the last one, starts in a model file."""
+    pos = 8
+    for _ in range(5):
+        (length,) = struct.unpack_from("<Q", blob, pos)
+        pos += 8 + length + 4
+    return pos
+
+
+def _corrupt_header(blob, pos):
+    """Models whose classifier section, at ``pos``, declares more bytes than
+    the file holds, each with a valid checksum wherever one is computed."""
+    weights = blob[pos + 8:-4]
+    for head in (struct.pack("<BBq", 0, 1, 2**60),           # one huge dim
+                 struct.pack("<BB3q", 0, 3, 2**32, 2**32, 2**32)):  # > 2**63
+        payload = head + weights
+        yield (blob[:pos] + struct.pack("<Q", len(payload)) + payload
+               + struct.pack("<I", zlib.crc32(payload)))
+    yield blob[:pos] + struct.pack("<Q", 2**62) + blob[pos + 8:]   # length
+    yield blob[:pos + 8 + len(weights) // 2]          # file cut mid-array
+
+
+def test_corrupt_header_fails_before_allocating(tmp_path, tiny_model):
+    path = tmp_path / "model.bin"
+    save_model(tiny_model, path)
+    blob = path.read_bytes()
+    for corrupt in _corrupt_header(blob, classifier_offset(blob)):
+        path.write_bytes(corrupt)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ModelFormatError,
+                                   match="section classifier: truncated payload"):
+                    load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(blob) // 2
+
+
+def test_array_of_too_many_dimensions_rejected(tmp_path, tiny_model):
+    # 65 dimensions of 1 fit the section, but numpy holds at most 64
+    path = tmp_path / "model.bin"
+    save_model(tiny_model, path)
+    blob = path.read_bytes()
+    pos = classifier_offset(blob)
+    payload = struct.pack("<BB65q", 0, 65, *[1] * 65) + bytes(8)
+    path.write_bytes(blob[:pos] + struct.pack("<Q", len(payload)) + payload
+                     + struct.pack("<I", zlib.crc32(payload)))
+    with pytest.raises(ModelFormatError, match="invalid model: .*dimension"):
         load_model(path)
 
 

@@ -155,7 +155,7 @@ def test_forked_workers_run_one_blas_thread():
         for set_threads in setters:
             set_threads(2)   # more than one, whatever the environment set
         with forkpool.fork_pool(2, None) as run:
-            seen = run(_blas_threads_in_worker, range(4), 1)
+            seen = list(run(_blas_threads_in_worker, range(4), 1))
         assert seen == [[1] * len(before)] * 4
         assert blas_thread_counts() == [2] * len(before)  # the parent keeps its own
     finally:
