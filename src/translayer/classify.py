@@ -292,6 +292,18 @@ def _lift_block(state, block) -> None:
     out /= norms[:, None]
 
 
+def _center_gram(gram: np.ndarray, x, mean: np.ndarray) -> None:
+    """Center the uncentered Gram ``X X^T`` of ``x`` and divide it by n - 1,
+    in place: the operations of ``(gram - xm[:, None] - xm[None, :] + mean
+    @ mean) / (n - 1)``, ``xm = x @ mean``, in that order, with no n x n
+    temporary."""
+    xm = np.asarray(x @ mean).ravel()
+    gram -= xm[:, None]
+    gram -= xm[None, :]
+    gram += float(mean @ mean)
+    gram /= x.shape[0] - 1
+
+
 def wpca_fit(features, target_dim: int, jobs: int = 1) -> WpcaModel:
     """Mean-centered principal projection, rows scaled by 1/sqrt(eigenvalue).
 
@@ -333,9 +345,8 @@ def wpca_fit(features, target_dim: int, jobs: int = 1) -> WpcaModel:
         with fork_pool(jobs, x) as run:
             for partial in run(_gram_block, blocks, 1):
                 gram_xx += partial
-        xm = np.asarray(x @ mean).ravel()
-        gram = (gram_xx - xm[:, None] - xm[None, :] + float(mean @ mean)) / (n - 1)
-        eigvals, dual_vecs = jacobi_eigh(gram)
+        _center_gram(gram_xx, x, mean)
+        eigvals, dual_vecs = jacobi_eigh(gram_xx)
 
     floor = EIGENVALUE_FLOOR * np.einsum("i,i->", x.data, x.data) / (n - 1)
     usable = int((eigvals > floor).sum())

@@ -10,7 +10,8 @@ of the int64 pair, and builds the same matrix. Training then passes the
 same ``jobs`` to the classifier fit, which forks its own pools after the
 features exist: ``svm_train`` solves one class per task, and
 ``wpca_fit`` builds its Gram and lift one block of feature columns per
-task.
+task. A fourth fan-out comes first: each autoencoder layer draws its
+corruption masks one epoch per task (``filters.train_dae``).
 
 Evaluation splits the test set into tasks of ``chunk`` consecutive images
 (a one-image tail joins the task before it, see :func:`_tasks`), and one
@@ -70,10 +71,10 @@ def _preprocess_patches(patches, cfg: Config):
     return whiten_apply(transform, patches), transform
 
 
-def _learn_bank(z, count, cfg: Config, rng: Rng, layer: str):
+def _learn_bank(z, count, cfg: Config, rng: Rng, layer: str, jobs: int):
     if cfg.learner == DAE:
         return learn_dae_filters(z, cfg.patch_shape(), count, cfg,
-                                 _layer_rng(rng, layer))
+                                 _layer_rng(rng, layer), jobs=jobs)
     bank = learn_pca_filters(z, cfg.patch_shape(), count)
     ortho = np.abs(bank.weights @ bank.weights.T - np.eye(count)).max()
     log.info("%s pca orthonormality residual %.3g", layer, ortho)
@@ -114,12 +115,12 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     shape = cfg.patch_shape()
     timer = StageTimer()
 
-    patches1 = sample_patches(images, shape, cfg.patches_per_layer,
-                              rng.stream("patches.layer1"))
+    patches = sample_patches(images, shape, cfg.patches_per_layer,
+                             rng.stream("patches.layer1"))
     timer.lap("sample layer1 patches")
-    z1, whiten1 = _preprocess_patches(patches1, cfg)
+    z, whiten1 = _preprocess_patches(patches, cfg)
     timer.lap("preprocess layer1")
-    bank1 = _learn_bank(z1, cfg.l1, cfg, rng, "layer1")
+    bank1 = _learn_bank(z, cfg.l1, cfg, rng, "layer1", jobs)
     timer.lap("learn layer1 bank")
 
     # layer-2 patches come from first-layer maps; maps are built lazily for
@@ -134,13 +135,14 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     def maps_of(image_idx: int):
         return map_layer(images[image_idx], bank1, whiten1, lcn)
 
-    patches2 = gather_patches(lambda src: maps_of(src // cfg.l1)[src % cfg.l1],
-                              locations, shape)
+    patches = gather_patches(lambda src: maps_of(src // cfg.l1)[src % cfg.l1],
+                             locations, shape)
     timer.lap("sample layer2 patches")
-    z2, whiten2 = _preprocess_patches(patches2, cfg)
+    z, whiten2 = _preprocess_patches(patches, cfg)
     timer.lap("preprocess layer2")
-    bank2 = _learn_bank(z2, cfg.l2, cfg, rng, "layer2")
+    bank2 = _learn_bank(z, cfg.l2, cfg, rng, "layer2", jobs)
     timer.lap("learn layer2 bank")
+    del patches, z   # not held through extraction and the classifier fit
 
     front = TrainedModel(config=cfg, bank1=bank1, bank2=bank2,
                          whiten1=whiten1, whiten2=whiten2)

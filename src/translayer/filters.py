@@ -6,12 +6,19 @@ a tied-weight tanh autoencoder trained on corrupted patches by minibatch
 stochastic gradient descent, with the ``dae_*`` settings of the
 :class:`Config`. Patch sampling is uniform over every (source, top-left
 offset) pair and fully determined by the seed.
+
+The autoencoder trains on one row per patch. Its corruption masks depend
+on the seed and the epoch alone, not on the weights, so they are drawn
+over ``forkpool.fork_pool(jobs, ...)``, one epoch per task, while the
+parent runs the gradient steps: with feature extraction, the SVM's
+classes and the WPCA column blocks, the fourth fan-out of training.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .forkpool import fork_pool
 from .linalg import jacobi_eigh
 from .rng import Rng
 from .types import MAX_FILTERS, Config, FilterBank, PatchShape, as_2d
@@ -47,17 +54,19 @@ def gather_patches(fetch, locations: np.ndarray, shape: PatchShape) -> np.ndarra
 
     ``fetch(source_index)`` returns the 2-D array for a source; it is called
     once per distinct source, in ascending order, regardless of draw order.
+    Each source's patches are one fancy-index copy of its pixels.
     """
     m = locations.shape[0]
     data = np.empty((shape.dim, m), dtype=np.float64)
     order = np.argsort(locations[:, 0], kind="stable")
-    current, arr = -1, None
-    for pos in order:
-        src, r, c = (int(x) for x in locations[pos])
-        if src != current:
-            arr = as_2d(fetch(src))
-            current = src
-        data[:, pos] = arr[r:r + shape.k1, c:c + shape.k2].ravel()
+    src, r, c = locations[order].T
+    # pixel (i, j) of patch p sits at row rows[p, i, 0], column cols[p, 0, j]
+    rows = r[:, None, None] + np.arange(shape.k1)[:, None]
+    cols = c[:, None, None] + np.arange(shape.k2)
+    cuts = [0, *(np.flatnonzero(np.diff(src)) + 1).tolist(), m]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        patches = as_2d(fetch(int(src[lo])))[rows[lo:hi], cols[lo:hi]]
+        data[:, order[lo:hi]] = patches.reshape(hi - lo, shape.dim).T
     return data
 
 
@@ -90,8 +99,14 @@ def learn_pca_filters(z: np.ndarray, shape: PatchShape, count: int) -> FilterBan
 
 
 def dae_forward(w, b, b_dec, z_corrupt):
-    hidden = np.tanh(w @ z_corrupt + b[:, None])
-    recon = np.tanh(w.T @ hidden + b_dec[:, None])
+    """Hidden codes and reconstructions of the patch rows of ``z_corrupt``
+    (n, d), as new (n, L) and (n, d) arrays."""
+    hidden = z_corrupt @ w.T
+    hidden += b
+    np.tanh(hidden, out=hidden)
+    recon = hidden @ w
+    recon += b_dec
+    np.tanh(recon, out=recon)
     return hidden, recon
 
 
@@ -100,22 +115,45 @@ def dae_value_and_grad(w, b, b_dec, z_clean, z_corrupt, tradeoff_c,
     """Reconstruction objective C * ||Z - recon||_F^2 + reg_scale * ||W||_F^2
     and its analytic gradients w.r.t. (W, b, b'), from one forward pass.
 
-    Returns ``(objective, grad_w, grad_b, grad_b_dec)``.
+    ``z_clean`` and ``z_corrupt`` hold one patch per row, (n, d). The only
+    (n, d) temporaries are the reconstruction and the error, each reused
+    in place. Returns ``(objective, grad_w, grad_b, grad_b_dec)``.
     """
     hidden, recon = dae_forward(w, b, b_dec, z_corrupt)
     err = recon - z_clean
-    objective = (tradeoff_c * float(np.sum(err * err))
-                 + reg_scale * float(np.sum(w * w)))
-    g_dec = 2.0 * tradeoff_c * err * (1.0 - recon * recon)     # (d, n)
-    g_hid = (w @ g_dec) * (1.0 - hidden * hidden)              # (L, n)
-    grad_w = g_hid @ z_corrupt.T + hidden @ g_dec.T + 2.0 * reg_scale * w
-    grad_b = g_hid.sum(axis=1)
-    grad_b_dec = g_dec.sum(axis=1)
-    return objective, grad_w, grad_b, grad_b_dec
+    objective = (tradeoff_c * float(np.vdot(err, err))
+                 + reg_scale * float(np.vdot(w, w)))
+    g_dec = err                                   # 2C * err * (1 - recon^2)
+    g_dec *= 2.0 * tradeoff_c
+    recon *= recon
+    np.subtract(1.0, recon, out=recon)
+    g_dec *= recon
+    grad_w = hidden.T @ g_dec
+    g_hid = g_dec @ w.T                           # (w g_dec) * (1 - hidden^2)
+    hidden *= hidden
+    np.subtract(1.0, hidden, out=hidden)
+    g_hid *= hidden
+    grad_w += g_hid.T @ z_corrupt
+    grad_w += (2.0 * reg_scale) * w
+    return objective, grad_w, g_hid.sum(axis=0), g_dec.sum(axis=0)
+
+
+def _epoch_mask(state, epoch: int) -> np.ndarray:
+    """The keep mask of ``epoch`` (from 1), bit-packed one patch per row.
+
+    It is the (d, m) draw ``random((d, m)) >= corruption`` that a
+    sequential "dae.corrupt" stream makes in that epoch: ``random`` takes
+    one 64-bit output per double, so epoch e starts (e - 1) * d * m
+    outputs in, and ``PCG64.advance`` moves a fresh stream there.
+    """
+    rng, d, m, corruption = state
+    gen = rng.stream("dae.corrupt")
+    gen.bit_generator.advance((epoch - 1) * d * m)
+    return np.packbits(gen.random((d, m)).T >= corruption)
 
 
 def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng,
-              on_epoch=None):
+              on_epoch=None, jobs: int = 1):
     """Minibatch SGD on the corrupted-reconstruction objective.
 
     The ``dae_*`` fields of ``cfg`` set the corruption rate, epoch count,
@@ -123,10 +161,13 @@ def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng,
     order streams. Updates use the per-sample mean of the batch gradient
     (learning rate is batch-size independent), decaying as lr/sqrt(epoch);
     the corruption mask is an independent Bernoulli zeroing per entry,
-    resampled every epoch. Each epoch gathers the clean and corrupted
-    patches once in its shuffled order, and each minibatch is a column
-    slice of those copies. Returns ``(w, b, b_dec, stats)`` where
-    ``stats["loss"]`` holds the running loss of each epoch.
+    resampled every epoch. The (d, m) patches are copied once into one row
+    per patch; each epoch takes the clean and corrupted rows in its
+    shuffled order into two buffers, and each minibatch is a contiguous
+    block of rows. The masks come from :func:`_epoch_mask` over
+    ``fork_pool(jobs, ...)``, so every ``jobs`` trains the same weights.
+    Returns ``(w, b, b_dec, stats)`` where ``stats["loss"]`` holds the
+    running loss of each epoch.
 
     ``on_epoch(w, b, b_dec)``, if given, is called after each epoch that
     passes the divergence check. The arrays are the live parameters,
@@ -134,44 +175,54 @@ def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng,
     """
     d, m = z_clean.shape
     init_gen = rng.stream("dae.init")
-    corrupt_gen = rng.stream("dae.corrupt")
     order_gen = rng.stream("dae.order")
     tradeoff_c = cfg.dae_tradeoff_c
+    batch = DAE_MINIBATCH
+    corrupt = cfg.dae_corruption > 0.0
 
     bound = 1.0 / np.sqrt(d)
     w = init_gen.uniform(-bound, bound, size=(count, d))
     b = np.zeros(count)
     b_dec = np.zeros(d)
 
+    rows = np.array(z_clean.T, order="C")         # (m, d), one patch per row
+    zp = np.empty_like(rows)
+    ztp = np.empty_like(rows) if corrupt else zp
+    keep = np.empty((m, d), dtype=np.uint8) if corrupt else None
+    epochs = range(1, cfg.dae_epochs + 1)
     epoch_loss = []
-    for epoch in range(1, cfg.dae_epochs + 1):
-        lr = cfg.dae_lr / np.sqrt(epoch)
-        keep = None
-        if cfg.dae_corruption > 0.0:
-            keep = corrupt_gen.random((d, m)) >= cfg.dae_corruption
-        order = order_gen.permutation(m)
-        zp = z_clean[:, order]
-        # entry (i, j) is z_clean[i, order[j]] * keep[i, order[j]], as a
-        # gather of the corrupted matrix would give
-        ztp = zp if keep is None else zp * keep[:, order]
-        running = 0.0
-        for start in range(0, m, DAE_MINIBATCH):
-            zb = zp[:, start:start + DAE_MINIBATCH]
-            ztb = ztp[:, start:start + DAE_MINIBATCH]
-            size = zb.shape[1]
-            loss, gw, gb, gbp = dae_value_and_grad(w, b, b_dec, zb, ztb,
-                                                   tradeoff_c, size / m)
-            running += loss
-            step = lr / size
-            w -= step * gw
-            b -= step * gb
-            b_dec -= step * gbp
-        if not np.isfinite(running) or not np.isfinite(w).all():
-            raise TrainingDivergedError(
-                f"non-finite loss at epoch {epoch}; lower the learning rate")
-        epoch_loss.append(running)
-        if on_epoch is not None:
-            on_epoch(w, b, b_dec)
+    with fork_pool(jobs if corrupt else 1, (rng, d, m, cfg.dae_corruption)) as run:
+        masks = run(_epoch_mask, epochs, 1) if corrupt else (None for _ in epochs)
+        for epoch, packed in zip(epochs, masks):
+            lr = cfg.dae_lr / np.sqrt(epoch)
+            # a permutation never clips; mode="raise" would take through
+            # a buffer and copy it out
+            order = order_gen.permutation(m)
+            np.take(rows, order, axis=0, out=zp, mode="clip")
+            if packed is not None:
+                # row j is rows[order[j]] * mask[order[j]], as a gather of
+                # the corrupted matrix would give
+                np.take(np.unpackbits(packed, count=m * d).reshape(m, d),
+                        order, axis=0, out=keep, mode="clip")
+                np.multiply(zp, keep, out=ztp)
+            running = 0.0
+            for start in range(0, m, batch):
+                zb = zp[start:start + batch]
+                size = zb.shape[0]
+                loss, gw, gb, gbp = dae_value_and_grad(
+                    w, b, b_dec, zb, ztp[start:start + batch], tradeoff_c,
+                    size / m)
+                running += loss
+                step = lr / size
+                w -= step * gw
+                b -= step * gb
+                b_dec -= step * gbp
+            if not np.isfinite(running) or not np.isfinite(w).all():
+                raise TrainingDivergedError(
+                    f"non-finite loss at epoch {epoch}; lower the learning rate")
+            epoch_loss.append(running)
+            if on_epoch is not None:
+                on_epoch(w, b, b_dec)
 
     if epoch_loss[-1] > epoch_loss[0] * (1.0 + DAE_END_RISE):
         raise TrainingDivergedError(
@@ -180,13 +231,14 @@ def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng,
 
 
 def learn_dae_filters(z: np.ndarray, shape: PatchShape, count: int,
-                      cfg: Config, rng: Rng) -> FilterBank:
-    """Train the autoencoder and return encoder weights and biases.
+                      cfg: Config, rng: Rng, jobs: int = 1) -> FilterBank:
+    """Train the autoencoder, its masks drawn over ``jobs`` workers, and
+    return encoder weights and biases.
 
     The decoder bias is fitted but dropped from the bank; only the encoder
     side is used for feature mapping.
     """
     if not 1 <= count <= MAX_FILTERS:
         raise ValueError(f"filter count must lie in 1..{MAX_FILTERS}")
-    w, b, _, _ = train_dae(z, count, cfg, rng)
+    w, b, _, _ = train_dae(z, count, cfg, rng, jobs=jobs)
     return FilterBank(shape=shape, weights=w, biases=b)

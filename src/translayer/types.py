@@ -100,9 +100,11 @@ class FilterBank:
                 raise ValueError("biases must be a finite length-L vector")
             object.__setattr__(self, "biases", b)
         else:
-            gram = w @ w.T
-            resid = np.abs(gram - np.eye(w.shape[0])).max()
-            if resid >= ORTHO_TOL:
+            # rows large enough to overflow give an inf or NaN residual,
+            # which fails the check below without a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                resid = np.abs(w @ w.T - np.eye(w.shape[0])).max()
+            if not resid < ORTHO_TOL:
                 raise ValueError(f"pca rows not orthonormal (residual {resid:.3g})")
         if self.spectrum is not None:
             s = np.asarray(self.spectrum, dtype=np.float64)

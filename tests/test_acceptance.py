@@ -174,6 +174,7 @@ def test_acceptance_5c_dae_gradient_check(d, count, seed):
     bp = gen.normal(scale=0.1, size=d)
     z = gen.normal(scale=0.5, size=(d, 5))
     zt = z * (gen.random((d, 5)) >= 0.1)
+    z, zt = z.T, zt.T   # one patch per row
     _, gw, gb, gbp = dae_value_and_grad(w, b, bp, z, zt, 1.0)
     h = 1e-5
 

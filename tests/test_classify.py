@@ -527,3 +527,22 @@ def test_zero_train_vectors_excluded():
     assert cosine_nn(train, labels, np.array([1.0, 1.0])) == 6
     with pytest.raises(ValueError):
         cosine_nn(np.zeros((2, 2)), labels, np.array([1.0, 0.0]))
+
+
+def test_gram_centered_in_place_with_the_same_bits():
+    gen = np.random.default_rng(31)
+    n = 600
+    x = sp.random(n, 900, density=0.05, format="csr", random_state=gen,
+                  data_rvs=lambda k: gen.integers(1, 40, k).astype(float))
+    mean = classify._column_means(x)
+    gram = (x @ x.T).toarray()
+    xm = np.asarray(x @ mean).ravel()
+    want = (gram - xm[:, None] - xm[None, :] + float(mean @ mean)) / (n - 1)
+    tracemalloc.start()
+    try:
+        classify._center_gram(gram, x, mean)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gram.tobytes() == want.tobytes()
+    assert peak < gram.nbytes // 10

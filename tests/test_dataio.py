@@ -246,6 +246,21 @@ def test_model_corrupt_byte_names_section(tmp_path, tiny_model):
         load_model(path)
 
 
+def test_overflowing_pca_bank_fails_to_load_without_a_warning(tmp_path,
+                                                              tiny_model):
+    # a bank is checked when the model is read back, not when it is saved
+    bank = replace(tiny_model.bank1)
+    weights = bank.weights.copy()
+    weights[0, 0] = 1e308
+    object.__setattr__(bank, "weights", weights)
+    path = tmp_path / "model.bin"
+    save_model(replace(tiny_model, bank1=bank), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelFormatError, match="not orthonormal"):
+            load_model(path)
+
+
 def test_model_version_error(tmp_path, tiny_model):
     path = tmp_path / "model.bin"
     save_model(tiny_model, path)

@@ -175,6 +175,18 @@ def test_parallel_training_saves_the_same_bytes(glyph_train, tmp_path):
     assert saved[1] == saved[0]
 
 
+def test_parallel_dae_training_saves_the_same_bytes(glyph_train, tmp_path):
+    # the corruption masks come from the pool's workers at jobs=2
+    images, labels = glyph_train
+    cfg = tiny_config(learner="dae", dae_epochs=3, patches_per_layer=300)
+    saved = []
+    for jobs in (1, 2):
+        path = tmp_path / f"jobs{jobs}.bin"
+        save_model(train_model(cfg, images[:30], labels[:30], jobs=jobs), path)
+        saved.append(path.read_bytes())
+    assert saved[1] == saved[0]
+
+
 def test_nan_pixel_rejected(tiny_model):
     image = np.zeros((28, 28))
     image[14, 14] = np.nan

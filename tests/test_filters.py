@@ -5,7 +5,9 @@ from translayer import (Config, GrayImage, PatchShape, Rng, learn_dae_filters,
                         learn_pca_filters)
 from translayer import filters, train_model
 from translayer.filters import (TrainingDivergedError, dae_forward,
-                                dae_value_and_grad, sample_patches, train_dae)
+                                dae_value_and_grad, draw_patch_locations,
+                                gather_patches, sample_patches, train_dae)
+from translayer.types import as_2d
 
 from conftest import make_glyphs, tiny_config
 
@@ -48,6 +50,41 @@ def test_sampling_deterministic_per_seed():
     a = sample_patches(imgs, PatchShape(5, 5), 200, Rng(9).stream("s"))
     b = sample_patches(imgs, PatchShape(5, 5), 200, Rng(9).stream("s"))
     assert np.array_equal(a, b)
+
+
+def gather_patches_loop(fetch, locations, shape):
+    """The per-patch loop that ``gather_patches`` replaced."""
+    data = np.empty((shape.dim, locations.shape[0]))
+    current, arr = -1, None
+    for pos in np.argsort(locations[:, 0], kind="stable"):
+        src, r, c = (int(x) for x in locations[pos])
+        if src != current:
+            arr = as_2d(fetch(src))
+            current = src
+        data[:, pos] = arr[r:r + shape.k1, c:c + shape.k2].ravel()
+    return data
+
+
+@pytest.mark.parametrize("k1,k2", [(3, 3), (5, 3), (1, 7)])
+def test_gather_patches_matches_per_patch_loop(k1, k2):
+    shape = PatchShape(k1, k2)
+    sources = np.random.default_rng(k1 * k2).normal(size=(6, 9, 8))
+    rows, cols = 9 - k1 + 1, 8 - k2 + 1
+    drawn = draw_patch_locations(6, (9, 8), shape, 300, gen(k1 + k2))
+    # unsorted sources, every border offset, and one location many times
+    corners = [[s, r, c] for s in (5, 0, 3) for r in (0, rows - 1)
+               for c in (0, cols - 1)]
+    locations = np.concatenate([drawn, corners, [[2, 1, 1]] * 5, drawn[:7]])
+    fetched = []
+
+    def fetch(src):
+        fetched.append(src)
+        return sources[src]
+
+    got = gather_patches(fetch, locations, shape)
+    assert np.array_equal(got, gather_patches_loop(lambda i: sources[i],
+                                                   locations, shape))
+    assert fetched == sorted(set(locations[:, 0].tolist()))
 
 
 def test_source_smaller_than_patch_rejected():
@@ -141,8 +178,8 @@ def test_training_reduces_reconstruction_error(monkeypatch):
     curve = []
 
     def clean_mse(w, b, b_dec):
-        _, recon = dae_forward(w, b, b_dec, z)
-        curve.append(float(np.mean((recon - z) ** 2)))
+        _, recon = dae_forward(w, b, b_dec, z.T)
+        curve.append(float(np.mean((recon - z.T) ** 2)))
 
     train_dae(z, 4, cfg, Rng(13), on_epoch=clean_mse)
     mse = np.asarray(curve)
@@ -151,8 +188,9 @@ def test_training_reduces_reconstruction_error(monkeypatch):
 
 
 def train_dae_reference(z_clean, count, cfg, rng):
-    """The per-batch gather loop that ``train_dae`` replaced: the corrupted
-    matrix is built whole and each minibatch gathers its columns."""
+    """A per-batch gather in the row layout: the masks are drawn in
+    sequence from one stream, the corrupted matrix is built whole, and
+    each minibatch gathers its rows of one-patch-per-row copies."""
     d, m = z_clean.shape
     init_gen = rng.stream("dae.init")
     corrupt_gen = rng.stream("dae.corrupt")
@@ -161,20 +199,21 @@ def train_dae_reference(z_clean, count, cfg, rng):
     w = init_gen.uniform(-bound, bound, size=(count, d))
     b = np.zeros(count)
     b_dec = np.zeros(d)
+    clean_rows = np.ascontiguousarray(z_clean.T)
     epoch_loss = []
     for epoch in range(1, cfg.dae_epochs + 1):
         lr = cfg.dae_lr / np.sqrt(epoch)
         if cfg.dae_corruption > 0.0:
             keep = corrupt_gen.random((d, m)) >= cfg.dae_corruption
-            z_corrupt = z_clean * keep
+            corrupt_rows = np.ascontiguousarray((z_clean * keep).T)
         else:
-            z_corrupt = z_clean
+            corrupt_rows = clean_rows
         order = order_gen.permutation(m)
         running = 0.0
         for start in range(0, m, filters.DAE_MINIBATCH):
             batch = order[start:start + filters.DAE_MINIBATCH]
             loss, gw, gb, gbp = dae_value_and_grad(
-                w, b, b_dec, z_clean[:, batch], z_corrupt[:, batch],
+                w, b, b_dec, clean_rows[batch], corrupt_rows[batch],
                 cfg.dae_tradeoff_c, batch.size / m)
             running += loss
             step = lr / batch.size
@@ -206,6 +245,50 @@ def test_train_dae_matches_per_batch_gather(monkeypatch, d, m, count,
     assert stats["loss"] == rloss
 
 
+@pytest.mark.parametrize("d,m,corruption", [(5, 13, 0.3), (9, 40, 0.1),
+                                             (7, 3, 0.0)])
+def test_jumped_masks_equal_sequential_draws(d, m, corruption):
+    # d * m = 65, 360 and 21: whole bytes or not, the packed bits unpack
+    # to the mask one stream draws epoch after epoch
+    rng = Rng(4)
+    sequential = rng.stream("dae.corrupt")
+    for epoch in range(1, 5):
+        want = sequential.random((d, m)) >= corruption
+        packed = filters._epoch_mask((rng, d, m, corruption), epoch)
+        assert packed.size == -(-d * m // 8)
+        got = np.unpackbits(packed, count=d * m).reshape(m, d).astype(bool)
+        assert np.array_equal(got, want.T)
+
+
+def test_no_corruption_draws_no_mask(monkeypatch):
+    def fail(state, epoch):
+        raise AssertionError("drew a mask")
+
+    monkeypatch.setattr(filters, "_epoch_mask", fail)
+    z = np.random.default_rng(3).normal(scale=0.3, size=(9, 60))
+    cfg = Config(dae_corruption=0.0, dae_epochs=3, dae_lr=0.05)
+    train_dae(z, 4, cfg, Rng(7), jobs=2)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_train_dae_bytes_do_not_depend_on_layout(monkeypatch, jobs):
+    # a batch of 50 rows of 9 doubles, 3600 bytes, is not a whole number
+    # of 64-byte lines, so the minibatches of an epoch start at varying
+    # alignments
+    monkeypatch.setattr(filters, "DAE_MINIBATCH", 50)
+    z = np.random.default_rng(5).normal(scale=0.3, size=(9, 250))
+    shifted = np.empty(z.size + 1)[1:].reshape(z.shape)   # 8 bytes off
+    shifted[...] = z
+    cfg = Config(dae_corruption=0.2, dae_epochs=3, dae_lr=0.05)
+    runs = [train_dae(copy, 4, cfg, Rng(9), jobs=jobs)
+            for copy in (z, np.asfortranarray(z), shifted)]
+    for w, b, b_dec, stats in runs[1:]:
+        assert w.tobytes() == runs[0][0].tobytes()
+        assert b.tobytes() == runs[0][1].tobytes()
+        assert b_dec.tobytes() == runs[0][2].tobytes()
+        assert stats == runs[0][3]
+
+
 @pytest.mark.parametrize("d,side,count,seed", [(9, 3, 4, 20), (25, 5, 3, 21)])
 def test_gradients_match_finite_differences(d, side, count, seed):
     gen_local = np.random.default_rng(seed)
@@ -214,6 +297,7 @@ def test_gradients_match_finite_differences(d, side, count, seed):
     bp = gen_local.normal(scale=0.1, size=d)
     z = gen_local.normal(scale=0.5, size=(d, 5))
     zt = z * (gen_local.random((d, 5)) >= 0.1)
+    z, zt = z.T, zt.T   # one patch per row
     c = 1.3
     _, gw, gb, gbp = dae_value_and_grad(w, b, bp, z, zt, c)
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from translayer.forkpool import one_blas_thread
 from translayer.linalg import fix_row_signs, jacobi_eigh
 
 
@@ -110,6 +111,46 @@ def test_fix_signs_rows_match_vectorized_rule_without_a_full_temporary():
         tracemalloc.stop()
     assert np.array_equal(rows, want)
     assert peak < rows.nbytes // 4
+
+
+def eigh_with_copies(matrix):
+    """The solve as it was before its checks went to row blocks: a copy of
+    the input, whole-matrix checks, and a reversed copy of the
+    eigenvectors that is sign-fixed and copied back to columns."""
+    a = np.array(matrix, dtype=np.float64)
+    with one_blas_thread():
+        eigvals, eigvecs = np.linalg.eigh(0.5 * (a + a.T))
+    rows = eigvecs.T[::-1].copy()
+    fix_row_signs(rows)
+    return eigvals[::-1].copy(), np.ascontiguousarray(rows.T)
+
+
+def test_solve_holds_two_matrices_and_keeps_its_bits():
+    # n = 800: the checks' row blocks are a fifth of the matrix
+    a = random_symmetric(800, 12)
+    a[3, 5] += 1e-12    # symmetric within the tolerance, not exactly
+    tracemalloc.start()
+    try:
+        vals, vecs = jacobi_eigh(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * a.nbytes
+    want_vals, want_vecs = eigh_with_copies(a)
+    assert vals.tobytes() == want_vals.tobytes()
+    assert vecs.tobytes() == want_vecs.tobytes()
+    assert vecs.flags.c_contiguous
+
+
+def test_rejects_non_finite_without_a_warning():
+    # row 900 lies in a later row block than row 7, so a solve that checked
+    # symmetry before finiteness would meet the inf as an asymmetry first
+    a = np.eye(1000)
+    a[900, 7] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            jacobi_eigh(a)
 
 
 def test_one_by_one():

@@ -1,6 +1,7 @@
 import glob
 import os
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -150,6 +151,15 @@ def test_filter_bank_kind_follows_its_biases():
     with pytest.raises(ValueError, match="bank1 is a dae bank, config says pca"):
         TrainedModel(cfg, dae, pca, WhiteningTransform(np.eye(3)),
                      WhiteningTransform(np.eye(3)))
+
+
+def test_overflowing_pca_bank_rejected_without_a_warning():
+    weights = np.eye(9)[:3].copy()
+    weights[1, 4] = 1e308   # finite, but its square overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"not orthonormal \(residual inf\)"):
+            FilterBank(PatchShape(3, 3), weights)
 
 
 def test_rng_streams_are_deterministic_and_distinct():
