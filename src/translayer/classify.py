@@ -23,12 +23,12 @@ from .rng import Rng
 
 SVM_TOL = 0.1
 SVM_MAX_PASSES = 1000
-# Largest WPCA eigenproblem, min(training images, feature dimension), that
-# training accepts. The Gram route densifies one BUDGET block at a time, so
-# what grows with n is the n x n Gram, its solve and the time to sum it: at
-# n=2400 and dae_wpca's d=147456 (integer counts, 25.7k nonzeros per row),
-# wpca_fit at jobs=2 took 39 s and held 475 MB above its input on a 2-vCPU
-# VM; the dense n x d copy it replaced took 708 MB at n=600.
+# Largest training set, and so n x n WPCA eigenproblem, that training
+# accepts. The fit densifies one BUDGET block at a time, so what grows with
+# n is the n x n Gram, its solve and the time to sum it: at n=2400 and
+# dae_wpca's d=147456 (integer counts, 25.7k nonzeros per row), wpca_fit
+# at jobs=2 took 39 s and held 475 MB above its input on a 2-vCPU VM; the
+# dense n x d copy it replaced took 708 MB at n=600.
 WPCA_MAX_N = 2400
 # Bytes of the largest temporary the WPCA fit makes of the training batch
 # in any one process: one dense block of feature columns, or one run of
@@ -66,15 +66,14 @@ class WpcaSizeError(ValueError):
     """The WPCA eigenproblem is larger than ``WPCA_MAX_N``."""
 
 
-def check_wpca_size(n_samples: int, feature_dim: int):
+def check_wpca_size(n_samples: int):
     """Fail fast, before any extraction, on a WPCA eigenproblem larger
     than ``WPCA_MAX_N``."""
-    size = min(n_samples, feature_dim)
-    if size > WPCA_MAX_N:
+    if n_samples > WPCA_MAX_N:
         raise WpcaSizeError(
-            f"wpca_cosine would eigendecompose a {size} x {size} matrix "
-            f"(min of {n_samples} training images and feature dimension "
-            f"{feature_dim}); the limit is {WPCA_MAX_N}")
+            f"wpca_cosine would eigendecompose a {n_samples} x {n_samples} "
+            f"Gram matrix of {n_samples} training images; the limit is "
+            f"{WPCA_MAX_N}")
 
 
 @dataclass(frozen=True)
@@ -269,7 +268,7 @@ def _column_means(x: sp.csr_matrix) -> np.ndarray:
 
 
 def _column_blocks(n: int, d: int) -> list[tuple[int, int]]:
-    """``(c0, c1)`` of each block of feature columns the Gram route
+    """``(c0, c1)`` of each block of feature columns the WPCA fit
     densifies: ``BUDGET`` bytes of an n-row batch, whatever ``jobs``."""
     width = max(1, BUDGET // (8 * n))
     return [(c0, min(c0 + width, d)) for c0 in range(0, d, width)]
@@ -311,8 +310,8 @@ def wpca_fit(features, target_dim: int, jobs: int = 1) -> WpcaModel:
     times the features' sum of squares over n - 1 are dropped; asking for
     more components than survive raises.
 
-    With more features than samples (d > n) the eigenproblem is solved on
-    the n x n Gram matrix, and the fit is two fan-outs over
+    The eigenproblem is solved on the n x n Gram matrix, whatever the
+    feature dimension d, and the fit is two fan-outs over
     ``forkpool.fork_pool(jobs, ...)``, each task one block of feature
     columns from :func:`_column_blocks` (a split that does not depend on
     ``jobs``), so no process densifies more than ``BUDGET`` bytes of the
@@ -334,19 +333,13 @@ def wpca_fit(features, target_dim: int, jobs: int = 1) -> WpcaModel:
     if n < 2:
         raise ValueError("need at least two samples")
     mean = _column_means(x)
-
-    if d <= n:
-        centered = x.toarray() - mean
-        cov = (centered.T @ centered) / (n - 1)
-        eigvals, components = jacobi_eigh(cov)  # components are columns
-    else:
-        blocks = _column_blocks(n, d)
-        gram_xx = np.zeros((n, n))
-        with fork_pool(jobs, x) as run:
-            for partial in run(_gram_block, blocks, 1):
-                gram_xx += partial
-        _center_gram(gram_xx, x, mean)
-        eigvals, dual_vecs = jacobi_eigh(gram_xx)
+    blocks = _column_blocks(n, d)
+    gram_xx = np.zeros((n, n))
+    with fork_pool(jobs, x) as run:
+        for partial in run(_gram_block, blocks, 1):
+            gram_xx += partial
+    _center_gram(gram_xx, x, mean)
+    eigvals, dual_vecs = jacobi_eigh(gram_xx)
 
     floor = EIGENVALUE_FLOOR * np.einsum("i,i->", x.data, x.data) / (n - 1)
     usable = int((eigvals > floor).sum())
@@ -354,9 +347,6 @@ def wpca_fit(features, target_dim: int, jobs: int = 1) -> WpcaModel:
         raise ValueError(
             f"target_dim {target_dim} exceeds usable rank {usable}")
     scale = 1.0 / np.sqrt(eigvals[:target_dim])
-    if d <= n:
-        return WpcaModel(mean=mean,
-                         projection=components[:, :target_dim].T * scale[:, None])
     # lift to feature space only the dual vectors the projection uses
     dual = dual_vecs[:, :target_dim]
     dual_sums = np.array([float(v.sum()) for v in dual.T])

@@ -104,7 +104,7 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     h, w = common_size(images)
     dim = encoder.feature_dim((h, w), cfg)   # rejects a block larger than (h, w)
     if cfg.classifier == "wpca_cosine":
-        check_wpca_size(len(images), dim)
+        check_wpca_size(len(images))
         # a centered sample of n images has rank at most n - 1
         if cfg.wpca_dim > min(len(images) - 1, dim):
             raise ValueError(

@@ -1,17 +1,19 @@
 """Filter bank learning from random patches.
 
-Two learners share the same preprocessed (k1*k2, m) patch matrix: a
-principal component bank (top eigenvectors of Z Z^T, orthonormal rows) and
-a tied-weight tanh autoencoder trained on corrupted patches by minibatch
-stochastic gradient descent, with the ``dae_*`` settings of the
-:class:`Config`. Patch sampling is uniform over every (source, top-left
-offset) pair and fully determined by the seed.
+Patches are drawn into an (m, k1*k2) matrix, one patch per row, the layout
+``pipeline.window_rows`` gives extraction, and both learners take the
+preprocessed matrix Z as it is: a principal component bank (top
+eigenvectors of Z^T Z, orthonormal rows) and a tied-weight tanh
+autoencoder trained on corrupted patches by minibatch stochastic gradient
+descent, with the ``dae_*`` settings of the :class:`Config`. Patch
+sampling is uniform over every (source, top-left offset) pair and fully
+determined by the seed.
 
-The autoencoder trains on one row per patch. Its corruption masks depend
-on the seed and the epoch alone, not on the weights, so they are drawn
-over ``forkpool.fork_pool(jobs, ...)``, one epoch per task, while the
-parent runs the gradient steps: with feature extraction, the SVM's
-classes and the WPCA column blocks, the fourth fan-out of training.
+The autoencoder's corruption masks depend on the seed and the epoch
+alone, not on the weights, so they are drawn over
+``forkpool.fork_pool(jobs, ...)``, one epoch per task, while the parent
+runs the gradient steps: with feature extraction, the SVM's classes and
+the WPCA column blocks, the fourth fan-out of training.
 """
 
 from __future__ import annotations
@@ -50,14 +52,15 @@ def draw_patch_locations(sources: int, size: tuple[int, int], shape: PatchShape,
 
 
 def gather_patches(fetch, locations: np.ndarray, shape: PatchShape) -> np.ndarray:
-    """Extract row-major flattened patches at previously drawn locations.
+    """Extract row-major flattened patches at previously drawn locations,
+    one per row.
 
     ``fetch(source_index)`` returns the 2-D array for a source; it is called
     once per distinct source, in ascending order, regardless of draw order.
     Each source's patches are one fancy-index copy of its pixels.
     """
     m = locations.shape[0]
-    data = np.empty((shape.dim, m), dtype=np.float64)
+    data = np.empty((m, shape.dim), dtype=np.float64)
     order = np.argsort(locations[:, 0], kind="stable")
     src, r, c = locations[order].T
     # pixel (i, j) of patch p sits at row rows[p, i, 0], column cols[p, 0, j]
@@ -66,7 +69,7 @@ def gather_patches(fetch, locations: np.ndarray, shape: PatchShape) -> np.ndarra
     cuts = [0, *(np.flatnonzero(np.diff(src)) + 1).tolist(), m]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         patches = as_2d(fetch(int(src[lo])))[rows[lo:hi], cols[lo:hi]]
-        data[:, order[lo:hi]] = patches.reshape(hi - lo, shape.dim).T
+        data[order[lo:hi]] = patches.reshape(hi - lo, shape.dim)
     return data
 
 
@@ -89,10 +92,10 @@ def sample_patches(sources, shape: PatchShape, m: int,
 
 
 def learn_pca_filters(z: np.ndarray, shape: PatchShape, count: int) -> FilterBank:
-    """Top-``count`` eigenvectors of Z Z^T as orthonormal filter rows."""
+    """Top-``count`` eigenvectors of Z^T Z as orthonormal filter rows."""
     if not 1 <= count <= shape.dim:
         raise ValueError("filter count must lie in 1..k1*k2")
-    scatter = z @ z.T
+    scatter = z.T @ z
     eigvals, eigvecs = jacobi_eigh(scatter)
     weights = eigvecs[:, :count].T.copy()
     return FilterBank(shape=shape, weights=weights, spectrum=eigvals)
@@ -161,11 +164,11 @@ def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng,
     order streams. Updates use the per-sample mean of the batch gradient
     (learning rate is batch-size independent), decaying as lr/sqrt(epoch);
     the corruption mask is an independent Bernoulli zeroing per entry,
-    resampled every epoch. The (d, m) patches are copied once into one row
-    per patch; each epoch takes the clean and corrupted rows in its
-    shuffled order into two buffers, and each minibatch is a contiguous
-    block of rows. The masks come from :func:`_epoch_mask` over
-    ``fork_pool(jobs, ...)``, so every ``jobs`` trains the same weights.
+    resampled every epoch. Each epoch takes the clean and corrupted rows
+    of the (m, d) patch matrix in its shuffled order into two buffers, and
+    each minibatch is a contiguous block of rows. The masks come from
+    :func:`_epoch_mask` over ``fork_pool(jobs, ...)``, so every ``jobs``
+    trains the same weights.
     Returns ``(w, b, b_dec, stats)`` where ``stats["loss"]`` holds the
     running loss of each epoch.
 
@@ -173,7 +176,7 @@ def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng,
     passes the divergence check. The arrays are the live parameters,
     which later epochs update in place: copy what must be kept.
     """
-    d, m = z_clean.shape
+    m, d = z_clean.shape
     init_gen = rng.stream("dae.init")
     order_gen = rng.stream("dae.order")
     tradeoff_c = cfg.dae_tradeoff_c
@@ -185,9 +188,8 @@ def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng,
     b = np.zeros(count)
     b_dec = np.zeros(d)
 
-    rows = np.array(z_clean.T, order="C")         # (m, d), one patch per row
-    zp = np.empty_like(rows)
-    ztp = np.empty_like(rows) if corrupt else zp
+    zp = np.empty((m, d))
+    ztp = np.empty((m, d)) if corrupt else zp
     keep = np.empty((m, d), dtype=np.uint8) if corrupt else None
     epochs = range(1, cfg.dae_epochs + 1)
     epoch_loss = []
@@ -198,9 +200,9 @@ def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng,
             # a permutation never clips; mode="raise" would take through
             # a buffer and copy it out
             order = order_gen.permutation(m)
-            np.take(rows, order, axis=0, out=zp, mode="clip")
+            np.take(z_clean, order, axis=0, out=zp, mode="clip")
             if packed is not None:
-                # row j is rows[order[j]] * mask[order[j]], as a gather of
+                # row j is z_clean[order[j]] * mask[order[j]], as a gather of
                 # the corrupted matrix would give
                 np.take(np.unpackbits(packed, count=m * d).reshape(m, d),
                         order, axis=0, out=keep, mode="clip")

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .encoder import binarize, pack_codes
-from .preprocess import center, centered_std, lcn_rows
+from .preprocess import center, centered_std, lcn_rows, whiten_apply
 from .types import (DAE, Config, FilterBank, PatchShape, TrainedModel,
                     WhiteningTransform, as_2d)
 
@@ -60,13 +60,10 @@ def map_layer(image, bank: FilterBank, whiten: WhiteningTransform,
     arr = as_2d(image)
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("empty input")
-    if whiten.dim != bank.shape.dim:
-        raise ValueError("whitening dimension mismatch")
     rows = window_rows(arr, bank.shape)
     if lcn is not None:
         rows = lcn_rows(rows, lcn)
-    rows = rows @ whiten.matrix  # symmetric, so right-multiply works
-    responses = rows @ bank.weights.T
+    responses = whiten_apply(whiten, rows) @ bank.weights.T
     if bank.layer_kind == DAE:
         responses = np.tanh(responses + bank.biases[None, :])
     h, w = arr.shape

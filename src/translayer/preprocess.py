@@ -5,8 +5,9 @@ learning and to every window during extraction. The contrast step
 subtracts the patch mean and divides by the population standard deviation
 plus the constant ``c`` (``Config.lcn_c``, which keeps the denominator
 positive); the whitening step multiplies by the symmetric decorrelating
-matrix fit on the training patch sample. Patch matrices are (k1*k2, m)
-arrays, one patch per column.
+matrix fit on the training patch sample. Patch matrices are (m, k1*k2)
+arrays, one patch per row, from the training draw
+(``filters.gather_patches``) as from extraction (``pipeline.window_rows``).
 """
 
 from __future__ import annotations
@@ -37,23 +38,13 @@ def lcn_rows(rows: np.ndarray, c: float) -> np.ndarray:
     return centered / (centered_std(centered, axis=1) + c)
 
 
-def lcn_matrix(patches, c: float) -> np.ndarray:
-    """Apply :func:`lcn_rows` independently to every column."""
-    # contiguous rows keep each patch's reduction order identical to
-    # lcn_rows on that patch alone
-    rows = np.ascontiguousarray(as_2d(patches).T)
-    return lcn_rows(rows, c).T
-
-
-def column_covariance(data: np.ndarray) -> np.ndarray:
-    """Sample covariance of column observations, 1/(m-1) normalization."""
-    m = data.shape[1]
-    centered = data - data.mean(axis=1, keepdims=True)
-    return (centered @ centered.T) / (m - 1)
+# the name training calls, which perfbench traces apart from extraction's
+lcn_matrix = lcn_rows
 
 
 def whiten_fit(patches, epsilon: float = 0.1) -> WhiteningTransform:
-    """Fit U (D + eps I)^(-1/2) U^T on the sample covariance of the columns.
+    """Fit U (D + eps I)^(-1/2) U^T on the sample covariance of the rows,
+    with 1/(m-1) normalization.
 
     With ``epsilon=0`` the training sample must have full-rank covariance
     (no eigenvalue at or below ``linalg.EIGENVALUE_FLOOR`` times the
@@ -62,11 +53,11 @@ def whiten_fit(patches, epsilon: float = 0.1) -> WhiteningTransform:
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
     data = as_2d(patches)
-    m = data.shape[1]
+    m = data.shape[0]
     if m < 2:
         raise ValueError("whitening needs at least two patches")
-    cov = column_covariance(data)
-    eigvals, eigvecs = jacobi_eigh(cov)
+    centered = data - data.mean(axis=0)
+    eigvals, eigvecs = jacobi_eigh((centered.T @ centered) / (m - 1))
     shifted = np.maximum(eigvals, 0.0) + epsilon  # clamp eigenvalue roundoff
     if shifted[-1] <= EIGENVALUE_FLOOR * np.einsum("ij,ij->", data, data) / (m - 1):
         raise ValueError("singular covariance: epsilon=0 needs full-rank patches")
@@ -76,7 +67,9 @@ def whiten_fit(patches, epsilon: float = 0.1) -> WhiteningTransform:
 
 
 def whiten_apply(transform: WhiteningTransform, patches) -> np.ndarray:
+    """Whitened patch rows: ``patches @ matrix``, as the matrix is
+    symmetric."""
     data = as_2d(patches)
-    if transform.dim != data.shape[0]:
+    if transform.dim != data.shape[1]:
         raise ValueError("whitening dimension does not match patch size")
-    return transform.matrix @ data
+    return data @ transform.matrix

@@ -3,10 +3,10 @@
 :class:`Config` is the only record of the settings and
 :func:`validate_config` its only check; library functions read the fields
 they need from it. Images are wrapped in :class:`GrayImage`; feature maps
-and patch matrices stay plain float arrays. A patch matrix is (k1*k2, m),
-one patch per column flattened row-major, so a filter row dotted with a
-column is the same number produced by sliding the reshaped kernel over the
-image.
+and patch matrices stay plain float arrays. A patch matrix is (m, k1*k2),
+one patch per row flattened row-major, in training as in extraction, so a
+filter row dotted with a patch row is the same number produced by sliding
+the reshaped kernel over the image.
 """
 
 from __future__ import annotations
@@ -131,7 +131,11 @@ class WhiteningTransform:
             raise ValueError("whitening matrix must be square")
         if not np.isfinite(m).all():
             raise ValueError("whitening matrix contains non-finite entries")
-        if np.abs(m - m.T).max() > 1e-10:
+        # mirrored entries of opposite sign can overflow the difference,
+        # whose inf then fails the check below without a warning
+        with np.errstate(over="ignore"):
+            resid = np.abs(m - m.T).max()
+        if not resid <= 1e-10:
             raise ValueError("whitening matrix must be symmetric within 1e-10")
         object.__setattr__(self, "matrix", m)
 

@@ -23,7 +23,7 @@ from translayer.encoder import compress_groups, feature_dim, feature_of
 from translayer.experiment import run_ablation
 from translayer.filters import dae_value_and_grad
 from translayer.pipeline import build_stack
-from translayer.preprocess import column_covariance, whiten_apply, whiten_fit
+from translayer.preprocess import whiten_apply, whiten_fit
 
 from conftest import make_glyphs
 
@@ -158,9 +158,9 @@ def test_acceptance_5a_pca_orthonormality(smoke_artifacts):
 
 def test_acceptance_5b_whitening_identity_covariance():
     gen = np.random.default_rng(55)
-    data = gen.normal(size=(49, 4000))
+    data = gen.normal(size=(4000, 49))
     transform = whiten_fit(data, 0.0)
-    cov = column_covariance(whiten_apply(transform, data))
+    cov = np.cov(whiten_apply(transform, data), rowvar=False)
     resid = np.abs(cov - np.eye(49)).max()
     assert resid < 1e-6, f"covariance residual {resid:.3g}"
     report("5b", "eps=0 whitening gives identity covariance within 1e-6")
@@ -203,13 +203,13 @@ def test_acceptance_5c_dae_gradient_check(d, count, seed):
 def test_acceptance_5d_pca_reconstruction_optimality():
     from translayer import PatchShape, learn_pca_filters
     gen = np.random.default_rng(62)
-    z = gen.normal(size=(25, 5000))
+    z = gen.normal(size=(5000, 25))
     bank = learn_pca_filters(z, PatchShape(5, 5), 4)
     w = bank.weights
-    pca_err = np.linalg.norm(z - w.T @ (w @ z)) ** 2
+    pca_err = np.linalg.norm(z - (z @ w.T) @ w) ** 2
     for trial in range(200):
         q, _ = np.linalg.qr(gen.normal(size=(25, 4)))
-        rand_err = np.linalg.norm(z - q @ (q.T @ z)) ** 2
+        rand_err = np.linalg.norm(z - (z @ q) @ q.T) ** 2
         assert rand_err >= pca_err * (1 - 1e-9), f"trial {trial} beat pca"
     report("5d", "pca reconstruction error minimal over 200 random projections")
 

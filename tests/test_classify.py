@@ -323,14 +323,14 @@ def test_target_dim_beyond_rank_rejected():
     (np.ones(6), 1),              # identical rows: rank 0
 ])
 def test_target_dim_beyond_rank_rejected_on_gram_route(scores, target_dim):
-    x = np.outer(scores, np.arange(1.0, 11.0))  # d > n forces the gram route
+    x = np.outer(scores, np.arange(1.0, 11.0))  # d > n
     with pytest.raises(ValueError, match="rank"):
         wpca_fit(x, target_dim)
 
 
 @pytest.mark.parametrize("rows,width", [
-    (6, 17),    # d > n: the gram route
-    (20, 3),    # d <= n: the covariance route
+    (6, 17),    # d > n
+    (20, 3),    # d <= n: an n x n Gram of rank at most d
 ])
 def test_identical_rows_have_rank_zero(rows, width):
     # centering leaves rounding error of either sign, and the largest
@@ -342,7 +342,7 @@ def test_identical_rows_have_rank_zero(rows, width):
 
 def test_gram_route_matches_covariance_route():
     gen = np.random.default_rng(10)
-    x = gen.standard_normal((12, 30))  # d > n forces the gram route
+    x = gen.standard_normal((12, 30))  # d > n
     wide = _wpca_fit(x, 4)
     proj = wpca_apply(wide, x)
     var = proj.var(axis=0, ddof=1)

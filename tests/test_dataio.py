@@ -261,6 +261,20 @@ def test_overflowing_pca_bank_fails_to_load_without_a_warning(tmp_path,
             load_model(path)
 
 
+def test_overflowing_whitening_fails_to_load_without_a_warning(tmp_path,
+                                                              tiny_model):
+    whiten = replace(tiny_model.whiten1)
+    matrix = whiten.matrix.copy()
+    matrix[0, 1], matrix[1, 0] = 1e308, -1e308
+    object.__setattr__(whiten, "matrix", matrix)
+    path = tmp_path / "model.bin"
+    save_model(replace(tiny_model, whiten1=whiten), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelFormatError, match="must be symmetric"):
+            load_model(path)
+
+
 def test_model_version_error(tmp_path, tiny_model):
     path = tmp_path / "model.bin"
     save_model(tiny_model, path)

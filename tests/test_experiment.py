@@ -387,8 +387,7 @@ def test_wpca_dim_beyond_feature_dim_fails_before_sampling(glyph_train,
 
 def test_wpca_size_limit_is_inclusive(monkeypatch):
     monkeypatch.setattr(classify, "WPCA_MAX_N", 25)
-    classify.check_wpca_size(25, 1000)
-    classify.check_wpca_size(1000, 25)  # the feature dimension can bind too
+    classify.check_wpca_size(25)
     with pytest.raises(classify.WpcaSizeError,
-                       match="26 training images and feature dimension 40"):
-        classify.check_wpca_size(26, 40)
+                       match="26 x 26 Gram matrix of 26 training images"):
+        classify.check_wpca_size(26)

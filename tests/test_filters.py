@@ -21,9 +21,9 @@ def gen(seed=0):
 def test_single_offset_source_repeats_whole_image():
     img = GrayImage(np.arange(49.0).reshape(7, 7) / 48.0)
     pm = sample_patches([img], PatchShape(7, 7), 3, gen())
-    assert pm.shape[1] == 3
-    for c in range(3):
-        assert np.array_equal(pm[:, c], img.pixels.ravel())
+    assert pm.shape == (3, 49)
+    for row in pm:
+        assert np.array_equal(row, img.pixels.ravel())
 
 
 def test_offsets_stay_in_bounds():
@@ -54,14 +54,14 @@ def test_sampling_deterministic_per_seed():
 
 def gather_patches_loop(fetch, locations, shape):
     """The per-patch loop that ``gather_patches`` replaced."""
-    data = np.empty((shape.dim, locations.shape[0]))
+    data = np.empty((locations.shape[0], shape.dim))
     current, arr = -1, None
     for pos in np.argsort(locations[:, 0], kind="stable"):
         src, r, c = (int(x) for x in locations[pos])
         if src != current:
             arr = as_2d(fetch(src))
             current = src
-        data[:, pos] = arr[r:r + shape.k1, c:c + shape.k2].ravel()
+        data[pos] = arr[r:r + shape.k1, c:c + shape.k2].ravel()
     return data
 
 
@@ -105,46 +105,45 @@ def test_rank_one_recovers_direction():
     v = gen_local.normal(size=9)
     v /= np.linalg.norm(v)
     coeffs = gen_local.normal(size=200)
-    bank = learn_pca_filters(np.outer(v, coeffs), PatchShape(3, 3), 1)
+    bank = learn_pca_filters(np.outer(coeffs, v), PatchShape(3, 3), 1)
     assert abs(abs(bank.weights[0] @ v) - 1.0) < 1e-8
 
 
 def test_full_rank_complete_basis():
-    data = np.random.default_rng(4).normal(size=(9, 400))
+    data = np.random.default_rng(4).normal(size=(400, 9))
     bank = learn_pca_filters(data, PatchShape(3, 3), 9)
     assert np.abs(bank.weights @ bank.weights.T - np.eye(9)).max() < 1e-8
 
 
 def test_reconstruction_beats_random_projections():
     gen_local = np.random.default_rng(5)
-    z = gen_local.normal(size=(25, 5000))
+    z = gen_local.normal(size=(5000, 25))
     bank = learn_pca_filters(z, PatchShape(5, 5), 4)
     w = bank.weights
-    pca_err = np.linalg.norm(z - w.T @ (w @ z)) ** 2
+    pca_err = np.linalg.norm(z - (z @ w.T) @ w) ** 2
     for _ in range(200):
         q, _ = np.linalg.qr(gen_local.normal(size=(25, 4)))
-        r = q.T
-        rand_err = np.linalg.norm(z - r.T @ (r @ z)) ** 2
+        rand_err = np.linalg.norm(z - (z @ q) @ q.T) ** 2
         assert rand_err >= pca_err * (1 - 1e-9)
 
 
 def test_spectrum_descending():
-    data = np.random.default_rng(6).normal(size=(9, 300))
+    data = np.random.default_rng(6).normal(size=(300, 9))
     bank = learn_pca_filters(data, PatchShape(3, 3), 4)
     assert (np.diff(bank.spectrum) <= 1e-9).all()
 
 
 def test_column_permutation_invariance():
     gen_local = np.random.default_rng(7)
-    data = gen_local.normal(size=(9, 500))
+    data = gen_local.normal(size=(500, 9))
     perm = gen_local.permutation(500)
     a = learn_pca_filters(data, PatchShape(3, 3), 3)
-    b = learn_pca_filters(data[:, perm], PatchShape(3, 3), 3)
+    b = learn_pca_filters(data[perm], PatchShape(3, 3), 3)
     assert np.abs(a.weights - b.weights).max() < 1e-8
 
 
 def test_count_bounds():
-    data = np.random.default_rng(8).random((9, 20))
+    data = np.random.default_rng(8).random((20, 9))
     with pytest.raises(ValueError):
         learn_pca_filters(data, PatchShape(3, 3), 10)
 
@@ -161,7 +160,7 @@ def toy_cfg(monkeypatch, minibatch=64, **kw):
 
 
 def test_zero_learning_rate_keeps_initial_weights(monkeypatch):
-    data = np.random.default_rng(9).normal(scale=0.3, size=(9, 50))
+    data = np.random.default_rng(9).normal(scale=0.3, size=(50, 9))
     bank = learn_dae_filters(data, PatchShape(3, 3), 4,
                              toy_cfg(monkeypatch, dae_lr=0.0), Rng(13))
     bound = 1.0 / 3.0
@@ -173,13 +172,13 @@ def test_zero_learning_rate_keeps_initial_weights(monkeypatch):
 def test_training_reduces_reconstruction_error(monkeypatch):
     # complete code (L = dim), no corruption, full-batch descent on tiny data
     gen_local = np.random.default_rng(10)
-    z = gen_local.uniform(-0.5, 0.5, size=(4, 10))
+    z = gen_local.uniform(-0.5, 0.5, size=(10, 4))
     cfg = toy_cfg(monkeypatch, minibatch=10, dae_epochs=300, dae_lr=0.05)
     curve = []
 
     def clean_mse(w, b, b_dec):
-        _, recon = dae_forward(w, b, b_dec, z.T)
-        curve.append(float(np.mean((recon - z.T) ** 2)))
+        _, recon = dae_forward(w, b, b_dec, z)
+        curve.append(float(np.mean((recon - z) ** 2)))
 
     train_dae(z, 4, cfg, Rng(13), on_epoch=clean_mse)
     mse = np.asarray(curve)
@@ -191,7 +190,7 @@ def train_dae_reference(z_clean, count, cfg, rng):
     """A per-batch gather in the row layout: the masks are drawn in
     sequence from one stream, the corrupted matrix is built whole, and
     each minibatch gathers its rows of one-patch-per-row copies."""
-    d, m = z_clean.shape
+    m, d = z_clean.shape
     init_gen = rng.stream("dae.init")
     corrupt_gen = rng.stream("dae.corrupt")
     order_gen = rng.stream("dae.order")
@@ -199,13 +198,13 @@ def train_dae_reference(z_clean, count, cfg, rng):
     w = init_gen.uniform(-bound, bound, size=(count, d))
     b = np.zeros(count)
     b_dec = np.zeros(d)
-    clean_rows = np.ascontiguousarray(z_clean.T)
+    clean_rows = np.ascontiguousarray(z_clean)
     epoch_loss = []
     for epoch in range(1, cfg.dae_epochs + 1):
         lr = cfg.dae_lr / np.sqrt(epoch)
         if cfg.dae_corruption > 0.0:
             keep = corrupt_gen.random((d, m)) >= cfg.dae_corruption
-            corrupt_rows = np.ascontiguousarray((z_clean * keep).T)
+            corrupt_rows = np.ascontiguousarray(z_clean * keep.T)
         else:
             corrupt_rows = clean_rows
         order = order_gen.permutation(m)
@@ -235,7 +234,7 @@ def test_train_dae_matches_per_batch_gather(monkeypatch, d, m, count,
                                             corruption, minibatch):
     if minibatch is not None:
         monkeypatch.setattr(filters, "DAE_MINIBATCH", minibatch)
-    z = np.random.default_rng(d * m).normal(scale=0.3, size=(d, m))
+    z = np.random.default_rng(d * m).normal(scale=0.3, size=(m, d))
     cfg = Config(dae_corruption=corruption, dae_epochs=4, dae_lr=0.05)
     w, b, b_dec, stats = train_dae(z, count, cfg, Rng(7))
     rw, rb, rb_dec, rloss = train_dae_reference(z, count, cfg, Rng(7))
@@ -265,7 +264,7 @@ def test_no_corruption_draws_no_mask(monkeypatch):
         raise AssertionError("drew a mask")
 
     monkeypatch.setattr(filters, "_epoch_mask", fail)
-    z = np.random.default_rng(3).normal(scale=0.3, size=(9, 60))
+    z = np.random.default_rng(3).normal(scale=0.3, size=(60, 9))
     cfg = Config(dae_corruption=0.0, dae_epochs=3, dae_lr=0.05)
     train_dae(z, 4, cfg, Rng(7), jobs=2)
 
@@ -276,7 +275,7 @@ def test_train_dae_bytes_do_not_depend_on_layout(monkeypatch, jobs):
     # of 64-byte lines, so the minibatches of an epoch start at varying
     # alignments
     monkeypatch.setattr(filters, "DAE_MINIBATCH", 50)
-    z = np.random.default_rng(5).normal(scale=0.3, size=(9, 250))
+    z = np.random.default_rng(5).normal(scale=0.3, size=(250, 9))
     shifted = np.empty(z.size + 1)[1:].reshape(z.shape)   # 8 bytes off
     shifted[...] = z
     cfg = Config(dae_corruption=0.2, dae_epochs=3, dae_lr=0.05)
@@ -322,7 +321,7 @@ def test_gradients_match_finite_differences(d, side, count, seed):
 
 
 def test_divergence_detected(monkeypatch):
-    z = np.random.default_rng(11).normal(size=(4, 40))
+    z = np.random.default_rng(11).normal(size=(40, 4))
     cfg = toy_cfg(monkeypatch, minibatch=8, dae_lr=500.0, dae_epochs=30)
     with pytest.raises(TrainingDivergedError):
         train_dae(z, 4, cfg, Rng(13))
@@ -338,7 +337,7 @@ def test_flat_loss_is_not_divergence():
 
 
 def test_dae_bank_deterministic_per_seed(monkeypatch):
-    data = np.random.default_rng(12).normal(scale=0.2, size=(9, 80))
+    data = np.random.default_rng(12).normal(scale=0.2, size=(80, 9))
     cfg = toy_cfg(monkeypatch, minibatch=16, dae_corruption=0.1, dae_epochs=4,
                   dae_lr=0.01)
     a = learn_dae_filters(data, PatchShape(3, 3), 3, cfg, Rng(5))

@@ -89,3 +89,31 @@ def test_tracer_counts_nnz_and_dae_epochs(spans, glyph_train, glyph_test,
         assert tracer.counts["dae_epochs"] == 2 * cfg.dae_epochs
     else:
         assert "dae_epochs" not in tracer.counts
+
+
+# every span a per-layer metric of perfbench/run.py reads for the config;
+# one that is bound but never called would read 0 without a failure
+_SHARED_SPANS = {"preprocess.lcn_matrix", "preprocess.whiten_fit",
+                 "preprocess.lcn_rows", "filters.sample_patches",
+                 "filters.gather_patches", "linalg.jacobi_eigh",
+                 "pipeline.window_rows", "pipeline.map_layer.l1",
+                 "pipeline.map_layer.sampling", "encoder.feature_of",
+                 "experiment.train_model", "experiment.evaluate_model",
+                 "experiment.extract_features", "experiment.predict_features"}
+
+
+@pytest.mark.parametrize("learner,classifier,spans_read", [
+    ("pca", "svm", {"filters.learn_pca_filters", "classify.svm_train"}),
+    ("dae", "wpca_cosine", {"filters.learn_dae_filters", "filters.train_dae",
+                            "classify.wpca_fit", "classify.wpca_apply"}),
+], ids=["pca-svm", "dae-wpca_cosine"])
+def test_per_layer_spans_are_recorded(spans, glyph_train, glyph_test, learner,
+                                      classifier, spans_read):
+    cfg = tiny_config(learner=learner, classifier=classifier, dae_epochs=2,
+                      wpca_dim=8)
+    with spans.Tracer() as tracer:
+        model = experiment.train_model(cfg, *glyph_train)
+        experiment.evaluate_model(model, *glyph_test)
+    recorded = {name for name, _, _, _ in tracer.spans}
+    missing = (_SHARED_SPANS | spans_read) - recorded
+    assert not missing, f"spans never recorded: {sorted(missing)}"

@@ -162,6 +162,15 @@ def test_overflowing_pca_bank_rejected_without_a_warning():
             FilterBank(PatchShape(3, 3), weights)
 
 
+def test_overflowing_whitening_rejected_without_a_warning():
+    matrix = np.eye(3)
+    matrix[0, 1], matrix[1, 0] = 1e308, -1e308   # their difference overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be symmetric"):
+            WhiteningTransform(matrix)
+
+
 def test_rng_streams_are_deterministic_and_distinct():
     a = Rng(42).stream("patches.layer1").random(8)
     b = Rng(42).stream("patches.layer1").random(8)
