@@ -274,10 +274,34 @@ def _column_blocks(n: int, d: int) -> list[tuple[int, int]]:
     return [(c0, min(c0 + width, d)) for c0 in range(0, d, width)]
 
 
+def _first_at_or_after(x: sp.csr_matrix, col: int) -> np.ndarray:
+    """Per row of ``x``, whose indices are sorted, the storage position of
+    its first entry in a column >= ``col``: all rows bisected at once."""
+    lo, hi = x.indptr[:-1].astype(np.int64), x.indptr[1:].astype(np.int64)
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        # a settled row has lo == mid == hi, which may be nnz; it stays put
+        below = (lo < hi) & (x.indices[np.minimum(mid, x.nnz - 1)] < col)
+        lo, hi = np.where(below, mid + 1, lo), np.where(below, hi, mid)
+    return lo
+
+
+def _columns(x: sp.csr_matrix, block) -> sp.csr_matrix:
+    """``x[:, c0:c1]``, each row's entries taken from the range a bisection
+    of its sorted indices finds, where scipy's slice scans every entry."""
+    c0, c1 = block
+    if not x.has_sorted_indices:
+        return x[:, c0:c1]
+    start, stop = _first_at_or_after(x, c0), _first_at_or_after(x, c1)
+    indptr = np.concatenate(([0], np.cumsum(stop - start)))
+    pos = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], stop - start)
+    return sp.csr_matrix((x.data[pos], x.indices[pos] - c0, indptr),
+                         shape=(x.shape[0], c1 - c0))
+
+
 def _gram_block(x, block) -> np.ndarray:
     """The n x n Gram ``D D^T`` of the dense column block ``D``."""
-    c0, c1 = block
-    dense = x[:, c0:c1].toarray()
+    dense = _columns(x, block).toarray()
     return dense @ dense.T
 
 
@@ -287,7 +311,7 @@ def _lift_block(state, block) -> None:
     c0, c1 = block
     out = rows[:, c0:c1]
     np.multiply.outer(dual_sums, mean[c0:c1], out=out)
-    np.subtract(np.asarray(x[:, c0:c1].T @ dual).T, out, out=out)
+    np.subtract(np.asarray(_columns(x, block).T @ dual).T, out, out=out)
     out /= norms[:, None]
 
 

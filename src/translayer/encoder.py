@@ -13,6 +13,7 @@ follows the block's pixel count and not the 2^L1 bins.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -79,6 +80,16 @@ def feature_dim(image_shape: tuple[int, int], cfg: Config) -> int:
     return (cfg.l2 + cfg.trans_layer) * nx * ny * 2**cfg.l1
 
 
+@functools.lru_cache(maxsize=8)
+def _block_index(shape: tuple[int, int, int], cfg: Config) -> np.ndarray:
+    """Flat positions in (groups, h, w) code maps of each block's pixels,
+    one row per (map, block), in (map, block row-major) order."""
+    nx, ny = block_counts(shape[1:], cfg)
+    pos = np.arange(np.prod(shape)).reshape(shape)
+    view = sliding_window_view(pos, (cfg.block_h, cfg.block_w), axis=(1, 2))
+    return view[:, ::cfg.stride_y, ::cfg.stride_x].reshape(shape[0] * nx * ny, -1)
+
+
 def feature_of(code_maps: np.ndarray, cfg: Config) -> SparseFeature:
     """Concatenated per-block code histograms of all code maps, with the
     block geometry of ``cfg`` and 2^l1 bins per block."""
@@ -88,14 +99,9 @@ def feature_of(code_maps: np.ndarray, cfg: Config) -> SparseFeature:
         raise ValueError("expected (groups, h, w) code maps")
     if maps.min() < 0 or maps.max() >= bins:
         raise ValueError("code outside [0, bins)")
-    groups, h, w = maps.shape
-    nx, ny = block_counts((h, w), cfg)
-    blocks = groups * nx * ny
-    view = sliding_window_view(maps, (cfg.block_h, cfg.block_w), axis=(1, 2))
-    tiles = view[:, ::cfg.stride_y, ::cfg.stride_x]
-    # one row of codes per (map, block) pair, in (map, block) order; np.array
+    # one row of codes per (map, block) pair, in (map, block) order; take
     # copies, so sorting never touches the caller's maps
-    flat = np.array(tiles).reshape(blocks, -1)
+    flat = maps.take(_block_index(maps.shape, cfg))
     flat.sort(axis=1)
     # each run of equal codes in a sorted row is one nonzero bin
     per_block = flat.shape[1]

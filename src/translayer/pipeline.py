@@ -9,15 +9,15 @@ None when the config turns it off; whitening always runs.
 
 :func:`build_stack` keeps every response as a float map. Feature
 extraction only needs the binary codes, so :func:`code_maps` computes the
-signs of the second-layer responses alone, from one product with filters
-that absorb whitening and the mean subtraction of contrast normalization.
-A sign is used only where a forward-error bound certifies that the window
-path rounds to the same bit; every second-layer map holding an uncertified
-pixel is recomputed on the window path, so the codes equal those of
-:func:`build_stack` bit for bit. With an autoencoder and contrast
-normalization the window std is taken with the arithmetic of
-``preprocess.center`` inside the window matrix itself, once the product and
-the window bound have read it.
+signs of the second-layer responses alone, with filters that absorb
+whitening and the mean subtraction of contrast normalization, and without
+building the windows: the first-layer maps are padded in (row, map,
+column) order, and k2 column-shifted copies of that stack hold all taps,
+so the response is k1 products, one per row tap, of k2 filter taps with a
+strided view of the copies. A sign is used only where a forward-error
+bound certifies that the window path rounds to the same bit; every
+second-layer map holding an uncertified pixel is recomputed on the window
+path, so the codes equal those of :func:`build_stack` bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .encoder import binarize, pack_codes
-from .preprocess import center, centered_std, lcn_rows, whiten_apply
+from .preprocess import lcn_rows, whiten_apply
 from .types import (DAE, Config, FilterBank, PatchShape, TrainedModel,
                     WhiteningTransform, as_2d)
 
@@ -38,13 +38,12 @@ _TINY = np.finfo(np.float64).tiny
 _MAX = np.finfo(np.float64).max
 
 
-def _pad_widths(shape: PatchShape):
-    return ((shape.k1 - 1) // 2,), ((shape.k2 - 1) // 2,)
-
-
 def window_rows(arr: np.ndarray, shape: PatchShape) -> np.ndarray:
     """All k1 x k2 windows of the padded input, one flattened row per pixel."""
-    padded = np.pad(arr, _pad_widths(shape))
+    h, w = arr.shape
+    p1, p2 = (shape.k1 - 1) // 2, (shape.k2 - 1) // 2
+    padded = np.zeros((h + shape.k1 - 1, w + shape.k2 - 1), dtype=arr.dtype)
+    padded[p1:p1 + h, p2:p2 + w] = arr
     windows = sliding_window_view(padded, (shape.k1, shape.k2))
     return windows.reshape(arr.size, shape.dim)
 
@@ -84,13 +83,8 @@ def build_stack(image, model: TrainedModel) -> tuple[np.ndarray, np.ndarray]:
     """
     lcn = lcn_constant(model.config)
     layer1 = map_layer(image, model.bank1, model.whiten1, lcn)
-    l1 = model.bank1.count
-    l2 = model.bank2.count
-    h, w = layer1.shape[1:]
-    layer2 = np.empty((l1, l2, h, w), dtype=np.float64)
-    for i in range(l1):
-        layer2[i] = map_layer(layer1[i], model.bank2, model.whiten2, lcn)
-    return layer1, layer2
+    return layer1, np.stack([map_layer(m, model.bank2, model.whiten2, lcn)
+                             for m in layer1])
 
 
 def code_maps(image, model: TrainedModel) -> np.ndarray:
@@ -101,9 +95,9 @@ def code_maps(image, model: TrainedModel) -> np.ndarray:
     """
     lcn = lcn_constant(model.config)
     layer1 = map_layer(image, model.bank1, model.whiten1, lcn)
-    l1_bits = binarize(layer1)
-    l2_bits = _layer2_bits(layer1, model.bank2, model.whiten2, lcn)
-    return pack_codes(l1_bits, l2_bits, model.config.trans_layer)
+    return pack_codes(binarize(layer1),
+                      _layer2_bits(layer1, model.bank2, model.whiten2, lcn),
+                      model.config.trans_layer)
 
 
 def _fused_filters(bank: FilterBank, whiten: WhiteningTransform,
@@ -129,19 +123,17 @@ def _fused_filters(bank: FilterBank, whiten: WhiteningTransform,
     return weights, coef
 
 
-def _window_max_abs(padded: np.ndarray, shape: PatchShape) -> np.ndarray:
-    """Largest |value| in every k1 x k2 window of a stack of padded maps."""
-    mags = np.abs(padded)
-    h = padded.shape[1] - shape.k1 + 1
-    w = padded.shape[2] - shape.k2 + 1
-    # separable: the max over k2 columns, then over k1 rows of those
-    across = mags[:, :, :w].copy()
-    for dx in range(1, shape.k2):
-        np.maximum(across, mags[:, :, dx:dx + w], out=across)
-    out = across[:, :h].copy()
-    for dy in range(1, shape.k1):
-        np.maximum(out, across[:, dy:dy + h], out=out)
-    return out
+_fused_cache: list = [None]
+
+
+def _fused_of(bank: FilterBank, whiten: WhiteningTransform,
+              lcn: float | None):
+    """:func:`_fused_filters`, computed once while one model is encoded; the
+    cache holds the bank and whitening, so no other object takes their ids."""
+    key = (id(bank), id(whiten), lcn)
+    if _fused_cache[0] != key:
+        _fused_cache[:] = [key, bank, whiten, _fused_filters(bank, whiten, lcn)]
+    return _fused_cache[3]
 
 
 def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
@@ -149,42 +141,71 @@ def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
                  lcn: float | None) -> np.ndarray:
     """Binarized second-layer maps of every first-layer map, (L1, L2, h, w).
 
-    All L1 maps share one window matrix and one product. A pixel's bit is
+    Tap (dy, dx) of the window at (y, m, x) is ``shifted[dx, y + dy, m,
+    x]``; responses and bounds are laid out (L2, h, L1, w). A bit is
     certified when its window is all zero (both paths give exactly 0, and
     the bias alone decides an autoencoder bit) or when the fused response
-    clears the error bound by a wide margin. Each map with an uncertified
-    pixel is recomputed by the same :func:`map_layer` call
-    :func:`build_stack` makes.
+    clears the error bound, which holds for sums in any order, by a wide
+    margin. Each map with an uncertified pixel is recomputed by the same
+    :func:`map_layer` call :func:`build_stack` makes. The window std of an
+    autoencoder with contrast normalization is summed in another order than
+    ``lcn_rows``'s; any order is within a few d eps max|window| of the exact
+    std, and as |H @ window| <= |H|_2 sqrt(d) std, that moves response /
+    (std + c) by at most |H|_2 d^1.5 eps max|window| / (std + c), far inside
+    the bound divided alike.
     """
-    filters, coef = _fused_filters(bank, whiten, lcn)
+    filters, coef = _fused_of(bank, whiten, lcn)
     l1, h, w = layer1.shape
-    d = bank.shape.dim
-    padded = np.pad(layer1, ((0,),) + _pad_widths(bank.shape))
-    # one column per window, in (map, row, col) order
-    windows = sliding_window_view(padded, (bank.shape.k1, bank.shape.k2),
-                                  axis=(1, 2))
-    # np.array copies even 1x1 windows, so cols never aliases padded
-    cols = np.array(windows.transpose(3, 4, 0, 1, 2), order="C").reshape(d, -1)
-    response = filters @ cols
-    scale = _window_max_abs(padded, bank.shape).reshape(-1)
-    c = lcn if lcn is not None else 0.0
+    k1, k2 = bank.shape.k1, bank.shape.k2
+    d, n = bank.shape.dim, h * l1 * w
+    p1, p2 = (k1 - 1) // 2, (k2 - 1) // 2
+    padded = np.zeros((h + k1 - 1, l1, w + k2 - 1))
+    padded[p1:p1 + h, :, p2:p2 + w] = layer1.transpose(1, 0, 2)
+    shifted = np.stack([padded[:, :, dx:dx + w] for dx in range(k2)])
+    # row tap dy of every window: (k2, n) with the row stride of shifted
+    taps = [shifted.reshape(k2, -1)[:, dy * l1 * w:dy * l1 * w + n]
+            for dy in range(k1)]
+    if bank.layer_kind == DAE and lcn is not None:
+        # the window std, before the products' buffers exist: the mean
+        # first, then the centered squares
+        mean = _box(np.add, padded, k1, k2).reshape(-1) / d
+        std = np.sqrt(sum(np.einsum("ij,ij->j", dev, dev)
+                          for dev in (tap - mean for tap in taps)) / d)
+    blocks = filters.reshape(bank.count, k1, k2)
+    response = blocks[:, 0] @ taps[0]
+    part = np.empty_like(response)
+    for dy in range(1, k1):
+        response += np.matmul(blocks[:, dy], taps[dy], out=part)
+    scale = _box(np.maximum, np.abs(padded), k1, k2).reshape(-1)
     # the constant term covers rounding of values in the subnormal range
-    bound = scale * coef[:, None] + _SIGN_SAFETY * d * (1.0 + c) * _TINY
+    bound = np.multiply(scale, coef[:, None], out=part)
+    bound += _SIGN_SAFETY * d * (1.0 + (lcn or 0.0)) * _TINY
     if bank.layer_kind == DAE:
         if lcn is not None:
-            # the window std, by center's arithmetic; cols is not read
-            # again, so the deviations and then their squares overwrite it
-            std = centered_std(center(cols, axis=0, out=cols), axis=0, out=cols)
-            response /= std + c
-            bound /= std + c
+            response /= std + lcn
+            bound /= std + lcn
         response += bank.biases[:, None]
-    certified = (np.abs(response) > bound) | (scale == 0.0)
-    fallback = ~certified.reshape(bank.count, l1, -1).all(axis=(0, 2))
+    bits = (response > 0).view(np.uint8)
+    certified = (np.abs(response, out=response) > bound) | (scale == 0.0)
     # past this magnitude the window path's squared deviations can overflow
     if scale.max() >= np.sqrt(_MAX / (4 * d)) or not np.isfinite(response).all():
-        fallback[:] = True
-    bits = (response > 0).reshape(bank.count, l1, h, w).transpose(1, 0, 2, 3)
-    bits = bits.astype(np.uint8)
-    for i in np.flatnonzero(fallback):
-        bits[i] = binarize(map_layer(layer1[i], bank, whiten, lcn))
+        certified[:] = False
+    bits = bits.reshape(bank.count, h, l1, w).transpose(2, 0, 1, 3)
+    if not certified.all():
+        fallback = ~certified.reshape(bank.count, h, l1, w).all(axis=(0, 1, 3))
+        for i in np.flatnonzero(fallback):
+            bits[i] = binarize(map_layer(layer1[i], bank, whiten, lcn))
     return bits
+
+
+def _box(ufunc, stack: np.ndarray, k1: int, k2: int) -> np.ndarray:
+    """``ufunc`` reduced over every k1 x k2 window of a (row, map, column)
+    stack, separably: over the k2 columns, then the k1 rows of those."""
+    rows, _, cols = stack.shape
+    across = stack[:, :, :cols - k2 + 1].copy()
+    for dx in range(1, k2):
+        ufunc(across, stack[:, :, dx:dx + cols - k2 + 1], out=across)
+    out = across[:rows - k1 + 1].copy()
+    for dy in range(1, k1):
+        ufunc(out, across[dy:dy + rows - k1 + 1], out=out)
+    return out

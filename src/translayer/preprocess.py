@@ -18,24 +18,13 @@ from .linalg import EIGENVALUE_FLOOR, jacobi_eigh
 from .types import WhiteningTransform, as_2d
 
 
-def center(patches: np.ndarray, axis: int, out=None) -> np.ndarray:
-    """Patches laid out along ``axis`` minus their means, written to ``out``
-    when given (it may be ``patches`` itself)."""
-    return np.subtract(patches, patches.mean(axis=axis, keepdims=True), out=out)
-
-
-def centered_std(centered: np.ndarray, axis: int, out=None) -> np.ndarray:
-    """Population standard deviations of centered patches along ``axis``
-    (kept with length 1); the squares go to ``out`` when given (it may be
-    ``centered`` itself)."""
-    return np.sqrt(np.square(centered, out=out).mean(axis=axis, keepdims=True))
-
-
 def lcn_rows(rows: np.ndarray, c: float) -> np.ndarray:
     """Contrast-normalize each row of a (m, d) array of flattened patches:
-    (x - mean) / (population std + c)."""
-    centered = center(rows, axis=1)
-    return centered / (centered_std(centered, axis=1) + c)
+    (x - mean) / (population std + c), written over the deviations;
+    ``rows`` itself is not modified."""
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    std = np.sqrt(np.square(centered).mean(axis=1, keepdims=True))
+    return np.divide(centered, std + c, out=centered)
 
 
 # the name training calls, which perfbench traces apart from extraction's

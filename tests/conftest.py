@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -5,7 +7,9 @@ from hypothesis import settings
 from translayer import Config, GrayImage, train_model
 
 settings.register_profile("suite", max_examples=25, deadline=None)
-settings.load_profile("suite")
+# a deeper search for CI: HYPOTHESIS_PROFILE=ci
+settings.register_profile("ci", max_examples=300, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
 # seven-segment style digit glyphs: ten visually distinct classes that a
 # working pipeline must separate easily

@@ -340,7 +340,7 @@ def test_identical_rows_have_rank_zero(rows, width):
         wpca_fit(x, 1)
 
 
-def test_gram_route_matches_covariance_route():
+def test_gram_route_components_have_unit_variance():
     gen = np.random.default_rng(10)
     x = gen.standard_normal((12, 30))  # d > n
     wide = _wpca_fit(x, 4)
@@ -443,6 +443,29 @@ def test_blocked_gram_route_matches_sparse_reference(monkeypatch, jobs, n,
     mean, projection = wpca_fit_gram_reference(x, target_dim)
     assert np.array_equal(model.mean, mean)
     assert np.array_equal(model.projection, projection)
+
+
+@pytest.mark.parametrize("case", ["sorted", "unsorted", "empty"])
+def test_column_block_equals_scipy_slice(case):
+    # every block of 40 columns, with two empty rows, a run of empty
+    # columns at the end, and rows with no entry in many blocks; unsorted
+    # indices take scipy's slice
+    gen = np.random.default_rng(70)
+    dense = gen.integers(1, 9, size=(9, 40)).astype(np.float64)
+    dense[gen.random(dense.shape) < 0.7] = 0.0
+    dense[[2, 5]] = 0.0
+    dense[:, 30:] = 0.0
+    x = sp.csr_matrix(dense * (case != "empty"))
+    if case == "unsorted":
+        for lo, hi in zip(x.indptr[:-1], x.indptr[1:]):
+            x.indices[lo:hi] = x.indices[lo:hi][::-1].copy()
+            x.data[lo:hi] = x.data[lo:hi][::-1].copy()
+        x = sp.csr_matrix((x.data, x.indices, x.indptr), shape=x.shape)
+    assert x.has_sorted_indices == (case != "unsorted")
+    for c0 in range(40):
+        for c1 in range(c0 + 1, 41):
+            got = classify._columns(x, (c0, c1)).toarray()
+            assert got.tobytes() == x[:, c0:c1].toarray().tobytes()
 
 
 @pytest.mark.parametrize("budget", [8, 8 * 1000, classify.BUDGET])

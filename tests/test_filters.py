@@ -133,7 +133,7 @@ def test_spectrum_descending():
     assert (np.diff(bank.spectrum) <= 1e-9).all()
 
 
-def test_column_permutation_invariance():
+def test_row_permutation_invariance():
     gen_local = np.random.default_rng(7)
     data = gen_local.normal(size=(500, 9))
     perm = gen_local.permutation(500)

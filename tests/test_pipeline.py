@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from translayer import (Config, FilterBank, GrayImage, PatchShape,
                         TrainedModel, WhiteningTransform, compress_groups,
-                        pipeline)
+                        experiment, pipeline)
 from translayer.pipeline import build_stack, code_maps, lcn_constant, map_layer
 from translayer.preprocess import lcn_rows
 from translayer.types import DAE, PCA
@@ -234,8 +234,7 @@ def test_uncertified_map_falls_back_to_window_path(monkeypatch):
 
 
 def test_dae_lcn_code_maps_peak_below_twice_the_window_matrix(glyph_test):
-    # the window std is taken in the window matrix's own buffer, so no
-    # second array of its size is live at once
+    # no window matrix is built; the old one is the yardstick
     model = random_model(DAE, 8, 8, seed=3, k1=7, k2=7, lcn=True)
     image = glyph_test[0][0]
     h, w = image.pixels.shape
@@ -258,3 +257,77 @@ def test_one_pixel_patch_code_maps_match_float_stack(lcn, image, seed):
     model = random_model(DAE, 4, 4, seed, k1=1, k2=1, lcn=lcn)
     want = compress_groups(build_stack(image, model), True)
     assert np.array_equal(code_maps(image, model), want)
+
+
+@pytest.mark.parametrize("learner,lcn", [(PCA, True), (DAE, True)])
+def test_code_maps_peak_below_the_window_matrix(glyph_test, learner, lcn):
+    # the (k1*k2, L1*h*w) window matrix the layer-2 signs were once taken
+    # from; the shifted copies of the layer-1 maps take a sixth of it
+    model = random_model(learner, 8, 8, seed=3, k1=7, k2=7, lcn=lcn)
+    image = glyph_test[0][0]
+    h, w = image.pixels.shape
+    cols_bytes = model.bank2.shape.dim * model.config.l1 * h * w * 8
+    want = compress_groups(build_stack(image, model), True)
+    tracemalloc.start()
+    try:
+        got = code_maps(image, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < cols_bytes
+
+
+def test_fused_filters_once_per_model(monkeypatch, glyph_test):
+    calls = []
+    fused = pipeline._fused_filters
+
+    def counting(*args):
+        calls.append(args)
+        return fused(*args)
+
+    monkeypatch.setattr(pipeline, "_fused_filters", counting)
+    images = glyph_test[0][:6]
+    for learner in (PCA, DAE):
+        # a new model: its banks are not the ones cached
+        model = random_model(learner, 4, 4, seed=8, k1=5, k2=5)
+        experiment.extract_features(model, images, jobs=1)
+        assert len(calls) == 1
+        calls.clear()
+
+
+@pytest.mark.parametrize("k1,k2", [(5, 3), (1, 7), (7, 1), (7, 3)])
+@pytest.mark.parametrize("learner", [PCA, DAE])
+@pytest.mark.parametrize("lcn", [True, False])
+@given(image=flat_region_images(), seed=st.integers(0, 2**32 - 1))
+def test_code_maps_match_with_unequal_patch_sides(k1, k2, learner, lcn, image,
+                                                   seed):
+    # flat_region_images draws heights and widths apart, so most are not
+    # square
+    model = random_model(learner, 3, 4, seed, k1=k1, k2=k2, lcn=lcn)
+    want = compress_groups(build_stack(image, model), True)
+    assert np.array_equal(code_maps(image, model), want)
+
+
+@pytest.mark.parametrize("learner", [PCA, DAE])
+@pytest.mark.parametrize("lcn", [True, False])
+def test_every_map_falls_back_when_no_sign_certifies(monkeypatch, learner,
+                                                     lcn):
+    # a safety factor this large certifies only all-zero windows, and
+    # every map of a textured image holds others
+    monkeypatch.setattr(pipeline, "_SIGN_SAFETY", 1e200)
+    model = random_model(learner, 4, 3, seed=11, k1=3, k2=5, lcn=lcn)
+    image = GrayImage(np.random.default_rng(12).random((9, 13)))
+    calls = []
+    window_path = pipeline.map_layer
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return window_path(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "map_layer", counting)
+    got = code_maps(image, model)
+    assert len(calls) == 1 + model.config.l1
+    monkeypatch.undo()
+    want = compress_groups(build_stack(image, model), True)
+    assert np.array_equal(got, want)

@@ -36,7 +36,7 @@ def test_lcn_requires_positive_c():
     assert "lcn_c must be > 0" in validate_config(Config(lcn_c=0.0))
 
 
-def test_lcn_matrix_constant_columns():
+def test_lcn_matrix_constant_rows():
     out = lcn_matrix(np.ones((2, 9)) * 3.0, 10.0)
     assert np.array_equal(out, np.zeros((2, 9)))
 
@@ -50,7 +50,7 @@ def test_lcn_matrix_single_column_matches_patch():
         assert np.array_equal(out[k], lcn_rows(patches[k:k + 1], 10.0)[0])
 
 
-def test_lcn_matrix_column_means_vanish():
+def test_lcn_matrix_row_means_vanish():
     gen = np.random.default_rng(2)
     out = lcn_matrix(gen.normal(size=(1000, 49)), 10.0)
     assert np.abs(out.mean(axis=1)).max() < 1e-12
