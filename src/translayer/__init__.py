@@ -2,7 +2,7 @@
 encoding and linear classification."""
 
 from .classify import cosine_nn, svm_train, wpca_apply, wpca_fit
-from .encoder import binarize, compress_groups, feature_of
+from .encoder import binarize, feature_of
 from .experiment import evaluate_model, train_model
 from .filters import learn_dae_filters, learn_pca_filters
 from .rng import Rng

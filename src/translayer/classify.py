@@ -20,6 +20,7 @@ import scipy.sparse as sp
 from .forkpool import fork_pool, shared_zeros
 from .linalg import EIGENVALUE_FLOOR, fix_row_signs, jacobi_eigh
 from .rng import Rng
+from .types import reject_non_finite
 
 SVM_TOL = 0.1
 SVM_MAX_PASSES = 1000
@@ -38,28 +39,24 @@ BUDGET = 32 * 2**20
 log = logging.getLogger("translayer")
 
 
-def _reject_non_finite(**arrays):
-    """Reject a NaN or inf in a classifier array, which would otherwise
-    predict without any error (argmax picks a NaN decision value)."""
-    for name, arr in arrays.items():
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} holds a non-finite value")
-
-
 @dataclass(frozen=True)
 class LinearSvmModel:
+    """One-vs-rest linear SVM. Its weights are stored Fortran-ordered, so
+    scipy multiplies by ``weights.T`` without copying it."""
+
     classes: np.ndarray          # sorted ascending
-    weights: np.ndarray          # (n_classes, dim)
+    weights: np.ndarray          # (n_classes, dim), Fortran-ordered
     objective_history: Optional[list] = field(default=None, compare=False)
 
     def __post_init__(self):
         classes, weights = self.classes, self.weights
-        if (classes.ndim != 1 or (np.diff(classes) <= 0).any()
+        if (classes.ndim != 1 or (classes[1:] <= classes[:-1]).any()
                 or weights.ndim != 2 or weights.shape[0] != classes.size):
             raise ValueError(f"svm needs sorted unique 1-D classes and one "
                              f"weight row per class, got classes {classes} "
                              f"and weights of shape {weights.shape}")
-        _reject_non_finite(weights=weights)
+        reject_non_finite(weights=weights)
+        object.__setattr__(self, "weights", np.asfortranarray(weights))
 
 
 class WpcaSizeError(ValueError):
@@ -99,8 +96,8 @@ class WpcaCosineModel:
             raise ValueError("wpca_cosine needs mean, projection, train_vectors "
                              "and train_labels of shapes (d,), (k, d), (n, k), "
                              "(n,), got " + ", ".join(map(str, shapes)))
-        _reject_non_finite(mean=self.wpca.mean, projection=self.wpca.projection,
-                           train_vectors=self.train_vectors)
+        reject_non_finite(mean=self.wpca.mean, projection=self.wpca.projection,
+                          train_vectors=self.train_vectors)
 
     @property
     def classes(self) -> np.ndarray:
@@ -195,20 +192,19 @@ def svm_train(features, labels, cost_c: float = 1.0,
               rng: Rng | None = None, jobs: int = 1) -> LinearSvmModel:
     """One-vs-rest linear SVM on sparse features.
 
-    The classes are solved by ``run(_solve_class, range(n_classes), 1)``
+    The classes are solved by ``run(_solve_class, range(n_classes))``
     over ``forkpool.fork_pool(min(jobs, n_classes), problem)``, each
-    writing its weights into one ``shared_zeros`` array at every ``jobs``;
-    only the objective histories and final violations are returned. Each
-    class draws its own stream, seeded from its label, so the result does
-    not depend on ``jobs``. Non-convergence warnings are logged here, in
-    class order.
+    writing its weights into one transposed ``shared_zeros`` array, the
+    model's Fortran-ordered weights, at every ``jobs``; only the objective
+    histories and final violations are returned. Each class draws its own
+    stream, seeded from its label, so the result does not depend on
+    ``jobs``. Non-convergence warnings are logged here, in class order.
     """
     x = as_csr(features)
     y_all = np.asarray(labels, dtype=np.int64)
     if y_all.shape[0] != x.shape[0]:
         raise ValueError("label/sample count mismatch")
-    if not np.isfinite(x.data).all():
-        raise ValueError("non-finite feature value")
+    reject_non_finite(features=x.data)
     classes = np.unique(y_all)
     if classes.size < 2:
         raise ValueError("need at least two classes")
@@ -221,11 +217,11 @@ def svm_train(features, labels, cost_c: float = 1.0,
     qii = np.asarray(sp.csr_matrix((x.data * x.data, x.indices, x.indptr),
                                    shape=x.shape).sum(axis=1)).ravel()
 
-    weights = shared_zeros((classes.size, x.shape[1]))
+    weights = shared_zeros((x.shape[1], classes.size)).T
     problem = (x, x.indices.astype(np.intp), y_all, classes, cost_c, qii,
                rng, weights)
     with fork_pool(min(jobs, classes.size), problem) as run:
-        solved = list(run(_solve_class, range(classes.size), 1))
+        solved = list(run(_solve_class, range(classes.size)))
     for cls, (hist, violation) in zip(classes, solved):
         if violation >= SVM_TOL:
             log.warning("SVM class %d did not converge: %d passes, max "
@@ -244,15 +240,10 @@ def _as_csr_of_width(features, width: int) -> sp.csr_matrix:
     return x
 
 
-def decision_values(model: LinearSvmModel, features) -> np.ndarray:
-    x = _as_csr_of_width(features, model.weights.shape[1])
-    return np.asarray(x @ model.weights.T)
-
-
 def svm_predict_many(model: LinearSvmModel, features) -> np.ndarray:
     """Argmax of per-class decision values; ties go to the smallest label."""
-    scores = decision_values(model, features)
-    return model.classes[np.argmax(scores, axis=1)]
+    x = _as_csr_of_width(features, model.weights.shape[1])
+    return model.classes[np.argmax(x @ model.weights.T, axis=1)]
 
 
 def _column_means(x: sp.csr_matrix) -> np.ndarray:
@@ -287,11 +278,10 @@ def _first_at_or_after(x: sp.csr_matrix, col: int) -> np.ndarray:
 
 
 def _columns(x: sp.csr_matrix, block) -> sp.csr_matrix:
-    """``x[:, c0:c1]``, each row's entries taken from the range a bisection
-    of its sorted indices finds, where scipy's slice scans every entry."""
+    """``x[:, c0:c1]`` of an ``x`` with sorted indices, each row's entries
+    taken from the range a bisection finds, where scipy's slice scans every
+    entry."""
     c0, c1 = block
-    if not x.has_sorted_indices:
-        return x[:, c0:c1]
     start, stop = _first_at_or_after(x, c0), _first_at_or_after(x, c1)
     indptr = np.concatenate(([0], np.cumsum(stop - start)))
     pos = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], stop - start)
@@ -353,6 +343,8 @@ def wpca_fit(features, target_dim: int, jobs: int = 1) -> WpcaModel:
     if target_dim < 1:
         raise ValueError("target_dim must be >= 1")
     x = as_csr(features)
+    if not x.has_sorted_indices:    # _columns bisects each row's indices
+        x = x.sorted_indices()
     n, d = x.shape
     if n < 2:
         raise ValueError("need at least two samples")
@@ -360,7 +352,7 @@ def wpca_fit(features, target_dim: int, jobs: int = 1) -> WpcaModel:
     blocks = _column_blocks(n, d)
     gram_xx = np.zeros((n, n))
     with fork_pool(jobs, x) as run:
-        for partial in run(_gram_block, blocks, 1):
+        for partial in run(_gram_block, blocks):
             gram_xx += partial
     _center_gram(gram_xx, x, mean)
     eigvals, dual_vecs = jacobi_eigh(gram_xx)
@@ -377,7 +369,7 @@ def wpca_fit(features, target_dim: int, jobs: int = 1) -> WpcaModel:
     norms = np.sqrt((n - 1) * eigvals[:target_dim])
     rows = shared_zeros((target_dim, d))
     with fork_pool(jobs, (x, dual, dual_sums, mean, norms, rows)) as run:
-        list(run(_lift_block, blocks, 1))
+        list(run(_lift_block, blocks))
     fix_row_signs(rows)
     rows *= scale[:, None]
     return WpcaModel(mean=mean, projection=rows)

@@ -32,6 +32,9 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 MODEL_MAGIC = b"DTLNMDL4"
 _SECTIONS = ("config", "bank1", "whiten1", "bank2", "whiten2", "classifier")
+# bytes read at a time where no header's count is trusted: IDX data, and a
+# model section past its bad array
+_READ_CHUNK = 1 << 16
 
 
 class DataFormatError(ValueError):
@@ -42,44 +45,42 @@ class ModelFormatError(ValueError):
     pass
 
 
-def _open_maybe_gzip(path):
-    with open(path, "rb") as fh:
-        head = fh.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
-def _read_exact(fh, count, what):
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise DataFormatError(f"truncated file while reading {what}")
+def _read_exact(fh, count, what) -> bytearray:
+    """``count`` bytes, read ``_READ_CHUNK`` at a time, so a header claiming
+    more than the file holds fails as truncated, not by allocating it."""
+    buf = bytearray()
+    while len(buf) < count:
+        piece = fh.read(min(count - len(buf), _READ_CHUNK))
+        if not piece:
+            raise DataFormatError(f"truncated file while reading {what}")
+        buf += piece
     return buf
+
+
+def _read_idx_file(path, magic, ndim, what, data_what):
+    """The dimensions and the data bytes of one IDX file, plain or gzip."""
+    with open(path, "rb") as fh:
+        gzipped = fh.read(2) == b"\x1f\x8b"
+    with (gzip.open if gzipped else open)(path, "rb") as fh:
+        found, *dims = struct.unpack(
+            f">{ndim + 1}I", _read_exact(fh, 4 * ndim + 4, f"{what} header"))
+        if found != magic:
+            raise DataFormatError(f"bad {what} magic 0x{found:08x}")
+        return dims, _read_exact(fh, math.prod(dims), data_what)
 
 
 def read_idx(images_path, labels_path):
     """Parse the big-endian IDX image/label pair into images and labels."""
-    with _open_maybe_gzip(images_path) as fh:
-        magic, count, rows, cols = struct.unpack(
-            ">IIII", _read_exact(fh, 16, "image header"))
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataFormatError(f"bad image magic 0x{magic:08x}")
-        raw = _read_exact(fh, count * rows * cols, "image pixels")
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
-
-    with _open_maybe_gzip(labels_path) as fh:
-        magic, label_count = struct.unpack(
-            ">II", _read_exact(fh, 8, "label header"))
-        if magic != IDX_LABELS_MAGIC:
-            raise DataFormatError(f"bad label magic 0x{magic:08x}")
-        raw = _read_exact(fh, label_count, "labels")
-    labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-
+    (count, rows, cols), pixels = _read_idx_file(
+        images_path, IDX_IMAGES_MAGIC, 3, "image", "image pixels")
+    (label_count,), labels = _read_idx_file(
+        labels_path, IDX_LABELS_MAGIC, 1, "label", "labels")
     if label_count != count:
         raise DataFormatError(
             f"count mismatch: {count} images vs {label_count} labels")
+    pixels = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows, cols)
     images = [GrayImage(img / 255.0) for img in pixels.astype(np.float64)]
-    return images, labels
+    return images, np.frombuffer(labels, dtype=np.uint8).astype(np.int64)
 
 
 def read_amat(path):
@@ -107,16 +108,16 @@ def read_amat(path):
 # --- model container ---------------------------------------------------
 
 _ARRAY_DTYPES = {0: "<f8", 1: "<i8"}   # array kind byte -> stored dtype
-_SKIP_CHUNK = 1 << 16   # bytes read at a time past a section's bad array
 
 
 def _array_pieces(arr) -> list:
-    """An array's kind byte, rank and dims, then its little-endian data, as
-    buffers to write one after the other."""
+    """An array's kind byte, rank and dims, then its little-endian data row
+    by row, as arrays to write in turn: a row is made contiguous as it is
+    written, so the Fortran-ordered svm weights are never copied whole."""
     kind = {"f": 0, "i": 1}[np.asarray(arr).dtype.kind]
-    a = np.ascontiguousarray(arr, dtype=_ARRAY_DTYPES[kind])
+    a = np.asarray(arr, dtype=_ARRAY_DTYPES[kind])
     head = struct.pack(f"<BB{a.ndim}q", kind, a.ndim, *a.shape)
-    return [head, a.reshape(-1).view(np.uint8)]
+    return [np.frombuffer(head, np.uint8), *(a if a.ndim > 1 else [a])]
 
 
 class _Section:
@@ -133,13 +134,18 @@ class _Section:
         self.items = []
         self.error = None
 
-    def arrays(self, count):
-        """The section's arrays; they must number ``count``."""
+    def arrays(self, kinds):
+        """The section's arrays, one per letter of ``kinds``, each of that
+        dtype kind ("f" float, "i" integer)."""
         if self.error is not None:
             raise self.error
-        if len(self.items) != count:
-            raise ModelFormatError(f"section {self.name}: the config "
-                                   f"needs {count} arrays, found {len(self.items)}")
+        if len(self.items) != len(kinds):
+            raise ModelFormatError(f"section {self.name}: the config needs "
+                                   f"{len(kinds)} arrays, found {len(self.items)}")
+        found = "".join(arr.dtype.kind for arr in self.items)
+        if found != kinds:
+            raise ModelFormatError(f"section {self.name}: the config needs "
+                                   f"arrays of kinds {kinds}, found {found}")
         return self.items
 
 
@@ -213,7 +219,7 @@ class _Reader:
             except ValueError as exc:   # a ModelFormatError, or numpy's
                 section.error = exc
                 while self.pos < self.limit:    # checksum the rest
-                    self.read(min(self.limit - self.pos, _SKIP_CHUNK))
+                    self.read(min(self.limit - self.pos, _READ_CHUNK))
         payload_crc, self.limit = self.crc, self.size
         (crc,) = self.unpack("<I")
         if payload_crc != crc:
@@ -238,15 +244,16 @@ def save_model(model: TrainedModel, path) -> None:
     sections = [_bank_arrays(model.bank1), [model.whiten1.matrix],
                 _bank_arrays(model.bank2), [model.whiten2.matrix],
                 _classifier_arrays(model.classifier)]
-    payloads = [[format_config(model.config).encode("utf-8")]]
+    payloads = [[np.frombuffer(format_config(model.config).encode(), np.uint8)]]
     payloads += [[piece for arr in arrays for piece in _array_pieces(arr)]
                  for arrays in sections]
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         for pieces in payloads:
-            fh.write(struct.pack("<Q", sum(len(piece) for piece in pieces)))
+            fh.write(struct.pack("<Q", sum(piece.nbytes for piece in pieces)))
             crc = 0
             for piece in pieces:
+                piece = np.ascontiguousarray(piece)
                 fh.write(piece)
                 crc = zlib.crc32(piece, crc)
             fh.write(struct.pack("<I", crc))
@@ -267,25 +274,28 @@ def load_model(path) -> TrainedModel:
         if reader.pos != reader.size:
             raise ModelFormatError("trailing bytes after final section")
 
+    text = sections["config"].text
     try:
-        config = parse_config(str(sections["config"].text, "utf-8"))
+        config = parse_config(str(text, "utf-8"))
     except (UnicodeDecodeError, ConfigError) as exc:
         raise ModelFormatError(f"section config: {exc}") from None
+    if format_config(config).encode("utf-8") != text:   # saves back exactly
+        raise ModelFormatError("section config: not in canonical form")
     errors = validate_config(config)
     if errors:
         raise ModelFormatError("section config: invalid config: "
                                + "; ".join(errors))
-    bank_arrays = 2 if config.learner == DAE else 1   # weights[, biases]
+    bank_kinds = "ff" if config.learner == DAE else "f"   # weights[, biases]
     try:
         bank1, bank2 = (
-            FilterBank(config.patch_shape(), *sections[name].arrays(bank_arrays))
+            FilterBank(config.patch_shape(), *sections[name].arrays(bank_kinds))
             for name in ("bank1", "bank2"))
-        whiten1, whiten2 = (WhiteningTransform(*sections[name].arrays(1))
+        whiten1, whiten2 = (WhiteningTransform(*sections[name].arrays("f"))
                             for name in ("whiten1", "whiten2"))
         if config.classifier == "svm":
-            classifier = LinearSvmModel(*sections["classifier"].arrays(2))
+            classifier = LinearSvmModel(*sections["classifier"].arrays("if"))
         else:
-            mean, projection, vectors, labels = sections["classifier"].arrays(4)
+            mean, projection, vectors, labels = sections["classifier"].arrays("fffi")
             classifier = WpcaCosineModel(WpcaModel(mean, projection), vectors,
                                          labels)
         return TrainedModel(config=config, bank1=bank1, bank2=bank2,

@@ -1,27 +1,27 @@
 """End-to-end orchestration: train both layers, encode, classify, evaluate.
 
-Feature extraction is a pure function of (model, image): a batch is one
-call ``run(_encode_one, images, 16)`` of ``forkpool.fork_pool(jobs,
-model)``, so every ``jobs`` runs the same function on the same model. Each
-image comes back as ``(indices, counts)`` in the narrowest dtypes that hold
-them: int32 indices wherever scipy indexes the CSR matrix with int32, and
-counts sized to a block's pixel count. The parent so unpickles a fraction
-of the int64 pair, and builds the same matrix. Training then passes the
-same ``jobs`` to the classifier fit, which forks its own pools after the
-features exist: ``svm_train`` solves one class per task, and
-``wpca_fit`` builds its Gram and lift one block of feature columns per
-task. A fourth fan-out comes first: each autoencoder layer draws its
-corruption masks one epoch per task (``filters.train_dae``).
+Feature extraction is a pure function of (model, image). A batch is split
+into tasks of consecutive images (:func:`_tasks`), and
+``forkpool.fork_pool(jobs, (model, images, dim))`` runs
+:func:`_encode_task` on each: the workers see the model and the images
+copy-on-write, so no image is pickled, and every ``jobs`` runs the same
+function on the same model. Each image comes back as ``(indices,
+counts)`` in the narrowest dtypes that hold them: int32 indices wherever
+scipy indexes the CSR matrix with int32, and counts sized to a block's
+pixel count, a fraction of the int64 pair to unpickle. Training then
+passes the same ``jobs`` to the classifier fit: ``svm_train`` solves one
+class per task, and ``wpca_fit`` builds its Gram and lift one block of
+feature columns per task. A fourth fan-out comes first: each autoencoder
+layer draws its corruption masks one epoch per task
+(``filters.train_dae``).
 
-Evaluation splits the test set into tasks of ``chunk`` consecutive images
-(a one-image tail joins the task before it, see :func:`_tasks`), and one
-pool serves every task. A task encodes and scores its images where it
-runs and returns only their labels, so no test feature passes through a
-pipe and no dense batch wider than a task is formed. ``wpca_cosine``
-training projects its training set through the same split
-(:func:`_run_tasks`), so it too densifies one task, not the batch, at a
-time. Training and prediction run on one BLAS thread
-(``forkpool.one_blas_thread``), so their bits do not depend on the count.
+Evaluation runs ``chunk`` images per task through :func:`_predict_task`,
+which encodes them with :func:`_encode_task` and scores them where it
+runs, returning only their labels: no test feature passes through a pipe
+and no dense batch wider than a task is formed. ``wpca_cosine`` training
+projects its training set through the same split. Training and
+prediction run on one BLAS thread (``forkpool.one_blas_thread``), so
+their bits do not depend on the count.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .types import Config, DAE, TrainedModel, validate_config
 
 log = logging.getLogger("translayer")
 
-# images (or training rows) per pool task when evaluating or projecting
+# images (or training rows) per pool task of every fan-out over a batch
 TASK_IMAGES = 32
 
 
@@ -73,19 +73,16 @@ def _preprocess_patches(patches, cfg: Config):
 
 def _learn_bank(z, count, cfg: Config, rng: Rng, layer: str, jobs: int):
     if cfg.learner == DAE:
-        return learn_dae_filters(z, cfg.patch_shape(), count, cfg,
-                                 _layer_rng(rng, layer), jobs=jobs)
+        # a sub-seed per layer, so both DAE trainings draw independent streams
+        layer_rng = Rng(rng.stream(f"layer-seed.{layer}").integers(0, 2**63))
+        return learn_dae_filters(z, cfg.patch_shape(), count, cfg, layer_rng,
+                                 jobs=jobs)
     bank = learn_pca_filters(z, cfg.patch_shape(), count)
     ortho = np.abs(bank.weights @ bank.weights.T - np.eye(count)).max()
     log.info("%s pca orthonormality residual %.3g", layer, ortho)
     log.info("%s pca eigenvalue spectrum %s", layer,
              np.array2string(bank.spectrum, precision=4, threshold=16))
     return bank
-
-
-def _layer_rng(rng: Rng, layer: str) -> Rng:
-    # distinct sub-seed per layer so both DAE trainings draw independent streams
-    return Rng(rng.stream(f"layer-seed.{layer}").integers(0, 2**63))
 
 
 @one_blas_thread()
@@ -154,7 +151,8 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     else:
         x = _wpca_input(features, cfg)
         wpca = wpca_fit(x, cfg.wpca_dim, jobs=jobs)
-        vectors = _run_tasks(jobs, (wpca, x), _project_task, x.shape[0])
+        vectors = np.concatenate(_run_tasks(jobs, (wpca, x), _project_task,
+                                            x.shape[0]))
         classifier = WpcaCosineModel(wpca=wpca, train_vectors=vectors,
                                      train_labels=labels)
     timer.lap("train classifier")
@@ -170,19 +168,21 @@ def _wpca_input(features, cfg: Config) -> sp.csr_matrix:
     return x
 
 
-def _encode_one(model, image):
-    """One image's ``(indices, counts)``, narrowed as the module describes."""
+def _encode_task(state, task) -> list:
+    """The ``(indices, counts)`` of each of ``images[start:stop]``, narrowed
+    as the module describes."""
+    model, images, dim = state
     cfg = model.config
-    codes = code_maps(image, model)
-    feat = encoder.feature_of(codes, cfg)
-    dim = encoder.feature_dim(codes.shape[1:], cfg)
     index_dtype = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
-    return (feat.indices.astype(index_dtype),
-            feat.counts.astype(np.min_scalar_type(cfg.block_w * cfg.block_h)))
+    count_dtype = np.min_scalar_type(cfg.block_w * cfg.block_h)
+    feats = (encoder.feature_of(code_maps(image, model), cfg)
+             for image in images[slice(*task)])
+    return [(f.indices.astype(index_dtype), f.counts.astype(count_dtype))
+            for f in feats]
 
 
 def _csr(pairs, dim: int) -> sp.csr_matrix:
-    """The CSR matrix of ``_encode_one``'s pairs, one row per image."""
+    """The CSR matrix of ``_encode_task``'s pairs, one row per image."""
     indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
     np.cumsum([idx.size for idx, _ in pairs], out=indptr[1:])
     indices = np.concatenate([idx for idx, _ in pairs])
@@ -195,8 +195,8 @@ def extract_features(model: TrainedModel, images, jobs: int = 1) -> sp.csr_matri
     if len(images) == 0:
         raise ValueError("no samples")
     dim = encoder.feature_dim(common_size(images), model.config)
-    with fork_pool(jobs, model) as run:
-        return _csr(list(run(_encode_one, images, 16)), dim)
+    parts = _run_tasks(jobs, (model, images, dim), _encode_task, len(images))
+    return _csr([pair for part in parts for pair in part], dim)
 
 
 @one_blas_thread()
@@ -225,8 +225,8 @@ class EvalResult:
 
 
 def _tasks(n: int, chunk: int) -> list[tuple[int, int]]:
-    """``(start, stop)`` of each evaluation task: ``chunk`` images each,
-    with a one-image tail joined to the task before it.
+    """``(start, stop)`` of each task: ``chunk`` images each, with a
+    one-image tail joined to the task before it.
 
     BLAS projects a one-row batch with gemv, which moves the row's last
     bits, so only ``n == 1`` makes a one-image task. gemm gives each row
@@ -241,11 +241,11 @@ def _tasks(n: int, chunk: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _run_tasks(jobs: int, state, fn, n: int, chunk: int = TASK_IMAGES):
+def _run_tasks(jobs: int, state, fn, n: int, chunk: int = TASK_IMAGES) -> list:
     """``fn(state, (start, stop))`` of every task of ``_tasks(n, chunk)``,
-    run over ``fork_pool(jobs, state)`` and concatenated in task order."""
+    run over ``fork_pool(jobs, state)``, in task order."""
     with fork_pool(jobs, state) as run:
-        return np.concatenate(list(run(fn, _tasks(n, chunk), 1)))
+        return list(run(fn, _tasks(n, chunk)))
 
 
 def _project_task(state, task) -> np.ndarray:
@@ -257,10 +257,8 @@ def _project_task(state, task) -> np.ndarray:
 
 def _predict_task(state, task) -> np.ndarray:
     """Labels of ``images[start:stop]``, encoded and scored where it runs."""
-    model, images, dim = state
-    start, stop = task
-    pairs = [_encode_one(model, image) for image in images[start:stop]]
-    return predict_features(model, _csr(pairs, dim))
+    model, _, dim = state
+    return predict_features(model, _csr(_encode_task(state, task), dim))
 
 
 def evaluate_model(model: TrainedModel, images, labels, jobs: int = 1,
@@ -275,15 +273,9 @@ def evaluate_model(model: TrainedModel, images, labels, jobs: int = 1,
     if chunk < 2:
         raise ValueError("chunk must be >= 2")
     dim = encoder.feature_dim(common_size(images), model.config)
-    clf = model.classifier
-    if isinstance(clf, LinearSvmModel):
-        # scipy multiplies by weights.T in C order, so Fortran-ordered
-        # weights spare every task a copy of them; the values are the same
-        model = replace(model, classifier=replace(
-            clf, weights=np.asfortranarray(clf.weights)))
-    classes = np.union1d(clf.classes, labels)
-    preds = _run_tasks(jobs, (model, images, dim), _predict_task, len(images),
-                       chunk)
+    classes = np.union1d(model.classifier.classes, labels)
+    preds = np.concatenate(_run_tasks(jobs, (model, images, dim), _predict_task,
+                                      len(images), chunk))
     confusion = np.zeros((classes.size, classes.size), dtype=np.int64)
     np.add.at(confusion, (np.searchsorted(classes, labels),
                           np.searchsorted(classes, preds)), 1)

@@ -1,10 +1,11 @@
 """Fan work out over forked worker processes.
 
-:func:`fork_pool` yields ``run(fn, items, chunksize)``, which iterates
-over ``fn(state, item) for item in items``, in item order, at every
-``jobs``. A caller that sums the results holds one at a time. Workers are
-forked, not spawned, so they see ``state`` (the model, the training
-features) copy-on-write and nothing large is pickled on the way in.
+:func:`fork_pool` yields ``run(fn, items)``, which iterates over
+``fn(state, item) for item in items``, in item order, at every ``jobs``.
+A caller that sums the results holds one at a time. Workers are forked,
+not spawned, so they see ``state`` (the model and images, the training
+features) copy-on-write, and an item is a small task such as a ``(start,
+stop)`` range: nothing large is pickled on the way in.
 Results too large to send back through the pool go into an array from
 :func:`shared_zeros`, which is allocated before the fork.
 
@@ -96,18 +97,17 @@ def _call(fn, item):
 
 @contextmanager
 def fork_pool(jobs: int, state):
-    """Yield ``run(fn, items, chunksize)``, an iterator over ``fn(state,
-    item) for item in items`` in item order, run over ``jobs`` forked
-    workers when ``jobs > 1``. Consume it inside the ``with`` block. ``fn``
-    must be defined at module level, where a worker can look it up."""
+    """Yield ``run(fn, items)``, an iterator over ``fn(state, item) for
+    item in items`` in item order, run over ``jobs`` forked workers when
+    ``jobs > 1``. Consume it inside the ``with`` block. ``fn`` must be
+    defined at module level, where a worker can look it up."""
     with one_blas_thread():
         if jobs <= 1:
-            yield lambda fn, items, chunksize: (fn(state, item) for item in items)
+            yield lambda fn, items: (fn(state, item) for item in items)
             return
         ctx = mp.get_context("fork")
         with ctx.Pool(jobs, initializer=_init, initargs=(state,)) as pool:
-            yield lambda fn, items, chunksize: pool.imap(
-                functools.partial(_call, fn), items, chunksize=chunksize)
+            yield lambda fn, items: pool.imap(functools.partial(_call, fn), items)
 
 
 def shared_zeros(shape) -> np.ndarray:

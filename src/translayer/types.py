@@ -23,6 +23,14 @@ PCA = "pca"
 DAE = "dae"
 
 
+def reject_non_finite(**arrays):
+    """Reject a NaN or inf in any named array, which would otherwise run
+    without any error (argmax picks a NaN decision value)."""
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} holds a non-finite value")
+
+
 @dataclass(frozen=True)
 class GrayImage:
     """Grayscale image, row-major pixels in [0, 1]."""
@@ -33,8 +41,7 @@ class GrayImage:
         p = np.asarray(self.pixels, dtype=np.float64)
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
             raise ValueError("image must be a 2-D array with positive size")
-        if not np.isfinite(p).all():
-            raise ValueError("image contains non-finite pixels")
+        reject_non_finite(image=p)
         if p.min() < 0.0 or p.max() > 1.0:
             raise ValueError("pixel values must lie in [0, 1]")
         object.__setattr__(self, "pixels", p)
@@ -91,13 +98,13 @@ class FilterBank:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[1] != self.shape.dim:
             raise ValueError("weights must be (L, k1*k2)")
-        if not np.isfinite(w).all():
-            raise ValueError("weights contain non-finite entries")
+        reject_non_finite(weights=w)
         object.__setattr__(self, "weights", w)
         if self.biases is not None:
             b = np.asarray(self.biases, dtype=np.float64)
-            if b.shape != (w.shape[0],) or not np.isfinite(b).all():
-                raise ValueError("biases must be a finite length-L vector")
+            if b.shape != (w.shape[0],):
+                raise ValueError("biases must be a length-L vector")
+            reject_non_finite(biases=b)
             object.__setattr__(self, "biases", b)
         else:
             # rows large enough to overflow give an inf or NaN residual,
@@ -129,8 +136,7 @@ class WhiteningTransform:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("whitening matrix must be square")
-        if not np.isfinite(m).all():
-            raise ValueError("whitening matrix contains non-finite entries")
+        reject_non_finite(whitening=m)
         # mirrored entries of opposite sign can overflow the difference,
         # whose inf then fails the check below without a warning
         with np.errstate(over="ignore"):
@@ -186,12 +192,10 @@ _KEYS = tuple(f.name for f in fields(Config))
 def validate_config(config: Config) -> list[str]:
     """Return every violated invariant as a message; empty list means ok."""
     errors = []
-    for name in ("patch_k1", "patch_k2"):
-        side = getattr(config, name)
-        if side < 1:
-            errors.append(f"{name} must be >= 1")
-        elif side % 2 == 0:
-            errors.append("patch side must be odd")
+    try:
+        config.patch_shape()
+    except ValueError as exc:
+        errors.append(str(exc))
     for name in ("l1", "l2"):
         val = getattr(config, name)
         if not 1 <= val <= MAX_FILTERS:

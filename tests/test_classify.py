@@ -22,6 +22,25 @@ XOR_Y = np.array([1, 1, 0, 0])
 
 # --- linear SVM ------------------------------------------------------------
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_svm_weights_are_stored_fortran_ordered(jobs):
+    # prediction multiplies by weights.T, which is then C-ordered
+    model = svm_train(SEPARABLE_X, SEPARABLE_Y, cost_c=1.0, rng=Rng(0),
+                      jobs=jobs)
+    assert model.weights.flags.f_contiguous
+    rows = np.ascontiguousarray(model.weights)
+    assert not rows.flags.f_contiguous
+    again = classify.LinearSvmModel(model.classes, rows)
+    assert again.weights.flags.f_contiguous
+    assert np.array_equal(again.weights, rows)
+
+
+def test_svm_classes_out_of_order_across_the_int64_range_rejected():
+    # np.diff would wrap -2**63 - 5 round to a positive step
+    with pytest.raises(ValueError, match="sorted unique"):
+        classify.LinearSvmModel(np.array([5, -2**63]), np.zeros((2, 3)))
+
+
 def test_separable_toy_reaches_full_accuracy():
     model = svm_train(SEPARABLE_X, SEPARABLE_Y, cost_c=1.0, rng=Rng(0))
     preds = svm_predict_many(model, SEPARABLE_X)
@@ -449,7 +468,7 @@ def test_blocked_gram_route_matches_sparse_reference(monkeypatch, jobs, n,
 def test_column_block_equals_scipy_slice(case):
     # every block of 40 columns, with two empty rows, a run of empty
     # columns at the end, and rows with no entry in many blocks; unsorted
-    # indices take scipy's slice
+    # indices are sorted into a copy first, as wpca_fit does
     gen = np.random.default_rng(70)
     dense = gen.integers(1, 9, size=(9, 40)).astype(np.float64)
     dense[gen.random(dense.shape) < 0.7] = 0.0
@@ -462,10 +481,24 @@ def test_column_block_equals_scipy_slice(case):
             x.data[lo:hi] = x.data[lo:hi][::-1].copy()
         x = sp.csr_matrix((x.data, x.indices, x.indptr), shape=x.shape)
     assert x.has_sorted_indices == (case != "unsorted")
+    rows = x if x.has_sorted_indices else x.sorted_indices()
     for c0 in range(40):
         for c1 in range(c0 + 1, 41):
-            got = classify._columns(x, (c0, c1)).toarray()
+            got = classify._columns(rows, (c0, c1)).toarray()
             assert got.tobytes() == x[:, c0:c1].toarray().tobytes()
+
+
+def test_wpca_fit_sorts_a_copy_of_unsorted_indices():
+    x = block_counts(12, 9, 16, seed=71)
+    indices, data = x.indices.copy(), x.data.copy()
+    for lo, hi in zip(x.indptr[:-1], x.indptr[1:]):
+        indices[lo:hi], data[lo:hi] = indices[lo:hi][::-1], data[lo:hi][::-1]
+    unsorted = sp.csr_matrix((data, indices, x.indptr), shape=x.shape)
+    assert not unsorted.has_sorted_indices
+    got, want = wpca_fit(unsorted, 3), wpca_fit(x, 3)
+    assert np.array_equal(got.mean, want.mean)
+    assert np.array_equal(got.projection, want.projection)
+    assert np.array_equal(unsorted.indices, indices)   # the caller's rows stay
 
 
 @pytest.mark.parametrize("budget", [8, 8 * 1000, classify.BUDGET])

@@ -1,3 +1,4 @@
+import gzip
 import os
 import re
 import struct
@@ -8,7 +9,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from translayer import (Config, FilterBank, TrainedModel, WhiteningTransform)
+from translayer.classify import LinearSvmModel, WpcaCosineModel, WpcaModel
 from translayer.dataio import (DataFormatError, ModelFormatError, dump_map_pgm,
                                load_model, read_amat, read_idx, save_model)
 from translayer.experiment import (extract_features, predict_features,
@@ -77,6 +82,24 @@ def test_idx_truncated(tmp_path):
         read_idx(img_path, lab_path)
 
 
+@pytest.mark.parametrize("gzipped", [False, True])
+def test_idx_header_beyond_memory_fails_as_truncated(tmp_path, gzipped):
+    # 2**31 images of 255 x 255 pixels claim 1.4e14 bytes; the file holds
+    # 1000 of them, and no read may ask for the claimed count at once
+    blob = struct.pack(">IIII", 0x00000803, 2**31, 255, 255) + bytes(1000)
+    path = tmp_path / "images.idx"
+    path.write_bytes(gzip.compress(blob) if gzipped else blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError,
+                           match="truncated file while reading image pixels"):
+            read_idx(path, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_idx_full_mnist_if_available():
     root = os.environ.get("TRANSLAYER_DATA_DIR")
     candidates = []
@@ -97,7 +120,6 @@ def test_idx_full_mnist_if_available():
 
 
 def test_idx_gzip_transparent(tmp_path):
-    import gzip
     pixels = np.full((1, 2, 2), 128, dtype=np.uint8)
     img_path, lab_path = write_idx_fixture(tmp_path, pixels, [4])
     gz_img = tmp_path / "images.idx.gz"
@@ -179,29 +201,44 @@ def test_wpca_sqrt_model_roundtrip_bytes_and_predictions(tmp_path, glyph_train,
     assert_roundtrip(tmp_path, model, glyph_test[0][:10])
 
 
-def section_arrays(path):
-    """Arrays of each section after the config, parsed by a test-local
-    reader that doubles as the format oracle: each array is a kind byte
-    (0 float64, 1 int64), ndim, the int64 shape and the data, and a section
-    holds nothing else."""
-    blob = path.read_bytes()
-    pos, payloads, sections = 8, [], []
+def section_payloads(blob):
+    """The payload of each section of a model file, in file order."""
+    pos, payloads = 8, []
     while pos < len(blob):
         (length,) = struct.unpack_from("<Q", blob, pos)
         payloads.append(blob[pos + 8:pos + 8 + length])
         pos += 8 + length + 4
-    for payload in payloads[1:]:
-        arrays, at = [], 0
-        while at < len(payload):
-            kind, ndim = struct.unpack_from("<BB", payload, at)
-            shape = struct.unpack_from(f"<{ndim}q", payload, at + 2)
-            at += 2 + 8 * ndim
-            count = int(np.prod(shape))
-            arrays.append(np.frombuffer(payload, ("<f8", "<i8")[kind], count,
-                                        at).reshape(shape))
-            at += 8 * count
-        sections.append(arrays)
-    return sections
+    return payloads
+
+
+def model_file(payloads):
+    """A model file of these payloads, each framed with its own length and
+    CRC32, so that only the payload's contents can be at fault."""
+    return b"DTLNMDL4" + b"".join(
+        struct.pack("<Q", len(p)) + p + struct.pack("<I", zlib.crc32(p))
+        for p in payloads)
+
+
+def array_fields(payload):
+    """``(offset, kind, shape)`` of each array of a section after the config,
+    read by a test-local reader that doubles as the format oracle: each
+    array is a kind byte (0 float64, 1 int64), ndim, the int64 shape and
+    the data, and a section holds nothing else."""
+    at = 0
+    while at < len(payload):
+        kind, ndim = struct.unpack_from("<BB", payload, at)
+        shape = struct.unpack_from(f"<{ndim}q", payload, at + 2)
+        yield at, kind, shape
+        at += 2 + 8 * ndim + 8 * int(np.prod(shape))
+
+
+def section_arrays(path):
+    """Arrays of each section after the config, as :func:`array_fields`
+    reads them."""
+    return [[np.frombuffer(payload, ("<f8", "<i8")[kind], int(np.prod(shape)),
+                           at + 2 + 8 * len(shape)).reshape(shape)
+             for at, kind, shape in array_fields(payload)]
+            for payload in section_payloads(path.read_bytes())[1:]]
 
 
 def test_sections_after_the_config_hold_only_arrays(tmp_path, tiny_model,
@@ -344,19 +381,14 @@ def rewrite_classifier(path, edit):
     """Replace the classifier section, the last one, of a saved model by
     ``edit`` of its arrays, packed as :func:`section_arrays` reads them and
     with a valid checksum."""
-    blob = path.read_bytes()
-    pos = 8
-    for _ in range(5):
-        (length,) = struct.unpack_from("<Q", blob, pos)
-        pos += 8 + length + 4
     payload = b""
     for arr in edit(section_arrays(path)[-1]):
         kind = 0 if arr.dtype.kind == "f" else 1
         payload += (struct.pack("<BB", kind, arr.ndim)
                     + struct.pack(f"<{arr.ndim}q", *arr.shape)
                     + arr.astype(("<f8", "<i8")[kind]).tobytes())
-    path.write_bytes(blob[:pos] + struct.pack("<Q", len(payload)) + payload
-                     + struct.pack("<I", zlib.crc32(payload)))
+    path.write_bytes(model_file(section_payloads(path.read_bytes())[:-1]
+                                + [payload]))
 
 
 def test_rewritten_classifier_with_same_arrays_loads(tmp_path, tiny_model,
@@ -429,6 +461,27 @@ def test_non_finite_classifier_array_rejected(request, tmp_path, model_name,
         with pytest.raises(ModelFormatError,
                            match="invalid model: .* holds a non-finite value"):
             load_model(path)
+
+
+def test_loaded_svm_weights_are_fortran_ordered(tmp_path, tiny_model):
+    path = tmp_path / "model.bin"
+    save_model(tiny_model, path)
+    weights = load_model(path).classifier.weights
+    assert weights.flags.f_contiguous and weights.shape[0] > 1
+    assert np.array_equal(weights, tiny_model.classifier.weights)
+
+
+def test_saving_fortran_ordered_weights_copies_one_row_at_a_time(tmp_path,
+                                                                 tiny_model):
+    weights = tiny_model.classifier.weights
+    assert weights.flags.f_contiguous and not weights.flags.c_contiguous
+    tracemalloc.start()
+    try:
+        save_model(tiny_model, tmp_path / "model.bin")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < weights.nbytes // 2
 
 
 def test_loaded_arrays_own_their_data(tmp_path, tiny_wpca_model):
@@ -563,3 +616,80 @@ def test_pgm_code_map_identity(tmp_path):
 def test_pgm_empty_rejected(tmp_path):
     with pytest.raises(ValueError):
         dump_map_pgm(np.zeros((0, 3)), tmp_path / "e.pgm")
+
+
+# --- loader fuzzing ----------------------------------------------------------
+
+def hand_model(classifier):
+    """A model built by hand on 3x3 patches, small enough that random edits
+    often land in an array header: PCA banks with an svm, or autoencoder
+    banks with wpca_cosine."""
+    gen = np.random.default_rng(3)
+    learner = "pca" if classifier == "svm" else "dae"
+    cfg = Config(patch_k1=3, patch_k2=3, l1=2, l2=2, learner=learner,
+                 classifier=classifier, wpca_dim=2)
+    shape = cfg.patch_shape()
+
+    def bank(first):
+        if learner == "pca":
+            return FilterBank(shape, np.eye(9)[first:first + 2])
+        return FilterBank(shape, gen.normal(size=(2, 9)), gen.normal(size=2))
+
+    if classifier == "svm":
+        clf = LinearSvmModel(np.array([0, 3]), gen.normal(size=(2, 5)))
+    else:
+        clf = WpcaCosineModel(WpcaModel(gen.random(5), gen.normal(size=(2, 5))),
+                              gen.normal(size=(3, 2)), np.array([1, 0, 1]))
+    return TrainedModel(cfg, bank(0), bank(3), WhiteningTransform(np.eye(9)),
+                        WhiteningTransform(np.diag(gen.uniform(1, 2, 9))), clf)
+
+
+def field_starts(payload, section):
+    """Offsets in a payload where a field starts: in the config text each
+    line and each value, in other sections each array's kind byte, rank
+    byte and dimensions."""
+    if section == 0:
+        return [0] + [i + 1 for i, byte in enumerate(payload) if byte in b"=\n"]
+    return [at + k for at, _, shape in array_fields(payload)
+            for k in [0, 1] + [2 + 8 * dim for dim in range(len(shape))]]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("classifier", ["svm", "wpca_cosine"])
+@pytest.mark.parametrize("section", range(6))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_mutated_section_fails_cleanly_or_reloads_exactly(fuzz_dir, classifier,
+                                                          section, data):
+    # each case replaces a run of up to 16 payload bytes, often at the
+    # start of a field, with up to 16 others (an overwrite, a deletion or
+    # an insertion) and re-frames the section: the loader must reject it
+    # with a ModelFormatError and no warning, or load a model whose arrays
+    # are finite and that saves to the same bytes
+    path = fuzz_dir / f"{classifier}.bin"
+    save_model(hand_model(classifier), path)
+    payloads = section_payloads(path.read_bytes())
+    payload = payloads[section]
+    start = data.draw(st.integers(0, len(payload))
+                      | st.sampled_from(field_starts(payload, section)))
+    stop = data.draw(st.integers(start, min(start + 16, len(payload))))
+    new = data.draw(st.binary(max_size=16)
+                    | st.sampled_from([b"\x01", b"\x02", b" ", b"#", b"0"]))
+    payloads[section] = payload[:start] + new + payload[stop:]
+    blob = model_file(payloads)
+    path.write_bytes(blob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            model = load_model(path)
+        except ModelFormatError:
+            return
+    save_model(model, path)
+    assert path.read_bytes() == blob
+    for arrays in section_arrays(path):
+        for arr in arrays:
+            assert np.isfinite(arr).all()

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from translayer import Config, binarize, compress_groups, feature_of
-from translayer.encoder import block_counts, feature_dim, pack_codes
+from translayer import Config, binarize, feature_of
+from translayer.encoder import (block_counts, compress_groups, feature_dim,
+                                pack_codes)
 
 
 def encoder(bins=256, block=7, stride=3, trans=True):

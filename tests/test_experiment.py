@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import tracemalloc
 from dataclasses import replace
@@ -41,7 +42,8 @@ def test_narrow_worker_payload_keeps_the_csr(tiny_model, glyph_test, block):
     cfg = replace(tiny_model.config, block_w=block, block_h=block)
     model = replace(tiny_model, config=cfg, classifier=None)
     images = glyph_test[0][:6] + [GrayImage(np.zeros((28, 28)))]
-    indices, counts = experiment._encode_one(model, images[-1])
+    dim = encoder.feature_dim(images[0].pixels.shape, cfg)
+    [(indices, counts)] = experiment._encode_task((model, images, dim), (6, 7))
     assert indices.dtype == np.int32
     assert counts.dtype == (np.uint8 if block == 7 else np.uint16)
     want = int64_pair_csr(model, images)
@@ -53,6 +55,44 @@ def test_narrow_worker_payload_keeps_the_csr(tiny_model, glyph_test, block):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
     if block == 28:
         assert want.data.max() == 28 * 28
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_extraction_pool_receives_only_task_ranges(tiny_model, glyph_test,
+                                                   monkeypatch, jobs):
+    # the images reach the workers through the forked state, never as items
+    images = glyph_test[0][:37]
+    items = []
+    fork_pool = experiment.fork_pool
+
+    @contextlib.contextmanager
+    def recording(pool_jobs, state):
+        with fork_pool(pool_jobs, state) as run:
+            def run_recorded(fn, tasks):
+                tasks = list(tasks)
+                items.extend(tasks)
+                return run(fn, tasks)
+            yield run_recorded
+
+    monkeypatch.setattr(experiment, "fork_pool", recording)
+    got = extract_features(tiny_model, images, jobs=jobs)
+    monkeypatch.undo()
+    assert items == [(0, 32), (32, 37)]
+    assert (got != extract_features(tiny_model, images)).nnz == 0
+
+
+def test_evaluation_scores_with_the_model_as_given(tiny_model, glyph_test,
+                                                    monkeypatch):
+    seen = []
+    predict = experiment.predict_features
+
+    def recording(model, features):
+        seen.append(model)
+        return predict(model, features)
+
+    monkeypatch.setattr(experiment, "predict_features", recording)
+    evaluate_model(tiny_model, *glyph_test, jobs=1, chunk=16)
+    assert len(seen) == 3 and all(model is tiny_model for model in seen)
 
 
 def test_evaluation_forks_one_pool_for_all_chunks(tiny_model, glyph_test,
@@ -155,7 +195,7 @@ def test_forked_workers_run_one_blas_thread():
         for set_threads in setters:
             set_threads(2)   # more than one, whatever the environment set
         with forkpool.fork_pool(2, None) as run:
-            seen = list(run(_blas_threads_in_worker, range(4), 1))
+            seen = list(run(_blas_threads_in_worker, range(4)))
         assert seen == [[1] * len(before)] * 4
         assert blas_thread_counts() == [2] * len(before)  # the parent keeps its own
     finally:

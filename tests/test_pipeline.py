@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from translayer import (Config, FilterBank, GrayImage, PatchShape,
-                        TrainedModel, WhiteningTransform, compress_groups,
-                        experiment, pipeline)
+                        TrainedModel, WhiteningTransform, experiment, pipeline)
+from translayer.encoder import binarize, compress_groups
 from translayer.pipeline import build_stack, code_maps, lcn_constant, map_layer
 from translayer.preprocess import lcn_rows
 from translayer.types import DAE, PCA
@@ -307,6 +307,23 @@ def test_code_maps_match_with_unequal_patch_sides(k1, k2, learner, lcn, image,
     model = random_model(learner, 3, 4, seed, k1=k1, k2=k2, lcn=lcn)
     want = compress_groups(build_stack(image, model), True)
     assert np.array_equal(code_maps(image, model), want)
+
+
+def test_dae_lcn_near_tie_bits_match_window_path():
+    # layer-1 maps with a window mean (0.99) far above their std (1e-3),
+    # and each bias -0.9 times one interior pixel's pre-bias response
+    # r/(s + c): many responses then sit near the bias, where a small error
+    # in the window std flips the sign
+    gen = np.random.default_rng(15)
+    layer1 = 0.99 + 1e-3 * gen.normal(size=(2, 12, 12))
+    shape, lcn = PatchShape(7, 7), 1e-4
+    weights = gen.normal(size=(3, shape.dim))
+    rows = lcn_rows(pipeline.window_rows(layer1[0], shape), lcn)
+    bank = dae_bank(weights, -0.9 * (rows @ weights.T)[6 * 12 + 6], 7)
+    whiten = identity_whitening(7)
+    got = pipeline._layer2_bits(layer1, bank, whiten, lcn)
+    for i, maps in enumerate(layer1):
+        assert np.array_equal(got[i], binarize(map_layer(maps, bank, whiten, lcn)))
 
 
 @pytest.mark.parametrize("learner", [PCA, DAE])
