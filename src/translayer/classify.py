@@ -5,7 +5,8 @@ problem per class, solved in the dual by coordinate descent over shuffled
 sample orders. There is no bias term, which keeps predictions exactly
 invariant under joint feature/cost rescaling. The alternative predictor
 projects features with variance-equalized principal components and
-classifies by nearest cosine similarity.
+classifies by nearest cosine similarity to the projected training set,
+which the fit reads off the eigenvectors it solves for.
 """
 
 from __future__ import annotations
@@ -50,11 +51,12 @@ class LinearSvmModel:
 
     def __post_init__(self):
         classes, weights = self.classes, self.weights
-        if (classes.ndim != 1 or (classes[1:] <= classes[:-1]).any()
+        if (classes.ndim != 1 or classes.size < 2
+                or (classes[1:] <= classes[:-1]).any()
                 or weights.ndim != 2 or weights.shape[0] != classes.size):
-            raise ValueError(f"svm needs sorted unique 1-D classes and one "
-                             f"weight row per class, got classes {classes} "
-                             f"and weights of shape {weights.shape}")
+            raise ValueError(f"svm needs two or more sorted unique 1-D classes "
+                             f"and one weight row per class, got classes "
+                             f"{classes} and weights of shape {weights.shape}")
         reject_non_finite(weights=weights)
         object.__setattr__(self, "weights", np.asfortranarray(weights))
 
@@ -74,29 +76,25 @@ def check_wpca_size(n_samples: int):
 
 
 @dataclass(frozen=True)
-class WpcaModel:
-    """Principal projection with rows scaled to unit component variance."""
-
-    mean: np.ndarray
-    projection: np.ndarray       # (target_dim, feature_dim)
-
-
-@dataclass(frozen=True)
 class WpcaCosineModel:
-    wpca: WpcaModel
-    train_vectors: np.ndarray    # projected training set
-    train_labels: np.ndarray
+    """Principal projection with rows scaled to unit component variance,
+    and the projected training set the cosine nearest neighbor searches."""
+
+    mean: np.ndarray             # (feature_dim,)
+    projection: np.ndarray       # (target_dim, feature_dim)
+    train_vectors: np.ndarray    # (n, target_dim), n >= 2
+    train_labels: np.ndarray     # (n,)
 
     def __post_init__(self):
-        shapes = (self.wpca.mean.shape, self.wpca.projection.shape,
+        shapes = (self.mean.shape, self.projection.shape,
                   self.train_vectors.shape, self.train_labels.shape)
         mean, projection, vectors, labels = shapes
         if (len(projection) != 2 or len(labels) != 1 or mean != projection[1:]
-                or vectors != (labels[0], projection[0])):
+                or vectors != (labels[0], projection[0]) or labels[0] < 2):
             raise ValueError("wpca_cosine needs mean, projection, train_vectors "
                              "and train_labels of shapes (d,), (k, d), (n, k), "
-                             "(n,), got " + ", ".join(map(str, shapes)))
-        reject_non_finite(mean=self.wpca.mean, projection=self.wpca.projection,
+                             "(n,) with n >= 2, got " + ", ".join(map(str, shapes)))
+        reject_non_finite(mean=self.mean, projection=self.projection,
                           train_vectors=self.train_vectors)
 
     @property
@@ -317,8 +315,10 @@ def _center_gram(gram: np.ndarray, x, mean: np.ndarray) -> None:
     gram /= x.shape[0] - 1
 
 
-def wpca_fit(features, target_dim: int, jobs: int = 1) -> WpcaModel:
-    """Mean-centered principal projection, rows scaled by 1/sqrt(eigenvalue).
+def wpca_fit(features, labels, target_dim: int,
+             jobs: int = 1) -> WpcaCosineModel:
+    """Mean-centered principal projection, rows scaled by 1/sqrt(eigenvalue),
+    with the training set it projects.
 
     Components with eigenvalues at or below ``linalg.EIGENVALUE_FLOOR``
     times the features' sum of squares over n - 1 are dropped; asking for
@@ -338,7 +338,10 @@ def wpca_fit(features, target_dim: int, jobs: int = 1) -> WpcaModel:
     V`` stays a sparse product, each task writing its columns of the
     components into one ``forkpool.shared_zeros`` array; scipy sums every
     output over the rows of ``X`` in ascending order, whatever the column
-    range, so the rows are those of one whole product.
+    range, so the rows are those of one whole product. The training set
+    is not projected again: its projection is ``sqrt(n - 1) * V * signs``,
+    ``V`` the centered Gram's leading eigenvectors and ``signs`` the
+    factors ``fix_row_signs`` applied, up to the eigensolve's rounding.
     """
     if target_dim < 1:
         raise ValueError("target_dim must be >= 1")
@@ -370,12 +373,13 @@ def wpca_fit(features, target_dim: int, jobs: int = 1) -> WpcaModel:
     rows = shared_zeros((target_dim, d))
     with fork_pool(jobs, (x, dual, dual_sums, mean, norms, rows)) as run:
         list(run(_lift_block, blocks))
-    fix_row_signs(rows)
+    signs = fix_row_signs(rows)
     rows *= scale[:, None]
-    return WpcaModel(mean=mean, projection=rows)
+    return WpcaCosineModel(mean, rows, np.sqrt(n - 1) * dual * signs,
+                           np.asarray(labels, dtype=np.int64))
 
 
-def wpca_apply(model: WpcaModel, features) -> np.ndarray:
+def wpca_apply(model: WpcaCosineModel, features) -> np.ndarray:
     dense = _as_csr_of_width(features, model.mean.shape[0]).toarray()
     dense -= model.mean  # in place: one dense copy of the batch, not two
     return dense @ model.projection.T

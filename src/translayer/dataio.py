@@ -23,7 +23,7 @@ import zlib
 
 import numpy as np
 
-from .classify import LinearSvmModel, WpcaCosineModel, WpcaModel
+from .classify import LinearSvmModel, WpcaCosineModel
 from .types import (DAE, ConfigError, FilterBank, GrayImage, TrainedModel,
                     WhiteningTransform, format_config, parse_config,
                     validate_config)
@@ -235,8 +235,7 @@ def _classifier_arrays(clf):
     if isinstance(clf, LinearSvmModel):
         return [clf.classes, clf.weights]
     if isinstance(clf, WpcaCosineModel):
-        return [clf.wpca.mean, clf.wpca.projection, clf.train_vectors,
-                clf.train_labels]
+        return [clf.mean, clf.projection, clf.train_vectors, clf.train_labels]
     raise TypeError(f"unknown classifier type {type(clf).__name__}")
 
 
@@ -295,9 +294,7 @@ def load_model(path) -> TrainedModel:
         if config.classifier == "svm":
             classifier = LinearSvmModel(*sections["classifier"].arrays("if"))
         else:
-            mean, projection, vectors, labels = sections["classifier"].arrays("fffi")
-            classifier = WpcaCosineModel(WpcaModel(mean, projection), vectors,
-                                         labels)
+            classifier = WpcaCosineModel(*sections["classifier"].arrays("fffi"))
         return TrainedModel(config=config, bank1=bank1, bank2=bank2,
                             whiten1=whiten1, whiten2=whiten2,
                             classifier=classifier)

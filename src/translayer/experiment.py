@@ -18,10 +18,10 @@ layer draws its corruption masks one epoch per task
 Evaluation runs ``chunk`` images per task through :func:`_predict_task`,
 which encodes them with :func:`_encode_task` and scores them where it
 runs, returning only their labels: no test feature passes through a pipe
-and no dense batch wider than a task is formed. ``wpca_cosine`` training
-projects its training set through the same split. Training and
-prediction run on one BLAS thread (``forkpool.one_blas_thread``), so
-their bits do not depend on the count.
+and no dense batch wider than a task is formed. Training projects no
+rows: ``wpca_fit`` returns the projected training set with the model.
+Training and prediction run on one BLAS thread
+(``forkpool.one_blas_thread``), so their bits do not depend on the count.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .types import Config, DAE, TrainedModel, validate_config
 
 log = logging.getLogger("translayer")
 
-# images (or training rows) per pool task of every fan-out over a batch
+# images per pool task of extraction and evaluation
 TASK_IMAGES = 32
 
 
@@ -149,12 +149,8 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     if cfg.classifier == "svm":
         classifier = svm_train(features, labels, cfg.svm_c, rng, jobs=jobs)
     else:
-        x = _wpca_input(features, cfg)
-        wpca = wpca_fit(x, cfg.wpca_dim, jobs=jobs)
-        vectors = np.concatenate(_run_tasks(jobs, (wpca, x), _project_task,
-                                            x.shape[0]))
-        classifier = WpcaCosineModel(wpca=wpca, train_vectors=vectors,
-                                     train_labels=labels)
+        classifier = wpca_fit(_wpca_input(features, cfg), labels,
+                              cfg.wpca_dim, jobs=jobs)
     timer.lap("train classifier")
     return replace(front, classifier=classifier)
 
@@ -205,7 +201,7 @@ def predict_features(model: TrainedModel, features) -> np.ndarray:
     if isinstance(clf, LinearSvmModel):
         return svm_predict_many(clf, features)
     if isinstance(clf, WpcaCosineModel):
-        projected = wpca_apply(clf.wpca, _wpca_input(features, model.config))
+        projected = wpca_apply(clf, _wpca_input(features, model.config))
         return np.array([cosine_nn(clf.train_vectors, clf.train_labels, row)
                          for row in projected], dtype=np.int64)
     raise TypeError("model has no trained classifier")
@@ -228,12 +224,13 @@ def _tasks(n: int, chunk: int) -> list[tuple[int, int]]:
     """``(start, stop)`` of each task: ``chunk`` images each, with a
     one-image tail joined to the task before it.
 
-    BLAS projects a one-row batch with gemv, which moves the row's last
-    bits, so only ``n == 1`` makes a one-image task. gemm gives each row
-    of a batch of two or more the bits one product of the whole set gives,
-    at least above OpenBLAS's small-matrix cutoff of about 1e6
-    multiply-adds (d = 147456 is far above it). The split does not depend
-    on ``jobs``, so every ``jobs`` runs the same products.
+    ``wpca_cosine`` evaluation projects each task's rows. BLAS projects a
+    one-row batch with gemv, which moves the row's last bits, so only
+    ``n == 1`` makes a one-image task. gemm gives each row of a batch of
+    two or more the bits one product of the whole set gives, at least
+    above OpenBLAS's small-matrix cutoff of about 1e6 multiply-adds (d =
+    147456 is far above it). The split does not depend on ``jobs``, so
+    every ``jobs`` runs the same products.
     """
     starts = list(range(0, n, chunk))
     if len(starts) > 1 and n - starts[-1] == 1:
@@ -246,13 +243,6 @@ def _run_tasks(jobs: int, state, fn, n: int, chunk: int = TASK_IMAGES) -> list:
     run over ``fork_pool(jobs, state)``, in task order."""
     with fork_pool(jobs, state) as run:
         return list(run(fn, _tasks(n, chunk)))
-
-
-def _project_task(state, task) -> np.ndarray:
-    """The WPCA projection of training rows ``start:stop``."""
-    wpca, x = state
-    start, stop = task
-    return wpca_apply(wpca, x[start:stop])
 
 
 def _predict_task(state, task) -> np.ndarray:

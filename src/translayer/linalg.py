@@ -19,17 +19,21 @@ from .forkpool import one_blas_thread
 EIGENVALUE_FLOOR = 1e-10
 
 
-def fix_row_signs(rows: np.ndarray) -> None:
-    """Flip, in place, each row so its largest-magnitude entry is positive.
+def fix_row_signs(rows: np.ndarray) -> np.ndarray:
+    """Flip, in place, each row so its largest-magnitude entry is positive,
+    and return the +-1 factor applied to each row.
 
     Ties pick the first such entry. Makes eigenvector (and therefore
     filter) signs reproducible. One row at a time, so the only temporary
     is one row's magnitudes; a C-contiguous ``rows`` is read in memory
     order.
     """
-    for row in rows:
+    signs = np.ones(len(rows))
+    for k, row in enumerate(rows):
         if row[np.argmax(np.abs(row))] < 0.0:
             row *= -1.0
+            signs[k] = -1.0
+    return signs
 
 
 def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -58,13 +58,13 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 from translayer import Config, experiment
-from translayer.classify import WpcaCosineModel, WpcaModel
+from translayer.classify import WpcaCosineModel
 
 # a one-row projection is a gemv, which two OpenBLAS threads split along
 # the 5000-long sums at this shape
 gen = np.random.default_rng(0)
 d, k, n = 5000, 100, 30
-clf = WpcaCosineModel(WpcaModel(gen.random(d), gen.standard_normal((k, d))),
+clf = WpcaCosineModel(gen.random(d), gen.standard_normal((k, d)),
                       gen.standard_normal((n, k)), np.arange(n))
 model = SimpleNamespace(config=Config(classifier="wpca_cosine"), classifier=clf)
 projected = []

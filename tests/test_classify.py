@@ -41,6 +41,21 @@ def test_svm_classes_out_of_order_across_the_int64_range_rejected():
         classify.LinearSvmModel(np.array([5, -2**63]), np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_svm_of_fewer_than_two_classes_rejected(count):
+    # svm_train needs two classes; a model of fewer cannot have been trained
+    with pytest.raises(ValueError, match="svm needs two or more"):
+        classify.LinearSvmModel(np.arange(count), np.zeros((count, 3)))
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_wpca_cosine_of_fewer_than_two_training_vectors_rejected(count):
+    # wpca_fit needs two samples; a model of fewer cannot have been fitted
+    with pytest.raises(ValueError, match="n >= 2"):
+        classify.WpcaCosineModel(np.zeros(3), np.ones((2, 3)),
+                                 np.ones((count, 2)), np.arange(count))
+
+
 def test_separable_toy_reaches_full_accuracy():
     model = svm_train(SEPARABLE_X, SEPARABLE_Y, cost_c=1.0, rng=Rng(0))
     preds = svm_predict_many(model, SEPARABLE_X)
@@ -310,7 +325,7 @@ def test_worker_error_reaches_caller(monkeypatch):
 def test_isotropic_sample_unit_variances():
     gen = np.random.default_rng(8)
     x = gen.standard_normal((2000, 5))
-    model = wpca_fit(x, 5)
+    model = wpca_fit(x, np.zeros(2000), 5)
     proj = wpca_apply(model, x)
     var = proj.var(axis=0, ddof=1)
     assert (var > 0.9).all() and (var < 1.1).all()
@@ -320,21 +335,21 @@ def test_isotropic_sample_unit_variances():
 def test_line_data_unit_variance():
     t = np.linspace(-2, 2, 50)
     x = np.stack([t, 2 * t, -t], axis=1)
-    model = wpca_fit(x, 1)
+    model = wpca_fit(x, np.zeros(50), 1)
     proj = wpca_apply(model, x)
     assert abs(proj[:, 0].var(ddof=1) - 1.0) < 1e-6
 
 
 def test_target_dim_zero_rejected():
     with pytest.raises(ValueError):
-        wpca_fit(np.random.default_rng(9).random((10, 3)), 0)
+        wpca_fit(np.random.default_rng(9).random((10, 3)), np.zeros(10), 0)
 
 
 def test_target_dim_beyond_rank_rejected():
     t = np.linspace(-1, 1, 20)
     x = np.stack([t, 2 * t], axis=1)  # rank 1
     with pytest.raises(ValueError, match="rank"):
-        wpca_fit(x, 2)
+        wpca_fit(x, np.zeros(20), 2)
 
 
 @pytest.mark.parametrize("scores,target_dim", [
@@ -344,7 +359,7 @@ def test_target_dim_beyond_rank_rejected():
 def test_target_dim_beyond_rank_rejected_on_gram_route(scores, target_dim):
     x = np.outer(scores, np.arange(1.0, 11.0))  # d > n
     with pytest.raises(ValueError, match="rank"):
-        wpca_fit(x, target_dim)
+        wpca_fit(x, np.zeros(6), target_dim)
 
 
 @pytest.mark.parametrize("rows,width", [
@@ -356,13 +371,13 @@ def test_identical_rows_have_rank_zero(rows, width):
     # eigenvalue is that error; the floor must come from the raw scale
     x = np.outer(np.full(rows, 0.1), np.arange(1.0, width + 1.0))
     with pytest.raises(ValueError, match="usable rank 0"):
-        wpca_fit(x, 1)
+        wpca_fit(x, np.zeros(rows), 1)
 
 
 def test_gram_route_components_have_unit_variance():
     gen = np.random.default_rng(10)
     x = gen.standard_normal((12, 30))  # d > n
-    wide = _wpca_fit(x, 4)
+    wide = _wpca_fit(x, np.zeros(12), 4)
     proj = wpca_apply(wide, x)
     var = proj.var(axis=0, ddof=1)
     assert np.abs(var - 1.0).max() < 1e-6
@@ -373,14 +388,15 @@ def test_wpca_accepts_sparse():
     gen = np.random.default_rng(11)
     dense = gen.random((25, 40))
     dense[dense < 0.7] = 0.0
-    model = wpca_fit(sp.csr_matrix(dense), 3)
+    model = wpca_fit(sp.csr_matrix(dense), np.zeros(25), 3)
     proj = wpca_apply(model, dense)
     assert np.abs(proj.var(axis=0, ddof=1) - 1.0).max() < 1e-6
 
 
 @pytest.mark.parametrize("width", [30, 50])
 def test_wpca_feature_width_must_match_model(width):
-    model = wpca_fit(np.random.default_rng(12).random((25, 40)), 3)
+    model = wpca_fit(np.random.default_rng(12).random((25, 40)),
+                     np.zeros(25), 3)
     with pytest.raises(ValueError,
                        match=f"features have dimension {width}, the model 40"):
         wpca_apply(model, sp.csr_matrix((2, width)))
@@ -415,7 +431,8 @@ def test_dense_gram_equals_sparse_gram_on_counts(n, blocks, bins, one_bin):
 
 def wpca_fit_gram_reference(x, target_dim):
     """The Gram route before the dense product: sparse ``x @ x.T`` and
-    components lifted in column layout, signs fixed per column."""
+    components lifted in column layout, signs fixed per column; the
+    training vectors read off the eigenvectors."""
     from translayer.linalg import fix_row_signs, jacobi_eigh
     n = x.shape[0]
     mean = np.asarray(x.mean(axis=0)).ravel()
@@ -428,9 +445,9 @@ def wpca_fit_gram_reference(x, target_dim):
     components = ((np.asarray(x.T @ dual) - mean[:, None] * dual_sums)
                   / np.sqrt((n - 1) * eigvals[:target_dim]))
     rows = components.T.copy()
-    fix_row_signs(rows)
+    signs = fix_row_signs(rows)
     scale = 1.0 / np.sqrt(eigvals[:target_dim])
-    return mean, rows * scale[:, None]
+    return mean, rows * scale[:, None], np.sqrt(n - 1) * dual * signs
 
 
 @pytest.mark.parametrize("n,blocks,bins,target_dim,one_bin", [
@@ -441,10 +458,12 @@ def wpca_fit_gram_reference(x, target_dim):
 def test_gram_route_matches_sparse_reference_on_counts(n, blocks, bins,
                                                       target_dim, one_bin):
     x = block_counts(n, blocks, bins, seed=100 + n, one_bin=one_bin)
-    model = wpca_fit(x, target_dim)
-    mean, projection = wpca_fit_gram_reference(x, target_dim)
+    model = wpca_fit(x, np.arange(n), target_dim)
+    mean, projection, vectors = wpca_fit_gram_reference(x, target_dim)
     assert np.array_equal(model.mean, mean)
     assert np.array_equal(model.projection, projection)
+    assert np.array_equal(model.train_vectors, vectors)
+    assert np.array_equal(model.train_labels, np.arange(n))
     assert model.projection.flags["C_CONTIGUOUS"]
 
 
@@ -458,10 +477,32 @@ def test_blocked_gram_route_matches_sparse_reference(monkeypatch, jobs, n,
     monkeypatch.setattr(classify, "BUDGET", 8 * n * width)
     x = block_counts(n, 9, 16, seed=200 + n)
     assert len(classify._column_blocks(n, x.shape[1])) == -(-144 // width)
-    model = wpca_fit(x, target_dim, jobs=jobs)
-    mean, projection = wpca_fit_gram_reference(x, target_dim)
+    model = wpca_fit(x, np.zeros(n), target_dim, jobs=jobs)
+    mean, projection, vectors = wpca_fit_gram_reference(x, target_dim)
     assert np.array_equal(model.mean, mean)
     assert np.array_equal(model.projection, projection)
+    assert np.array_equal(model.train_vectors, vectors)
+
+
+@pytest.mark.parametrize("sqrt", [False, True], ids=["counts", "sqrt-counts"])
+@pytest.mark.parametrize("n,blocks,bins,target_dim,one_bin", [
+    (30, 16, 16, 8, False),
+    (25, 9, 256, 24, False),
+    (20, 36, 64, 5, True),
+])
+def test_train_vectors_equal_the_projected_training_set(n, blocks, bins,
+                                                        target_dim, one_bin,
+                                                        sqrt):
+    # read off the eigenvectors, not projected: equal up to the eigensolve's
+    # rounding, per component relative to that component's scale
+    x = block_counts(n, blocks, bins, seed=100 + n, one_bin=one_bin)
+    if sqrt:
+        x.data = np.sqrt(x.data)
+    model = wpca_fit(x, np.zeros(n), target_dim)
+    with forkpool.one_blas_thread():
+        projected = wpca_apply(model, x)
+    error = np.abs(model.train_vectors - projected).max(axis=0)
+    assert (error <= 1e-12 * np.abs(projected).max(axis=0)).all()
 
 
 @pytest.mark.parametrize("case", ["sorted", "unsorted", "empty"])
@@ -495,9 +536,11 @@ def test_wpca_fit_sorts_a_copy_of_unsorted_indices():
         indices[lo:hi], data[lo:hi] = indices[lo:hi][::-1], data[lo:hi][::-1]
     unsorted = sp.csr_matrix((data, indices, x.indptr), shape=x.shape)
     assert not unsorted.has_sorted_indices
-    got, want = wpca_fit(unsorted, 3), wpca_fit(x, 3)
+    got = wpca_fit(unsorted, np.zeros(12), 3)
+    want = wpca_fit(x, np.zeros(12), 3)
     assert np.array_equal(got.mean, want.mean)
     assert np.array_equal(got.projection, want.projection)
+    assert np.array_equal(got.train_vectors, want.train_vectors)
     assert np.array_equal(unsorted.indices, indices)   # the caller's rows stay
 
 
@@ -520,7 +563,7 @@ def test_gram_route_never_holds_the_dense_batch():
     assert dense_bytes > 2 * classify.BUDGET
     tracemalloc.start()
     try:
-        wpca_fit(x, 4, jobs=1)
+        wpca_fit(x, np.zeros(60), 4, jobs=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -536,8 +579,9 @@ def test_wpca_apply_sub_batches_reproduce_the_batch_rows():
     # can depend on the batch.
     gen = np.random.default_rng(9)
     x = block_counts(12, 576, 256, seed=9)
-    model = classify.WpcaModel(mean=np.asarray(x.mean(axis=0)).ravel(),
-                               projection=gen.standard_normal((24, x.shape[1])))
+    model = classify.WpcaCosineModel(
+        np.asarray(x.mean(axis=0)).ravel(), gen.standard_normal((24, x.shape[1])),
+        gen.standard_normal((2, 24)), np.arange(2))
     with forkpool.one_blas_thread():
         whole = wpca_apply(model, x)
         for start, stop in itertools.combinations(range(x.shape[0] + 1), 2):

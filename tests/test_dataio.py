@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from translayer import (Config, FilterBank, TrainedModel, WhiteningTransform)
-from translayer.classify import LinearSvmModel, WpcaCosineModel, WpcaModel
+from translayer.classify import LinearSvmModel, WpcaCosineModel
 from translayer.dataio import (DataFormatError, ModelFormatError, dump_map_pgm,
                                load_model, read_amat, read_idx, save_model)
 from translayer.experiment import (extract_features, predict_features,
@@ -252,7 +252,7 @@ def test_sections_after_the_config_hold_only_arrays(tmp_path, tiny_model,
             (tiny_model, [[m.weights] for m in (tiny_model.bank1, tiny_model.bank2)],
              [svm.classes, svm.weights]),
             (dae, [[m.weights, m.biases] for m in (dae.bank1, dae.bank2)],
-             [wpca.wpca.mean, wpca.wpca.projection, wpca.train_vectors,
+             [wpca.mean, wpca.projection, wpca.train_vectors,
               wpca.train_labels])):
         path = tmp_path / "model.bin"
         save_model(model, path)
@@ -438,6 +438,24 @@ def test_wpca_arrays_disagreeing_with_each_other_rejected(
         load_model(path)
 
 
+@pytest.mark.parametrize("count", [0, 1])
+@pytest.mark.parametrize("model_name", ["tiny_model", "tiny_wpca_model"])
+def test_classifier_no_trainer_makes_rejected(request, tmp_path, model_name,
+                                              count):
+    # an svm of fewer than two classes, or a wpca_cosine model of fewer
+    # than two training vectors, fails when loaded, not at evaluation
+    path = tmp_path / "model.bin"
+    save_model(request.getfixturevalue(model_name), path)
+    if model_name == "tiny_model":
+        rewrite_classifier(path, lambda c: [c[0][:count], c[1][:count]])
+    else:
+        rewrite_classifier(path, lambda c: [c[0], c[1], c[2][:count],
+                                            c[3][:count]])
+    with pytest.raises(ModelFormatError, match="invalid model: (svm|wpca_cosine) "
+                       "needs (two or more|.* with n >= 2)"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("model_name, array", [
     ("tiny_model", 1), ("tiny_wpca_model", 0), ("tiny_wpca_model", 1),
@@ -491,7 +509,7 @@ def test_loaded_arrays_own_their_data(tmp_path, tiny_wpca_model):
     model = load_model(path)
     clf = model.classifier
     for arr in (model.bank1.weights, model.whiten1.matrix, model.bank2.weights,
-                model.whiten2.matrix, clf.wpca.mean, clf.wpca.projection,
+                model.whiten2.matrix, clf.mean, clf.projection,
                 clf.train_vectors, clf.train_labels):
         assert arr.flags.owndata and arr.flags.writeable
 
@@ -638,7 +656,7 @@ def hand_model(classifier):
     if classifier == "svm":
         clf = LinearSvmModel(np.array([0, 3]), gen.normal(size=(2, 5)))
     else:
-        clf = WpcaCosineModel(WpcaModel(gen.random(5), gen.normal(size=(2, 5))),
+        clf = WpcaCosineModel(gen.random(5), gen.normal(size=(2, 5)),
                               gen.normal(size=(3, 2)), np.array([1, 0, 1]))
     return TrainedModel(cfg, bank(0), bank(3), WhiteningTransform(np.eye(9)),
                         WhiteningTransform(np.diag(gen.uniform(1, 2, 9))), clf)

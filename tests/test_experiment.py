@@ -319,6 +319,23 @@ def test_wpca_cosine_classifier_end_to_end(glyph_train, glyph_test):
     assert preds.shape == (5,)
 
 
+def test_wpca_training_projects_no_rows(glyph_train, monkeypatch):
+    # wpca_fit reads the training vectors off its eigenvectors
+    applied, apply = [], classify.wpca_apply
+
+    def recording(*args):
+        applied.append(args)
+        return apply(*args)
+
+    monkeypatch.setattr(experiment, "wpca_apply", recording)
+    monkeypatch.setattr(classify, "wpca_apply", recording)
+    images, labels = glyph_train
+    model = train_model(tiny_config(classifier="wpca_cosine", wpca_dim=5),
+                        images[:20], labels[:20], jobs=1)
+    assert applied == []
+    assert model.classifier.train_vectors.shape == (20, 5)
+
+
 def test_self_evaluation_is_accurate(tiny_model, glyph_train):
     # trained and evaluated on the same small set: error stays low
     images, labels = glyph_train

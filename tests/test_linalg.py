@@ -113,6 +113,16 @@ def test_fix_signs_rows_match_vectorized_rule_without_a_full_temporary():
     assert peak < rows.nbytes // 4
 
 
+def test_fix_row_signs_returns_the_factors_it_applied():
+    gen = np.random.default_rng(10)
+    rows = gen.integers(-3, 4, size=(8, 50)).astype(np.float64)
+    rows[2] = 0.0
+    before = rows.copy()
+    signs = fix_row_signs(rows)
+    assert set(signs) == {-1.0, 1.0} and signs[2] == 1.0
+    assert np.array_equal(signs[:, None] * before, rows)
+
+
 def eigh_with_copies(matrix):
     """The solve as it was before its checks went to row blocks: a copy of
     the input, whole-matrix checks, and a reversed copy of the
