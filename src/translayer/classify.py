@@ -380,9 +380,14 @@ def wpca_fit(features, labels, target_dim: int,
 
 
 def wpca_apply(model: WpcaCosineModel, features) -> np.ndarray:
-    dense = _as_csr_of_width(features, model.mean.shape[0]).toarray()
+    """Centered features times the projection. A row gets the same bits in
+    any batch: gemm gives it those above OpenBLAS's small-matrix cutoff of
+    about 1e6 multiply-adds, but BLAS takes gemv for one row, which rounds
+    apart, so a lone row is projected as a two-row gemm of itself."""
+    x = _as_csr_of_width(features, model.mean.shape[0])
+    dense = x[[0, 0]].toarray() if x.shape[0] == 1 else x.toarray()
     dense -= model.mean  # in place: one dense copy of the batch, not two
-    return dense @ model.projection.T
+    return (dense @ model.projection.T)[:x.shape[0]]
 
 
 def cosine_nn(train_vectors: np.ndarray, train_labels: np.ndarray,

@@ -1,7 +1,7 @@
 """End-to-end orchestration: train both layers, encode, classify, evaluate.
 
-Feature extraction is a pure function of (model, image). A batch is split
-into tasks of consecutive images (:func:`_tasks`), and
+Feature extraction is a pure function of (model, image). :func:`_run_tasks`
+splits a batch into tasks of ``chunk`` consecutive images, and
 ``forkpool.fork_pool(jobs, (model, images, dim))`` runs
 :func:`_encode_task` on each: the workers see the model and the images
 copy-on-write, so no image is pickled, and every ``jobs`` runs the same
@@ -15,12 +15,12 @@ feature columns per task. A fourth fan-out comes first: each autoencoder
 layer draws its corruption masks one epoch per task
 (``filters.train_dae``).
 
-Evaluation runs ``chunk`` images per task through :func:`_predict_task`,
-which encodes them with :func:`_encode_task` and scores them where it
-runs, returning only their labels: no test feature passes through a pipe
-and no dense batch wider than a task is formed. Training projects no
-rows: ``wpca_fit`` returns the projected training set with the model.
-Training and prediction run on one BLAS thread
+Evaluation runs its tasks through :func:`_predict_task`, which encodes
+them with :func:`_encode_task` and scores them where it runs, returning
+only their labels, which do not depend on the split: no test feature
+passes through a pipe and no dense batch wider than a task is formed.
+Training projects no rows: ``wpca_fit`` returns the projected training
+set with the model. Training and prediction run on one BLAS thread
 (``forkpool.one_blas_thread``), so their bits do not depend on the count.
 """
 
@@ -49,7 +49,7 @@ from .types import Config, DAE, TrainedModel, validate_config
 
 log = logging.getLogger("translayer")
 
-# images per pool task of extraction and evaluation
+# images per pool task of extraction, and evaluation's default
 TASK_IMAGES = 32
 
 
@@ -188,10 +188,7 @@ def _csr(pairs, dim: int) -> sp.csr_matrix:
 
 def extract_features(model: TrainedModel, images, jobs: int = 1) -> sp.csr_matrix:
     """Histogram features for a batch of images as a CSR matrix."""
-    if len(images) == 0:
-        raise ValueError("no samples")
-    dim = encoder.feature_dim(common_size(images), model.config)
-    parts = _run_tasks(jobs, (model, images, dim), _encode_task, len(images))
+    dim, parts = _run_tasks(_encode_task, model, images, jobs)
     return _csr([pair for part in parts for pair in part], dim)
 
 
@@ -220,29 +217,17 @@ class EvalResult:
         return 100.0 * self.errors / self.samples
 
 
-def _tasks(n: int, chunk: int) -> list[tuple[int, int]]:
-    """``(start, stop)`` of each task: ``chunk`` images each, with a
-    one-image tail joined to the task before it.
-
-    ``wpca_cosine`` evaluation projects each task's rows. BLAS projects a
-    one-row batch with gemv, which moves the row's last bits, so only
-    ``n == 1`` makes a one-image task. gemm gives each row of a batch of
-    two or more the bits one product of the whole set gives, at least
-    above OpenBLAS's small-matrix cutoff of about 1e6 multiply-adds (d =
-    147456 is far above it). The split does not depend on ``jobs``, so
-    every ``jobs`` runs the same products.
-    """
-    starts = list(range(0, n, chunk))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [n]))
-
-
-def _run_tasks(jobs: int, state, fn, n: int, chunk: int = TASK_IMAGES) -> list:
-    """``fn(state, (start, stop))`` of every task of ``_tasks(n, chunk)``,
-    run over ``fork_pool(jobs, state)``, in task order."""
-    with fork_pool(jobs, state) as run:
-        return list(run(fn, _tasks(n, chunk)))
+def _run_tasks(fn, model: TrainedModel, images, jobs: int,
+               chunk: int = TASK_IMAGES) -> tuple[int, list]:
+    """``dim`` and ``fn((model, images, dim), (start, stop))`` of each run of
+    ``chunk`` consecutive images, over ``fork_pool(jobs, ...)`` in order."""
+    n = len(images)
+    if n == 0:
+        raise ValueError("no samples")
+    dim = encoder.feature_dim(common_size(images), model.config)
+    tasks = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
+    with fork_pool(jobs, (model, images, dim)) as run:
+        return dim, list(run(fn, tasks))
 
 
 def _predict_task(state, task) -> np.ndarray:
@@ -253,19 +238,18 @@ def _predict_task(state, task) -> np.ndarray:
 
 def evaluate_model(model: TrainedModel, images, labels, jobs: int = 1,
                    chunk: int = TASK_IMAGES) -> EvalResult:
-    """Extract, predict, and tally a confusion matrix, ``chunk`` (at least
-    2) images per pool task."""
+    """Extract, predict, and tally a confusion matrix, ``chunk`` images per
+    pool task."""
     labels = np.asarray(labels, dtype=np.int64)
-    if len(images) == 0:
-        raise ValueError("no samples")
     if labels.shape[0] != len(images):
         raise ValueError("label/image count mismatch")
-    if chunk < 2:
-        raise ValueError("chunk must be >= 2")
-    dim = encoder.feature_dim(common_size(images), model.config)
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
+    if model.classifier is None:
+        raise TypeError("model has no trained classifier")
     classes = np.union1d(model.classifier.classes, labels)
-    preds = np.concatenate(_run_tasks(jobs, (model, images, dim), _predict_task,
-                                      len(images), chunk))
+    _, parts = _run_tasks(_predict_task, model, images, jobs, chunk)
+    preds = np.concatenate(parts)
     confusion = np.zeros((classes.size, classes.size), dtype=np.int64)
     np.add.at(confusion, (np.searchsorted(classes, labels),
                           np.searchsorted(classes, preds)), 1)

@@ -22,6 +22,8 @@ path, so the codes equal those of :func:`build_stack` bit for bit.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -100,6 +102,8 @@ def code_maps(image, model: TrainedModel) -> np.ndarray:
                       model.config.trans_layer)
 
 
+# one entry, keyed by identity (FilterBank, WhiteningTransform are eq=False)
+@functools.lru_cache(maxsize=1)
 def _fused_filters(bank: FilterBank, whiten: WhiteningTransform,
                    lcn: float | None):
     """Fused filters H and each filter's error coefficient.
@@ -123,19 +127,6 @@ def _fused_filters(bank: FilterBank, whiten: WhiteningTransform,
     return weights, coef
 
 
-_fused_cache: list = [None]
-
-
-def _fused_of(bank: FilterBank, whiten: WhiteningTransform,
-              lcn: float | None):
-    """:func:`_fused_filters`, computed once while one model is encoded; the
-    cache holds the bank and whitening, so no other object takes their ids."""
-    key = (id(bank), id(whiten), lcn)
-    if _fused_cache[0] != key:
-        _fused_cache[:] = [key, bank, whiten, _fused_filters(bank, whiten, lcn)]
-    return _fused_cache[3]
-
-
 def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
                  whiten: WhiteningTransform,
                  lcn: float | None) -> np.ndarray:
@@ -154,7 +145,7 @@ def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
     (std + c) by at most |H|_2 d^1.5 eps max|window| / (std + c), far inside
     the bound divided alike.
     """
-    filters, coef = _fused_of(bank, whiten, lcn)
+    filters, coef = _fused_filters(bank, whiten, lcn)
     l1, h, w = layer1.shape
     k1, k2 = bank.shape.k1, bank.shape.k2
     d, n = bank.shape.dim, h * l1 * w

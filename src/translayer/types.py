@@ -79,7 +79,7 @@ def as_2d(value) -> np.ndarray:
 ORTHO_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterBank:
     """Learned convolution weights for one layer.
 
@@ -126,7 +126,7 @@ class FilterBank:
         return self.weights.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WhiteningTransform:
     """Symmetric decorrelating matrix U (D + eps I)^(-1/2) U^T."""
 

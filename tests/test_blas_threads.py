@@ -60,8 +60,8 @@ import scipy.sparse as sp
 from translayer import Config, experiment
 from translayer.classify import WpcaCosineModel
 
-# a one-row projection is a gemv, which two OpenBLAS threads split along
-# the 5000-long sums at this shape
+# two OpenBLAS threads split the 8-row projection's gemm at this shape,
+# which moves its bits; a one- or two-row projection they leave whole
 gen = np.random.default_rng(0)
 d, k, n = 5000, 100, 30
 clf = WpcaCosineModel(gen.random(d), gen.standard_normal((k, d)),
@@ -77,7 +77,7 @@ def recording_apply(*args):
 
 
 experiment.wpca_apply = recording_apply
-labels = experiment.predict_features(model, sp.random(1, d, density=0.1,
+labels = experiment.predict_features(model, sp.random(8, d, density=0.1,
                                                       random_state=1) * 10)
 print(hashlib.sha256(projected[0].tobytes() + labels.tobytes()).hexdigest())
 """

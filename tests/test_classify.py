@@ -571,12 +571,12 @@ def test_gram_route_never_holds_the_dense_batch():
 
 
 def test_wpca_apply_sub_batches_reproduce_the_batch_rows():
-    # evaluation projects a test set task by task, so BLAS must give every
-    # row of a batch of two or more rows the bits one product of the whole
-    # batch gives. gemm does at the benchmark's shapes (d = 147456). A
-    # one-row batch goes to gemv, and OpenBLAS sends products of at most
-    # about 1e6 multiply-adds to a small-matrix kernel; the bits of either
-    # can depend on the batch.
+    # evaluation projects a test set task by task, so every row of a
+    # sub-batch, a lone row too, must get the bits one product of the whole
+    # batch gives. gemm does at the benchmark's shapes (d = 147456); gemv,
+    # which BLAS would take for a one-row batch, does not. OpenBLAS sends
+    # products of at most about 1e6 multiply-adds to a small-matrix kernel,
+    # whose bits can depend on the batch.
     gen = np.random.default_rng(9)
     x = block_counts(12, 576, 256, seed=9)
     model = classify.WpcaCosineModel(
@@ -585,9 +585,8 @@ def test_wpca_apply_sub_batches_reproduce_the_batch_rows():
     with forkpool.one_blas_thread():
         whole = wpca_apply(model, x)
         for start, stop in itertools.combinations(range(x.shape[0] + 1), 2):
-            if stop - start >= 2:
-                assert np.array_equal(wpca_apply(model, x[start:stop]),
-                                      whole[start:stop]), (start, stop)
+            assert np.array_equal(wpca_apply(model, x[start:stop]),
+                                  whole[start:stop]), (start, stop)
 
 
 # --- cosine nearest neighbor -------------------------------------------

@@ -133,22 +133,32 @@ def test_evaluation_matches_predicting_every_feature(request, glyph_test,
     assert (result.samples, result.errors) == (n, int((preds != labels).sum()))
 
 
-def test_evaluation_tasks_never_hold_one_image_of_several():
-    for n in range(1, 60):
-        for chunk in range(2, 12):
-            tasks = experiment._tasks(n, chunk)
-            assert [t[0] for t in tasks[1:]] == [t[1] for t in tasks[:-1]]
-            assert (tasks[0][0], tasks[-1][1]) == (0, n)
-            sizes = [stop - start for start, stop in tasks]
-            assert max(sizes) <= chunk + 1
-            assert min(sizes) >= 2 or n == 1
-            assert sizes[:-1] == [chunk] * (len(sizes) - 1)
+@pytest.mark.parametrize("model_name", ["tiny_model", "tiny_wpca_model"])
+def test_evaluation_of_one_image_per_task_matches_the_default(request,
+                                                              glyph_test,
+                                                              model_name):
+    # 40 images: one-image tasks against one task of 32 and one of 8
+    model = request.getfixturevalue(model_name)
+    alone = evaluate_model(model, *glyph_test, chunk=1)
+    assert np.array_equal(alone.confusion,
+                          evaluate_model(model, *glyph_test, chunk=32).confusion)
 
 
-@pytest.mark.parametrize("chunk", [1, 0])
-def test_evaluation_task_of_one_image_rejected(tiny_model, glyph_test, chunk):
-    with pytest.raises(ValueError, match="chunk must be >= 2"):
-        evaluate_model(tiny_model, *glyph_test, chunk=chunk)
+def test_evaluation_task_of_no_images_rejected(tiny_model, glyph_test):
+    with pytest.raises(ValueError, match="chunk must be >= 1"):
+        evaluate_model(tiny_model, *glyph_test, chunk=0)
+
+
+def test_evaluation_without_a_classifier_fails_before_forking(tiny_model,
+                                                              glyph_test,
+                                                              monkeypatch):
+    forked = []
+    monkeypatch.setattr(experiment, "fork_pool",
+                        lambda *args: forked.append(args))
+    with pytest.raises(TypeError, match="model has no trained classifier"):
+        evaluate_model(replace(tiny_model, classifier=None), *glyph_test,
+                       jobs=2)
+    assert forked == []
 
 
 def test_evaluation_never_holds_the_dense_batch(tiny_wpca_model):

@@ -278,22 +278,16 @@ def test_code_maps_peak_below_the_window_matrix(glyph_test, learner, lcn):
     assert peak < cols_bytes
 
 
-def test_fused_filters_once_per_model(monkeypatch, glyph_test):
-    calls = []
-    fused = pipeline._fused_filters
-
-    def counting(*args):
-        calls.append(args)
-        return fused(*args)
-
-    monkeypatch.setattr(pipeline, "_fused_filters", counting)
+def test_fused_filters_once_per_model(glyph_test):
     images = glyph_test[0][:6]
     for learner in (PCA, DAE):
         # a new model: its banks are not the ones cached
         model = random_model(learner, 4, 4, seed=8, k1=5, k2=5)
+        before = pipeline._fused_filters.cache_info()
         experiment.extract_features(model, images, jobs=1)
-        assert len(calls) == 1
-        calls.clear()
+        after = pipeline._fused_filters.cache_info()
+        assert (after.misses - before.misses,
+                after.hits - before.hits) == (1, len(images) - 1)
 
 
 @pytest.mark.parametrize("k1,k2", [(5, 3), (1, 7), (7, 1), (7, 3)])
