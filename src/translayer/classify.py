@@ -25,17 +25,16 @@ from .types import reject_non_finite
 
 SVM_TOL = 0.1
 SVM_MAX_PASSES = 1000
-# Largest training set, and so n x n WPCA eigenproblem, that training
-# accepts. The fit densifies one BUDGET block at a time, so what grows with
-# n is the n x n Gram, its solve and the time to sum it: at n=2400 and
-# dae_wpca's d=147456 (integer counts, 25.7k nonzeros per row), wpca_fit
-# at jobs=2 took 39 s and held 475 MB above its input on a 2-vCPU VM; the
-# dense n x d copy it replaced took 708 MB at n=600.
-WPCA_MAX_N = 2400
-# Bytes of the largest temporary the WPCA fit makes of the training batch
-# in any one process: one dense block of feature columns, or one run of
-# scaled entries when summing the column means.
-BUDGET = 32 * 2**20
+# Largest training sets: both fits hold the n x n Gram, 1.15 GB at the
+# largest digit corpus's 12000; at n=2400 and d=147456 wpca_fit at jobs=2
+# took 39 s and held 475 MB above its input on a 2-vCPU VM.
+SVM_MAX_N, WPCA_MAX_N = 12000, 2400
+# Bytes of the largest temporary of the training batch in any process: a
+# dense block of columns, a strip of its Gram, or a run of column entries.
+BUDGET = 8 * 2**20
+# Most Gram tasks, whatever jobs: each pipes back an n x n partial (n=2000,
+# d=147456, jobs=2: 70 tasks took 10.1 s, 16 took 6.3 s).
+GRAM_TASKS = 16
 
 log = logging.getLogger("translayer")
 
@@ -61,18 +60,17 @@ class LinearSvmModel:
         object.__setattr__(self, "weights", np.asfortranarray(weights))
 
 
-class WpcaSizeError(ValueError):
-    """The WPCA eigenproblem is larger than ``WPCA_MAX_N``."""
+class GramSizeError(ValueError):
+    """A training set larger than its classifier's n x n Gram allows."""
 
 
-def check_wpca_size(n_samples: int):
-    """Fail fast, before any extraction, on a WPCA eigenproblem larger
-    than ``WPCA_MAX_N``."""
-    if n_samples > WPCA_MAX_N:
-        raise WpcaSizeError(
-            f"wpca_cosine would eigendecompose a {n_samples} x {n_samples} "
-            f"Gram matrix of {n_samples} training images; the limit is "
-            f"{WPCA_MAX_N}")
+def check_gram_size(classifier: str, n: int):
+    """Fail fast, before any extraction, on a training set over the limit."""
+    limit = SVM_MAX_N if classifier == "svm" else WPCA_MAX_N
+    if n > limit:
+        raise GramSizeError(f"{classifier} would solve on a {n} x {n} Gram "
+                            f"matrix of {n} training images ({8e-9 * n * n:.2f}"
+                            f" GB); the limit is {limit}")
 
 
 @dataclass(frozen=True)
@@ -114,151 +112,15 @@ def as_csr(features) -> sp.csr_matrix:
     return sp.csr_matrix(np.asarray(features, dtype=np.float64))
 
 
-def _solve_binary(indptr, indices, data, y, dim, cost_c, qii, gen,
-                  tol, max_passes):
-    """Dual coordinate descent for one binary L1-hinge problem.
-
-    Stops when the largest projected-gradient violation seen in a full
-    pass drops below ``tol``, or after ``max_passes`` passes. Returns the
-    primal weights, the dual objective value after each pass and the
-    largest violation of the last pass.
-
-    Each step gathers the sample's weights once and, on an update,
-    scatters them back once; the arithmetic is that of
-    ``w[idx] += (a_new - a) * y[i] * vals``, so the weights are
-    bit-identical to that form. ``indices`` should be ``np.intp``, which
-    numpy would otherwise convert on every fancy index.
-    """
-    n = y.size
-    w = np.zeros(dim)
-    alpha = np.zeros(n)
-    history = []
-    for _ in range(max_passes):
-        order = gen.permutation(n)
-        max_violation = 0.0
-        for i in order:
-            lo, hi = indptr[i], indptr[i + 1]
-            idx = indices[lo:hi]
-            vals = data[lo:hi]
-            wi = w[idx]
-            grad = y[i] * float(wi @ vals) - 1.0
-            a = alpha[i]
-            if a <= 0.0:
-                violation = min(grad, 0.0)
-            elif a >= cost_c:
-                violation = max(grad, 0.0)
-            else:
-                violation = grad
-            if abs(violation) > max_violation:
-                max_violation = abs(violation)
-            if abs(violation) > 1e-12:
-                if qii[i] > 0.0:
-                    a_new = min(max(a - grad / qii[i], 0.0), cost_c)
-                else:
-                    a_new = cost_c if grad < 0.0 else 0.0
-                if a_new != a:
-                    wi += (a_new - a) * y[i] * vals
-                    w[idx] = wi
-                    alpha[i] = a_new
-        objective = 0.5 * float(w @ w) - float(alpha.sum())
-        if history and objective > history[-1] + 1e-9 * max(1.0, abs(history[-1])):
-            raise RuntimeError("dual objective increased; solver state corrupt")
-        history.append(objective)
-        if max_violation < tol:
-            break
-    return w, history, max_violation
-
-
-def _solve_class(problem, k):
-    """Solve class ``k``'s binary problem into row ``k`` of the weights.
-
-    Returns the class's objective history and the largest violation of
-    its last pass.
-    """
-    x, indices, y_all, classes, cost_c, qii, rng, weights = problem
-    cls = int(classes[k])
-    y = np.where(y_all == cls, 1.0, -1.0)
-    gen = rng.stream(f"svm.class.{cls}")
-    w, hist, violation = _solve_binary(
-        x.indptr, indices, x.data, y, weights.shape[1], cost_c, qii, gen,
-        SVM_TOL, SVM_MAX_PASSES)
-    weights[k] = w
-    return np.asarray(hist), violation
-
-
-def svm_train(features, labels, cost_c: float = 1.0,
-              rng: Rng | None = None, jobs: int = 1) -> LinearSvmModel:
-    """One-vs-rest linear SVM on sparse features.
-
-    The classes are solved by ``run(_solve_class, range(n_classes))``
-    over ``forkpool.fork_pool(min(jobs, n_classes), problem)``, each
-    writing its weights into one transposed ``shared_zeros`` array, the
-    model's Fortran-ordered weights, at every ``jobs``; only the objective
-    histories and final violations are returned. Each class draws its own
-    stream, seeded from its label, so the result does not depend on
-    ``jobs``. Non-convergence warnings are logged here, in class order.
-    """
+def _sorted_csr(features) -> sp.csr_matrix:
+    """``as_csr(features)`` with sorted row indices, for :func:`_columns`."""
     x = as_csr(features)
-    y_all = np.asarray(labels, dtype=np.int64)
-    if y_all.shape[0] != x.shape[0]:
-        raise ValueError("label/sample count mismatch")
-    reject_non_finite(features=x.data)
-    classes = np.unique(y_all)
-    if classes.size < 2:
-        raise ValueError("need at least two classes")
-    if cost_c <= 0:
-        raise ValueError("cost_c must be > 0")
-    rng = rng if rng is not None else Rng(0)
-
-    # the squares on x's own index arrays, which x.multiply(x) would copy;
-    # the row sums are the same bit for bit
-    qii = np.asarray(sp.csr_matrix((x.data * x.data, x.indices, x.indptr),
-                                   shape=x.shape).sum(axis=1)).ravel()
-
-    weights = shared_zeros((x.shape[1], classes.size)).T
-    problem = (x, x.indices.astype(np.intp), y_all, classes, cost_c, qii,
-               rng, weights)
-    with fork_pool(min(jobs, classes.size), problem) as run:
-        solved = list(run(_solve_class, range(classes.size)))
-    for cls, (hist, violation) in zip(classes, solved):
-        if violation >= SVM_TOL:
-            log.warning("SVM class %d did not converge: %d passes, max "
-                        "violation %.4g >= tolerance %g", int(cls), len(hist),
-                        violation, SVM_TOL)
-    return LinearSvmModel(classes=classes, weights=weights,
-                          objective_history=[hist for hist, _ in solved])
-
-
-def _as_csr_of_width(features, width: int) -> sp.csr_matrix:
-    """``as_csr(features)``, rejecting a width other than the model's."""
-    x = as_csr(features)
-    if x.shape[1] != width:
-        raise ValueError(f"features have dimension {x.shape[1]}, the model "
-                         f"{width}")
-    return x
-
-
-def svm_predict_many(model: LinearSvmModel, features) -> np.ndarray:
-    """Argmax of per-class decision values; ties go to the smallest label."""
-    x = _as_csr_of_width(features, model.weights.shape[1])
-    return model.classes[np.argmax(x @ model.weights.T, axis=1)]
-
-
-def _column_means(x: sp.csr_matrix) -> np.ndarray:
-    """``x.mean(axis=0)`` bit for bit, without the scaled copy of ``x``
-    scipy makes: each entry times 1/n, added to its column in storage
-    order, a bounded run of entries at a time."""
-    n, d = x.shape
-    mean = np.zeros(d)
-    step = BUDGET // 8
-    for k0 in range(0, x.nnz, step):
-        np.add.at(mean, x.indices[k0:k0 + step], x.data[k0:k0 + step] * (1.0 / n))
-    return mean
+    return x if x.has_sorted_indices else x.sorted_indices()
 
 
 def _column_blocks(n: int, d: int) -> list[tuple[int, int]]:
-    """``(c0, c1)`` of each block of feature columns the WPCA fit
-    densifies: ``BUDGET`` bytes of an n-row batch, whatever ``jobs``."""
+    """``(c0, c1)`` of each block of feature columns the fits densify:
+    ``BUDGET`` bytes of an n-row batch, whatever ``jobs``."""
     width = max(1, BUDGET // (8 * n))
     return [(c0, min(c0 + width, d)) for c0 in range(0, d, width)]
 
@@ -287,10 +149,164 @@ def _columns(x: sp.csr_matrix, block) -> sp.csr_matrix:
                          shape=(x.shape[0], c1 - c0))
 
 
-def _gram_block(x, block) -> np.ndarray:
-    """The n x n Gram ``D D^T`` of the dense column block ``D``."""
-    dense = _columns(x, block).toarray()
-    return dense @ dense.T
+def _gram_runs(n: int, d: int) -> list[list[tuple[int, int]]]:
+    """The column blocks in at most ``GRAM_TASKS`` runs, one per task, each
+    n or more columns wide (or all d): no partial outgrows its dense input."""
+    blocks = _column_blocks(n, d)
+    per_run = max(-(-n // (blocks[0][1] - blocks[0][0])),
+                  -(-len(blocks) // GRAM_TASKS))
+    runs = [blocks[i:i + per_run] for i in range(0, len(blocks), per_run)]
+    if len(runs) > 1 and runs[-1][-1][1] - runs[-1][0][0] < n:
+        runs[-2:] = [runs[-2] + runs[-1]]
+    return runs
+
+
+def _gram_run(x, run) -> np.ndarray:
+    """``D D^T`` summed over a run's dense column blocks ``D``, a strip of
+    rows at a time, each from its first row's column on (upper triangle)."""
+    n = x.shape[0]
+    rows = max(1, BUDGET // (8 * n))
+    gram = np.zeros((n, n))
+    for block in run:
+        dense = _columns(x, block).toarray()
+        for r0 in range(0, n, rows):
+            gram[r0:r0 + rows, r0:] += dense[r0:r0 + rows] @ dense[r0:].T
+    return gram
+
+
+def gram_matrix(x: sp.csr_matrix, jobs: int = 1) -> np.ndarray:
+    """``X X^T`` of a CSR ``x`` with sorted indices, one task per run of
+    :func:`_gram_runs`, summed in run order. On counts every partial sum is
+    an integer of at most 576 * 49**2 (576 blocks of 7 x 7 pixels), far
+    below 2**53, so the Gram is exact; non-integer (``wpca_sqrt``) features
+    can move in the last bits."""
+    n, d = x.shape
+    with fork_pool(jobs, x) as run:
+        partials = run(_gram_run, _gram_runs(n, d))
+        gram = next(partials)
+        for partial in partials:
+            gram += partial
+    for i in range(1, n):
+        gram[i, :i] = gram[:i, i]
+    return gram
+
+
+def _solve_binary(gram, y, cost_c, gen, tol, max_passes):
+    """Dual coordinate descent (Hsieh et al., ICML 2008) for one binary
+    L1-hinge problem on the training rows' Gram matrix, until a full pass's
+    largest projected-gradient violation is below ``tol`` or after
+    ``max_passes`` passes. Returns ``alpha * y``, the dual objective after
+    each pass and the last pass's largest violation. The margins ``m =
+    gram @ (alpha * y)`` (each row times the primal weights) are kept: a
+    step reads ``m[i]``, an update adds a multiple of Gram row i, O(n)."""
+    n = y.size
+    qii = np.diag(gram)
+    alpha = np.zeros(n)
+    margin = np.zeros(n)
+    history = []
+    for _ in range(max_passes):
+        max_violation = 0.0
+        for i in gen.permutation(n).tolist():
+            grad = y[i] * margin[i] - 1.0
+            a = alpha[i]
+            if a <= 0.0:
+                violation = min(grad, 0.0)
+            elif a >= cost_c:
+                violation = max(grad, 0.0)
+            else:
+                violation = grad
+            if abs(violation) > max_violation:
+                max_violation = abs(violation)
+            if abs(violation) > 1e-12:
+                if qii[i] > 0.0:
+                    a_new = min(max(a - grad / qii[i], 0.0), cost_c)
+                else:
+                    a_new = cost_c if grad < 0.0 else 0.0
+                if a_new != a:
+                    margin += (a_new - a) * y[i] * gram[i]
+                    alpha[i] = a_new
+        objective = 0.5 * float((alpha * y) @ margin) - float(alpha.sum())
+        if history and objective > history[-1] + 1e-9 * max(1.0, abs(history[-1])):
+            raise RuntimeError("dual objective increased; solver state corrupt")
+        history.append(objective)
+        if max_violation < tol:
+            break
+    return alpha * y, history, max_violation
+
+
+def _solve_class(problem, k):
+    """Solve class ``k``'s binary problem into column ``k`` of ``coefs``;
+    return its objective history and its last pass's largest violation."""
+    gram, y_all, classes, cost_c, rng, coefs = problem
+    cls = int(classes[k])
+    coefs[:, k], hist, violation = _solve_binary(
+        gram, np.where(y_all == cls, 1.0, -1.0), cost_c,
+        rng.stream(f"svm.class.{cls}"), SVM_TOL, SVM_MAX_PASSES)
+    return np.asarray(hist), violation
+
+
+def svm_train(features, labels, cost_c: float = 1.0,
+              rng: Rng | None = None, jobs: int = 1) -> LinearSvmModel:
+    """One-vs-rest linear SVM on sparse features.
+
+    After one :func:`gram_matrix`, ``run(_solve_class, range(n_classes))``
+    over ``forkpool.fork_pool(min(jobs, n_classes), problem)`` writes each
+    class's ``alpha * y`` into a column of one ``shared_zeros`` array ``B``
+    and returns its objective history and final violation. Each class draws
+    its own stream, seeded from its label, so the result does not depend on
+    ``jobs``. The weights are ``(X^T B)^T``, Fortran-ordered. Warnings are
+    logged here, in class order. Rejects a non-finite or non-positive
+    ``cost_c`` first."""
+    if not 0.0 < cost_c < np.inf:
+        raise ValueError("cost_c must be finite and > 0")
+    x = _sorted_csr(features)
+    y_all = np.asarray(labels, dtype=np.int64)
+    if y_all.shape[0] != x.shape[0]:
+        raise ValueError("label/sample count mismatch")
+    reject_non_finite(features=x.data)
+    classes = np.unique(y_all)
+    if classes.size < 2:
+        raise ValueError("need at least two classes")
+    rng = rng if rng is not None else Rng(0)
+
+    coefs = shared_zeros((x.shape[0], classes.size))
+    problem = (gram_matrix(x, jobs), y_all, classes, cost_c, rng, coefs)
+    with fork_pool(min(jobs, classes.size), problem) as run:
+        solved = list(run(_solve_class, range(classes.size)))
+    for cls, (hist, violation) in zip(classes, solved):
+        if violation >= SVM_TOL:
+            log.warning("SVM class %d did not converge: %d passes, max "
+                        "violation %.4g >= tolerance %g", int(cls), len(hist),
+                        violation, SVM_TOL)
+    return LinearSvmModel(classes=classes, weights=(x.T @ coefs).T,
+                          objective_history=[hist for hist, _ in solved])
+
+
+def _as_csr_of_width(features, width: int) -> sp.csr_matrix:
+    """``as_csr(features)``, rejecting a width other than the model's."""
+    x = as_csr(features)
+    if x.shape[1] != width:
+        raise ValueError(f"features have dimension {x.shape[1]}, the model "
+                         f"{width}")
+    return x
+
+
+def svm_predict_many(model: LinearSvmModel, features) -> np.ndarray:
+    """Argmax of per-class decision values; ties go to the smallest label."""
+    x = _as_csr_of_width(features, model.weights.shape[1])
+    return model.classes[np.argmax(x @ model.weights.T, axis=1)]
+
+
+def _column_means(x: sp.csr_matrix) -> np.ndarray:
+    """``x.mean(axis=0)`` bit for bit, without the scaled copy of ``x``
+    scipy makes: each entry times 1/n, added to its column in storage
+    order, a bounded run of entries at a time."""
+    n, d = x.shape
+    mean = np.zeros(d)
+    step = BUDGET // 8
+    for k0 in range(0, x.nnz, step):
+        np.add.at(mean, x.indices[k0:k0 + step], x.data[k0:k0 + step] * (1.0 / n))
+    return mean
 
 
 def _lift_block(state, block) -> None:
@@ -324,18 +340,10 @@ def wpca_fit(features, labels, target_dim: int,
     times the features' sum of squares over n - 1 are dropped; asking for
     more components than survive raises.
 
-    The eigenproblem is solved on the n x n Gram matrix, whatever the
-    feature dimension d, and the fit is two fan-outs over
-    ``forkpool.fork_pool(jobs, ...)``, each task one block of feature
-    columns from :func:`_column_blocks` (a split that does not depend on
-    ``jobs``), so no process densifies more than ``BUDGET`` bytes of the
-    batch. The uncentered Gram ``X X^T`` is the sum, in block order, of
-    each block's dense product. On integer counts every partial sum is an
-    integer no larger than the largest row's squared norm (576 * 49**2
-    for 576 blocks of 7 x 7 pixels), far below 2**53, so the Gram is
-    exact in any block split and summation order; non-integer
-    (``wpca_sqrt``) features can move in the last bits. The lift ``X^T
-    V`` stays a sparse product, each task writing its columns of the
+    The eigenproblem is solved on the n x n Gram (:func:`gram_matrix`),
+    whatever the feature dimension d. The lift ``X^T V`` stays a sparse
+    product, one task per block of :func:`_column_blocks` over
+    ``forkpool.fork_pool(jobs, ...)``, each writing its columns of the
     components into one ``forkpool.shared_zeros`` array; scipy sums every
     output over the rows of ``X`` in ascending order, whatever the column
     range, so the rows are those of one whole product. The training set
@@ -345,18 +353,12 @@ def wpca_fit(features, labels, target_dim: int,
     """
     if target_dim < 1:
         raise ValueError("target_dim must be >= 1")
-    x = as_csr(features)
-    if not x.has_sorted_indices:    # _columns bisects each row's indices
-        x = x.sorted_indices()
+    x = _sorted_csr(features)
     n, d = x.shape
     if n < 2:
         raise ValueError("need at least two samples")
     mean = _column_means(x)
-    blocks = _column_blocks(n, d)
-    gram_xx = np.zeros((n, n))
-    with fork_pool(jobs, x) as run:
-        for partial in run(_gram_block, blocks):
-            gram_xx += partial
+    gram_xx = gram_matrix(x, jobs)
     _center_gram(gram_xx, x, mean)
     eigvals, dual_vecs = jacobi_eigh(gram_xx)
 
@@ -372,7 +374,7 @@ def wpca_fit(features, labels, target_dim: int,
     norms = np.sqrt((n - 1) * eigvals[:target_dim])
     rows = shared_zeros((target_dim, d))
     with fork_pool(jobs, (x, dual, dual_sums, mean, norms, rows)) as run:
-        list(run(_lift_block, blocks))
+        list(run(_lift_block, _column_blocks(n, d)))
     signs = fix_row_signs(rows)
     rows *= scale[:, None]
     return WpcaCosineModel(mean, rows, np.sqrt(n - 1) * dual * signs,

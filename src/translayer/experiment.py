@@ -9,11 +9,11 @@ function on the same model. Each image comes back as ``(indices,
 counts)`` in the narrowest dtypes that hold them: int32 indices wherever
 scipy indexes the CSR matrix with int32, and counts sized to a block's
 pixel count, a fraction of the int64 pair to unpickle. Training then
-passes the same ``jobs`` to the classifier fit: ``svm_train`` solves one
-class per task, and ``wpca_fit`` builds its Gram and lift one block of
-feature columns per task. A fourth fan-out comes first: each autoencoder
-layer draws its corruption masks one epoch per task
-(``filters.train_dae``).
+passes the same ``jobs`` to the classifier fit: both fits sum their Gram
+over runs of feature columns, then ``svm_train`` solves one class per
+task and ``wpca_fit`` lifts one block of columns per task. A fourth
+fan-out comes first: each autoencoder layer draws its corruption masks
+one epoch per task (``filters.train_dae``).
 
 Evaluation runs its tasks through :func:`_predict_task`, which encodes
 them with :func:`_encode_task` and scores them where it runs, returning
@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .classify import (LinearSvmModel, WpcaCosineModel, as_csr,
-                       check_wpca_size, cosine_nn, svm_predict_many, svm_train,
+                       check_gram_size, cosine_nn, svm_predict_many, svm_train,
                        wpca_apply, wpca_fit)
 from . import encoder
 from .filters import (common_size, draw_patch_locations, gather_patches,
@@ -98,15 +98,13 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
         raise ValueError("label/image count mismatch")
     if cfg.classifier == "svm" and np.unique(labels).size < 2:
         raise ValueError("need at least two classes")
+    check_gram_size(cfg.classifier, len(images))
     h, w = common_size(images)
     dim = encoder.feature_dim((h, w), cfg)   # rejects a block larger than (h, w)
-    if cfg.classifier == "wpca_cosine":
-        check_wpca_size(len(images))
-        # a centered sample of n images has rank at most n - 1
-        if cfg.wpca_dim > min(len(images) - 1, dim):
-            raise ValueError(
-                f"wpca_dim {cfg.wpca_dim} exceeds min(training images - 1, "
-                f"feature dimension) = min({len(images) - 1}, {dim})")
+    # a centered sample of n images has rank at most n - 1
+    if cfg.classifier == "wpca_cosine" and cfg.wpca_dim > min(len(images) - 1, dim):
+        raise ValueError(f"wpca_dim {cfg.wpca_dim} exceeds min(training images"
+                         f" - 1, feature dimension) = min({len(images) - 1}, {dim})")
 
     rng = Rng(cfg.seed)
     shape = cfg.patch_shape()

@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from translayer import Rng, cosine_nn, svm_train, wpca_apply, wpca_fit
@@ -165,6 +167,33 @@ def test_non_finite_feature_rejected():
         svm_train(bad, SEPARABLE_Y, cost_c=1.0)
 
 
+@pytest.mark.parametrize("cost_c", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_cost_not_finite_and_positive_rejected_before_any_pass(monkeypatch,
+                                                               cost_c):
+    def no_gram(*args):
+        raise AssertionError("summed the Gram before checking cost_c")
+
+    monkeypatch.setattr(classify, "gram_matrix", no_gram)
+    with pytest.raises(ValueError, match="cost_c must be finite and > 0"):
+        svm_train(SEPARABLE_X, SEPARABLE_Y, cost_c=cost_c, rng=Rng(0))
+
+
+def test_svm_memory_does_not_grow_with_nonzeros():
+    # 150 rows of 25.7k nonzeros each: 3.9M nonzeros against a 150 x 150
+    # Gram. The fit holds one BUDGET block, the Gram and the (d, K) lift,
+    # not an 8-byte copy of the indices
+    x = block_counts(150, 576, 256, seed=80)
+    labels = np.arange(150) % 4
+    assert x.nnz > 100 * 150**2
+    tracemalloc.start()
+    try:
+        svm_train(x, labels, cost_c=1.0, rng=Rng(80), jobs=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * x.nnz
+
+
 def test_training_deterministic_per_seed():
     gen = np.random.default_rng(7)
     x = gen.random((40, 6))
@@ -175,12 +204,18 @@ def test_training_deterministic_per_seed():
 
 
 def reference_svm_train(features, labels, cost_c, rng):
-    """svm_train with the reference coordinate step: the gradient and the
-    update each gather ``w`` through the CSR's own int32 indices."""
+    """svm_train with the primal coordinate step of Hsieh et al.: the
+    gradient and the update each gather ``w`` through the CSR's own int32
+    indices. Also returns how near any decision of the path came to its
+    threshold: a pass's largest violation to the tolerance, and an
+    unclipped step to 0 or ``cost_c`` (relative to ``cost_c``). Another
+    rounding of the same arithmetic can take the other side of a decision
+    that near. The 1e-12 step threshold is left out: it lies far above the
+    rounding of a violation that is zero in exact arithmetic."""
     x = as_csr(features)
     y_all = np.asarray(labels, dtype=np.int64)
     qii = np.asarray(x.multiply(x).sum(axis=1)).ravel()
-    weights, histories = [], []
+    weights, histories, closest = [], [], np.inf
     for cls in np.unique(y_all):
         y = np.where(y_all == cls, 1.0, -1.0)
         gen = rng.stream(f"svm.class.{int(cls)}")
@@ -203,48 +238,183 @@ def reference_svm_train(features, labels, cost_c, rng):
                 max_violation = max(max_violation, abs(violation))
                 if abs(violation) > 1e-12:
                     if qii[i] > 0.0:
-                        a_new = min(max(a - grad / qii[i], 0.0), cost_c)
+                        step = a - grad / qii[i]
+                        closest = min(closest, abs(step) / cost_c,
+                                      abs(step - cost_c) / cost_c)
+                        a_new = min(max(step, 0.0), cost_c)
                     else:
                         a_new = cost_c if grad < 0.0 else 0.0
                     if a_new != a:
                         w[idx] += (a_new - a) * y[i] * vals
                         alpha[i] = a_new
             history.append(0.5 * float(w @ w) - float(alpha.sum()))
+            closest = min(closest, abs(max_violation - classify.SVM_TOL))
             if max_violation < classify.SVM_TOL:
                 break
+        weights.append(w)
+        histories.append(np.asarray(history))
+    return np.stack(weights), histories, closest
+
+
+def reference_gram_svm_train(features, labels, cost_c, rng, gram):
+    """svm_train with a plain-Python Gram-form step: each sample's margin
+    ``m[i] = gram[i] @ (alpha * y)`` kept up to date one entry at a time;
+    the objective's dot product and sum taken as the solver takes them.
+    Returns the weights, lifted one training row at a time in row order,
+    and the objective histories."""
+    x = as_csr(features)
+    y_all = np.asarray(labels, dtype=np.int64)
+    n = y_all.size
+    rows = [[float(v) for v in row] for row in gram]
+    weights, histories = [], []
+    for cls in np.unique(y_all):
+        y = [1.0 if label == cls else -1.0 for label in y_all]
+        gen = rng.stream(f"svm.class.{int(cls)}")
+        alpha = [0.0] * n
+        margin = [0.0] * n
+        history = []
+        for _ in range(classify.SVM_MAX_PASSES):
+            max_violation = 0.0
+            for i in gen.permutation(n):
+                grad = y[i] * margin[i] - 1.0
+                a = alpha[i]
+                if a <= 0.0:
+                    violation = min(grad, 0.0)
+                elif a >= cost_c:
+                    violation = max(grad, 0.0)
+                else:
+                    violation = grad
+                max_violation = max(max_violation, abs(violation))
+                if abs(violation) > 1e-12:
+                    if rows[i][i] > 0.0:
+                        a_new = min(max(a - grad / rows[i][i], 0.0), cost_c)
+                    else:
+                        a_new = cost_c if grad < 0.0 else 0.0
+                    if a_new != a:
+                        step = (a_new - a) * y[i]
+                        for j in range(n):
+                            margin[j] += step * rows[i][j]
+                        alpha[i] = a_new
+            coef = np.array(alpha) * np.array(y)
+            history.append(0.5 * float(coef @ np.array(margin))
+                           - float(np.array(alpha).sum()))
+            if max_violation < classify.SVM_TOL:
+                break
+        w = np.zeros(x.shape[1])
+        for i in range(n):
+            lo, hi = x.indptr[i], x.indptr[i + 1]
+            w[x.indices[lo:hi]] += coef[i] * x.data[lo:hi]
         weights.append(w)
         histories.append(np.asarray(history))
     return np.stack(weights), histories
 
 
-def assert_matches_reference(features, labels, cost_c, seed):
+def assert_bit_identical_to_gram_reference(features, labels, cost_c, seed,
+                                           gram):
     model = svm_train(features, labels, cost_c=cost_c, rng=Rng(seed))
-    weights, histories = reference_svm_train(features, labels, cost_c, Rng(seed))
+    weights, histories = reference_gram_svm_train(features, labels, cost_c,
+                                                  Rng(seed), gram)
     assert np.array_equal(model.weights, weights)
     assert len(model.objective_history) == len(histories)
     for got, want in zip(model.objective_history, histories):
         assert np.array_equal(got, want)
 
 
-def test_sparse_solver_bit_identical_to_reference_step():
-    # histogram-like counts with repeated values over four classes; row 5
-    # is all zero, which takes the qii == 0 branch
+# how near a decision threshold, or how near a tie of two decision values,
+# rounding can decide which side the primal and Gram forms take
+TIE = 1e-9
+
+
+def assert_matches_primal_oracle(features, labels, cost_c, seed,
+                                 skip_near_ties=False, rtol=1e-12):
+    """Equal pass counts and training-set predictions; weights and
+    objective histories within ``rtol`` of each class's largest value (for
+    the weights, or of its largest term).
+
+    Both forms do the same arithmetic up to rounding, so a path that comes
+    within ``TIE`` of a decision threshold fails, or with
+    ``skip_near_ties`` is rejected (``assume``), and a row whose two
+    largest decision values are within ``TIE`` is left out of the
+    predictions. Integer counts meet such exact ties: a pass's
+    largest violation of exactly ``SVM_TOL``, or two classes' equal
+    decision values.
+    """
+    model = svm_train(features, labels, cost_c=cost_c, rng=Rng(seed))
+    weights, histories, closest = reference_svm_train(features, labels,
+                                                      cost_c, Rng(seed))
+    if skip_near_ties:
+        assume(closest >= TIE)
+    assert closest >= TIE
+    assert [len(h) for h in model.objective_history] == [len(h) for h in histories]
+    values = as_csr(features) @ weights.T
+    top2 = np.sort(values, axis=1)[:, -2:]
+    clear = top2[:, 1] - top2[:, 0] > TIE * np.maximum(1.0, np.abs(top2[:, 1]))
+    oracle = model.classes[np.argmax(values, axis=1)]
+    assert np.array_equal(svm_predict_many(model, features)[clear], oracle[clear])
+    # a weight sums terms alpha * x of at most cost_c * max(x) each, which
+    # may cancel to zero
+    term = cost_c * np.abs(as_csr(features).data).max(initial=0.0)
+    for got, want in zip(model.weights, weights):
+        assert np.abs(got - want).max() <= rtol * max(np.abs(want).max(), term)
+    for got, want in zip(model.objective_history, histories):
+        assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def sparse_counts_problem():
+    """Histogram-like counts with repeated values over four classes; row 5
+    is all zero, which takes the zero-diagonal branch."""
     gen = np.random.default_rng(12)
     counts = gen.integers(0, 4, size=(48, 300)).astype(np.float64)
     counts[gen.random(counts.shape) < 0.8] = 0.0
     counts[5] = 0.0
     labels = gen.integers(0, 4, size=48)
-    x = sp.csr_matrix(counts)
-    assert x.indices.dtype == np.int32
-    assert_matches_reference(x, labels, 0.5, 13)
+    return sp.csr_matrix(counts), labels, 0.5, 13
 
 
-def test_dense_solver_bit_identical_to_reference_step():
+def dense_problem():
     gen = np.random.default_rng(14)
     x = gen.random((40, 12))
     y = (x[:, 0] + x[:, 1] + 0.4 * gen.standard_normal(40) > 1.0).astype(int)
     y[::7] = 2
-    assert_matches_reference(x, y, 1.0, 15)
+    return x, y, 1.0, 15
+
+
+def test_sparse_solver_bit_identical_to_reference_step():
+    # on counts the blocked Gram is exact, so scipy's product is the Gram
+    x, labels, cost_c, seed = sparse_counts_problem()
+    assert_bit_identical_to_gram_reference(x, labels, cost_c, seed,
+                                           (x @ x.T).toarray())
+
+
+def test_dense_solver_bit_identical_to_reference_step():
+    # non-integer features: the Gram's own bits come from the blocked pass,
+    # which is pinned on counts only; this pins the step on top of it
+    x, y, cost_c, seed = dense_problem()
+    assert_bit_identical_to_gram_reference(
+        x, y, cost_c, seed, classify.gram_matrix(as_csr(x)))
+
+
+@pytest.mark.parametrize("problem", [sparse_counts_problem, dense_problem])
+def test_solver_matches_primal_oracle(problem):
+    assert_matches_primal_oracle(*problem())
+
+
+@st.composite
+def count_problems(draw):
+    """A random sparse count matrix with two to four classes, each present."""
+    n = draw(st.integers(4, 24))
+    d = draw(st.integers(1, 40))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = gen.integers(0, 6, size=(n, d)).astype(np.float64)
+    counts[gen.random((n, d)) < draw(st.sampled_from([0.3, 0.7, 0.95]))] = 0.0
+    labels = gen.permutation(np.arange(n) % draw(st.integers(2, 4)))
+    cost_c = draw(st.sampled_from([0.05, 0.5, 1.0, 3.0]))
+    return sp.csr_matrix(counts), labels, cost_c, draw(st.integers(0, 99))
+
+
+@given(count_problems())
+def test_gram_solver_matches_primal_oracle_on_random_counts(problem):
+    assert_matches_primal_oracle(*problem, skip_near_ties=True)
 
 
 def test_pass_cap_logs_warning(monkeypatch, caplog):
@@ -477,6 +647,15 @@ def test_blocked_gram_route_matches_sparse_reference(monkeypatch, jobs, n,
     monkeypatch.setattr(classify, "BUDGET", 8 * n * width)
     x = block_counts(n, 9, 16, seed=200 + n)
     assert len(classify._column_blocks(n, x.shape[1])) == -(-144 // width)
+    # each Gram task sums a run of consecutive blocks at least n columns
+    # wide, so it sends back no more than it densified
+    runs = classify._gram_runs(n, x.shape[1])
+    assert [block for run in runs for block in run] == \
+        classify._column_blocks(n, x.shape[1])
+    assert all(run[-1][1] - run[0][0] >= n for run in runs)
+    assert len(runs) <= classify.GRAM_TASKS
+    assert np.array_equal(classify.gram_matrix(x, jobs=jobs),
+                          (x @ x.T).toarray())
     model = wpca_fit(x, np.zeros(n), target_dim, jobs=jobs)
     mean, projection, vectors = wpca_fit_gram_reference(x, target_dim)
     assert np.array_equal(model.mean, mean)
@@ -544,7 +723,7 @@ def test_wpca_fit_sorts_a_copy_of_unsorted_indices():
     assert np.array_equal(unsorted.indices, indices)   # the caller's rows stay
 
 
-@pytest.mark.parametrize("budget", [8, 8 * 1000, classify.BUDGET])
+@pytest.mark.parametrize("budget", [8, 8 * 1000, classify.BUDGET, 32 * 2**20])
 def test_column_means_equal_scipy_mean(monkeypatch, budget):
     # square-rooted counts, as wpca_sqrt feeds them: not integers, so the
     # order of the additions shows in the bits

@@ -401,8 +401,22 @@ def test_oversized_wpca_training_set_fails_before_extraction(glyph_train,
     monkeypatch.setattr(experiment, "sample_patches", no_patches)
     images, labels = glyph_train
     cfg = tiny_config(classifier="wpca_cosine", wpca_dim=5)
-    with pytest.raises(classify.WpcaSizeError, match=r"26 x 26 .* limit is 25"):
+    with pytest.raises(classify.GramSizeError, match=r"26 x 26 .* limit is 25"):
         train_model(cfg, images[:26], labels[:26])
+
+
+def test_oversized_svm_training_set_fails_before_extraction(glyph_train,
+                                                            monkeypatch):
+    # one image referenced SVM_MAX_N + 1 times: the size is checked without
+    # allocating the batch, its features or the Gram
+    monkeypatch.setattr(experiment, "sample_patches", no_patches)
+    images, _ = glyph_train
+    n = classify.SVM_MAX_N + 1
+    with pytest.raises(classify.GramSizeError,
+                       match=rf"svm would solve on a {n} x {n} Gram matrix "
+                             rf"of {n} training images \(1.15 GB\); the "
+                             rf"limit is {classify.SVM_MAX_N}"):
+        train_model(tiny_config(), [images[0]] * n, np.arange(n) % 2)
 
 
 def no_patches(*args, **kwargs):
@@ -454,7 +468,13 @@ def test_wpca_dim_beyond_feature_dim_fails_before_sampling(glyph_train,
 
 def test_wpca_size_limit_is_inclusive(monkeypatch):
     monkeypatch.setattr(classify, "WPCA_MAX_N", 25)
-    classify.check_wpca_size(25)
-    with pytest.raises(classify.WpcaSizeError,
+    classify.check_gram_size("wpca_cosine", 25)
+    with pytest.raises(classify.GramSizeError,
                        match="26 x 26 Gram matrix of 26 training images"):
-        classify.check_wpca_size(26)
+        classify.check_gram_size("wpca_cosine", 26)
+
+
+def test_svm_size_limit_is_inclusive():
+    classify.check_gram_size("svm", classify.SVM_MAX_N)
+    with pytest.raises(classify.GramSizeError, match="the limit is 12000"):
+        classify.check_gram_size("svm", classify.SVM_MAX_N + 1)
