@@ -26,15 +26,18 @@ from .types import reject_non_finite
 SVM_TOL = 0.1
 SVM_MAX_PASSES = 1000
 # Largest training sets: both fits hold the n x n Gram, 1.15 GB at the
-# largest digit corpus's 12000; at n=2400 and d=147456 wpca_fit at jobs=2
-# took 39 s and held 475 MB above its input on a 2-vCPU VM.
+# largest digit corpus's 12000 (svm_train there took 108 s at jobs=2 and
+# about 3.4 GB; wpca_fit at n=2400 took 39 s, d=147456, 2 vCPUs).
 SVM_MAX_N, WPCA_MAX_N = 12000, 2400
-# Bytes of the largest temporary of the training batch in any process: a
-# dense block of columns, a strip of its Gram, or a run of column entries.
+# Bytes of a temporary of the training batch: a block of dense columns (at
+# least GRAM_WIDTH wide in the Gram), a run of Gram rows or column entries.
 BUDGET = 8 * 2**20
-# Most Gram tasks, whatever jobs: each pipes back an n x n partial (n=2000,
-# d=147456, jobs=2: 70 tasks took 10.1 s, 16 took 6.3 s).
-GRAM_TASKS = 16
+# Gram tasks, whatever jobs: two, or one per run of Gram rows up to
+# GRAM_STRIPS, as each densifies the rows below its strip again. A column
+# more than DENSE_SHARE of the rows use enters as dense products, at least
+# GRAM_WIDTH columns deep (sparse and dense multiply-adds took 2.2 and 0.03
+# ns on glyph features).
+GRAM_STRIPS, DENSE_SHARE, GRAM_WIDTH = 8, 0.08, 512
 
 log = logging.getLogger("translayer")
 
@@ -125,10 +128,10 @@ def _column_blocks(n: int, d: int) -> list[tuple[int, int]]:
     return [(c0, min(c0 + width, d)) for c0 in range(0, d, width)]
 
 
-def _first_at_or_after(x: sp.csr_matrix, col: int) -> np.ndarray:
-    """Per row of ``x``, whose indices are sorted, the storage position of
-    its first entry in a column >= ``col``: all rows bisected at once."""
-    lo, hi = x.indptr[:-1].astype(np.int64), x.indptr[1:].astype(np.int64)
+def _first_at_or_after(x: sp.csr_matrix, col: int, r0: int) -> np.ndarray:
+    """Per row of ``x[r0:]``, whose indices are sorted, the storage position
+    of its first entry in a column >= ``col``: all rows bisected at once."""
+    lo, hi = x.indptr[r0:-1].astype(np.int64), x.indptr[r0 + 1:].astype(np.int64)
     while (lo < hi).any():
         mid = (lo + hi) // 2
         # a settled row has lo == mid == hi, which may be nnz; it stays put
@@ -137,68 +140,67 @@ def _first_at_or_after(x: sp.csr_matrix, col: int) -> np.ndarray:
     return lo
 
 
-def _columns(x: sp.csr_matrix, block) -> sp.csr_matrix:
-    """``x[:, c0:c1]`` of an ``x`` with sorted indices, each row's entries
+def _columns(x: sp.csr_matrix, block, r0: int = 0) -> sp.csr_matrix:
+    """``x[r0:, c0:c1]`` of an ``x`` with sorted indices, each row's entries
     taken from the range a bisection finds, where scipy's slice scans every
     entry."""
     c0, c1 = block
-    start, stop = _first_at_or_after(x, c0), _first_at_or_after(x, c1)
+    start, stop = _first_at_or_after(x, c0, r0), _first_at_or_after(x, c1, r0)
     indptr = np.concatenate(([0], np.cumsum(stop - start)))
     pos = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], stop - start)
     return sp.csr_matrix((x.data[pos], x.indices[pos] - c0, indptr),
-                         shape=(x.shape[0], c1 - c0))
+                         shape=(x.shape[0] - r0, c1 - c0))
 
 
-def _gram_runs(n: int, d: int) -> list[list[tuple[int, int]]]:
-    """The column blocks in at most ``GRAM_TASKS`` runs, one per task, each
-    n or more columns wide (or all d): no partial outgrows its dense input."""
-    blocks = _column_blocks(n, d)
-    per_run = max(-(-n // (blocks[0][1] - blocks[0][0])),
-                  -(-len(blocks) // GRAM_TASKS))
-    runs = [blocks[i:i + per_run] for i in range(0, len(blocks), per_run)]
-    if len(runs) > 1 and runs[-1][-1][1] - runs[-1][0][0] < n:
-        runs[-2:] = [runs[-2] + runs[-1]]
-    return runs
-
-
-def _gram_run(x, run) -> np.ndarray:
-    """``D D^T`` summed over a run's dense column blocks ``D``, a strip of
-    rows at a time, each from its first row's column on (upper triangle)."""
+def _gram_strip(state, strip) -> None:
+    """Gram rows ``r0:r1`` from column r0 on, a run of rows at a time: the
+    light columns' sparse product, then the dense blocks' in column order;
+    then their mirror below the diagonal, a run at a time."""
+    (x, dense_cols, x_light, gram), (r0, r1) = state, strip
     n = x.shape[0]
-    rows = max(1, BUDGET // (8 * n))
-    gram = np.zeros((n, n))
-    for block in run:
-        dense = _columns(x, block).toarray()
-        for r0 in range(0, n, rows):
-            gram[r0:r0 + rows, r0:] += dense[r0:r0 + rows] @ dense[r0:].T
-    return gram
+    step = max(1, BUDGET // (8 * n))
+    runs = [(i, min(i + step, r1)) for i in range(r0, r1, step)]
+    p0 = x_light.indptr[r0]  # rows r0: of x_light, not copied
+    below = sp.csr_matrix((x_light.data[p0:], x_light.indices[p0:],
+                           x_light.indptr[r0:] - p0), (n - r0, x_light.shape[1]))
+    for i, j in runs:
+        gram[i:j, r0:] = (below @ x_light[i:j].T).T.toarray()
+    width = max(GRAM_WIDTH, BUDGET // (8 * n))
+    for c0 in range(0, dense_cols.size, width):
+        cols = dense_cols[c0:c0 + width]
+        dense = _columns(x, (cols[0], cols[-1] + 1), r0)[:, cols - cols[0]].toarray()
+        for i, j in runs:
+            gram[i:j, r0:] += dense[i - r0:j - r0] @ dense.T
+    for i, j in runs:  # each run's own square is whole
+        gram[j:, i:j] = gram[i:j, j:].T
 
 
 def gram_matrix(x: sp.csr_matrix, jobs: int = 1) -> np.ndarray:
-    """``X X^T`` of a CSR ``x`` with sorted indices, one task per run of
-    :func:`_gram_runs`, summed in run order. On counts every partial sum is
-    an integer of at most 576 * 49**2 (576 blocks of 7 x 7 pixels), far
-    below 2**53, so the Gram is exact; non-integer (``wpca_sqrt``) features
-    can move in the last bits."""
+    """``X X^T`` of a CSR ``x`` with sorted indices in a ``shared_zeros``
+    array, each task writing one strip's rows and columns (equal shares of
+    the upper triangle). On counts every partial sum is an integer of at
+    most 576 * 49**2, far below 2**53, so it is exact; other (``wpca_sqrt``)
+    features can move in the last bits, but not with ``jobs``."""
     n, d = x.shape
-    with fork_pool(jobs, x) as run:
-        partials = run(_gram_run, _gram_runs(n, d))
-        gram = next(partials)
-        for partial in partials:
-            gram += partial
-    for i in range(1, n):
-        gram[i, :i] = gram[:i, i]
+    uses = np.zeros(d, np.int64)
+    np.add.at(uses, x.indices, 1)  # bincount would copy them as intp
+    light = uses <= DENSE_SHARE * n
+    gram = shared_zeros((n, n))
+    state = (x, np.flatnonzero(~light), x[:, np.flatnonzero(light)], gram)
+    strips = min(GRAM_STRIPS, max(2, -(-8 * n * n // BUDGET)))
+    edges = [int(e) for e in np.rint(n - n * np.sqrt(np.linspace(1, 0, strips + 1)))]
+    with fork_pool(jobs, state) as run:
+        list(run(_gram_strip, [s for s in zip(edges, edges[1:]) if s[0] < s[1]]))
     return gram
 
 
 def _solve_binary(gram, y, cost_c, gen, tol, max_passes):
     """Dual coordinate descent (Hsieh et al., ICML 2008) for one binary
-    L1-hinge problem on the training rows' Gram matrix, until a full pass's
+    L1-hinge problem on the training rows' Gram matrix, until a pass's
     largest projected-gradient violation is below ``tol`` or after
-    ``max_passes`` passes. Returns ``alpha * y``, the dual objective after
-    each pass and the last pass's largest violation. The margins ``m =
-    gram @ (alpha * y)`` (each row times the primal weights) are kept: a
-    step reads ``m[i]``, an update adds a multiple of Gram row i, O(n)."""
+    ``max_passes`` passes; returns ``alpha * y``, the objective after each
+    pass and the last largest violation. It keeps the margins ``gram @
+    (alpha * y)``: a step reads one, an update adds a Gram row, O(n)."""
     n = y.size
     qii = np.diag(gram)
     alpha = np.zeros(n)
@@ -249,14 +251,12 @@ def svm_train(features, labels, cost_c: float = 1.0,
               rng: Rng | None = None, jobs: int = 1) -> LinearSvmModel:
     """One-vs-rest linear SVM on sparse features.
 
-    After one :func:`gram_matrix`, ``run(_solve_class, range(n_classes))``
-    over ``forkpool.fork_pool(min(jobs, n_classes), problem)`` writes each
-    class's ``alpha * y`` into a column of one ``shared_zeros`` array ``B``
-    and returns its objective history and final violation. Each class draws
-    its own stream, seeded from its label, so the result does not depend on
+    After one :func:`gram_matrix`, each class's task over
+    ``forkpool.fork_pool(min(jobs, n_classes), ...)`` writes its ``alpha *
+    y`` into a column of one ``shared_zeros`` array ``B``, drawing its own
+    stream seeded from its label, so the result does not depend on
     ``jobs``. The weights are ``(X^T B)^T``, Fortran-ordered. Warnings are
-    logged here, in class order. Rejects a non-finite or non-positive
-    ``cost_c`` first."""
+    logged here, in class order. A ``cost_c`` not finite and > 0 raises."""
     if not 0.0 < cost_c < np.inf:
         raise ValueError("cost_c must be finite and > 0")
     x = _sorted_csr(features)

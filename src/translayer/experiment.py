@@ -9,8 +9,8 @@ function on the same model. Each image comes back as ``(indices,
 counts)`` in the narrowest dtypes that hold them: int32 indices wherever
 scipy indexes the CSR matrix with int32, and counts sized to a block's
 pixel count, a fraction of the int64 pair to unpickle. Training then
-passes the same ``jobs`` to the classifier fit: both fits sum their Gram
-over runs of feature columns, then ``svm_train`` solves one class per
+passes the same ``jobs`` to the classifier fit: both fits write their
+Gram one strip of rows per task, then ``svm_train`` solves one class per
 task and ``wpca_fit`` lifts one block of columns per task. A fourth
 fan-out comes first: each autoencoder layer draws its corruption masks
 one epoch per task (``filters.train_dae``).

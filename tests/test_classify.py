@@ -180,8 +180,9 @@ def test_cost_not_finite_and_positive_rejected_before_any_pass(monkeypatch,
 
 def test_svm_memory_does_not_grow_with_nonzeros():
     # 150 rows of 25.7k nonzeros each: 3.9M nonzeros against a 150 x 150
-    # Gram. The fit holds one BUDGET block, the Gram and the (d, K) lift,
-    # not an 8-byte copy of the indices
+    # Gram. The fit holds a few blocks of dense columns, the light columns'
+    # entries, the Gram and the (d, K) lift, not an 8-byte copy of the
+    # indices
     x = block_counts(150, 576, 256, seed=80)
     labels = np.arange(150) % 4
     assert x.nnz > 100 * 150**2
@@ -642,25 +643,55 @@ def test_gram_route_matches_sparse_reference_on_counts(n, blocks, bins,
 @pytest.mark.parametrize("width", [1, 7, 50])
 def test_blocked_gram_route_matches_sparse_reference(monkeypatch, jobs, n,
                                                     target_dim, width):
-    # d = 144 columns in blocks of 1, 7 and 50: 7 and 50 leave a short
-    # last block, and the split must not change a bit at any jobs
+    # d = 144 columns in blocks of 1, 7 and 50 (7 and 50 leave a short
+    # last block) and Gram rows in runs of as many: the split must not
+    # change a bit at any jobs, whether all, some or none of the columns
+    # enter as dense products. The first 80 columns are used by most rows,
+    # the last 64 by about one in 16.
     monkeypatch.setattr(classify, "BUDGET", 8 * n * width)
-    x = block_counts(n, 9, 16, seed=200 + n)
+    x = sp.hstack([block_counts(n, 5, 16, seed=200 + n),
+                   block_counts(n, 4, 16, seed=300 + n, one_bin=True)]).tocsr()
     assert len(classify._column_blocks(n, x.shape[1])) == -(-144 // width)
-    # each Gram task sums a run of consecutive blocks at least n columns
-    # wide, so it sends back no more than it densified
-    runs = classify._gram_runs(n, x.shape[1])
-    assert [block for run in runs for block in run] == \
-        classify._column_blocks(n, x.shape[1])
-    assert all(run[-1][1] - run[0][0] >= n for run in runs)
-    assert len(runs) <= classify.GRAM_TASKS
-    assert np.array_equal(classify.gram_matrix(x, jobs=jobs),
-                          (x @ x.T).toarray())
+    uses = np.diff(x.tocsc().indptr)
+    for share in (1.0, 0.0, classify.DENSE_SHARE):
+        monkeypatch.setattr(classify, "DENSE_SHARE", share)
+        assert np.array_equal(classify.gram_matrix(x, jobs=jobs),
+                              (x @ x.T).toarray())
+    if n == 30:
+        assert ((uses > 0) & (uses <= share * n)).any()
+        assert (uses > share * n).any()
     model = wpca_fit(x, np.zeros(n), target_dim, jobs=jobs)
     mean, projection, vectors = wpca_fit_gram_reference(x, target_dim)
     assert np.array_equal(model.mean, mean)
     assert np.array_equal(model.projection, projection)
     assert np.array_equal(model.train_vectors, vectors)
+
+
+def test_gram_bits_do_not_depend_on_jobs():
+    # square-rooted counts are not integers, so the order of the additions
+    # shows in the bits; the strips and column blocks do not follow jobs
+    x = sp.hstack([block_counts(40, 5, 16, seed=7),
+                   block_counts(40, 4, 16, seed=8, one_bin=True)]).tocsr()
+    x.data = np.sqrt(x.data)
+    grams = [classify.gram_matrix(x, jobs=jobs) for jobs in (1, 2, 3)]
+    assert all(g.tobytes() == grams[0].tobytes() for g in grams)
+    assert np.allclose(grams[0], (x @ x.T).toarray(), rtol=1e-14, atol=0.0)
+
+
+def test_gram_partials_never_reach_the_fitting_process():
+    # the tasks write their strips into one shared array, so the fitting
+    # process allocates no n x n partial and none is sent back to it; it
+    # holds only a BUDGET run of column indices at a time
+    n = 400
+    x = block_counts(n, 9, 16, seed=9)
+    tracemalloc.start()
+    try:
+        gram = classify.gram_matrix(x, jobs=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(gram, (x @ x.T).toarray())
+    assert peak < 8 * n * n // 2
 
 
 @pytest.mark.parametrize("sqrt", [False, True], ids=["counts", "sqrt-counts"])
