@@ -104,21 +104,23 @@ class WpcaCosineModel:
         return np.unique(self.train_labels)
 
 
-def as_csr(features) -> sp.csr_matrix:
-    """A feature batch as a float64 CSR matrix.
+def as_csr(features, width: int | None = None) -> sp.csr_matrix:
+    """A feature batch as a float64 CSR matrix with sorted row indices, as
+    :func:`_columns` needs; a ``width`` other than the model's raises.
 
-    Batches come from ``extract_features`` as float64 CSR and are returned
-    as the same object, not a copy; dense arrays are converted.
+    Batches come from ``extract_features`` as such a matrix and are
+    returned as the same object, not a copy; others are converted.
     """
     if sp.issparse(features):
-        return features.tocsr().astype(np.float64, copy=False)
-    return sp.csr_matrix(np.asarray(features, dtype=np.float64))
-
-
-def _sorted_csr(features) -> sp.csr_matrix:
-    """``as_csr(features)`` with sorted row indices, for :func:`_columns`."""
-    x = as_csr(features)
-    return x if x.has_sorted_indices else x.sorted_indices()
+        x = features.tocsr().astype(np.float64, copy=False)
+    else:
+        x = sp.csr_matrix(np.asarray(features, dtype=np.float64))
+    if not x.has_sorted_indices:
+        x = x.sorted_indices()
+    if width is not None and x.shape[1] != width:
+        raise ValueError(f"features have dimension {x.shape[1]}, the model "
+                         f"{width}")
+    return x
 
 
 def _column_blocks(n: int, d: int) -> list[tuple[int, int]]:
@@ -237,14 +239,13 @@ def _solve_binary(gram, y, cost_c, gen, tol, max_passes):
 
 
 def _solve_class(problem, k):
-    """Solve class ``k``'s binary problem into column ``k`` of ``coefs``;
-    return its objective history and its last pass's largest violation."""
-    gram, y_all, classes, cost_c, rng, coefs = problem
+    """Solve class ``k``'s binary problem: its ``alpha * y``, objective
+    history and last pass's largest violation, as :func:`_solve_binary`
+    returns them."""
+    gram, y_all, classes, cost_c, rng = problem
     cls = int(classes[k])
-    coefs[:, k], hist, violation = _solve_binary(
-        gram, np.where(y_all == cls, 1.0, -1.0), cost_c,
-        rng.stream(f"svm.class.{cls}"), SVM_TOL, SVM_MAX_PASSES)
-    return np.asarray(hist), violation
+    return _solve_binary(gram, np.where(y_all == cls, 1.0, -1.0), cost_c,
+                         rng.stream(f"svm.class.{cls}"), SVM_TOL, SVM_MAX_PASSES)
 
 
 def svm_train(features, labels, cost_c: float = 1.0,
@@ -252,14 +253,14 @@ def svm_train(features, labels, cost_c: float = 1.0,
     """One-vs-rest linear SVM on sparse features.
 
     After one :func:`gram_matrix`, each class's task over
-    ``forkpool.fork_pool(min(jobs, n_classes), ...)`` writes its ``alpha *
-    y`` into a column of one ``shared_zeros`` array ``B``, drawing its own
-    stream seeded from its label, so the result does not depend on
-    ``jobs``. The weights are ``(X^T B)^T``, Fortran-ordered. Warnings are
-    logged here, in class order. A ``cost_c`` not finite and > 0 raises."""
+    ``forkpool.fork_pool(min(jobs, n_classes), ...)`` returns its ``alpha *
+    y``, a column of ``B``, drawing its own stream seeded from its label,
+    so the result does not depend on ``jobs``. The weights are ``(X^T
+    B)^T``, Fortran-ordered. Warnings are logged here, in class order. A
+    ``cost_c`` not finite and > 0 raises."""
     if not 0.0 < cost_c < np.inf:
         raise ValueError("cost_c must be finite and > 0")
-    x = _sorted_csr(features)
+    x = as_csr(features)
     y_all = np.asarray(labels, dtype=np.int64)
     if y_all.shape[0] != x.shape[0]:
         raise ValueError("label/sample count mismatch")
@@ -269,31 +270,23 @@ def svm_train(features, labels, cost_c: float = 1.0,
         raise ValueError("need at least two classes")
     rng = rng if rng is not None else Rng(0)
 
-    coefs = shared_zeros((x.shape[0], classes.size))
-    problem = (gram_matrix(x, jobs), y_all, classes, cost_c, rng, coefs)
+    problem = (gram_matrix(x, jobs), y_all, classes, cost_c, rng)
     with fork_pool(min(jobs, classes.size), problem) as run:
         solved = list(run(_solve_class, range(classes.size)))
-    for cls, (hist, violation) in zip(classes, solved):
+    for cls, (_, hist, violation) in zip(classes, solved):
         if violation >= SVM_TOL:
             log.warning("SVM class %d did not converge: %d passes, max "
                         "violation %.4g >= tolerance %g", int(cls), len(hist),
                         violation, SVM_TOL)
+    coefs = np.column_stack([coef for coef, _, _ in solved])
     return LinearSvmModel(classes=classes, weights=(x.T @ coefs).T,
-                          objective_history=[hist for hist, _ in solved])
-
-
-def _as_csr_of_width(features, width: int) -> sp.csr_matrix:
-    """``as_csr(features)``, rejecting a width other than the model's."""
-    x = as_csr(features)
-    if x.shape[1] != width:
-        raise ValueError(f"features have dimension {x.shape[1]}, the model "
-                         f"{width}")
-    return x
+                          objective_history=[np.asarray(hist)
+                                             for _, hist, _ in solved])
 
 
 def svm_predict_many(model: LinearSvmModel, features) -> np.ndarray:
     """Argmax of per-class decision values; ties go to the smallest label."""
-    x = _as_csr_of_width(features, model.weights.shape[1])
+    x = as_csr(features, model.weights.shape[1])
     return model.classes[np.argmax(x @ model.weights.T, axis=1)]
 
 
@@ -353,7 +346,7 @@ def wpca_fit(features, labels, target_dim: int,
     """
     if target_dim < 1:
         raise ValueError("target_dim must be >= 1")
-    x = _sorted_csr(features)
+    x = as_csr(features)
     n, d = x.shape
     if n < 2:
         raise ValueError("need at least two samples")
@@ -386,7 +379,7 @@ def wpca_apply(model: WpcaCosineModel, features) -> np.ndarray:
     any batch: gemm gives it those above OpenBLAS's small-matrix cutoff of
     about 1e6 multiply-adds, but BLAS takes gemv for one row, which rounds
     apart, so a lone row is projected as a two-row gemm of itself."""
-    x = _as_csr_of_width(features, model.mean.shape[0])
+    x = as_csr(features, model.mean.shape[0])
     dense = x[[0, 0]].toarray() if x.shape[0] == 1 else x.toarray()
     dense -= model.mean  # in place: one dense copy of the batch, not two
     return (dense @ model.projection.T)[:x.shape[0]]

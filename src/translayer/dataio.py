@@ -8,9 +8,10 @@ other section holds learned arrays and nothing else, in the layout the
 config decides: a bank holds its weights, plus its biases when
 ``learner=dae``; a whitening section its matrix; the classifier section
 ``classes, weights`` (svm) or ``mean, projection, train_vectors,
-train_labels`` (wpca_cosine). Loading rejects a file whose arrays
-disagree with its config. All numbers are little-endian 64-bit, so a
-save/load/save cycle is byte-identical.
+train_labels`` (wpca_cosine). Loading reads the file in order, the
+config first, which decides what each later section must hold, and
+checks a section's checksum before its arrays. All numbers are
+little-endian 64-bit, so a save/load/save cycle is byte-identical.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .types import (DAE, ConfigError, FilterBank, GrayImage, TrainedModel,
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 MODEL_MAGIC = b"DTLNMDL4"
-_SECTIONS = ("config", "bank1", "whiten1", "bank2", "whiten2", "classifier")
 # bytes read at a time where no header's count is trusted: IDX data, and a
 # model section past its bad array
 _READ_CHUNK = 1 << 16
@@ -120,35 +120,6 @@ def _array_pieces(arr) -> list:
     return [np.frombuffer(head, np.uint8), *(a if a.ndim > 1 else [a])]
 
 
-class _Section:
-    """The arrays one section holds, or the error that stopped reading them.
-
-    The error is raised only when the arrays are asked for, so a checksum
-    or framing fault anywhere in the file, and a bad config, are reported
-    first, as they would be if every section were read before any array.
-    """
-
-    def __init__(self, name):
-        self.name = name
-        self.text = None     # the config section's bytes
-        self.items = []
-        self.error = None
-
-    def arrays(self, kinds):
-        """The section's arrays, one per letter of ``kinds``, each of that
-        dtype kind ("f" float, "i" integer)."""
-        if self.error is not None:
-            raise self.error
-        if len(self.items) != len(kinds):
-            raise ModelFormatError(f"section {self.name}: the config needs "
-                                   f"{len(kinds)} arrays, found {len(self.items)}")
-        found = "".join(arr.dtype.kind for arr in self.items)
-        if found != kinds:
-            raise ModelFormatError(f"section {self.name}: the config needs "
-                                   f"arrays of kinds {kinds}, found {found}")
-        return self.items
-
-
 class _Reader:
     """A model file read front to back, each array straight into its own
     buffer. Every read is checked against the bytes its section, and the
@@ -201,30 +172,42 @@ class _Reader:
         self._fill(arr.reshape(-1).view(np.uint8))
         return arr.astype(np.float64 if kind == 0 else np.int64, copy=False)
 
-    def section(self, name) -> _Section:
-        """Read section ``name``: its length, payload and checksum."""
+    def section(self, name, kinds=None):
+        """Read section ``name``: its length, payload and checksum, then any
+        fault in its arrays. Return the config section's bytes (no
+        ``kinds``), or another's arrays, which must be one per letter of
+        ``kinds``, each of that dtype kind ("f" float, "i" integer)."""
         self.name = name
         (length,) = self.unpack("<Q")
         self.limit = self.pos + length
         if self.limit > self.size:
             raise self._truncated()
-        self.crc = 0
-        section = _Section(name)
-        if name == "config":
-            section.text = self.read(length)
-        else:
-            try:
-                while self.pos < self.limit:
-                    section.items.append(self.array())
-            except ValueError as exc:   # a ModelFormatError, or numpy's
-                section.error = exc
-                while self.pos < self.limit:    # checksum the rest
-                    self.read(min(self.limit - self.pos, _READ_CHUNK))
+        self.crc, items, error = 0, [], None
+        if kinds is None:
+            items = self.read(length)
+        try:
+            while self.pos < self.limit:
+                items.append(self.array())
+        except ValueError as exc:   # a ModelFormatError, or numpy's
+            error = exc
+            while self.pos < self.limit:    # checksum the rest
+                self.read(min(self.limit - self.pos, _READ_CHUNK))
         payload_crc, self.limit = self.crc, self.size
         (crc,) = self.unpack("<I")
         if payload_crc != crc:
             raise ModelFormatError(f"section {name}: checksum mismatch")
-        return section
+        if error is not None:
+            raise error
+        if kinds is None:
+            return items
+        if len(items) != len(kinds):
+            raise ModelFormatError(f"section {name}: the config needs "
+                                   f"{len(kinds)} arrays, found {len(items)}")
+        found = "".join(arr.dtype.kind for arr in items)
+        if found != kinds:
+            raise ModelFormatError(f"section {name}: the config needs "
+                                   f"arrays of kinds {kinds}, found {found}")
+        return items
 
 
 def _bank_arrays(bank: FilterBank):
@@ -269,39 +252,37 @@ def load_model(path) -> TrainedModel:
                 raise ModelFormatError(
                     f"unsupported model format version {magic[7:8].decode(errors='replace')}")
             raise ModelFormatError("not a model file (bad magic)")
-        sections = {name: reader.section(name) for name in _SECTIONS}
-        if reader.pos != reader.size:
-            raise ModelFormatError("trailing bytes after final section")
-
-    text = sections["config"].text
-    try:
-        config = parse_config(str(text, "utf-8"))
-    except (UnicodeDecodeError, ConfigError) as exc:
-        raise ModelFormatError(f"section config: {exc}") from None
-    if format_config(config).encode("utf-8") != text:   # saves back exactly
-        raise ModelFormatError("section config: not in canonical form")
-    errors = validate_config(config)
-    if errors:
-        raise ModelFormatError("section config: invalid config: "
-                               + "; ".join(errors))
-    bank_kinds = "ff" if config.learner == DAE else "f"   # weights[, biases]
-    try:
-        bank1, bank2 = (
-            FilterBank(config.patch_shape(), *sections[name].arrays(bank_kinds))
-            for name in ("bank1", "bank2"))
-        whiten1, whiten2 = (WhiteningTransform(*sections[name].arrays("f"))
-                            for name in ("whiten1", "whiten2"))
-        if config.classifier == "svm":
-            classifier = LinearSvmModel(*sections["classifier"].arrays("if"))
-        else:
-            classifier = WpcaCosineModel(*sections["classifier"].arrays("fffi"))
-        return TrainedModel(config=config, bank1=bank1, bank2=bank2,
-                            whiten1=whiten1, whiten2=whiten2,
-                            classifier=classifier)
-    except ModelFormatError:
-        raise
-    except ValueError as exc:   # arrays invalid or disagreeing with the config
-        raise ModelFormatError(f"invalid model: {exc}") from None
+        text = reader.section("config")
+        try:
+            config = parse_config(str(text, "utf-8"))
+        except (UnicodeDecodeError, ConfigError) as exc:
+            raise ModelFormatError(f"section config: {exc}") from None
+        if format_config(config).encode("utf-8") != text:   # saves back exactly
+            raise ModelFormatError("section config: not in canonical form")
+        errors = validate_config(config)
+        if errors:
+            raise ModelFormatError("section config: invalid config: "
+                                   + "; ".join(errors))
+        bank_kinds = "ff" if config.learner == DAE else "f"   # weights[, biases]
+        shape = config.patch_shape()
+        try:
+            bank1 = FilterBank(shape, *reader.section("bank1", bank_kinds))
+            whiten1 = WhiteningTransform(*reader.section("whiten1", "f"))
+            bank2 = FilterBank(shape, *reader.section("bank2", bank_kinds))
+            whiten2 = WhiteningTransform(*reader.section("whiten2", "f"))
+            if config.classifier == "svm":
+                classifier = LinearSvmModel(*reader.section("classifier", "if"))
+            else:
+                classifier = WpcaCosineModel(*reader.section("classifier", "fffi"))
+            if reader.pos != reader.size:
+                raise ModelFormatError("trailing bytes after final section")
+            return TrainedModel(config=config, bank1=bank1, bank2=bank2,
+                                whiten1=whiten1, whiten2=whiten2,
+                                classifier=classifier)
+        except ModelFormatError:
+            raise
+        except ValueError as exc:   # arrays invalid or disagreeing with the config
+            raise ModelFormatError(f"invalid model: {exc}") from None
 
 
 def dump_map_pgm(feature_map, path) -> None:

@@ -43,7 +43,8 @@ from .filters import (common_size, draw_patch_locations, gather_patches,
 from .forkpool import fork_pool, one_blas_thread
 # build_stack is not called here; perfbench's tracer wraps experiment.build_stack
 from .pipeline import build_stack, code_maps, lcn_constant, map_layer  # noqa: F401
-from .preprocess import lcn_matrix, whiten_apply, whiten_fit
+# training calls lcn_rows by this name, which perfbench traces apart
+from .preprocess import lcn_rows as lcn_matrix, whiten_apply, whiten_fit
 from .rng import Rng
 from .types import Config, DAE, TrainedModel, validate_config
 

@@ -7,7 +7,8 @@ not spawned, so they see ``state`` (the model and images, the training
 features) copy-on-write, and an item is a small task such as a ``(start,
 stop)`` range: nothing large is pickled on the way in.
 Results too large to send back through the pool go into an array from
-:func:`shared_zeros`, which is allocated before the fork.
+:func:`shared_zeros`, which is allocated before the fork. A worker that
+dies fails the run with ``BrokenProcessPool`` instead of hanging it.
 
 While a pool lives, BLAS runs on one thread (:func:`one_blas_thread`),
 also in the workers, which inherit the count: they do not each start one
@@ -22,6 +23,7 @@ import logging
 import mmap
 import multiprocessing as mp
 import os
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -105,9 +107,9 @@ def fork_pool(jobs: int, state):
         if jobs <= 1:
             yield lambda fn, items: (fn(state, item) for item in items)
             return
-        ctx = mp.get_context("fork")
-        with ctx.Pool(jobs, initializer=_init, initargs=(state,)) as pool:
-            yield lambda fn, items: pool.imap(functools.partial(_call, fn), items)
+        with ProcessPoolExecutor(jobs, mp.get_context("fork"), initializer=_init,
+                                 initargs=(state,)) as pool:
+            yield lambda fn, items: pool.map(functools.partial(_call, fn), items)
 
 
 def shared_zeros(shape) -> np.ndarray:

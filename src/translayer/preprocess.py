@@ -27,10 +27,6 @@ def lcn_rows(rows: np.ndarray, c: float) -> np.ndarray:
     return np.divide(centered, std + c, out=centered)
 
 
-# the name training calls, which perfbench traces apart from extraction's
-lcn_matrix = lcn_rows
-
-
 def whiten_fit(patches, epsilon: float = 0.1) -> WhiteningTransform:
     """Fit U (D + eps I)^(-1/2) U^T on the sample covariance of the rows,
     with 1/(m-1) normalization.

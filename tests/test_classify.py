@@ -754,6 +754,29 @@ def test_wpca_fit_sorts_a_copy_of_unsorted_indices():
     assert np.array_equal(unsorted.indices, indices)   # the caller's rows stay
 
 
+def test_svm_and_wpca_apply_give_the_same_bits_on_unsorted_indices():
+    # square-rooted counts, so an order of additions would show in the bits
+    x = block_counts(30, 9, 16, seed=72)
+    x.data = np.sqrt(x.data)
+    indices, data = x.indices.copy(), x.data.copy()
+    for lo, hi in zip(x.indptr[:-1], x.indptr[1:]):
+        indices[lo:hi], data[lo:hi] = indices[lo:hi][::-1], data[lo:hi][::-1]
+    unsorted = sp.csr_matrix((data, indices, x.indptr), shape=x.shape)
+    assert not unsorted.has_sorted_indices
+    labels = np.arange(30) % 3
+    svm = svm_train(x, labels, rng=Rng(4))
+    assert svm_train(unsorted, labels, rng=Rng(4)).weights.tobytes() == \
+        svm.weights.tobytes()
+    assert np.array_equal(svm_predict_many(svm, unsorted),
+                          svm_predict_many(svm, x))
+    coerced = as_csr(unsorted, x.shape[1])
+    assert coerced.data.tobytes() == x.data.tobytes()
+    assert np.array_equal(coerced.indices, x.indices)
+    wpca = wpca_fit(x, labels, 3)
+    assert wpca_apply(wpca, unsorted).tobytes() == wpca_apply(wpca, x).tobytes()
+    assert np.array_equal(unsorted.indices, indices)   # the caller's rows stay
+
+
 @pytest.mark.parametrize("budget", [8, 8 * 1000, classify.BUDGET, 32 * 2**20])
 def test_column_means_equal_scipy_mean(monkeypatch, budget):
     # square-rooted counts, as wpca_sqrt feeds them: not integers, so the

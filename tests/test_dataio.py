@@ -368,6 +368,29 @@ def test_config_disagreeing_with_model_rejected(tmp_path, tiny_model,
         load_model(path)
 
 
+def test_bad_config_reported_before_a_later_checksum_mismatch(tmp_path,
+                                                            tiny_model):
+    path = tmp_path / "model.bin"
+    save_model(tiny_model, path)
+    rewrite_config(path, replace(tiny_model.config, l1=0))
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0xFF  # the classifier's checksum, the file's last bytes
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ModelFormatError, match="section config: invalid config"):
+        load_model(path)
+
+
+def test_bank_disagreeing_with_config_reported_before_a_truncated_file(
+        tmp_path, tiny_model):
+    path = tmp_path / "model.bin"
+    save_model(tiny_model, path)
+    rewrite_config(path, replace(tiny_model.config, learner="dae"))
+    path.write_bytes(path.read_bytes()[:-10])
+    with pytest.raises(ModelFormatError, match="section bank1: the config "
+                       "needs 2 arrays, found 1"):
+        load_model(path)
+
+
 def test_rewritten_config_with_same_settings_loads(tmp_path, tiny_model):
     path = tmp_path / "model.bin"
     save_model(tiny_model, path)
@@ -679,7 +702,7 @@ def fuzz_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("classifier", ["svm", "wpca_cosine"])
 @pytest.mark.parametrize("section", range(6))
-@settings(max_examples=60)
+@settings(max_examples=max(60, settings.default.max_examples))
 @given(data=st.data())
 def test_mutated_section_fails_cleanly_or_reloads_exactly(fuzz_dir, classifier,
                                                           section, data):

@@ -1,6 +1,9 @@
 import contextlib
 import ctypes
+import os
+import signal
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -212,6 +215,26 @@ def test_forked_workers_run_one_blas_thread():
         for set_threads, count in zip(setters, before):
             set_threads(count)
     assert blas_thread_counts() == before
+
+
+def _die(_state, _item):
+    os._exit(1)
+
+
+def test_a_dead_worker_fails_the_run_instead_of_hanging():
+    # a pool that waits forever for the lost task is cut by the alarm
+    def hung(signum, frame):
+        raise TimeoutError("fork_pool still waiting after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            with forkpool.fork_pool(2, None) as run:
+                list(run(_die, range(4)))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_parallel_training_saves_the_same_bytes(glyph_train, tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from translayer import Config, validate_config
-from translayer.preprocess import lcn_matrix, lcn_rows, whiten_apply, whiten_fit
+from translayer.preprocess import lcn_rows, whiten_apply, whiten_fit
 
 
 # --- contrast normalization ---------------------------------------------
@@ -37,7 +37,7 @@ def test_lcn_requires_positive_c():
 
 
 def test_lcn_matrix_constant_rows():
-    out = lcn_matrix(np.ones((2, 9)) * 3.0, 10.0)
+    out = lcn_rows(np.ones((2, 9)) * 3.0, 10.0)
     assert np.array_equal(out, np.zeros((2, 9)))
 
 
@@ -45,14 +45,14 @@ def test_lcn_matrix_single_column_matches_patch():
     # each patch row of a matrix gets the bits of that patch alone
     gen = np.random.default_rng(1)
     patches = gen.normal(size=(5, 49))
-    out = lcn_matrix(patches, 10.0)
+    out = lcn_rows(patches, 10.0)
     for k in range(5):
         assert np.array_equal(out[k], lcn_rows(patches[k:k + 1], 10.0)[0])
 
 
 def test_lcn_matrix_row_means_vanish():
     gen = np.random.default_rng(2)
-    out = lcn_matrix(gen.normal(size=(1000, 49)), 10.0)
+    out = lcn_rows(gen.normal(size=(1000, 49)), 10.0)
     assert np.abs(out.mean(axis=1)).max() < 1e-12
 
 
