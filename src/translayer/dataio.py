@@ -73,6 +73,9 @@ def read_idx(images_path, labels_path):
     """Parse the big-endian IDX image/label pair into images and labels."""
     (count, rows, cols), pixels = _read_idx_file(
         images_path, IDX_IMAGES_MAGIC, 3, "image", "image pixels")
+    if rows == 0 or cols == 0:
+        raise DataFormatError(
+            f"{images_path}: images of {rows} x {cols} pixels")
     (label_count,), labels = _read_idx_file(
         labels_path, IDX_LABELS_MAGIC, 1, "label", "labels")
     if label_count != count:
@@ -97,11 +100,19 @@ def read_amat(path):
     if table.shape[1] != 785:
         raise DataFormatError(
             f"{path}: expected 785 fields per line, got {table.shape[1]}")
-    raw_labels = table[:, 784]
+    pixels, raw_labels = table[:, :784], table[:, 784]
+    # NaN fails every comparison; rows count data lines, as loadtxt skips
+    # blank and comment lines
+    for what, ok in (("pixel outside [0, 1]",
+                      ((pixels >= 0) & (pixels <= 1)).all(axis=1)),
+                     ("label not in the int64 range",
+                      (raw_labels >= -2.0**63) & (raw_labels < 2.0**63))):
+        if not ok.all():
+            raise DataFormatError(f"{path}: row {np.argmin(ok) + 1}: {what}")
     labels = raw_labels.astype(np.int64)
     if not np.array_equal(raw_labels, labels.astype(np.float64)):
         raise DataFormatError(f"{path}: non-integer label value")
-    images = [GrayImage(row.reshape(28, 28)) for row in table[:, :784]]
+    images = [GrayImage(row.reshape(28, 28)) for row in pixels]
     return images, labels
 
 

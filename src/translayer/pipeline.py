@@ -106,7 +106,7 @@ def code_maps(image, model: TrainedModel) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _fused_filters(bank: FilterBank, whiten: WhiteningTransform,
                    lcn: float | None):
-    """Fused filters H and each filter's error coefficient.
+    """Fused filters H and each filter's two error coefficients.
 
     ``H @ window`` is the window path's response before any bias, times
     (std + c) when contrast normalization is on. The window path multiplies
@@ -115,7 +115,8 @@ def _fused_filters(bank: FilterBank, whiten: WhiteningTransform,
     window's mean subtraction. Each path rounds at most 2d^2 products and
     sums, each within eps of the magnitudes involved, so both
     |H @ window - exact| and (std + c) times the window path's error stay
-    below ``coef * max|window|`` with the safety factor to spare.
+    below ``coef * max|window|`` with the safety factor to spare. The std
+    error's coefficient is sqrt(d) |H_row|_2 times that factor.
     """
     weights = bank.weights @ whiten.matrix.T
     gain = np.abs(bank.weights) @ np.abs(whiten.matrix).T
@@ -124,7 +125,8 @@ def _fused_filters(bank: FilterBank, whiten: WhiteningTransform,
     d = bank.shape.dim
     coef = _SIGN_SAFETY * 2 * d * d * _EPS * (gain.max(axis=1)
                                              + np.abs(weights).max(axis=1))
-    return weights, coef
+    std_coef = _SIGN_SAFETY * np.sqrt(d) * np.linalg.norm(weights, axis=1)
+    return weights, coef, std_coef
 
 
 def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
@@ -138,14 +140,27 @@ def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
     the bias alone decides an autoencoder bit) or when the fused response
     clears the error bound, which holds for sums in any order, by a wide
     margin. Each map with an uncertified pixel is recomputed by the same
-    :func:`map_layer` call :func:`build_stack` makes. The window std of an
-    autoencoder with contrast normalization is summed in another order than
-    ``lcn_rows``'s; any order is within a few d eps max|window| of the exact
-    std, and as |H @ window| <= |H|_2 sqrt(d) std, that moves response /
-    (std + c) by at most |H|_2 d^1.5 eps max|window| / (std + c), far inside
-    the bound divided alike.
+    :func:`map_layer` call :func:`build_stack` makes.
+
+    An autoencoder with contrast normalization divides by the window std s,
+    taken here as s_hat = sqrt(max(v, 0)) with v = B(y^2)/d - (B(y)/d)^2,
+    from box sums B over the padded maps y, each shifted by its mean: a
+    window reads one map, so its variance is unchanged, and the shift keeps
+    the subtraction from cancelling where a window's mean is near its map's.
+    Rounding the shift, the squares, the at most d - 1 sums per window, the
+    divisions and the subtraction moves v from s^2 by less than
+    dv = 4(d + 2) eps B(y^2)/d, as (B(|y|)/d)^2 <= B(y^2)/d, plus d tiny for
+    operations in the subnormal range; the factor's slack covers the square
+    root. So s |s_hat - s| <= dv, both for v > 0, where
+    |s_hat - s| = |s_hat^2 - s^2| / (s_hat + s), and for a clamped v, where
+    s^2 <= dv. The fused filters' rows sum to zero, so
+    |r| = |H (window - mean)| <= |H_row|_2 sqrt(d) s, and r / (s_hat + c)
+    lies within |H_row|_2 sqrt(d) dv / ((s_hat + c)(s_lo + c)) of
+    r / (s + c), where s_lo = sqrt(max(v - dv, 0)) <= s. The bound adds that
+    term times the safety factor; it has no 1/s factor. As elsewhere,
+    products of two rounding errors are left to the safety factor.
     """
-    filters, coef = _fused_filters(bank, whiten, lcn)
+    filters, coef, std_coef = _fused_filters(bank, whiten, lcn)
     l1, h, w = layer1.shape
     k1, k2 = bank.shape.k1, bank.shape.k2
     d, n = bank.shape.dim, h * l1 * w
@@ -157,11 +172,14 @@ def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
     taps = [shifted.reshape(k2, -1)[:, dy * l1 * w:dy * l1 * w + n]
             for dy in range(k1)]
     if bank.layer_kind == DAE and lcn is not None:
-        # the window std, before the products' buffers exist: the mean
-        # first, then the centered squares
-        mean = _box(np.add, padded, k1, k2).reshape(-1) / d
-        std = np.sqrt(sum(np.einsum("ij,ij->j", dev, dev)
-                          for dev in (tap - mean for tap in taps)) / d)
+        # the window variance from box sums of each map shifted by its mean
+        dev = padded - layer1.mean(axis=(1, 2))[:, None]
+        sq = _box(np.add, dev * dev, k1, k2).reshape(-1) / d
+        var = sq - np.square(_box(np.add, dev, k1, k2).reshape(-1) / d)
+        var_err = 4 * (d + 2) * _EPS * sq + d * _TINY
+        denom = np.sqrt(np.maximum(var, 0.0)) + lcn
+        std_err = var_err / (denom * (np.sqrt(np.maximum(var - var_err, 0.0))
+                                      + lcn))
     blocks = filters.reshape(bank.count, k1, k2)
     response = blocks[:, 0] @ taps[0]
     part = np.empty_like(response)
@@ -173,8 +191,9 @@ def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
     bound += _SIGN_SAFETY * d * (1.0 + (lcn or 0.0)) * _TINY
     if bank.layer_kind == DAE:
         if lcn is not None:
-            response /= std + lcn
-            bound /= std + lcn
+            response /= denom
+            bound /= denom
+            bound += std_coef[:, None] * std_err
         response += bank.biases[:, None]
     bits = (response > 0).view(np.uint8)
     certified = (np.abs(response, out=response) > bound) | (scale == 0.0)

@@ -171,6 +171,44 @@ def test_amat_non_integer_label(tmp_path):
         read_amat(path)
 
 
+@pytest.mark.parametrize("field,value,fault", [
+    (0, "1.5", "pixel outside [0, 1]"),
+    (783, "-0.25", "pixel outside [0, 1]"),
+    (5, "nan", "pixel outside [0, 1]"),
+    (784, "1e30", "label not in the int64 range"),
+    (784, "nan", "label not in the int64 range"),
+    (784, "-inf", "label not in the int64 range"),
+    (784, "9223372036854775808", "label not in the int64 range"),
+])
+def test_amat_bad_value_names_file_and_row(tmp_path, field, value, fault):
+    # a blank line and a comment are not data rows; the error counts rows
+    fields = ["0"] * 784 + ["3"]
+    bad = fields.copy()
+    bad[field] = value
+    path = tmp_path / "bad.amat"
+    path.write_text("\n".join([" ".join(fields), "", "# note",
+                                " ".join(bad)]) + "\n")
+    with pytest.raises(DataFormatError,
+                       match=re.escape(f"{path}: row 2: {fault}") + "$"):
+        read_amat(path)
+
+
+def test_amat_label_at_the_int64_limit_is_kept(tmp_path):
+    path = tmp_path / "low.amat"
+    path.write_text(" ".join(["0"] * 784) + " -9223372036854775808\n")
+    assert read_amat(path)[1].tolist() == [-2**63]
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (0, 0)])
+def test_idx_zero_sided_images_name_the_file(tmp_path, rows, cols):
+    img_path, lab_path = write_idx_fixture(
+        tmp_path, np.zeros((2, rows, cols), dtype=np.uint8), [0, 1])
+    with pytest.raises(DataFormatError,
+                       match=f"^{re.escape(str(img_path))}: images of "
+                             f"{rows} x {cols} pixels$"):
+        read_idx(img_path, lab_path)
+
+
 # --- model container ------------------------------------------------------
 
 def assert_roundtrip(tmp_path, model, images):

@@ -9,7 +9,7 @@ from translayer import (Config, FilterBank, GrayImage, PatchShape,
                         TrainedModel, WhiteningTransform, experiment, pipeline)
 from translayer.encoder import binarize, compress_groups
 from translayer.pipeline import build_stack, code_maps, lcn_constant, map_layer
-from translayer.preprocess import lcn_rows
+from translayer.preprocess import lcn_rows, whiten_apply
 from translayer.types import DAE, PCA
 
 
@@ -211,14 +211,9 @@ def test_code_maps_match_with_unequal_filter_counts(learner, image, seed):
     assert np.array_equal(code_maps(image, model), want)
 
 
-def test_uncertified_map_falls_back_to_window_path(monkeypatch):
-    # Zero-background windows map to tanh(first-layer bias) everywhere, so
-    # second-layer windows there are constant and nonzero. Contrast
-    # normalization sends such a window to zero up to rounding, and the
-    # zero-bias filter leaves that rounding to decide the sign: the fused
-    # bound cannot certify it, so the map is recomputed.
-    model = random_model(DAE, 4, 4, seed=5)
-    image = GrayImage(np.pad(np.full((4, 6), 0.8), 6))
+def record_window_path(monkeypatch):
+    """Patch ``pipeline.map_layer`` to record the map of each call; returns
+    the record."""
     calls = []
     window_path = pipeline.map_layer
 
@@ -227,6 +222,18 @@ def test_uncertified_map_falls_back_to_window_path(monkeypatch):
         return window_path(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "map_layer", counting)
+    return calls
+
+
+def test_uncertified_map_falls_back_to_window_path(monkeypatch):
+    # Zero-background windows map to tanh(first-layer bias) everywhere, so
+    # second-layer windows there are constant and nonzero. Contrast
+    # normalization sends such a window to zero up to rounding, and the
+    # zero-bias filter leaves that rounding to decide the sign: the fused
+    # bound cannot certify it, so the map is recomputed.
+    model = random_model(DAE, 4, 4, seed=5)
+    image = GrayImage(np.pad(np.full((4, 6), 0.8), 6))
+    calls = record_window_path(monkeypatch)
     got = code_maps(image, model)
     assert len(calls) > 1      # layer 1, then at least one second-layer map
     want = compress_groups(build_stack(image, model), True)
@@ -320,6 +327,105 @@ def test_dae_lcn_near_tie_bits_match_window_path():
         assert np.array_equal(got[i], binarize(map_layer(maps, bank, whiten, lcn)))
 
 
+def near_tie_layer1(kind):
+    """Two 12 x 20 layer-1 maps of one kind.
+
+    ``("ratio", q)``: halves at levels m and 2m (swapped in the second map)
+    under noise of std 0.05, with m = 0.05 q, so that interior windows have
+    mean / std q and no window's mean is its map's. ``"constant"``: 0.7 and
+    1/3 everywhere. ``"zero"``: exact zeros around a textured corner block.
+    ``("scaled", f)``: the q = 10 maps times f, where squares underflow
+    (1e-300) or the pixels themselves are subnormal (1e-310).
+    """
+    noise = np.random.default_rng(26).normal(size=(2, 12, 20))
+    if kind == "constant":
+        return np.stack([np.full((12, 20), 0.7), np.full((12, 20), 1 / 3)])
+    if kind == "zero":
+        maps = np.zeros((2, 12, 20))
+        maps[:, 6:, 12:] = 0.5 + 0.1 * noise[:, 6:, 12:]
+        return maps
+    name, value = kind
+    ratio, factor = (value, 1.0) if name == "ratio" else (10.0, value)
+    level = 0.05 * ratio * np.where(np.arange(20) < 10, 1.0, 2.0)
+    return factor * (np.stack([level, level[::-1]])[:, None, :] + 0.05 * noise)
+
+
+# (row, column) of the first map whose window puts filter f at the tie: a
+# left and a right interior window, and the corner
+TIE_PIXELS = [(4, 4), (7, 15), (0, 0)]
+
+
+def tie_bias(t, margin):
+    """The bias that puts the window path's value t + b at ``margin``:
+    exactly 0 at "tie", one ulp of -t to either side at "ulp+"/"ulp-",
+    else ``margin`` times |t| (times 1 where t is 0)."""
+    if margin == "tie":
+        return -t
+    if margin in ("ulp+", "ulp-"):
+        return np.nextafter(-t, np.inf if margin == "ulp+" else -np.inf)
+    return -t + margin * (abs(t) or 1.0)
+
+
+@pytest.mark.parametrize("margin", ["tie", "ulp+", "ulp-", 1e-10, -1e-10,
+                                    3e-3, -3e-3])
+@pytest.mark.parametrize("lcn", [1e-4, 0.1, 10.0])
+@pytest.mark.parametrize("kind", [("ratio", 1.0), ("ratio", 1e2),
+                                  ("ratio", 1e4), ("ratio", 1e6), "constant",
+                                  "zero", ("scaled", 1e-300),
+                                  ("scaled", 1e-310)])
+def test_dae_lcn_bits_at_solved_ties_match_window_path(monkeypatch, kind, lcn,
+                                                       margin):
+    # each filter's bias puts the window path's value at one pixel of the
+    # first map at the margin: on the tie and an ulp off it the fused sign
+    # cannot be certified, 1e-10 lies inside the bound, and 3e-3 outside it
+    # where the window mean/std is at most 1e2
+    layer1 = near_tie_layer1(kind)
+    shape = PatchShape(7, 7)
+    gen = np.random.default_rng(27)
+    weights = gen.normal(size=(3, shape.dim))
+    q, _ = np.linalg.qr(gen.normal(size=(shape.dim, shape.dim)))
+    mat = (q * gen.uniform(0.5, 3.0, shape.dim)) @ q.T
+    whiten = WhiteningTransform(matrix=0.5 * (mat + mat.T))
+    # map_layer's own calls, so these are its pre-bias values bit for bit
+    pre = whiten_apply(whiten, lcn_rows(
+        pipeline.window_rows(layer1[0], shape), lcn)) @ weights.T
+    biases = [tie_bias(pre[y * 20 + x, f], margin)
+              for f, (y, x) in enumerate(TIE_PIXELS)]
+    bank = dae_bank(weights, biases, 7)
+    calls = record_window_path(monkeypatch)
+    got = pipeline._layer2_bits(layer1, bank, whiten, lcn)
+    for i, maps in enumerate(layer1):
+        assert np.array_equal(got[i], binarize(map_layer(maps, bank, whiten,
+                                                         lcn)))
+    if margin == "tie":
+        # no valid bound certifies a sign that is exactly 0 on the window
+        # path, and one pixel of the first map is not an all-zero window
+        assert calls and np.array_equal(calls[0], layer1[0])
+    if margin in (3e-3, -3e-3) and kind in (("ratio", 1.0), ("ratio", 1e2),
+                                            "zero"):
+        # the certified path, not the fallback, gave these bits
+        assert calls == []
+
+
+def test_dae_lcn_fallback_count_does_not_grow(monkeypatch, glyph_test):
+    # a looser bound shows as more second-layer maps recomputed. The limits
+    # are the counts of the std taken as the mean, then the centered
+    # squares: none on noisy glyphs, and on zero backgrounds most maps
+    # hold a constant window that the zero-bias filter cannot certify
+    model = random_model(DAE, 8, 8, seed=3, k1=7, k2=7, lcn=True)
+    noisy = glyph_test[0]
+    flat = [GrayImage(np.where(im.pixels > 0.5, im.pixels, 0.0))
+            for im in noisy]
+    calls = record_window_path(monkeypatch)
+    counts = []
+    for images in (noisy, flat):
+        calls.clear()
+        for image in images:
+            code_maps(image, model)
+        counts.append(len(calls) - len(images))   # less one layer-1 call each
+    assert counts[0] <= 0 and counts[1] <= 245
+
+
 @pytest.mark.parametrize("learner", [PCA, DAE])
 @pytest.mark.parametrize("lcn", [True, False])
 def test_every_map_falls_back_when_no_sign_certifies(monkeypatch, learner,
@@ -329,14 +435,7 @@ def test_every_map_falls_back_when_no_sign_certifies(monkeypatch, learner,
     monkeypatch.setattr(pipeline, "_SIGN_SAFETY", 1e200)
     model = random_model(learner, 4, 3, seed=11, k1=3, k2=5, lcn=lcn)
     image = GrayImage(np.random.default_rng(12).random((9, 13)))
-    calls = []
-    window_path = pipeline.map_layer
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return window_path(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "map_layer", counting)
+    calls = record_window_path(monkeypatch)
     got = code_maps(image, model)
     assert len(calls) == 1 + model.config.l1
     monkeypatch.undo()
