@@ -159,10 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_run_flags(p, seed):
         p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes for feature extraction, "
-                            "test-set scoring, the autoencoder's corruption "
-                            "masks, the per-class SVM solves and the WPCA "
-                            "column blocks")
+                       help="worker processes for the training images' "
+                            "first-layer maps, feature extraction, test-set "
+                            "scoring, the autoencoder's corruption masks, "
+                            "the Gram matrix strips, the per-class SVM "
+                            "solves and the WPCA column blocks")
         if seed:
             p.add_argument("--seed", type=int, default=None,
                            help="override the config seed")

@@ -58,15 +58,25 @@ def _read_exact(fh, count, what) -> bytearray:
 
 
 def _read_idx_file(path, magic, ndim, what, data_what):
-    """The dimensions and the data bytes of one IDX file, plain or gzip."""
+    """The dimensions and the data bytes of one IDX file, plain or gzip,
+    which must end where its data does."""
     with open(path, "rb") as fh:
         gzipped = fh.read(2) == b"\x1f\x8b"
-    with (gzip.open if gzipped else open)(path, "rb") as fh:
-        found, *dims = struct.unpack(
-            f">{ndim + 1}I", _read_exact(fh, 4 * ndim + 4, f"{what} header"))
-        if found != magic:
-            raise DataFormatError(f"bad {what} magic 0x{found:08x}")
-        return dims, _read_exact(fh, math.prod(dims), data_what)
+    try:
+        with (gzip.open if gzipped else open)(path, "rb") as fh:
+            found, *dims = struct.unpack(
+                f">{ndim + 1}I", _read_exact(fh, 4 * ndim + 4, f"{what} header"))
+            if found != magic:
+                raise DataFormatError(f"bad {what} magic 0x{found:08x}")
+            data = _read_exact(fh, math.prod(dims), data_what)
+            # reading on to the end makes gzip check the stream's CRC32 and size
+            if fh.read(1):
+                raise DataFormatError(f"trailing bytes after the {data_what}")
+            return dims, data
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise DataFormatError(f"{path}: corrupt gzip stream: {exc}") from None
 
 
 def read_idx(images_path, labels_path):
@@ -79,8 +89,8 @@ def read_idx(images_path, labels_path):
     (label_count,), labels = _read_idx_file(
         labels_path, IDX_LABELS_MAGIC, 1, "label", "labels")
     if label_count != count:
-        raise DataFormatError(
-            f"count mismatch: {count} images vs {label_count} labels")
+        raise DataFormatError(f"{labels_path}: count mismatch: {count} images"
+                              f" vs {label_count} labels")
     pixels = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows, cols)
     images = [GrayImage(img / 255.0) for img in pixels.astype(np.float64)]
     return images, np.frombuffer(labels, dtype=np.uint8).astype(np.int64)

@@ -2,18 +2,24 @@
 
 Feature extraction is a pure function of (model, image). :func:`_run_tasks`
 splits a batch into tasks of ``chunk`` consecutive images, and
-``forkpool.fork_pool(jobs, (model, images, dim))`` runs
+``forkpool.fork_pool(jobs, (model, images, dim, maps))`` runs
 :func:`_encode_task` on each: the workers see the model and the images
 copy-on-write, so no image is pickled, and every ``jobs`` runs the same
 function on the same model. Each image comes back as ``(indices,
 counts)`` in the narrowest dtypes that hold them: int32 indices wherever
 scipy indexes the CSR matrix with int32, and counts sized to a block's
-pixel count, a fraction of the int64 pair to unpickle. Training then
-passes the same ``jobs`` to the classifier fit: both fits write their
-Gram one strip of rows per task, then ``svm_train`` solves one class per
-task and ``wpca_fit`` lifts one block of columns per task. A fourth
-fan-out comes first: each autoencoder layer draws its corruption masks
-one epoch per task (``filters.train_dae``).
+pixel count, a fraction of the int64 pair to unpickle.
+
+Training fans out over the same ``jobs`` five times. Each autoencoder
+layer draws its corruption masks one epoch per task
+(``filters.train_dae``). Once the first bank is learned,
+:func:`_map_task` writes the first-layer maps of the training images, in
+the same tasks as extraction, into one shared array: the second-layer
+patches are drawn from it, and training extraction encodes each image
+from its maps there, so every training image is mapped through the first
+layer once. Then both classifier fits write their Gram one strip of rows
+per task, and ``svm_train`` solves one class per task or ``wpca_fit``
+lifts one block of columns per task.
 
 Evaluation runs its tasks through :func:`_predict_task`, which encodes
 them with :func:`_encode_task` and scores them where it runs, returning
@@ -26,7 +32,6 @@ set with the model. Training and prediction run on one BLAS thread
 
 from __future__ import annotations
 
-import functools
 import logging
 import time
 from dataclasses import dataclass, replace
@@ -40,7 +45,7 @@ from .classify import (LinearSvmModel, WpcaCosineModel, as_csr,
 from . import encoder
 from .filters import (common_size, draw_patch_locations, gather_patches,
                       learn_dae_filters, learn_pca_filters, sample_patches)
-from .forkpool import fork_pool, one_blas_thread
+from .forkpool import fork_pool, one_blas_thread, shared_zeros
 # build_stack is not called here; perfbench's tracer wraps experiment.build_stack
 from .pipeline import build_stack, code_maps, lcn_constant, map_layer  # noqa: F401
 # training calls lcn_rows by this name, which perfbench traces apart
@@ -119,20 +124,17 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     bank1 = _learn_bank(z, cfg.l1, cfg, rng, "layer1", jobs)
     timer.lap("learn layer1 bank")
 
-    # layer-2 patches come from first-layer maps; maps are built lazily for
-    # the images the draw actually touches, all L1 maps of an image forming
-    # consecutive sources, which gather_patches visits in ascending order
+    # layer-2 patches come from the first-layer maps of every training image,
+    # computed once over the pool into shared memory, where extraction
+    # reads them again: all L1 maps of an image are consecutive sources
+    maps = shared_zeros((len(images), cfg.l1, h, w))
+    _run_tasks(_map_task, (images, bank1, whiten1, lcn_constant(cfg), maps),
+               len(images), jobs)
     locations = draw_patch_locations(len(images) * cfg.l1, (h, w), shape,
                                      cfg.patches_per_layer,
                                      rng.stream("patches.layer2"))
-    lcn = lcn_constant(cfg)
-
-    @functools.lru_cache(maxsize=1)
-    def maps_of(image_idx: int):
-        return map_layer(images[image_idx], bank1, whiten1, lcn)
-
-    patches = gather_patches(lambda src: maps_of(src // cfg.l1)[src % cfg.l1],
-                             locations, shape)
+    patches = gather_patches(maps.reshape(-1, h, w).__getitem__, locations,
+                             shape)
     timer.lap("sample layer2 patches")
     z, whiten2 = _preprocess_patches(patches, cfg)
     timer.lap("preprocess layer2")
@@ -142,7 +144,8 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
 
     front = TrainedModel(config=cfg, bank1=bank1, bank2=bank2,
                          whiten1=whiten1, whiten2=whiten2)
-    features = extract_features(front, images, jobs=jobs)
+    features = extract_features(front, images, jobs=jobs, maps=maps)
+    del maps   # not held through the classifier fit
     timer.lap("extract training features")
 
     if cfg.classifier == "svm":
@@ -163,15 +166,23 @@ def _wpca_input(features, cfg: Config) -> sp.csr_matrix:
     return x
 
 
+def _map_task(state, task) -> None:
+    """Write the first-layer maps of ``images[start:stop]`` into ``maps``."""
+    images, bank, whiten, lcn, maps = state
+    for i in range(*task):
+        maps[i] = map_layer(images[i], bank, whiten, lcn)
+
+
 def _encode_task(state, task) -> list:
     """The ``(indices, counts)`` of each of ``images[start:stop]``, narrowed
-    as the module describes."""
-    model, images, dim = state
+    as the module describes, from its first-layer ``maps`` when given."""
+    model, images, dim, maps = state
     cfg = model.config
     index_dtype = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
     count_dtype = np.min_scalar_type(cfg.block_w * cfg.block_h)
-    feats = (encoder.feature_of(code_maps(image, model), cfg)
-             for image in images[slice(*task)])
+    layer1 = [None] * len(images) if maps is None else maps
+    feats = (encoder.feature_of(code_maps(images[i], model, layer1[i]), cfg)
+             for i in range(*task))
     return [(f.indices.astype(index_dtype), f.counts.astype(count_dtype))
             for f in feats]
 
@@ -185,10 +196,14 @@ def _csr(pairs, dim: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(len(pairs), dim))
 
 
-def extract_features(model: TrainedModel, images, jobs: int = 1) -> sp.csr_matrix:
-    """Histogram features for a batch of images as a CSR matrix."""
-    dim, parts = _run_tasks(_encode_task, model, images, jobs)
-    return _csr([pair for part in parts for pair in part], dim)
+def extract_features(model: TrainedModel, images, jobs: int = 1,
+                     maps=None) -> sp.csr_matrix:
+    """Histogram features for a batch of images as a CSR matrix; ``maps``,
+    the (n, L1, h, w) first-layer maps of the images, spares their layer-1
+    products."""
+    state = _batch_state(model, images, maps)
+    parts = _run_tasks(_encode_task, state, len(images), jobs)
+    return _csr([pair for part in parts for pair in part], state[2])
 
 
 @one_blas_thread()
@@ -216,22 +231,25 @@ class EvalResult:
         return 100.0 * self.errors / self.samples
 
 
-def _run_tasks(fn, model: TrainedModel, images, jobs: int,
-               chunk: int = TASK_IMAGES) -> tuple[int, list]:
-    """``dim`` and ``fn((model, images, dim), (start, stop))`` of each run of
-    ``chunk`` consecutive images, over ``fork_pool(jobs, ...)`` in order."""
-    n = len(images)
-    if n == 0:
+def _batch_state(model: TrainedModel, images, maps=None) -> tuple:
+    """The ``(model, images, dim, maps)`` state of a batch's tasks."""
+    if len(images) == 0:
         raise ValueError("no samples")
     dim = encoder.feature_dim(common_size(images), model.config)
+    return model, images, dim, maps
+
+
+def _run_tasks(fn, state, n: int, jobs: int, chunk: int = TASK_IMAGES) -> list:
+    """``fn(state, (start, stop))`` of each run of ``chunk`` consecutive of
+    ``n`` images, over ``fork_pool(jobs, state)`` in order."""
     tasks = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-    with fork_pool(jobs, (model, images, dim)) as run:
-        return dim, list(run(fn, tasks))
+    with fork_pool(jobs, state) as run:
+        return list(run(fn, tasks))
 
 
 def _predict_task(state, task) -> np.ndarray:
     """Labels of ``images[start:stop]``, encoded and scored where it runs."""
-    model, _, dim = state
+    model, _, dim, _ = state
     return predict_features(model, _csr(_encode_task(state, task), dim))
 
 
@@ -247,7 +265,8 @@ def evaluate_model(model: TrainedModel, images, labels, jobs: int = 1,
     if model.classifier is None:
         raise TypeError("model has no trained classifier")
     classes = np.union1d(model.classifier.classes, labels)
-    _, parts = _run_tasks(_predict_task, model, images, jobs, chunk)
+    parts = _run_tasks(_predict_task, _batch_state(model, images), len(images),
+                       jobs, chunk)
     preds = np.concatenate(parts)
     confusion = np.zeros((classes.size, classes.size), dtype=np.int64)
     np.add.at(confusion, (np.searchsorted(classes, labels),

@@ -12,8 +12,8 @@ determined by the seed.
 The autoencoder's corruption masks depend on the seed and the epoch
 alone, not on the weights, so they are drawn over
 ``forkpool.fork_pool(jobs, ...)``, one epoch per task, while the parent
-runs the gradient steps: with feature extraction, the SVM's classes and
-the WPCA column blocks, the fourth fan-out of training.
+runs the gradient steps, one of the five fan-outs of training that
+``experiment`` lists.
 """
 
 from __future__ import annotations

@@ -89,14 +89,17 @@ def build_stack(image, model: TrainedModel) -> tuple[np.ndarray, np.ndarray]:
                              for m in layer1])
 
 
-def code_maps(image, model: TrainedModel) -> np.ndarray:
+def code_maps(image, model: TrainedModel, layer1=None) -> np.ndarray:
     """Code maps of one image, shape (groups, h, w) uint16.
 
     Equal to ``compress_groups(build_stack(image, model), trans_layer)``,
     including its checks, without computing second-layer float maps.
+    ``layer1``, the image's first-layer maps when already computed, takes
+    the place of their ``map_layer`` call.
     """
     lcn = lcn_constant(model.config)
-    layer1 = map_layer(image, model.bank1, model.whiten1, lcn)
+    if layer1 is None:
+        layer1 = map_layer(image, model.bank1, model.whiten1, lcn)
     return pack_codes(binarize(layer1),
                       _layer2_bits(layer1, model.bank2, model.whiten2, lcn),
                       model.config.trans_layer)

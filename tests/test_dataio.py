@@ -129,6 +129,135 @@ def test_idx_gzip_transparent(tmp_path):
     assert np.array_equal(images[0].pixels, pixels[0] / 255.0)
 
 
+IDX_PIXELS = np.random.default_rng(5).integers(0, 256, size=(3, 4, 5),
+                                                dtype=np.uint8)
+IDX_LABELS = [3, 1, 4]
+
+
+def gzip_idx_files(tmp_path):
+    """The IDX fixture of IDX_PIXELS and IDX_LABELS, both files gzipped."""
+    paths = write_idx_fixture(tmp_path, IDX_PIXELS, IDX_LABELS)
+    for path in paths:
+        path.write_bytes(gzip.compress(path.read_bytes(), mtime=0))
+    return paths
+
+
+def assert_fails_cleanly_or_loads_equal(img_path, lab_path, faulty_path):
+    """read_idx raises a DataFormatError that names ``faulty_path``, with no
+    warning, or loads the images and labels the fixture wrote."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            images, labels = read_idx(img_path, lab_path)
+        except DataFormatError as exc:
+            assert str(exc).startswith(f"{faulty_path}: "), str(exc)
+            return
+    assert labels.tolist() == IDX_LABELS
+    assert np.array_equal(np.stack([image.pixels for image in images]),
+                          IDX_PIXELS / 255.0)
+
+
+def test_idx_gzip_every_bit_flip_fails_cleanly_or_loads_equal(tmp_path):
+    # gzip checks a stream's CRC32 and size only when read to its end
+    img_path, lab_path = gzip_idx_files(tmp_path)
+    blob = img_path.read_bytes()
+    for at in range(len(blob)):
+        for bit in range(8):
+            flipped = bytearray(blob)
+            flipped[at] ^= 1 << bit
+            img_path.write_bytes(flipped)
+            assert_fails_cleanly_or_loads_equal(img_path, lab_path, img_path)
+
+
+def _cut_deflate(blob):
+    return blob[:len(blob) // 2]
+
+
+def _bad_block_type(blob):
+    # the first deflate block after the 10-byte header: final, reserved type
+    return blob[:10] + b"\xff" + blob[11:]
+
+
+def _bad_method(blob):
+    return blob[:2] + b"\x07" + blob[3:]
+
+
+def _bad_crc(blob):
+    return blob[:-8] + bytes([blob[-8] ^ 1]) + blob[-7:]
+
+
+def _other_member(blob):
+    return blob + gzip.compress(b"\x00", mtime=0)
+
+
+@pytest.mark.parametrize("fault,raised_before", [
+    (_cut_deflate, "EOFError"), (_bad_block_type, "zlib.error"),
+    (_bad_method, "BadGzipFile"), (_bad_crc, "nothing"),
+    (_other_member, "nothing")])
+@pytest.mark.parametrize("which", ["images", "labels"])
+def test_idx_gzip_faults_are_data_format_errors_naming_the_file(
+        tmp_path, fault, raised_before, which):
+    paths = dict(zip(["images", "labels"], gzip_idx_files(tmp_path)))
+    path = paths[which]
+    path.write_bytes(fault(path.read_bytes()))
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: "):
+        read_idx(paths["images"], paths["labels"])
+
+
+@pytest.mark.parametrize("fault,message", [
+    (lambda blob: b"\xde\xad" + blob[2:], "bad image magic"),
+    (lambda blob: blob[:-1], "truncated file while reading image pixels"),
+    (lambda blob: blob + b"\x00", "trailing bytes after the image pixels"),
+])
+def test_idx_plain_faults_name_the_file(tmp_path, fault, message):
+    img_path, lab_path = write_idx_fixture(tmp_path, IDX_PIXELS, IDX_LABELS)
+    img_path.write_bytes(fault(img_path.read_bytes()))
+    with pytest.raises(DataFormatError,
+                       match=f"^{re.escape(str(img_path))}: {message}"):
+        read_idx(img_path, lab_path)
+
+
+def test_idx_count_mismatch_names_the_label_file(tmp_path):
+    img_path, _ = write_idx_fixture(tmp_path, IDX_PIXELS, IDX_LABELS)
+    _, lab_path = write_idx_fixture(tmp_path / "..", IDX_PIXELS[:1], [3])
+    with pytest.raises(DataFormatError,
+                       match=f"^{re.escape(str(lab_path))}: count mismatch"):
+        read_idx(img_path, lab_path)
+
+
+def test_idx_unreadable_path_keeps_its_os_error(tmp_path):
+    # only malformed content becomes a DataFormatError
+    with pytest.raises(IsADirectoryError):
+        read_idx(tmp_path, tmp_path)
+
+
+@pytest.mark.parametrize("gzipped", [False, True])
+@pytest.mark.parametrize("which", ["images", "labels"])
+@given(data=st.data())
+def test_mutated_idx_file_fails_cleanly_or_loads_equal(tmp_path_factory,
+                                                       gzipped, which, data):
+    # a gzip file may take any byte flip, a plain one a flip in its header
+    # (it has no checksum, so a flipped pixel is a valid file); either may be
+    # cut short or gain bytes at its end
+    tmp_path = tmp_path_factory.mktemp("idx")
+    paths = (gzip_idx_files(tmp_path) if gzipped
+             else write_idx_fixture(tmp_path, IDX_PIXELS, IDX_LABELS))
+    path = dict(zip(["images", "labels"], paths))[which]
+    blob = path.read_bytes()
+    header = 16 if which == "images" else 8
+    kind = data.draw(st.sampled_from(["flip", "truncate", "append"]))
+    if kind == "flip":
+        at = data.draw(st.integers(0, (len(blob) if gzipped else header) - 1))
+        mask = data.draw(st.integers(1, 255))
+        blob = blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1:]
+    elif kind == "truncate":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        blob += data.draw(st.binary(min_size=1, max_size=16))
+    path.write_bytes(blob)
+    assert_fails_cleanly_or_loads_equal(*paths, path)
+
+
 def amat_line(pixels, label):
     return " ".join(f"{v:g}" for v in pixels) + f" {label:g}"
 

@@ -3,6 +3,7 @@ import ctypes
 import os
 import signal
 import tracemalloc
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -12,11 +13,12 @@ import scipy.sparse as sp
 
 from translayer import (FilterBank, GrayImage, TrainedModel, WhiteningTransform,
                         classify, encoder, evaluate_model, experiment,
-                        forkpool, train_model)
+                        filters, forkpool, pipeline, train_model)
 from translayer.dataio import save_model
 from translayer.experiment import (extract_features, format_eval_report,
                                   predict_features)
 from translayer.pipeline import code_maps
+from translayer.rng import Rng
 
 from conftest import make_glyphs, tiny_config
 
@@ -46,7 +48,8 @@ def test_narrow_worker_payload_keeps_the_csr(tiny_model, glyph_test, block):
     model = replace(tiny_model, config=cfg, classifier=None)
     images = glyph_test[0][:6] + [GrayImage(np.zeros((28, 28)))]
     dim = encoder.feature_dim(images[0].pixels.shape, cfg)
-    [(indices, counts)] = experiment._encode_task((model, images, dim), (6, 7))
+    state = (model, images, dim, None)
+    [(indices, counts)] = experiment._encode_task(state, (6, 7))
     assert indices.dtype == np.int32
     assert counts.dtype == (np.uint8 if block == 7 else np.uint16)
     want = int64_pair_csr(model, images)
@@ -258,6 +261,66 @@ def test_parallel_dae_training_saves_the_same_bytes(glyph_train, tmp_path):
         save_model(train_model(cfg, images[:30], labels[:30], jobs=jobs), path)
         saved.append(path.read_bytes())
     assert saved[1] == saved[0]
+
+
+def test_training_maps_each_image_through_layer1_once(glyph_train,
+                                                     monkeypatch):
+    # the layer-2 patch draw and extraction share one map per image
+    images, labels = glyph_train[0][:20], glyph_train[1][:20]
+    mapped = []
+    for module in (experiment, pipeline):
+        def counting(image, *args, map_layer=module.map_layer):
+            mapped.append(id(image))
+            return map_layer(image, *args)
+        monkeypatch.setattr(module, "map_layer", counting)
+    train_model(tiny_config(patches_per_layer=200), images, labels, jobs=1)
+    ids = sorted(id(image) for image in images)
+    assert sorted(i for i in mapped if i in ids) == ids
+
+
+def test_layer2_patches_come_from_each_images_layer1_maps(glyph_train,
+                                                          monkeypatch):
+    images, labels = glyph_train[0][:20], glyph_train[1][:20]
+    cfg = tiny_config(patches_per_layer=200)
+    seen, preprocess = [], experiment._preprocess_patches
+
+    def recording(patches, config):
+        seen.append(patches.copy())
+        return preprocess(patches, config)
+
+    monkeypatch.setattr(experiment, "_preprocess_patches", recording)
+    model = train_model(cfg, images, labels, jobs=1)
+    shape, lcn = cfg.patch_shape(), pipeline.lcn_constant(cfg)
+    maps = [pipeline.map_layer(image, model.bank1, model.whiten1, lcn)
+            for image in images]
+    locations = filters.draw_patch_locations(
+        len(images) * cfg.l1, (28, 28), shape, cfg.patches_per_layer,
+        Rng(cfg.seed).stream("patches.layer2"))
+    want = filters.gather_patches(lambda src: maps[src // cfg.l1][src % cfg.l1],
+                                  locations, shape)
+    assert len(seen) == 2 and np.array_equal(seen[1], want)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_training_maps_are_freed_before_the_classifier_fit(glyph_train,
+                                                           monkeypatch, jobs):
+    made, alive_at_fit = [], []
+    shared_zeros, svm_train = experiment.shared_zeros, experiment.svm_train
+
+    def recording(shape):
+        maps = shared_zeros(shape)
+        made.append(weakref.ref(maps))
+        return maps
+
+    def fit(*args, **kwargs):
+        alive_at_fit.append([ref() is not None for ref in made])
+        return svm_train(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "shared_zeros", recording)
+    monkeypatch.setattr(experiment, "svm_train", fit)
+    images, labels = glyph_train[0][:20], glyph_train[1][:20]
+    train_model(tiny_config(patches_per_layer=200), images, labels, jobs=jobs)
+    assert alive_at_fit == [[False]]
 
 
 def test_nan_pixel_rejected(tiny_model):
