@@ -116,14 +116,13 @@ def read_amat(path):
     for what, ok in (("pixel outside [0, 1]",
                       ((pixels >= 0) & (pixels <= 1)).all(axis=1)),
                      ("label not in the int64 range",
-                      (raw_labels >= -2.0**63) & (raw_labels < 2.0**63))):
+                      (raw_labels >= -2.0**63) & (raw_labels < 2.0**63)),
+                     ("non-integer label value",
+                      np.floor(raw_labels) == raw_labels)):
         if not ok.all():
             raise DataFormatError(f"{path}: row {np.argmin(ok) + 1}: {what}")
-    labels = raw_labels.astype(np.int64)
-    if not np.array_equal(raw_labels, labels.astype(np.float64)):
-        raise DataFormatError(f"{path}: non-integer label value")
     images = [GrayImage(row.reshape(28, 28)) for row in pixels]
-    return images, labels
+    return images, raw_labels.astype(np.int64)
 
 
 # --- model container ---------------------------------------------------

@@ -12,6 +12,7 @@ the reshaped kernel over the image.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -153,6 +154,26 @@ class WhiteningTransform:
 _TRUE = {"on", "true", "1", "yes"}
 _FALSE = {"off", "false", "0", "no"}
 
+
+def _parse_bool(raw):
+    if raw.lower() not in _TRUE | _FALSE:
+        raise ValueError(f"expected on|off, got {raw!r}")
+    return raw.lower() in _TRUE
+
+
+# a declared field type: what a value must be (in messages), the numpy dtype
+# kinds of the values it accepts (a Python or numpy bool is "b", an integer
+# "i" or "u", a float "f"), and its config-text parser and writer
+_Codec = namedtuple("_Codec", "noun kinds parse write")
+_CODECS = {
+    "bool": _Codec("on or off", "b", _parse_bool,
+                   lambda v: "on" if v else "off"),
+    "int": _Codec("an integer", "iu", int, str),
+    "float": _Codec("a number", "iuf", float, lambda v: repr(float(v))),
+    "str": _Codec("a string", "U", str, str),
+}
+
+
 @dataclass(frozen=True)
 class Config:
     """Full hyperparameter record for one experiment."""
@@ -185,72 +206,58 @@ class Config:
         return PatchShape(self.patch_k1, self.patch_k2)
 
 
-# exact config-file keys, in canonical serialization order
-_KEYS = tuple(f.name for f in fields(Config))
+# each config-file key's codec, picked by its declared type, in canonical order
+_FIELDS = {f.name: _CODECS[f.type] for f in fields(Config)}
+
+# single-field rules as (fields, fault, message), "{}" in a message standing
+# for the field
+_RULES = (
+    ("l1 l2", lambda v: not 1 <= v <= MAX_FILTERS,
+     f"{{}} must lie in 1..{MAX_FILTERS}"),
+    ("lcn_c whiten_epsilon dae_lr dae_tradeoff_c svm_c",
+     lambda v: not math.isfinite(v), "{} must be finite"),
+    ("lcn_c dae_lr dae_tradeoff_c svm_c", lambda v: v <= 0, "{} must be > 0"),
+    ("whiten_epsilon", lambda v: v < 0, "{} must be >= 0"),
+    ("learner", lambda v: v not in (PCA, DAE), "{} must be pca or dae"),
+    ("dae_corruption", lambda v: not 0.0 <= v < 1.0, "{} must lie in [0, 1)"),
+    ("dae_epochs patches_per_layer wpca_dim", lambda v: v < 1, "{} must be >= 1"),
+    ("block_w block_h", lambda v: v < 1, "block_w and block_h must be >= 1"),
+    ("stride_x stride_y", lambda v: v < 1, "stride_x and stride_y must be >= 1"),
+    ("classifier", lambda v: v not in ("svm", "wpca_cosine"),
+     "{} must be svm or wpca_cosine"),
+    ("seed", lambda v: not 0 <= int(v) < 2**64, "{} must fit in 64 bits unsigned"),
+)
 
 
 def validate_config(config: Config) -> list[str]:
     """Return every violated invariant as a message; empty list means ok."""
-    errors = []
+    errors = [f"{name} must be {codec.noun}" for name, codec in _FIELDS.items()
+              if np.dtype(type(getattr(config, name))).kind not in codec.kinds]
+    if errors:   # the rules compare values of the declared types
+        return errors
     try:
         config.patch_shape()
     except ValueError as exc:
         errors.append(str(exc))
+    for names, fault, message in _RULES:
+        for name in names.split():
+            # a block or a stride pair shares one message
+            if fault(getattr(config, name)) and message.format(name) not in errors:
+                errors.append(message.format(name))
+    pixels = config.patch_k1 * config.patch_k2
     for name in ("l1", "l2"):
-        val = getattr(config, name)
-        if not 1 <= val <= MAX_FILTERS:
-            errors.append(f"{name} must lie in 1..{MAX_FILTERS}")
-        elif config.learner == PCA and val > config.patch_k1 * config.patch_k2:
-            errors.append(f"{name} must be <= patch_k1*patch_k2 = "
-                          f"{config.patch_k1 * config.patch_k2} with learner pca")
-    for name in ("lcn_c", "whiten_epsilon", "dae_lr", "dae_tradeoff_c", "svm_c"):
-        if not math.isfinite(getattr(config, name)):
-            errors.append(f"{name} must be finite")
-    if config.lcn_c <= 0:
-        errors.append("lcn_c must be > 0")
-    if config.whiten_epsilon < 0:
-        errors.append("whiten_epsilon must be >= 0")
-    if config.learner not in (PCA, DAE):
-        errors.append("learner must be pca or dae")
-    if not 0.0 <= config.dae_corruption < 1.0:
-        errors.append("dae_corruption must lie in [0, 1)")
-    if config.dae_epochs < 1:
-        errors.append("dae_epochs must be >= 1")
-    if config.dae_lr <= 0:
-        errors.append("dae_lr must be > 0")
-    if config.dae_tradeoff_c <= 0:
-        errors.append("dae_tradeoff_c must be > 0")
-    if config.patches_per_layer < 1:
-        errors.append("patches_per_layer must be >= 1")
-    if config.block_w < 1 or config.block_h < 1:
-        errors.append("block_w and block_h must be >= 1")
-    if config.stride_x < 1 or config.stride_y < 1:
-        errors.append("stride_x and stride_y must be >= 1")
-    else:
-        if config.stride_x > config.block_w or config.stride_y > config.block_h:
-            errors.append("stride must not exceed the block side")
-    if config.classifier not in ("svm", "wpca_cosine"):
-        errors.append("classifier must be svm or wpca_cosine")
-    if config.svm_c <= 0:
-        errors.append("svm_c must be > 0")
-    if config.wpca_dim < 1:
-        errors.append("wpca_dim must be >= 1")
-    if not 0 <= config.seed < 2**64:
-        errors.append("seed must fit in 64 bits unsigned")
+        count = getattr(config, name)
+        if config.learner == PCA and 1 <= count <= MAX_FILTERS and count > pixels:
+            errors.append(f"{name} must be <= patch_k1*patch_k2 = {pixels} "
+                          f"with learner pca")
+    if min(config.stride_x, config.stride_y) >= 1 and (
+            config.stride_x > config.block_w or config.stride_y > config.block_h):
+        errors.append("stride must not exceed the block side")
     return errors
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _parse_bool(key, raw):
-    low = raw.lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ConfigError(f"{key}: expected on|off, got {raw!r}")
 
 
 def parse_config(text: str) -> Config:
@@ -263,28 +270,18 @@ def parse_config(text: str) -> Config:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key=value")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = raw
-
-    kwargs = {}
-    hints = {f.name: f.type for f in fields(Config)}
+    # every key fault in the text is reported before any value fault
     for key, raw in values.items():
-        hint = hints[key]
         try:
-            if hint == "bool":
-                kwargs[key] = _parse_bool(key, raw)
-            elif hint == "int":
-                kwargs[key] = int(raw)
-            elif hint == "float":
-                kwargs[key] = float(raw)
-            else:
-                kwargs[key] = raw
+            values[key] = _FIELDS[key].parse(raw)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from None
-    return Config(**kwargs)
+    return Config(**values)
 
 
 def load_config(path) -> Config:
@@ -294,17 +291,8 @@ def load_config(path) -> Config:
 
 def format_config(config: Config) -> str:
     """Canonical text form; stable byte-for-byte for identical configs."""
-    lines = []
-    for key in _KEYS:
-        val = getattr(config, key)
-        if isinstance(val, bool):
-            rendered = "on" if val else "off"
-        elif isinstance(val, float):
-            rendered = repr(val)
-        else:
-            rendered = str(val)
-        lines.append(f"{key}={rendered}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name}={codec.write(getattr(config, name))}\n"
+                   for name, codec in _FIELDS.items())
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from translayer import (Config, FilterBank, TrainedModel, WhiteningTransform)
+from translayer import (Config, FilterBank, TrainedModel, WhiteningTransform,
+                        validate_config)
 from translayer.classify import LinearSvmModel, WpcaCosineModel
 from translayer.dataio import (DataFormatError, ModelFormatError, dump_map_pgm,
                                load_model, read_amat, read_idx, save_model)
@@ -308,6 +309,7 @@ def test_amat_non_integer_label(tmp_path):
     (784, "nan", "label not in the int64 range"),
     (784, "-inf", "label not in the int64 range"),
     (784, "9223372036854775808", "label not in the int64 range"),
+    (784, "2.5", "non-integer label value"),
 ])
 def test_amat_bad_value_names_file_and_row(tmp_path, field, value, fault):
     # a blank line and a comment are not data rows; the error counts rows
@@ -326,6 +328,56 @@ def test_amat_label_at_the_int64_limit_is_kept(tmp_path):
     path = tmp_path / "low.amat"
     path.write_text(" ".join(["0"] * 784) + " -9223372036854775808\n")
     assert read_amat(path)[1].tolist() == [-2**63]
+
+
+AMAT_PIXELS = np.random.default_rng(6).choice([0.0, 0.125, 0.5, 0.75, 1.0],
+                                              size=(3, 784))
+AMAT_LABELS = [3, 1, 4]
+# a byte that no number, separator or comment of the format holds, so that
+# writing it anywhere must fail a read: a digit, '.' or 'e' could make
+# another valid number, and '#' or whitespace (fields are split at any
+# Unicode whitespace) another valid line
+AMAT_FOREIGN = [b for b in range(256)
+                if chr(b) not in "0123456789.eE#" and not chr(b).isspace()]
+
+
+@given(data=st.data())
+def test_mutated_amat_file_fails_cleanly_or_loads_equal(tmp_path_factory,
+                                                        data):
+    # every mutation but an append leaves a row with a foreign byte or with
+    # other than 785 fields; an append may add blank or comment lines
+    path = tmp_path_factory.mktemp("amat") / "data.amat"
+    rows = [amat_line(p, l).split(" ")
+            for p, l in zip(AMAT_PIXELS, AMAT_LABELS)]
+    r = data.draw(st.integers(0, len(rows) - 1))
+    kind = data.draw(st.sampled_from(["flip", "drop", "add", "cut", "append"]))
+    if kind == "drop":
+        del rows[r][data.draw(st.integers(0, 784))]
+    elif kind == "add":
+        rows[r].insert(data.draw(st.integers(0, 785)),
+                       data.draw(st.sampled_from(["0", "1", "0.5", "7"])))
+    blob = "".join(" ".join(row) + "\n" for row in rows).encode()
+    if kind == "flip":
+        at = data.draw(st.integers(0, len(blob) - 1))
+        blob = (blob[:at] + bytes([data.draw(st.sampled_from(AMAT_FOREIGN))])
+                + blob[at + 1:])
+    elif kind == "cut":
+        lines = blob.split(b"\n")
+        lines[r] = lines[r][:data.draw(st.integers(1, len(lines[r]) - 1))]
+        blob = b"\n".join(lines)
+    elif kind == "append":
+        blob += data.draw(st.binary(min_size=1, max_size=16))
+    path.write_bytes(blob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            images, labels = read_amat(path)
+        except DataFormatError as exc:
+            assert str(exc).startswith(f"{path}: "), str(exc)
+            return
+    assert labels.tolist() == AMAT_LABELS
+    assert np.array_equal(np.stack([image.pixels.ravel() for image in images]),
+                          AMAT_PIXELS)
 
 
 @pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (0, 0)])
@@ -533,6 +585,27 @@ def test_config_disagreeing_with_model_rejected(tmp_path, tiny_model,
         rewrite_config(path, replace(tiny_model.config, **change))
     with pytest.raises(ModelFormatError, match=message):
         load_model(path)
+
+
+@pytest.mark.parametrize("change, rejected", [
+    (dict(lcn_c=10), False), (dict(lcn_c=np.float64(10.0)), False),
+    (dict(lcn=1), True), (dict(l1=4.0), True), (dict(seed=1.5), True),
+    (dict(l1="4"), True), (dict(svm_c=True), True),
+], ids=["int-float", "numpy-float", "int-bool", "float-int", "float-seed",
+        "str-int", "bool-float"])
+def test_setting_of_another_type_named_or_reloaded_equal(tmp_path, tiny_model,
+                                                         change, rejected):
+    config = replace(tiny_model.config, **change)
+    errors = validate_config(config)
+    if rejected:
+        assert [e.split()[0] for e in errors] == list(change)
+        return
+    assert errors == []
+    path = tmp_path / "model.bin"
+    save_model(replace(tiny_model, config=config), path)
+    loaded = load_model(path).config
+    assert loaded == config
+    assert format_config(loaded) == format_config(config)
 
 
 def test_bad_config_reported_before_a_later_checksum_mismatch(tmp_path,

@@ -2,15 +2,18 @@ import glob
 import os
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from translayer import (Config, FilterBank, GrayImage, PatchShape, Rng,
                         TrainedModel, WhiteningTransform, load_config,
                         validate_config)
-from translayer.types import ConfigError, format_config, parse_config
+from translayer.types import (MAX_FILTERS, ConfigError, format_config,
+                              parse_config)
 
 CONFIGS = sorted(glob.glob(os.path.join(
     os.path.dirname(__file__), os.pardir, "configs", "*.conf")))
@@ -104,6 +107,75 @@ def test_readme_lists_exactly_the_config_fields():
         block = fh.read().split("## Configuration", 1)[1].split("```", 2)[1]
     keys = re.findall(r"(\w+)=", re.sub(r"#.*", "", block))
     assert sorted(keys) == sorted(f.name for f in fields(Config))
+
+
+def _as_drawn_or_numpy(values, numpy_type):
+    # a setting computed with numpy may hold a numpy scalar
+    return values.flatmap(lambda v: st.sampled_from([v, numpy_type(v)]))
+
+
+def _ints(lo, hi, numpy_type=np.int64):
+    return _as_drawn_or_numpy(st.integers(lo, hi), numpy_type)
+
+
+def _reals(int_lo, int_hi, **bounds):
+    # a float setting may hold an integer too
+    floats = st.floats(allow_nan=False, allow_infinity=False, **bounds)
+    return st.one_of(_as_drawn_or_numpy(floats, np.float64),
+                     _ints(int_lo, int_hi))
+
+
+@st.composite
+def valid_configs(draw):
+    """A valid Config drawn field by field."""
+    k1, k2 = (draw(st.sampled_from([1, 3, 5, 7, 9])) for _ in range(2))
+    learner = draw(st.sampled_from(["pca", "dae"]))
+    filters = MAX_FILTERS if learner == "dae" else min(MAX_FILTERS, k1 * k2)
+    block_w, block_h = draw(_ints(1, 28)), draw(_ints(1, 28))
+    bools = st.sampled_from([True, False, np.True_, np.False_])
+    positive = _reals(1, 10**6, min_value=0.0, exclude_min=True)
+    values = dict(
+        patch_k1=k1, patch_k2=k2, l1=draw(_ints(1, filters)),
+        l2=draw(_ints(1, filters)), lcn=draw(bools), lcn_c=draw(positive),
+        whiten_epsilon=draw(_reals(0, 10**6, min_value=0.0)), learner=learner,
+        dae_corruption=draw(_reals(0, 0, min_value=0.0, max_value=1.0,
+                                   exclude_max=True)),
+        dae_epochs=draw(_ints(1, 10**6)), dae_lr=draw(positive),
+        dae_tradeoff_c=draw(positive), patches_per_layer=draw(_ints(1, 10**9)),
+        block_w=block_w, block_h=block_h, stride_x=draw(_ints(1, block_w)),
+        stride_y=draw(_ints(1, block_h)), trans_layer=draw(bools),
+        classifier=draw(st.sampled_from(["svm", "wpca_cosine"])),
+        svm_c=draw(positive), wpca_dim=draw(_ints(1, 10**6)),
+        wpca_sqrt=draw(bools), seed=draw(_ints(0, 2**64 - 1, np.uint64)))
+    assert set(values) == {f.name for f in fields(Config)}
+    return Config(**values)
+
+
+# values of every type but the declared one
+OTHER_TYPES = {
+    "bool": st.one_of(st.integers(), st.floats(), st.text(), st.none()),
+    "int": st.one_of(st.booleans(), st.floats(), st.floats().map(np.float64),
+                     st.text(), st.none()),
+    "float": st.one_of(st.booleans(), st.sampled_from([np.True_, np.False_]),
+                       st.complex_numbers(), st.text(), st.none()),
+    "str": st.one_of(st.booleans(), st.integers(), st.floats(), st.none()),
+}
+
+
+@given(config=valid_configs(), field=st.sampled_from(fields(Config)),
+       data=st.data())
+def test_config_text_round_trip_and_type_check(config, field, data):
+    assert validate_config(config) == []
+    text = format_config(config)
+    again = parse_config(text)
+    for f in fields(Config):
+        value = getattr(again, f.name)
+        assert value == getattr(config, f.name)
+        assert type(value).__name__ == f.type
+    assert format_config(again) == text
+    # a value of another type is named, not compared
+    wrong = replace(config, **{field.name: data.draw(OTHER_TYPES[field.type])})
+    assert [e.split()[0] for e in validate_config(wrong)] == [field.name]
 
 
 def test_parse_rejects_unknown_key():
