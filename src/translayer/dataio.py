@@ -92,7 +92,7 @@ def read_idx(images_path, labels_path):
         raise DataFormatError(f"{labels_path}: count mismatch: {count} images"
                               f" vs {label_count} labels")
     pixels = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows, cols)
-    images = [GrayImage(img / 255.0) for img in pixels.astype(np.float64)]
+    images = [GrayImage(img) for img in pixels / 255.0]
     return images, np.frombuffer(labels, dtype=np.uint8).astype(np.int64)
 
 

@@ -133,8 +133,7 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     locations = draw_patch_locations(len(images) * cfg.l1, (h, w), shape,
                                      cfg.patches_per_layer,
                                      rng.stream("patches.layer2"))
-    patches = gather_patches(maps.reshape(-1, h, w).__getitem__, locations,
-                             shape)
+    patches = gather_patches(maps.reshape(-1, h, w), locations, shape)
     timer.lap("sample layer2 patches")
     z, whiten2 = _preprocess_patches(patches, cfg)
     timer.lap("preprocess layer2")

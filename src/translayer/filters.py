@@ -7,7 +7,8 @@ eigenvectors of Z^T Z, orthonormal rows) and a tied-weight tanh
 autoencoder trained on corrupted patches by minibatch stochastic gradient
 descent, with the ``dae_*`` settings of the :class:`Config`. Patch
 sampling is uniform over every (source, top-left offset) pair and fully
-determined by the seed.
+determined by the seed. Both layers copy their patches, in draw order,
+out of one ``(sources, h, w)`` array: the images, then the first-layer maps.
 
 The autoencoder's corruption masks depend on the seed and the epoch
 alone, not on the weights, so they are drawn over
@@ -51,26 +52,15 @@ def draw_patch_locations(sources: int, size: tuple[int, int], shape: PatchShape,
     return np.stack([src, local // cols, local % cols], axis=1)
 
 
-def gather_patches(fetch, locations: np.ndarray, shape: PatchShape) -> np.ndarray:
-    """Extract row-major flattened patches at previously drawn locations,
-    one per row.
-
-    ``fetch(source_index)`` returns the 2-D array for a source; it is called
-    once per distinct source, in ascending order, regardless of draw order.
-    Each source's patches are one fancy-index copy of its pixels.
-    """
-    m = locations.shape[0]
-    data = np.empty((m, shape.dim), dtype=np.float64)
-    order = np.argsort(locations[:, 0], kind="stable")
-    src, r, c = locations[order].T
+def gather_patches(sources: np.ndarray, locations: np.ndarray,
+                   shape: PatchShape) -> np.ndarray:
+    """Row-major flattened patches of a ``(sources, h, w)`` array at drawn
+    locations, one per row in draw order, in one advanced-index copy."""
+    src, r, c = locations.T
     # pixel (i, j) of patch p sits at row rows[p, i, 0], column cols[p, 0, j]
     rows = r[:, None, None] + np.arange(shape.k1)[:, None]
     cols = c[:, None, None] + np.arange(shape.k2)
-    cuts = [0, *(np.flatnonzero(np.diff(src)) + 1).tolist(), m]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        patches = as_2d(fetch(int(src[lo])))[rows[lo:hi], cols[lo:hi]]
-        data[order[lo:hi]] = patches.reshape(hi - lo, shape.dim)
-    return data
+    return sources[src[:, None, None], rows, cols].reshape(len(src), shape.dim)
 
 
 def common_size(sources) -> tuple[int, int]:
@@ -88,7 +78,7 @@ def sample_patches(sources, shape: PatchShape, m: int,
     arrays = [as_2d(s) for s in sources]
     locations = draw_patch_locations(len(arrays), common_size(arrays), shape,
                                      m, gen)
-    return gather_patches(lambda i: arrays[i], locations, shape)
+    return gather_patches(np.stack(arrays), locations, shape)
 
 
 def learn_pca_filters(z: np.ndarray, shape: PatchShape, count: int) -> FilterBank:

@@ -11,7 +11,7 @@ the reshaped kernel over the image.
 
 from __future__ import annotations
 
-import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -215,7 +215,8 @@ _RULES = (
     ("l1 l2", lambda v: not 1 <= v <= MAX_FILTERS,
      f"{{}} must lie in 1..{MAX_FILTERS}"),
     ("lcn_c whiten_epsilon dae_lr dae_tradeoff_c svm_c",
-     lambda v: not math.isfinite(v), "{} must be finite"),
+     # an int beyond float range is compared exactly, never converted
+     lambda v: not abs(v) <= sys.float_info.max, "{} must be finite"),
     ("lcn_c dae_lr dae_tradeoff_c svm_c", lambda v: v <= 0, "{} must be > 0"),
     ("whiten_epsilon", lambda v: v < 0, "{} must be >= 0"),
     ("learner", lambda v: v not in (PCA, DAE), "{} must be pca or dae"),

@@ -101,6 +101,22 @@ def test_idx_header_beyond_memory_fails_as_truncated(tmp_path, gzipped):
     assert peak < 2**20
 
 
+def test_idx_images_are_views_of_one_float_copy(tmp_path):
+    # a second float copy, one per image, would double the peak
+    pixels = np.random.default_rng(6).integers(0, 256, size=(3000, 28, 28),
+                                               dtype=np.uint8)
+    paths = write_idx_fixture(tmp_path, pixels, [0] * 3000)
+    tracemalloc.start()
+    try:
+        images, _ = read_idx(*paths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(np.stack([img.pixels for img in images]),
+                          pixels / 255.0)
+    assert peak < 1.3 * pixels.size * 8
+
+
 def test_idx_full_mnist_if_available():
     root = os.environ.get("TRANSLAYER_DATA_DIR")
     candidates = []

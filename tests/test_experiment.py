@@ -296,7 +296,7 @@ def test_layer2_patches_come_from_each_images_layer1_maps(glyph_train,
     locations = filters.draw_patch_locations(
         len(images) * cfg.l1, (28, 28), shape, cfg.patches_per_layer,
         Rng(cfg.seed).stream("patches.layer2"))
-    want = filters.gather_patches(lambda src: maps[src // cfg.l1][src % cfg.l1],
+    want = filters.gather_patches(np.stack(maps).reshape(-1, 28, 28),
                                   locations, shape)
     assert len(seen) == 2 and np.array_equal(seen[1], want)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from translayer import (Config, GrayImage, PatchShape, Rng, learn_dae_filters,
                         learn_pca_filters)
@@ -7,7 +9,6 @@ from translayer import filters, train_model
 from translayer.filters import (TrainingDivergedError, dae_forward,
                                 dae_value_and_grad, draw_patch_locations,
                                 gather_patches, sample_patches, train_dae)
-from translayer.types import as_2d
 
 from conftest import make_glyphs, tiny_config
 
@@ -52,16 +53,11 @@ def test_sampling_deterministic_per_seed():
     assert np.array_equal(a, b)
 
 
-def gather_patches_loop(fetch, locations, shape):
-    """The per-patch loop that ``gather_patches`` replaced."""
+def gather_patches_loop(sources, locations, shape):
+    """``gather_patches`` one patch at a time, by slicing."""
     data = np.empty((locations.shape[0], shape.dim))
-    current, arr = -1, None
-    for pos in np.argsort(locations[:, 0], kind="stable"):
-        src, r, c = (int(x) for x in locations[pos])
-        if src != current:
-            arr = as_2d(fetch(src))
-            current = src
-        data[pos] = arr[r:r + shape.k1, c:c + shape.k2].ravel()
+    for pos, (src, r, c) in enumerate(locations):
+        data[pos] = sources[src, r:r + shape.k1, c:c + shape.k2].ravel()
     return data
 
 
@@ -75,16 +71,31 @@ def test_gather_patches_matches_per_patch_loop(k1, k2):
     corners = [[s, r, c] for s in (5, 0, 3) for r in (0, rows - 1)
                for c in (0, cols - 1)]
     locations = np.concatenate([drawn, corners, [[2, 1, 1]] * 5, drawn[:7]])
-    fetched = []
+    got = gather_patches(sources, locations, shape)
+    assert np.array_equal(got, gather_patches_loop(sources, locations, shape))
 
-    def fetch(src):
-        fetched.append(src)
-        return sources[src]
 
-    got = gather_patches(fetch, locations, shape)
-    assert np.array_equal(got, gather_patches_loop(lambda i: sources[i],
-                                                   locations, shape))
-    assert fetched == sorted(set(locations[:, 0].tolist()))
+@given(n=st.integers(1, 5), h=st.integers(1, 11), w=st.integers(1, 11),
+       i1=st.integers(0, 5), i2=st.integers(0, 5), m=st.integers(1, 60),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=3, h=6, w=9, i1=0, i2=5, m=20, seed=0)    # 1 x 9, full width
+@example(n=2, h=7, w=4, i1=5, i2=0, m=20, seed=1)    # 7 x 1, full height
+@example(n=4, h=5, w=7, i1=5, i2=5, m=20, seed=2)    # the whole source
+def test_gather_patches_matches_loop_for_any_shape(n, h, w, i1, i2, m, seed):
+    # the odd sides up to the source's: i clamps to the largest
+    shape = PatchShape(2 * min(i1, (h - 1) // 2) + 1,
+                       2 * min(i2, (w - 1) // 2) + 1)
+    sources = np.random.default_rng(seed).normal(size=(n, h, w))
+    rows, cols = h - shape.k1 + 1, w - shape.k2 + 1
+    drawn = draw_patch_locations(n, (h, w), shape, m, gen(seed))
+    # sources out of order, every corner offset, and one location many times
+    corners = [[s, r, c] for s in reversed(range(n)) for r in (0, rows - 1)
+               for c in (0, cols - 1)]
+    locations = np.concatenate([drawn, corners, drawn[-1:].repeat(5, axis=0),
+                                drawn[:7]])
+    got = gather_patches(sources, locations, shape)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, gather_patches_loop(sources, locations, shape))
 
 
 def test_source_smaller_than_patch_rejected():

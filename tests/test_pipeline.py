@@ -368,7 +368,7 @@ def tie_bias(t, margin):
 
 @pytest.mark.parametrize("margin", ["tie", "ulp+", "ulp-", 1e-10, -1e-10,
                                     3e-3, -3e-3])
-@pytest.mark.parametrize("lcn", [1e-4, 0.1, 10.0])
+@pytest.mark.parametrize("lcn", [1e-4, 0.1, 10.0, None])
 @pytest.mark.parametrize("kind", [("ratio", 1.0), ("ratio", 1e2),
                                   ("ratio", 1e4), ("ratio", 1e6), "constant",
                                   "zero", ("scaled", 1e-300),
@@ -378,7 +378,8 @@ def test_dae_lcn_bits_at_solved_ties_match_window_path(monkeypatch, kind, lcn,
     # each filter's bias puts the window path's value at one pixel of the
     # first map at the margin: on the tie and an ulp off it the fused sign
     # cannot be certified, 1e-10 lies inside the bound, and 3e-3 outside it
-    # where the window mean/std is at most 1e2
+    # where the window mean/std is at most 1e2. lcn None puts the same ties
+    # on the path with contrast normalization off
     layer1 = near_tie_layer1(kind)
     shape = PatchShape(7, 7)
     gen = np.random.default_rng(27)
@@ -387,8 +388,10 @@ def test_dae_lcn_bits_at_solved_ties_match_window_path(monkeypatch, kind, lcn,
     mat = (q * gen.uniform(0.5, 3.0, shape.dim)) @ q.T
     whiten = WhiteningTransform(matrix=0.5 * (mat + mat.T))
     # map_layer's own calls, so these are its pre-bias values bit for bit
-    pre = whiten_apply(whiten, lcn_rows(
-        pipeline.window_rows(layer1[0], shape), lcn)) @ weights.T
+    rows = pipeline.window_rows(layer1[0], shape)
+    if lcn is not None:
+        rows = lcn_rows(rows, lcn)
+    pre = whiten_apply(whiten, rows) @ weights.T
     biases = [tie_bias(pre[y * 20 + x, f], margin)
               for f, (y, x) in enumerate(TIE_PIXELS)]
     bank = dae_bank(weights, biases, 7)

@@ -78,6 +78,15 @@ def test_non_finite_float_settings_rejected(field, value):
             in validate_config(parse_config(f"{field}={value}\n")))
 
 
+@pytest.mark.parametrize("value", [10**400, -10**400],
+                         ids=["+10**400", "-10**400"])
+@pytest.mark.parametrize("field", ["lcn_c", "whiten_epsilon", "dae_lr",
+                                   "dae_tradeoff_c", "svm_c"])
+def test_ints_beyond_float_range_named_not_raised(field, value):
+    # converting such an int to float raises OverflowError
+    assert f"{field} must be finite" in validate_config(Config(**{field: value}))
+
+
 def test_parse_roundtrip():
     cfg = Config(l1=4, l2=4, lcn=False, learner="dae", seed=99)
     again = parse_config(format_config(cfg))
