@@ -105,22 +105,45 @@ class WpcaCosineModel:
 
 
 def as_csr(features, width: int | None = None) -> sp.csr_matrix:
-    """A feature batch as a float64 CSR matrix with sorted row indices, as
+    """A feature batch as a CSR matrix with sorted row indices, as
     :func:`_columns` needs; a ``width`` other than the model's raises.
+    Unsigned integer data (counts) keep their dtype; other data become
+    float64.
 
-    Batches come from ``extract_features`` as such a matrix and are
-    returned as the same object, not a copy; others are converted.
+    Batches come from ``extract_features`` as such a matrix of counts and
+    are returned as the same object, not a copy; others are converted.
+    numpy computes on counts in their own dtype (a ``uint8`` sum or
+    product wraps, ``np.sqrt`` gives float16), and scipy copies all of a
+    matrix's data to float64 to multiply it by a float64 operand: the fits
+    name the float dtype of each operation on counts, and take float64
+    products a block of columns or a run of rows at a time.
     """
-    if sp.issparse(features):
-        x = features.tocsr().astype(np.float64, copy=False)
-    else:
-        x = sp.csr_matrix(np.asarray(features, dtype=np.float64))
+    x = features.tocsr() if sp.issparse(features) else sp.csr_matrix(np.asarray(features))
+    if x.dtype.kind != "u":
+        x = x.astype(np.float64, copy=False)
     if not x.has_sorted_indices:
         x = x.sorted_indices()
     if width is not None and x.shape[1] != width:
         raise ValueError(f"features have dimension {x.shape[1]}, the model "
                          f"{width}")
     return x
+
+
+def _rows(x: sp.csr_matrix, r0: int, r1: int) -> sp.csr_matrix:
+    """``x[r0:r1]`` as a view of ``x``'s data and indices, not a copy."""
+    p0, p1 = x.indptr[r0], x.indptr[r1]
+    return sp.csr_matrix((x.data[p0:p1], x.indices[p0:p1], x.indptr[r0:r1 + 1] - p0),
+                         shape=(r1 - r0, x.shape[1]))
+
+
+def _row_runs(x: sp.csr_matrix) -> list[tuple[int, int]]:
+    """``(r0, r1)`` of each run of rows of ``x`` whose entries take about
+    ``BUDGET / 8`` bytes as float64. A float64 copy of a run stays in the
+    heap once freed: with runs of ``BUDGET`` bytes, dae_wpca's training
+    left about 4 MB more resident (median of 20 runs)."""
+    n = x.shape[0]
+    step = max(1, BUDGET * n // (64 * max(x.nnz, 1)))
+    return [(r0, min(r0 + step, n)) for r0 in range(0, n, step)]
 
 
 def _column_blocks(n: int, d: int) -> list[tuple[int, int]]:
@@ -162,33 +185,58 @@ def _gram_strip(state, strip) -> None:
     n = x.shape[0]
     step = max(1, BUDGET // (8 * n))
     runs = [(i, min(i + step, r1)) for i in range(r0, r1, step)]
-    p0 = x_light.indptr[r0]  # rows r0: of x_light, not copied
-    below = sp.csr_matrix((x_light.data[p0:], x_light.indices[p0:],
-                           x_light.indptr[r0:] - p0), (n - r0, x_light.shape[1]))
+    below = _rows(x_light, r0, n)
     for i, j in runs:
         gram[i:j, r0:] = (below @ x_light[i:j].T).T.toarray()
     width = max(GRAM_WIDTH, BUDGET // (8 * n))
     for c0 in range(0, dense_cols.size, width):
         cols = dense_cols[c0:c0 + width]
         dense = _columns(x, (cols[0], cols[-1] + 1), r0)[:, cols - cols[0]].toarray()
+        dense = dense.astype(x_light.dtype, copy=False)
         for i, j in runs:
             gram[i:j, r0:] += dense[i - r0:j - r0] @ dense.T
     for i, j in runs:  # each run's own square is whole
         gram[j:, i:j] = gram[i:j, j:].T
 
 
+def _product_dtype(x: sp.csr_matrix) -> type:
+    """float32 if every partial sum of ``X X^T`` is an integer float32
+    holds exactly, else float64.
+
+    On unsigned integer data each partial sum of entry (i, j) is an
+    integer of at most ``max(x) * sum(x[i])``: every term is non-negative
+    and ``x[j, k] <= max(x)``. So float32 sums it exactly, in any order,
+    when ``max(x) * max row sum < 2**24``. With the default 7x7 blocks a
+    count is at most 49 and a row of 576 histograms sums to 576 * 49; a
+    28x28 block allows 784 and 9 * 784.
+    """
+    if x.dtype.kind != "u":
+        return np.float64
+    largest = int(x.data.max(initial=0))
+    if largest >= 2**24:
+        return np.float64
+    # scipy sums a row in uint64, which entries below 2**24 cannot wrap, but
+    # copies the data it sums to uint64: a run of rows at a time
+    row_sum = max((int(_rows(x, r0, r1).sum(axis=1).max()) for r0, r1 in _row_runs(x)),
+                  default=0)
+    return np.float32 if largest * row_sum < 2**24 else np.float64
+
+
 def gram_matrix(x: sp.csr_matrix, jobs: int = 1) -> np.ndarray:
     """``X X^T`` of a CSR ``x`` with sorted indices in a ``shared_zeros``
     array, each task writing one strip's rows and columns (equal shares of
-    the upper triangle). On counts every partial sum is an integer of at
-    most 576 * 49**2, far below 2**53, so it is exact; other (``wpca_sqrt``)
-    features can move in the last bits, but not with ``jobs``."""
+    the upper triangle). Counts small enough for :func:`_product_dtype`
+    are multiplied in float32, other data in float64. On counts every
+    partial sum is an integer, so the Gram is exact either way; other
+    (``wpca_sqrt``) features can move in the last bits, but not with
+    ``jobs``."""
     n, d = x.shape
     uses = np.zeros(d, np.int64)
     np.add.at(uses, x.indices, 1)  # bincount would copy them as intp
     light = uses <= DENSE_SHARE * n
     gram = shared_zeros((n, n))
-    state = (x, np.flatnonzero(~light), x[:, np.flatnonzero(light)], gram)
+    x_light = x[:, np.flatnonzero(light)].astype(_product_dtype(x), copy=False)
+    state = (x, np.flatnonzero(~light), x_light, gram)
     strips = min(GRAM_STRIPS, max(2, -(-8 * n * n // BUDGET)))
     edges = [int(e) for e in np.rint(n - n * np.sqrt(np.linspace(1, 0, strips + 1)))]
     with fork_pool(jobs, state) as run:
@@ -253,7 +301,7 @@ def svm_train(features, labels, cost_c: float = 1.0,
     """One-vs-rest linear SVM on sparse features.
 
     After one :func:`gram_matrix`, each class's task over
-    ``forkpool.fork_pool(min(jobs, n_classes), ...)`` returns its ``alpha *
+    ``forkpool.fork_pool(jobs, ...)`` returns its ``alpha *
     y``, a column of ``B``, drawing its own stream seeded from its label,
     so the result does not depend on ``jobs``. The weights are ``(X^T
     B)^T``, Fortran-ordered. Warnings are logged here, in class order. A
@@ -271,7 +319,7 @@ def svm_train(features, labels, cost_c: float = 1.0,
     rng = rng if rng is not None else Rng(0)
 
     problem = (gram_matrix(x, jobs), y_all, classes, cost_c, rng)
-    with fork_pool(min(jobs, classes.size), problem) as run:
+    with fork_pool(jobs, problem) as run:
         solved = list(run(_solve_class, range(classes.size)))
     for cls, (_, hist, violation) in zip(classes, solved):
         if violation >= SVM_TOL:
@@ -279,7 +327,10 @@ def svm_train(features, labels, cost_c: float = 1.0,
                         "violation %.4g >= tolerance %g", int(cls), len(hist),
                         violation, SVM_TOL)
     coefs = np.column_stack([coef for coef, _, _ in solved])
-    return LinearSvmModel(classes=classes, weights=(x.T @ coefs).T,
+    lifted = np.empty((x.shape[1], classes.size))
+    for c0, c1 in _column_blocks(*x.shape):   # sums over rows, ascending
+        lifted[c0:c1] = _columns(x, (c0, c1)).T @ coefs
+    return LinearSvmModel(classes=classes, weights=lifted.T,
                           objective_history=[np.asarray(hist)
                                              for _, hist, _ in solved])
 
@@ -316,8 +367,9 @@ def _center_gram(gram: np.ndarray, x, mean: np.ndarray) -> None:
     """Center the uncentered Gram ``X X^T`` of ``x`` and divide it by n - 1,
     in place: the operations of ``(gram - xm[:, None] - xm[None, :] + mean
     @ mean) / (n - 1)``, ``xm = x @ mean``, in that order, with no n x n
-    temporary."""
-    xm = np.asarray(x @ mean).ravel()
+    temporary. ``xm`` is taken a run of rows at a time, each row summed as
+    in one product."""
+    xm = np.concatenate([_rows(x, r0, r1) @ mean for r0, r1 in _row_runs(x)])
     gram -= xm[:, None]
     gram -= xm[None, :]
     gram += float(mean @ mean)
@@ -355,7 +407,8 @@ def wpca_fit(features, labels, target_dim: int,
     _center_gram(gram_xx, x, mean)
     eigvals, dual_vecs = jacobi_eigh(gram_xx)
 
-    floor = EIGENVALUE_FLOOR * np.einsum("i,i->", x.data, x.data) / (n - 1)
+    floor = (EIGENVALUE_FLOOR * np.einsum("i,i->", x.data, x.data, dtype=np.float64)
+             / (n - 1))
     usable = int((eigvals > floor).sum())
     if target_dim > usable:
         raise ValueError(
@@ -380,9 +433,14 @@ def wpca_apply(model: WpcaCosineModel, features) -> np.ndarray:
     about 1e6 multiply-adds, but BLAS takes gemv for one row, which rounds
     apart, so a lone row is projected as a two-row gemm of itself."""
     x = as_csr(features, model.mean.shape[0])
-    dense = x[[0, 0]].toarray() if x.shape[0] == 1 else x.toarray()
+    n = x.shape[0]
+    rows = x[[0, 0]] if n == 1 else x
+    # the data in float64 first: toarray densifies in the data's dtype, so
+    # counts would take a second dense copy to subtract the mean from
+    dense = sp.csr_matrix((rows.data.astype(np.float64, copy=False), rows.indices,
+                           rows.indptr), shape=rows.shape).toarray()
     dense -= model.mean  # in place: one dense copy of the batch, not two
-    return (dense @ model.projection.T)[:x.shape[0]]
+    return (dense @ model.projection.T)[:n]
 
 
 def cosine_nn(train_vectors: np.ndarray, train_labels: np.ndarray,

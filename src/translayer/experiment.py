@@ -8,7 +8,10 @@ copy-on-write, so no image is pickled, and every ``jobs`` runs the same
 function on the same model. Each image comes back as ``(indices,
 counts)`` in the narrowest dtypes that hold them: int32 indices wherever
 scipy indexes the CSR matrix with int32, and counts sized to a block's
-pixel count, a fraction of the int64 pair to unpickle.
+pixel count, a fraction of the int64 pair to unpickle. The training batch
+keeps the counts' dtype through the classifier fit (1 or 2 bytes a
+nonzero, not float64's 8); evaluation gathers its tasks' counts in
+float64, as scoring multiplies them.
 
 Training fans out over the same ``jobs`` five times. Each autoencoder
 layer draws its corruption masks one epoch per task
@@ -157,11 +160,12 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
 
 
 def _wpca_input(features, cfg: Config) -> sp.csr_matrix:
-    """Features as the WPCA classifier sees them: float64 CSR, counts
-    square-rooted (in a new matrix) when ``wpca_sqrt`` is on."""
+    """Features as the WPCA classifier sees them: the counts, or their
+    float64 square roots (in a new matrix) when ``wpca_sqrt`` is on."""
     x = as_csr(features)
     if cfg.wpca_sqrt:
-        x = sp.csr_matrix((np.sqrt(x.data), x.indices, x.indptr), shape=x.shape)
+        x = sp.csr_matrix((np.sqrt(x.data, dtype=np.float64), x.indices, x.indptr),
+                          shape=x.shape)
     return x
 
 
@@ -186,12 +190,13 @@ def _encode_task(state, task) -> list:
             for f in feats]
 
 
-def _csr(pairs, dim: int) -> sp.csr_matrix:
-    """The CSR matrix of ``_encode_task``'s pairs, one row per image."""
+def _csr(pairs, dim: int, dtype=None) -> sp.csr_matrix:
+    """The CSR matrix of ``_encode_task``'s pairs, one row per image, its
+    data the counts in their own dtype or in ``dtype``."""
     indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
     np.cumsum([idx.size for idx, _ in pairs], out=indptr[1:])
     indices = np.concatenate([idx for idx, _ in pairs])
-    data = np.concatenate([cnt for _, cnt in pairs], dtype=np.float64)
+    data = np.concatenate([cnt for _, cnt in pairs], dtype=dtype)
     return sp.csr_matrix((data, indices, indptr), shape=(len(pairs), dim))
 
 
@@ -249,7 +254,7 @@ def _run_tasks(fn, state, n: int, jobs: int, chunk: int = TASK_IMAGES) -> list:
 def _predict_task(state, task) -> np.ndarray:
     """Labels of ``images[start:stop]``, encoded and scored where it runs."""
     model, _, dim, _ = state
-    return predict_features(model, _csr(_encode_task(state, task), dim))
+    return predict_features(model, _csr(_encode_task(state, task), dim, np.float64))
 
 
 def evaluate_model(model: TrainedModel, images, labels, jobs: int = 1,

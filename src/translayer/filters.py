@@ -183,7 +183,7 @@ def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng,
     keep = np.empty((m, d), dtype=np.uint8) if corrupt else None
     epochs = range(1, cfg.dae_epochs + 1)
     epoch_loss = []
-    with fork_pool(jobs if corrupt else 1, (rng, d, m, cfg.dae_corruption)) as run:
+    with fork_pool(jobs, (rng, d, m, cfg.dae_corruption)) as run:
         masks = run(_epoch_mask, epochs) if corrupt else (None for _ in epochs)
         for epoch, packed in zip(epochs, masks):
             lr = cfg.dae_lr / np.sqrt(epoch)

@@ -2,10 +2,12 @@
 
 :func:`fork_pool` yields ``run(fn, items)``, which iterates over
 ``fn(state, item) for item in items``, in item order, at every ``jobs``.
-A caller that sums the results holds one at a time. Workers are forked,
-not spawned, so they see ``state`` (the model and images, the training
-features) copy-on-write, and an item is a small task such as a ``(start,
-stop)`` range: nothing large is pickled on the way in.
+A caller that sums the results holds one at a time. A forking pool
+starts all its workers at the first task, so ``run`` forks ``min(jobs,
+len(items))``, and runs in this process when that is one. Workers are
+forked, not spawned, so they see ``state`` (the model and images, the
+training features) copy-on-write, and an item is a small task such as a
+``(start, stop)`` range: nothing large is pickled on the way in.
 Results too large to send back through the pool go into an array from
 :func:`shared_zeros`, which is allocated before the fork. A worker that
 dies fails the run with ``BrokenProcessPool`` instead of hanging it.
@@ -24,7 +26,7 @@ import mmap
 import multiprocessing as mp
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 import numpy as np
 
@@ -100,16 +102,20 @@ def _call(fn, item):
 @contextmanager
 def fork_pool(jobs: int, state):
     """Yield ``run(fn, items)``, an iterator over ``fn(state, item) for
-    item in items`` in item order, run over ``jobs`` forked workers when
-    ``jobs > 1``. Consume it inside the ``with`` block. ``fn`` must be
-    defined at module level, where a worker can look it up."""
-    with one_blas_thread():
-        if jobs <= 1:
-            yield lambda fn, items: (fn(state, item) for item in items)
-            return
-        with ProcessPoolExecutor(jobs, mp.get_context("fork"), initializer=_init,
-                                 initargs=(state,)) as pool:
-            yield lambda fn, items: pool.map(functools.partial(_call, fn), items)
+    item in items`` in item order, run over ``min(jobs, len(items))``
+    forked workers when that is more than one, else in this process.
+    Consume it inside the ``with`` block. ``fn`` must be defined at module
+    level, where a worker can look it up."""
+    with one_blas_thread(), ExitStack() as pools:
+        def run(fn, items):
+            workers = min(jobs, len(items))
+            if workers <= 1:
+                return (fn(state, item) for item in items)
+            pool = pools.enter_context(ProcessPoolExecutor(
+                workers, mp.get_context("fork"), initializer=_init,
+                initargs=(state,)))
+            return pool.map(functools.partial(_call, fn), items)
+        yield run
 
 
 def shared_zeros(shape) -> np.ndarray:

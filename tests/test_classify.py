@@ -10,8 +10,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from translayer import Rng, cosine_nn, svm_train, wpca_apply, wpca_fit
-from translayer import classify, forkpool
+from translayer import Config, Rng, cosine_nn, svm_train, wpca_apply, wpca_fit
+from translayer import classify, experiment, forkpool
 from translayer.classify import as_csr, svm_predict_many, wpca_fit as _wpca_fit
 
 
@@ -878,3 +878,129 @@ def test_gram_centered_in_place_with_the_same_bits():
         tracemalloc.stop()
     assert gram.tobytes() == want.tobytes()
     assert peak < gram.nbytes // 10
+
+
+# --- count-typed features ----------------------------------------------
+
+def typed_counts(n, blocks, bins, seed, dtype=np.uint8, scale=1):
+    """``block_counts`` times ``scale`` as counts of ``dtype``, and the same
+    values as a float64 CSR."""
+    x = block_counts(n, blocks, bins, seed)
+    x.data *= scale
+    return x.astype(dtype), x
+
+
+def test_count_arithmetic_traps_the_fits_avoid():
+    # why the fits name a float dtype for every operation on counts
+    v = np.array([200, 100], dtype=np.uint8)
+    assert np.einsum("i,i->", v, v) == 80                  # 50000 wraps
+    assert np.einsum("i,i->", v, v, dtype=np.float64) == 50000.0
+    assert np.sqrt(v).dtype == np.float16
+    x = sp.csr_matrix(v[None, :])
+    assert (x @ x.T).toarray()[0, 0] == 80                  # wraps too
+    # a float64 operand makes scipy copy all of the data to float64
+    counts, _ = typed_counts(40, 64, 16, seed=71)
+    tracemalloc.start()
+    try:
+        counts @ np.ones(counts.shape[1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak >= 8 * counts.nnz
+
+
+@pytest.mark.parametrize("rows,width", [(6, 17), (20, 3)])
+def test_identical_count_rows_have_rank_zero(rows, width):
+    # 16**2 = 256: a uint8 sum of the squares wraps to 0, which would leave
+    # no floor under the centering's rounding error
+    x = sp.csr_matrix(np.full((rows, width), 16, dtype=np.uint8))
+    with pytest.raises(ValueError, match="usable rank 0"):
+        wpca_fit(x, np.zeros(rows), 1)
+
+
+@pytest.mark.parametrize("budget", [classify.BUDGET, 8 * 30 * 7])
+@pytest.mark.parametrize("dtype,scale", [(np.uint8, 1), (np.uint16, 16)])
+def test_count_features_give_the_float64_bits(monkeypatch, budget, dtype,
+                                              scale):
+    # every classifier entry point, on counts (16 * 49 = 784 is a 28x28
+    # block's largest count) and on the float64 CSR of the same values; the
+    # small BUDGET lifts in column blocks of 7 and takes x @ mean in runs
+    # of rows
+    monkeypatch.setattr(classify, "BUDGET", budget)
+    counts, floats = typed_counts(30, 16, 16, seed=70, dtype=dtype,
+                                    scale=scale)
+    labels = np.arange(30) % 3
+    assert as_csr(counts) is counts
+    assert classify._product_dtype(counts) is np.float32
+    for jobs in (1, 2):
+        got, want = (svm_train(x, labels, cost_c=1.0, rng=Rng(70), jobs=jobs)
+                     for x in (counts, floats))
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(got.objective_history, want.objective_history))
+        assert np.array_equal(svm_predict_many(want, counts),
+                              svm_predict_many(want, floats))
+    for sqrt in (False, True):
+        cfg = Config(wpca_sqrt=sqrt)
+        got_x, want_x = (experiment._wpca_input(x, cfg) for x in (counts, floats))
+        if sqrt:
+            assert got_x.data.dtype == np.float64
+            assert got_x.data.tobytes() == want_x.data.tobytes()
+            assert classify._product_dtype(got_x) is np.float64
+        else:
+            assert got_x is counts
+        for jobs in (1, 2):
+            got, want = (wpca_fit(x, labels, 8, jobs=jobs) for x in (got_x, want_x))
+            for name in ("mean", "projection", "train_vectors"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        with forkpool.one_blas_thread():
+            for rows in (slice(None), slice(0, 1)):
+                assert (wpca_apply(want, got_x[rows]).tobytes()
+                        == wpca_apply(want, want_x[rows]).tobytes())
+
+
+@pytest.mark.parametrize("row,dtype,exact_in_float32", [
+    ([4095, 2], np.float32, True),    # max 4095, row sum 4097: 2**24 - 1
+    ([4096], np.float64, True),       # 4096 * 4096 = 2**24
+    ([4097, 2], np.float64, False),   # 4097**2 + 4 is odd and above 2**24
+])
+def test_gram_switches_to_float64_at_the_float32_bound(row, dtype,
+                                                      exact_in_float32):
+    # 40 rows of 5 block histograms (max 49, row sum 245), row 0 replaced;
+    # rows 1 and 39 are empty: reduceat would give an empty row the next
+    # row's first entry, and raise on a start equal to nnz
+    dense = block_counts(40, 5, 16, seed=72).toarray()
+    dense[[0, 1, -1]] = 0
+    dense[0, 3:3 + len(row)] = row
+    counts = sp.csr_matrix(dense.astype(np.uint16))
+    x = sp.csr_matrix(dense)
+    want = (x @ x.T).toarray()
+    assert classify._product_dtype(counts) is dtype
+    assert (want.astype(np.float32) == want).all() == exact_in_float32
+    for jobs in (1, 2, 3):
+        assert classify.gram_matrix(counts, jobs=jobs).tobytes() == want.tobytes()
+
+
+def test_gram_of_counts_with_no_entries_is_zero():
+    x = sp.csr_matrix((3, 10), dtype=np.uint8)
+    assert classify._product_dtype(x) is np.float32
+    assert not classify.gram_matrix(x).any()
+
+
+@pytest.mark.parametrize("fit", ["svm", "wpca"])
+def test_fits_never_hold_a_float64_copy_of_the_counts(fit):
+    # 150 rows of about 19.6k nonzeros each, as a glyph's block histograms
+    # hold: scipy would copy all of the counts to float64 for the weight
+    # lift X^T B, or for x @ mean in WPCA's centering, if taken whole
+    counts, _ = typed_counts(150, 576, 64, seed=81)
+    labels = np.arange(150) % 4
+    tracemalloc.start()
+    try:
+        if fit == "svm":
+            svm_train(counts, labels, cost_c=1.0, rng=Rng(81), jobs=1)
+        else:
+            wpca_fit(counts, labels, 4, jobs=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * counts.nnz

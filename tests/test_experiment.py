@@ -1,5 +1,6 @@
 import contextlib
 import ctypes
+import multiprocessing
 import os
 import signal
 import tracemalloc
@@ -56,9 +57,12 @@ def test_narrow_worker_payload_keeps_the_csr(tiny_model, glyph_test, block):
     assert want.indices.dtype == want.indptr.dtype == np.int32
     for jobs in (1, 2):
         got = extract_features(model, images, jobs=jobs)
-        for name in ("indices", "indptr", "data"):
+        for name in ("indices", "indptr"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+        # the counts keep their own dtype through to the classifier
+        assert got.data.dtype == counts.dtype
+        assert np.array_equal(got.data, want.data)
     if block == 28:
         assert want.data.max() == 28 * 28
 
@@ -218,6 +222,23 @@ def test_forked_workers_run_one_blas_thread():
         for set_threads, count in zip(setters, before):
             set_threads(count)
     assert blas_thread_counts() == before
+
+
+def _pid(_state, _item):
+    return os.getpid()
+
+
+@pytest.mark.parametrize("jobs,items,workers", [(4, 2, 2), (3, 1, 0), (2, 4, 2),
+                                                (1, 3, 0)])
+def test_fork_pool_forks_no_idle_worker(jobs, items, workers):
+    # a forking pool starts all its workers at the first task, so the pool
+    # is sized to the items, and one item runs in this process
+    before = set(multiprocessing.active_children())
+    with forkpool.fork_pool(jobs, None) as run:
+        pids = list(run(_pid, range(items)))
+        forked = set(multiprocessing.active_children()) - before
+    assert len(forked) == workers
+    assert set(pids) <= ({p.pid for p in forked} if workers else {os.getpid()})
 
 
 def _die(_state, _item):

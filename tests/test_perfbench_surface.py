@@ -8,6 +8,7 @@ exercise the same calls on tiny inputs.
 
 import dataclasses
 import os
+import re
 import sys
 
 import numpy as np
@@ -17,8 +18,8 @@ from translayer import encoder, experiment, pipeline
 
 from conftest import tiny_config
 
-PERFBENCH = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def perfbench_module(name):
@@ -117,3 +118,19 @@ def test_per_layer_spans_are_recorded(spans, glyph_train, glyph_test, learner,
     recorded = {name for name, _, _, _ in tracer.spans}
     missing = (_SHARED_SPANS | spans_read) - recorded
     assert not missing, f"spans never recorded: {sorted(missing)}"
+
+
+def test_ci_workflow_names_only_existing_tests_and_workloads():
+    # read as text (the CI job installs no YAML parser): a renamed test file
+    # or workload would fail only on a hosted runner
+    with open(os.path.join(ROOT, ".github", "workflows", "tests.yml")) as fh:
+        workflow = fh.read()
+    test_files = set(re.findall(r"tests/test_\w+\.py", workflow))
+    assert test_files
+    for path in sorted(test_files):
+        assert os.path.isfile(os.path.join(ROOT, path)), path
+    loops = re.findall(r"for w in ([^;\n]+); do", workflow)
+    assert loops
+    names = {name for loop in loops for name in loop.split()}
+    workloads = perfbench_module("workloads")
+    assert names <= set(workloads.WORKLOADS), names - set(workloads.WORKLOADS)
