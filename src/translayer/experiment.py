@@ -72,26 +72,31 @@ class StageTimer:
         self.t0 = now
 
 
-def _preprocess_patches(patches, cfg: Config):
+def _learn_layer(patches, count: int, cfg: Config, rng: Rng, layer: str,
+                 jobs: int, timer: StageTimer):
+    """``(bank, whitening)`` of one layer, learned from its drawn
+    ``patches``: contrast normalization, whitening, then PCA or the
+    autoencoder. Laps the draw, the preprocessing and the learning."""
+    timer.lap(f"sample {layer} patches")
     lcn = lcn_constant(cfg)
     if lcn is not None:
         patches = lcn_matrix(patches, lcn)
-    transform = whiten_fit(patches, cfg.whiten_epsilon)
-    return whiten_apply(transform, patches), transform
-
-
-def _learn_bank(z, count, cfg: Config, rng: Rng, layer: str, jobs: int):
+    whiten = whiten_fit(patches, cfg.whiten_epsilon)
+    z = whiten_apply(whiten, patches)
+    timer.lap(f"preprocess {layer}")
     if cfg.learner == DAE:
         # a sub-seed per layer, so both DAE trainings draw independent streams
         layer_rng = Rng(rng.stream(f"layer-seed.{layer}").integers(0, 2**63))
-        return learn_dae_filters(z, cfg.patch_shape(), count, cfg, layer_rng,
+        bank = learn_dae_filters(z, cfg.patch_shape(), count, cfg, layer_rng,
                                  jobs=jobs)
-    bank = learn_pca_filters(z, cfg.patch_shape(), count)
-    ortho = np.abs(bank.weights @ bank.weights.T - np.eye(count)).max()
-    log.info("%s pca orthonormality residual %.3g", layer, ortho)
-    log.info("%s pca eigenvalue spectrum %s", layer,
-             np.array2string(bank.spectrum, precision=4, threshold=16))
-    return bank
+    else:
+        bank = learn_pca_filters(z, cfg.patch_shape(), count)
+        ortho = np.abs(bank.weights @ bank.weights.T - np.eye(count)).max()
+        log.info("%s pca orthonormality residual %.3g", layer, ortho)
+        log.info("%s pca eigenvalue spectrum %s", layer,
+                 np.array2string(bank.spectrum, precision=4, threshold=16))
+    timer.lap(f"learn {layer} bank")
+    return bank, whiten
 
 
 @one_blas_thread()
@@ -119,13 +124,10 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     shape = cfg.patch_shape()
     timer = StageTimer()
 
-    patches = sample_patches(images, shape, cfg.patches_per_layer,
-                             rng.stream("patches.layer1"))
-    timer.lap("sample layer1 patches")
-    z, whiten1 = _preprocess_patches(patches, cfg)
-    timer.lap("preprocess layer1")
-    bank1 = _learn_bank(z, cfg.l1, cfg, rng, "layer1", jobs)
-    timer.lap("learn layer1 bank")
+    bank1, whiten1 = _learn_layer(
+        sample_patches(images, shape, cfg.patches_per_layer,
+                       rng.stream("patches.layer1")),
+        cfg.l1, cfg, rng, "layer1", jobs, timer)
 
     # layer-2 patches come from the first-layer maps of every training image,
     # computed once over the pool into shared memory, where extraction
@@ -136,13 +138,9 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     locations = draw_patch_locations(len(images) * cfg.l1, (h, w), shape,
                                      cfg.patches_per_layer,
                                      rng.stream("patches.layer2"))
-    patches = gather_patches(maps.reshape(-1, h, w), locations, shape)
-    timer.lap("sample layer2 patches")
-    z, whiten2 = _preprocess_patches(patches, cfg)
-    timer.lap("preprocess layer2")
-    bank2 = _learn_bank(z, cfg.l2, cfg, rng, "layer2", jobs)
-    timer.lap("learn layer2 bank")
-    del patches, z   # not held through extraction and the classifier fit
+    bank2, whiten2 = _learn_layer(
+        gather_patches(maps.reshape(-1, h, w), locations, shape),
+        cfg.l2, cfg, rng, "layer2", jobs, timer)
 
     front = TrainedModel(config=cfg, bank1=bank1, bank2=bank2,
                          whiten1=whiten1, whiten2=whiten2)

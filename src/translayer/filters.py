@@ -146,7 +146,7 @@ def _epoch_mask(state, epoch: int) -> np.ndarray:
 
 
 def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng,
-              on_epoch=None, jobs: int = 1):
+              jobs: int = 1):
     """Minibatch SGD on the corrupted-reconstruction objective.
 
     The ``dae_*`` fields of ``cfg`` set the corruption rate, epoch count,
@@ -161,10 +161,6 @@ def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng,
     trains the same weights.
     Returns ``(w, b, b_dec, stats)`` where ``stats["loss"]`` holds the
     running loss of each epoch.
-
-    ``on_epoch(w, b, b_dec)``, if given, is called after each epoch that
-    passes the divergence check. The arrays are the live parameters,
-    which later epochs update in place: copy what must be kept.
     """
     m, d = z_clean.shape
     init_gen = rng.stream("dae.init")
@@ -213,8 +209,6 @@ def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng,
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}; lower the learning rate")
             epoch_loss.append(running)
-            if on_epoch is not None:
-                on_epoch(w, b, b_dec)
 
     if epoch_loss[-1] > epoch_loss[0] * (1.0 + DAE_END_RISE):
         raise TrainingDivergedError(

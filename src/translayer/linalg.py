@@ -42,20 +42,17 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
     descending order and eigenvectors as the corresponding columns (a
     C-contiguous array), each column's sign fixed by :func:`fix_row_signs`.
-    The input is checked in row blocks; besides it, at most two n x n
-    arrays are held at once: the symmetrized matrix and ``eigh``'s
-    eigenvectors, then those and their reversed copy.
+    Besides the input, it holds at most two n x n arrays at once: the
+    symmetrized matrix and ``eigh``'s eigenvectors, then those and their
+    reversed copy. Within ``eigh``, numpy's copy of the matrix and LAPACK's
+    2n^2 workspace come on top, unseen by ``tracemalloc``.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    step = max(1, 2**17 // max(a.shape[0], 1))   # row blocks of about 1 MiB
-    blocks = [(i, i + step) for i in range(0, a.shape[0], step)]
-    if not all(np.isfinite(a[i:j]).all() for i, j in blocks):
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
-    scale = max(np.abs(a[i:j]).max() for i, j in blocks)
-    asymmetry = max(np.abs(a[i:j] - a[:, i:j].T).max() for i, j in blocks)
-    if asymmetry > 1e-8 * max(1.0, scale):
+    if np.abs(a - a.T).max() > 1e-8 * max(1.0, np.abs(a).max()):
         raise ValueError("matrix is not symmetric")
     sym = a + a.T
     sym *= 0.5

@@ -3,6 +3,7 @@ import ctypes
 import multiprocessing
 import os
 import signal
+import tempfile
 import tracemalloc
 import weakref
 from concurrent.futures.process import BrokenProcessPool
@@ -11,17 +12,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from translayer import (FilterBank, GrayImage, TrainedModel, WhiteningTransform,
                         classify, encoder, evaluate_model, experiment,
                         filters, forkpool, pipeline, train_model)
-from translayer.dataio import save_model
+from translayer.classify import GramSizeError
+from translayer.dataio import load_model, save_model
+from translayer.encoder import compress_groups
 from translayer.experiment import (extract_features, format_eval_report,
                                   predict_features)
-from translayer.pipeline import code_maps
+from translayer.filters import TrainingDivergedError
+from translayer.pipeline import build_stack, code_maps
 from translayer.rng import Rng
+from translayer.types import validate_config
 
 from conftest import make_glyphs, tiny_config
+from test_types import valid_configs
 
 
 def test_parallel_extraction_matches_serial(tiny_model, glyph_test):
@@ -303,13 +311,13 @@ def test_layer2_patches_come_from_each_images_layer1_maps(glyph_train,
                                                           monkeypatch):
     images, labels = glyph_train[0][:20], glyph_train[1][:20]
     cfg = tiny_config(patches_per_layer=200)
-    seen, preprocess = [], experiment._preprocess_patches
+    seen, learn_layer = [], experiment._learn_layer
 
-    def recording(patches, config):
+    def recording(patches, *args):
         seen.append(patches.copy())
-        return preprocess(patches, config)
+        return learn_layer(patches, *args)
 
-    monkeypatch.setattr(experiment, "_preprocess_patches", recording)
+    monkeypatch.setattr(experiment, "_learn_layer", recording)
     model = train_model(cfg, images, labels, jobs=1)
     shape, lcn = cfg.patch_shape(), pipeline.lcn_constant(cfg)
     maps = [pipeline.map_layer(image, model.bank1, model.whiten1, lcn)
@@ -585,3 +593,115 @@ def test_svm_size_limit_is_inclusive():
     classify.check_gram_size("svm", classify.SVM_MAX_N)
     with pytest.raises(classify.GramSizeError, match="the limit is 12000"):
         classify.check_gram_size("svm", classify.SVM_MAX_N + 1)
+
+
+# --- the whole path over drawn configs -------------------------------------
+
+# the errors by which training may refuse a valid config: a singular
+# covariance, one class, a block or wpca_dim too large (ValueError), and
+# a 1-3 epoch autoencoder whose loss rose
+TRAINING_ERRORS = (ValueError, GramSizeError, TrainingDivergedError)
+
+
+@st.composite
+def image_batches(draw):
+    """2-15 images of one size, 5-21 pixels a side, each random, striped
+    with exact zeros, or constant, and their labels among three classes."""
+    n = draw(st.integers(2, 15))
+    h, w = draw(st.integers(5, 21)), draw(st.integers(5, 21))
+    kinds = draw(st.lists(st.sampled_from(["random", "striped", "constant"]),
+                          min_size=n, max_size=n))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    images = []
+    for kind in kinds:
+        if kind == "random":
+            pixels = gen.random((h, w))
+        elif kind == "striped":
+            # every second or third row or column, the rest exact zeros
+            lines = np.indices((h, w))[int(gen.integers(2))]
+            pixels = np.where(lines % gen.integers(2, 4) == 0, gen.random(), 0.0)
+        else:
+            pixels = np.full((h, w), float(gen.integers(2)) * gen.random())
+        images.append(GrayImage(pixels))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return images, np.asarray(labels, dtype=np.int64)
+
+
+def train_or_none(cfg, images, labels, jobs=1):
+    """The trained model, or None where training refused by name."""
+    try:
+        return train_model(cfg, images, labels, jobs=jobs)
+    except TRAINING_ERRORS:
+        return None
+
+
+def saved_bytes(model, directory) -> bytes:
+    path = os.path.join(directory, "model.bin")
+    save_model(model, path)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def same_csr(a, b) -> bool:
+    return a.shape == b.shape and (a != b).nnz == 0
+
+
+def assert_evaluates_to_fitted_classes(model, images, labels):
+    try:
+        result = evaluate_model(model, images, labels)
+    except ValueError as exc:
+        # a cosine has no direction at a query projected to zero
+        assert model.config.classifier == "wpca_cosine"
+        assert str(exc) == "query vector is all zero"
+        return
+    fitted = np.isin(result.classes, model.classifier.classes)
+    assert result.confusion[:, ~fitted].sum() == 0
+    assert result.confusion.sum() == len(images)
+
+
+# float settings lie in [1e-3, 1e3] (whiten_epsilon may be 0): near the
+# ends of the float range, training and extraction overflow with numpy
+# warnings, and a last DAE step can leave weights near 1e154 unchecked
+@given(cfg=valid_configs(sides=(1, 3, 5), max_filters=6, max_block=12,
+                         max_patches=300, max_epochs=3, max_wpca_dim=8,
+                         real_range=(1e-3, 1e3)),
+       batch=image_batches())
+def test_drawn_configs_train_end_to_end_or_fail_by_name(cfg, batch):
+    images, labels = batch
+    assert validate_config(cfg) == []
+    model = train_or_none(cfg, images, labels)
+    if model is None:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        first = saved_bytes(model, tmp)
+        assert saved_bytes(load_model(os.path.join(tmp, "model.bin")),
+                           tmp) == first
+        parallel = train_model(cfg, images, labels, jobs=2)
+        assert saved_bytes(parallel, tmp) == first
+    features = extract_features(model, images)
+    assert same_csr(extract_features(parallel, images, jobs=2), features)
+    size = images[0].pixels.shape
+    assert features.shape == (len(images), encoder.feature_dim(size, cfg))
+    for image in images:
+        want = compress_groups(build_stack(image, model), cfg.trans_layer)
+        assert np.array_equal(code_maps(image, model), want)
+    assert_evaluates_to_fitted_classes(model, images, labels)
+
+    # trans_layer acts only on the codes: the same front end either way,
+    # and the off features are the on features without the first group
+    other = train_or_none(replace(cfg, trans_layer=not cfg.trans_layer),
+                          images, labels)
+    if other is None:
+        return    # a wpca_dim past the narrower features or their rank
+    on, off = (model, other) if cfg.trans_layer else (other, model)
+    for name in ("bank1", "bank2"):
+        a, b = getattr(on, name), getattr(off, name)
+        assert np.array_equal(a.weights, b.weights)
+        assert (a.biases is None) == (b.biases is None)
+        assert a.biases is None or np.array_equal(a.biases, b.biases)
+    for name in ("whiten1", "whiten2"):
+        assert np.array_equal(getattr(on, name).matrix, getattr(off, name).matrix)
+    nx, ny = encoder.block_counts(size, cfg)
+    g0 = nx * ny * 2**cfg.l1
+    on_features = extract_features(on, images)
+    assert same_csr(extract_features(off, images), on_features[:, g0:])

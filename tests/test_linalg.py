@@ -124,8 +124,7 @@ def test_fix_row_signs_returns_the_factors_it_applied():
 
 
 def eigh_with_copies(matrix):
-    """The solve as it was before its checks went to row blocks: a copy of
-    the input, whole-matrix checks, and a reversed copy of the
+    """The solve with a copy of the input and a reversed copy of the
     eigenvectors that is sign-fixed and copied back to columns."""
     a = np.array(matrix, dtype=np.float64)
     with one_blas_thread():
@@ -136,7 +135,6 @@ def eigh_with_copies(matrix):
 
 
 def test_solve_holds_two_matrices_and_keeps_its_bits():
-    # n = 800: the checks' row blocks are a fifth of the matrix
     a = random_symmetric(800, 12)
     a[3, 5] += 1e-12    # symmetric within the tolerance, not exactly
     tracemalloc.start()
@@ -153,8 +151,8 @@ def test_solve_holds_two_matrices_and_keeps_its_bits():
 
 
 def test_rejects_non_finite_without_a_warning():
-    # row 900 lies in a later row block than row 7, so a solve that checked
-    # symmetry before finiteness would meet the inf as an asymmetry first
+    # a solve that checked symmetry before finiteness would report the inf
+    # as an asymmetry
     a = np.eye(1000)
     a[900, 7] = np.inf
     with warnings.catch_warnings():

@@ -366,6 +366,32 @@ def tie_bias(t, margin):
     return -t + margin * (abs(t) or 1.0)
 
 
+def tie_windows(layer1, gen, lcn):
+    """A random whitening, and the whitened (with ``lcn``, also contrast
+    normalized) 7 x 7 windows of ``layer1[0]``, one row per pixel. They
+    come from map_layer's own calls, so their filter products are its
+    pre-bias values bit for bit."""
+    shape = PatchShape(7, 7)
+    q, _ = np.linalg.qr(gen.normal(size=(shape.dim, shape.dim)))
+    mat = (q * gen.uniform(0.5, 3.0, shape.dim)) @ q.T
+    whiten = WhiteningTransform(matrix=0.5 * (mat + mat.T))
+    rows = pipeline.window_rows(layer1[0], shape)
+    if lcn is not None:
+        rows = lcn_rows(rows, lcn)
+    return whiten, whiten_apply(whiten, rows)
+
+
+def window_path_calls(monkeypatch, layer1, bank, whiten, lcn):
+    """Assert that ``_layer2_bits`` gives the window path's bits map by
+    map; return the maps it sent to the window path."""
+    calls = record_window_path(monkeypatch)
+    got = pipeline._layer2_bits(layer1, bank, whiten, lcn)
+    for i, maps in enumerate(layer1):
+        assert np.array_equal(got[i], binarize(map_layer(maps, bank, whiten,
+                                                         lcn)))
+    return calls
+
+
 @pytest.mark.parametrize("margin", ["tie", "ulp+", "ulp-", 1e-10, -1e-10,
                                     3e-3, -3e-3])
 @pytest.mark.parametrize("lcn", [1e-4, 0.1, 10.0, None])
@@ -381,31 +407,72 @@ def test_dae_lcn_bits_at_solved_ties_match_window_path(monkeypatch, kind, lcn,
     # where the window mean/std is at most 1e2. lcn None puts the same ties
     # on the path with contrast normalization off
     layer1 = near_tie_layer1(kind)
-    shape = PatchShape(7, 7)
     gen = np.random.default_rng(27)
-    weights = gen.normal(size=(3, shape.dim))
-    q, _ = np.linalg.qr(gen.normal(size=(shape.dim, shape.dim)))
-    mat = (q * gen.uniform(0.5, 3.0, shape.dim)) @ q.T
-    whiten = WhiteningTransform(matrix=0.5 * (mat + mat.T))
-    # map_layer's own calls, so these are its pre-bias values bit for bit
-    rows = pipeline.window_rows(layer1[0], shape)
-    if lcn is not None:
-        rows = lcn_rows(rows, lcn)
-    pre = whiten_apply(whiten, rows) @ weights.T
+    weights = gen.normal(size=(3, 49))
+    whiten, windows = tie_windows(layer1, gen, lcn)
+    pre = windows @ weights.T
     biases = [tie_bias(pre[y * 20 + x, f], margin)
               for f, (y, x) in enumerate(TIE_PIXELS)]
     bank = dae_bank(weights, biases, 7)
-    calls = record_window_path(monkeypatch)
-    got = pipeline._layer2_bits(layer1, bank, whiten, lcn)
-    for i, maps in enumerate(layer1):
-        assert np.array_equal(got[i], binarize(map_layer(maps, bank, whiten,
-                                                         lcn)))
+    calls = window_path_calls(monkeypatch, layer1, bank, whiten, lcn)
     if margin == "tie":
         # no valid bound certifies a sign that is exactly 0 on the window
         # path, and one pixel of the first map is not an all-zero window
         assert calls and np.array_equal(calls[0], layer1[0])
     if margin in (3e-3, -3e-3) and kind in (("ratio", 1.0), ("ratio", 1e2),
                                             "zero"):
+        # the certified path, not the fallback, gave these bits
+        assert calls == []
+
+
+def tilted_pca_bank(windows, tilt, shape):
+    """An orthonormal bank whose filter f has component ``tilt`` along
+    ``windows[f]`` and is orthogonal to it at 0; an all-zero window leaves
+    its filter untilted. Each filter is made from the part of its window
+    orthogonal to the filters before it, and a random direction
+    orthogonal to both."""
+    gen = np.random.default_rng(28)
+    rows = np.zeros((0, shape.dim))
+    for window in windows:
+        top = np.abs(window).max()
+        unit = window / top if top > 0 else np.zeros(shape.dim)
+        unit /= np.linalg.norm(unit) or 1.0
+        part = unit - rows.T @ (rows @ unit)
+        basis = np.vstack([rows, part / (np.linalg.norm(part) or 1.0)])
+        other = gen.normal(size=shape.dim)
+        for _ in range(2):   # twice, so the rounding of the first is removed
+            other -= basis.T @ (basis @ other)
+        other /= np.linalg.norm(other)
+        along = tilt / np.linalg.norm(part) if top > 0 else 0.0
+        row = along * basis[-1] + np.sqrt(1.0 - along**2) * other
+        rows = np.vstack([rows, row])
+    return FilterBank(shape=shape, weights=rows)
+
+
+@pytest.mark.parametrize("tilt", [0.0, 1e-10, -1e-10, 3e-3, -3e-3])
+@pytest.mark.parametrize("lcn", [1e-4, 10.0, None])
+@pytest.mark.parametrize("kind", [("ratio", 1.0), ("ratio", 1e2),
+                                  ("ratio", 1e4), ("ratio", 1e6), "constant",
+                                  "zero", ("scaled", 1e-300),
+                                  ("scaled", 1e-310)])
+def test_pca_bits_at_solved_ties_match_window_path(monkeypatch, kind, lcn,
+                                                   tilt):
+    # a PCA filter has no bias to move, so the tie is solved in its
+    # weights: filter f is orthogonal to the whitened (and contrast
+    # normalized) window at TIE_PIXELS[f] of the first map, then tilted
+    # toward it by a fraction of its norm; at 0 the window path's value
+    # is rounding alone, and bit 0 or 1 by chance
+    layer1 = near_tie_layer1(kind)
+    whiten, windows = tie_windows(layer1, np.random.default_rng(27), lcn)
+    bank = tilted_pca_bank([windows[y * 20 + x] for y, x in TIE_PIXELS], tilt,
+                           PatchShape(7, 7))
+    calls = window_path_calls(monkeypatch, layer1, bank, whiten, lcn)
+    if tilt == 0.0:
+        # no valid bound certifies a sign that is rounding alone, and one
+        # pixel of the first map is not an all-zero window
+        assert calls and np.array_equal(calls[0], layer1[0])
+    if tilt in (3e-3, -3e-3) and kind in (("ratio", 1.0), ("ratio", 1e2),
+                                          "zero"):
         # the certified path, not the fallback, gave these bits
         assert calls == []
 

@@ -1,4 +1,5 @@
 import glob
+import math
 import os
 import re
 import warnings
@@ -135,26 +136,40 @@ def _reals(int_lo, int_hi, **bounds):
 
 
 @st.composite
-def valid_configs(draw):
-    """A valid Config drawn field by field."""
-    k1, k2 = (draw(st.sampled_from([1, 3, 5, 7, 9])) for _ in range(2))
+def valid_configs(draw, sides=(1, 3, 5, 7, 9), max_filters=MAX_FILTERS,
+                  max_block=28, max_patches=10**9, max_epochs=10**6,
+                  max_wpca_dim=10**6, real_range=None):
+    """A valid Config drawn field by field; the keywords narrow the patch
+    sides, filter counts, block sides, patch count, epochs and wpca_dim,
+    and ``real_range``, a (lo, hi) pair, the positive float settings
+    (whiten_epsilon may still be 0)."""
+    k1, k2 = (draw(st.sampled_from(sides)) for _ in range(2))
     learner = draw(st.sampled_from(["pca", "dae"]))
-    filters = MAX_FILTERS if learner == "dae" else min(MAX_FILTERS, k1 * k2)
-    block_w, block_h = draw(_ints(1, 28)), draw(_ints(1, 28))
+    filters = max_filters if learner == "dae" else min(max_filters, k1 * k2)
+    block_w, block_h = draw(_ints(1, max_block)), draw(_ints(1, max_block))
     bools = st.sampled_from([True, False, np.True_, np.False_])
-    positive = _reals(1, 10**6, min_value=0.0, exclude_min=True)
+    if real_range is None:
+        positive = _reals(1, 10**6, min_value=0.0, exclude_min=True)
+        epsilon = _reals(0, 10**6, min_value=0.0)
+    else:
+        lo, hi = real_range
+        positive = _reals(math.ceil(lo), math.floor(hi), min_value=lo,
+                          max_value=hi)
+        epsilon = st.one_of(_reals(0, 0, min_value=0.0, max_value=0.0),
+                            positive)
     values = dict(
         patch_k1=k1, patch_k2=k2, l1=draw(_ints(1, filters)),
         l2=draw(_ints(1, filters)), lcn=draw(bools), lcn_c=draw(positive),
-        whiten_epsilon=draw(_reals(0, 10**6, min_value=0.0)), learner=learner,
+        whiten_epsilon=draw(epsilon), learner=learner,
         dae_corruption=draw(_reals(0, 0, min_value=0.0, max_value=1.0,
                                    exclude_max=True)),
-        dae_epochs=draw(_ints(1, 10**6)), dae_lr=draw(positive),
-        dae_tradeoff_c=draw(positive), patches_per_layer=draw(_ints(1, 10**9)),
+        dae_epochs=draw(_ints(1, max_epochs)), dae_lr=draw(positive),
+        dae_tradeoff_c=draw(positive),
+        patches_per_layer=draw(_ints(1, max_patches)),
         block_w=block_w, block_h=block_h, stride_x=draw(_ints(1, block_w)),
         stride_y=draw(_ints(1, block_h)), trans_layer=draw(bools),
         classifier=draw(st.sampled_from(["svm", "wpca_cosine"])),
-        svm_c=draw(positive), wpca_dim=draw(_ints(1, 10**6)),
+        svm_c=draw(positive), wpca_dim=draw(_ints(1, max_wpca_dim)),
         wpca_sqrt=draw(bools), seed=draw(_ints(0, 2**64 - 1, np.uint64)))
     assert set(values) == {f.name for f in fields(Config)}
     return Config(**values)
