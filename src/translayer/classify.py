@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .forkpool import fork_pool, shared_zeros
+from .forkpool import fork_pool, one_blas_thread, shared_zeros
 from .linalg import EIGENVALUE_FLOOR, fix_row_signs, jacobi_eigh
 from .rng import Rng
 from .types import reject_non_finite
@@ -376,6 +376,7 @@ def _center_gram(gram: np.ndarray, x, mean: np.ndarray) -> None:
     gram /= x.shape[0] - 1
 
 
+@one_blas_thread()
 def wpca_fit(features, labels, target_dim: int,
              jobs: int = 1) -> WpcaCosineModel:
     """Mean-centered principal projection, rows scaled by 1/sqrt(eigenvalue),
@@ -447,12 +448,11 @@ def cosine_nn(train_vectors: np.ndarray, train_labels: np.ndarray,
               query: np.ndarray) -> int:
     """Label of the training vector with the highest cosine similarity.
 
-    Zero-norm training vectors never win; ties go to the lowest index.
+    Zero-norm training vectors never win, and a zero query has similarity 0
+    to every nonzero training vector; ties go to the lowest index.
     """
     q = np.asarray(query, dtype=np.float64)
-    qn = np.linalg.norm(q)
-    if qn == 0.0:
-        raise ValueError("query vector is all zero")
+    qn = np.linalg.norm(q) or 1.0   # a zero query's products stay 0
     train = np.asarray(train_vectors, dtype=np.float64)
     norms = np.linalg.norm(train, axis=1)
     if (norms == 0.0).all():

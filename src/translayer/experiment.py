@@ -13,16 +13,16 @@ keeps the counts' dtype through the classifier fit (1 or 2 bytes a
 nonzero, not float64's 8); evaluation gathers its tasks' counts in
 float64, as scoring multiplies them.
 
-Training fans out over the same ``jobs`` five times. Each autoencoder
-layer draws its corruption masks one epoch per task
-(``filters.train_dae``). Once the first bank is learned,
-:func:`_map_task` writes the first-layer maps of the training images, in
-the same tasks as extraction, into one shared array: the second-layer
-patches are drawn from it, and training extraction encodes each image
-from its maps there, so every training image is mapped through the first
-layer once. Then both classifier fits write their Gram one strip of rows
-per task, and ``svm_train`` solves one class per task or ``wpca_fit``
-lifts one block of columns per task.
+Training, :func:`train_front` then :func:`fit_classifier`, fans out over
+the same ``jobs`` five times. Each autoencoder layer draws its corruption
+masks one epoch per task (``filters.train_dae``). Once the first bank is
+learned, :func:`_map_task` writes the first-layer maps of the training
+images, in the same tasks as extraction, into one shared array: the
+second-layer patches are drawn from it, and training extraction encodes
+each image from its maps there, so every training image is mapped
+through the first layer once. Then both classifier fits write their Gram
+one strip of rows per task, and ``svm_train`` solves one class per task
+or ``wpca_fit`` lifts one block of columns per task.
 
 Evaluation runs its tasks through :func:`_predict_task`, which encodes
 them with :func:`_encode_task` and scores them where it runs, returning
@@ -99,9 +99,8 @@ def _learn_layer(patches, count: int, cfg: Config, rng: Rng, layer: str,
     return bank, whiten
 
 
-@one_blas_thread()
-def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
-    """Run the full unsupervised + classifier training pipeline."""
+def _check_training(cfg: Config, images, labels) -> tuple[int, int]:
+    """Training's checks, all before any patch is drawn; returns (h, w)."""
     errors = validate_config(cfg)
     if errors:
         raise ValueError("invalid config: " + "; ".join(errors))
@@ -119,10 +118,15 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     if cfg.classifier == "wpca_cosine" and cfg.wpca_dim > min(len(images) - 1, dim):
         raise ValueError(f"wpca_dim {cfg.wpca_dim} exceeds min(training images"
                          f" - 1, feature dimension) = min({len(images) - 1}, {dim})")
+    return h, w
 
-    rng = Rng(cfg.seed)
-    shape = cfg.patch_shape()
-    timer = StageTimer()
+
+@one_blas_thread()
+def train_front(cfg: Config, images, labels, jobs: int = 1):
+    """``(front, features)``: the model without its classifier, and the
+    training features."""
+    h, w = _check_training(cfg, images, labels)
+    rng, shape, timer = Rng(cfg.seed), cfg.patch_shape(), StageTimer()
 
     bank1, whiten1 = _learn_layer(
         sample_patches(images, shape, cfg.patches_per_layer,
@@ -145,16 +149,24 @@ def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
     front = TrainedModel(config=cfg, bank1=bank1, bank2=bank2,
                          whiten1=whiten1, whiten2=whiten2)
     features = extract_features(front, images, jobs=jobs, maps=maps)
-    del maps   # not held through the classifier fit
     timer.lap("extract training features")
+    return front, features
 
-    if cfg.classifier == "svm":
-        classifier = svm_train(features, labels, cfg.svm_c, rng, jobs=jobs)
-    else:
-        classifier = wpca_fit(_wpca_input(features, cfg), labels,
-                              cfg.wpca_dim, jobs=jobs)
+
+@one_blas_thread()
+def fit_classifier(front: TrainedModel, features, labels, jobs: int = 1):
+    """``front`` with its config's classifier, fitted on ``features``."""
+    cfg, timer = front.config, StageTimer()
+    classifier = (svm_train(features, labels, cfg.svm_c, Rng(cfg.seed), jobs=jobs)
+                  if cfg.classifier == "svm" else
+                  wpca_fit(_wpca_input(features, cfg), labels, cfg.wpca_dim, jobs=jobs))
     timer.lap("train classifier")
     return replace(front, classifier=classifier)
+
+
+def train_model(cfg: Config, images, labels, jobs: int = 1) -> TrainedModel:
+    """Run the full unsupervised + classifier training pipeline."""
+    return fit_classifier(*train_front(cfg, images, labels, jobs), labels, jobs)
 
 
 def _wpca_input(features, cfg: Config) -> sp.csr_matrix:
@@ -294,16 +306,24 @@ def format_eval_report(result: EvalResult) -> str:
 
 def run_ablation(cfg: Config, train_images, train_labels, test_images,
                  test_labels, jobs: int = 1):
-    """Train and evaluate the 2x2 {lcn, trans_layer} grid with one seed."""
+    """Train and evaluate the 2x2 {lcn, trans_layer} grid with one seed.
+    ``trans_layer`` acts only on the codes, so each ``lcn`` value trains one
+    front end; off fits on its features without the layer-1 group."""
+    variants = [replace(cfg, lcn=lcn_on, trans_layer=trans_on)
+                for lcn_on in (True, False) for trans_on in (True, False)]
+    for variant in variants:
+        _check_training(variant, train_images, train_labels)
+    nx, ny = encoder.block_counts(common_size(train_images), cfg)
     results = {}
-    for lcn_on in (True, False):
-        for trans_on in (True, False):
-            variant = replace(cfg, lcn=lcn_on, trans_layer=trans_on)
-            log.info("ablation run lcn=%s trans_layer=%s",
-                     "on" if lcn_on else "off", "on" if trans_on else "off")
-            model = train_model(variant, train_images, train_labels, jobs=jobs)
-            results[(lcn_on, trans_on)] = evaluate_model(
-                model, test_images, test_labels, jobs=jobs)
+    for on, off in (variants[:2], variants[2:]):
+        front, features = train_front(on, train_images, train_labels, jobs)
+        for variant in (on, off):
+            if not variant.trans_layer:   # the on features go once sliced
+                features = features[:, nx * ny * 2**cfg.l1:]
+            results[variant.lcn, variant.trans_layer] = evaluate_model(
+                fit_classifier(replace(front, config=variant), features, train_labels, jobs),
+                test_images, test_labels, jobs=jobs)
+        del features   # the slice is not held through the next front end
     return results
 
 

@@ -51,6 +51,19 @@ with tempfile.TemporaryDirectory() as tmp:
         print(hashlib.sha256(fh.read()).hexdigest())
 """
 
+WPCA_FIT = """
+import hashlib
+from conftest import make_glyphs, tiny_config
+from translayer import wpca_fit
+from translayer.experiment import train_front
+
+images, labels = make_glyphs(150, seed=5)
+_, features = train_front(tiny_config(l1=8, l2=8), images, labels)
+model = wpca_fit(features, labels, 8)
+print(hashlib.sha256(model.projection.tobytes()
+                     + model.train_vectors.tobytes()).hexdigest())
+"""
+
 
 PREDICTION_SCORES = """
 import hashlib
@@ -114,6 +127,11 @@ def test_model_bytes_do_not_depend_on_blas_threads(overrides):
     # 8 + 8 maps give features wide enough for threaded dot products
     script = MODEL_BYTES.format(overrides=overrides)
     assert run_at_blas_threads(1, script) == run_at_blas_threads(2, script)
+
+
+def test_wpca_fit_called_directly_does_not_depend_on_blas_threads():
+    # outside train_model, which pins BLAS to one thread itself
+    assert run_at_blas_threads(1, WPCA_FIT) == run_at_blas_threads(2, WPCA_FIT)
 
 
 def test_prediction_does_not_depend_on_blas_threads():

@@ -848,9 +848,13 @@ def test_three_angles_nearest_wins():
     assert cosine_nn(train, labels, np.array([1.0, 0.0])) == 7
 
 
-def test_zero_query_rejected():
-    with pytest.raises(ValueError):
-        cosine_nn(np.eye(2), np.array([0, 1]), np.zeros(2))
+@pytest.mark.parametrize("query", [[0.0, 0.0], [-0.0, -0.0]],
+                         ids=["zeros", "negative-zeros"])
+def test_zero_query_takes_the_first_nonzero_vectors_label(query):
+    # at similarity 0 to every nonzero training vector, so the lowest index
+    # of those wins; a zero training vector still never does
+    train = np.array([[0.0, 0.0], [0.0, -2.0], [1.0, 0.0]])
+    assert cosine_nn(train, np.array([4, 6, 8]), np.array(query)) == 6
 
 
 def test_zero_train_vectors_excluded():

@@ -230,6 +230,26 @@ def test_ablate_smoke_grid(tmp_path):
     assert lines[-1].startswith("SUMMARY kind=ablate")
 
 
+@pytest.mark.parametrize("learner,classifier", [("pca", "svm"),
+                                                ("dae", "wpca_cosine")])
+def test_ablate_report_does_not_depend_on_jobs(tmp_path, learner, classifier):
+    train_images, train_labels = make_glyphs(40, seed=43)
+    test_images, test_labels = make_glyphs(30, seed=44)
+    write_amat(tmp_path / "train.amat", train_images, train_labels)
+    write_amat(tmp_path / "test.amat", test_images, test_labels)
+    cfg = smoke_config(tmp_path, patches_per_layer=200, learner=learner,
+                       classifier=classifier, dae_epochs=3, wpca_dim=8)
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"ablation{jobs}.txt"
+        assert main(["ablate", "--config", str(cfg), "--jobs", jobs,
+                     "--train", str(tmp_path / "train.amat"),
+                     "--test", str(tmp_path / "test.amat"),
+                     "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_seed_override(workdir, tmp_path):
     cfg = smoke_config(tmp_path, seed=5)
     rc = main(["train", "--config", str(cfg),

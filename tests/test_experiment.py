@@ -2,6 +2,7 @@ import contextlib
 import ctypes
 import multiprocessing
 import os
+import re
 import signal
 import tempfile
 import tracemalloc
@@ -21,8 +22,9 @@ from translayer import (FilterBank, GrayImage, TrainedModel, WhiteningTransform,
 from translayer.classify import GramSizeError
 from translayer.dataio import load_model, save_model
 from translayer.encoder import compress_groups
-from translayer.experiment import (extract_features, format_eval_report,
-                                  predict_features)
+from translayer.experiment import (extract_features, fit_classifier,
+                                  format_eval_report, predict_features,
+                                  run_ablation)
 from translayer.filters import TrainingDivergedError
 from translayer.pipeline import build_stack, code_maps
 from translayer.rng import Rng
@@ -647,13 +649,7 @@ def same_csr(a, b) -> bool:
 
 
 def assert_evaluates_to_fitted_classes(model, images, labels):
-    try:
-        result = evaluate_model(model, images, labels)
-    except ValueError as exc:
-        # a cosine has no direction at a query projected to zero
-        assert model.config.classifier == "wpca_cosine"
-        assert str(exc) == "query vector is all zero"
-        return
+    result = evaluate_model(model, images, labels)
     fitted = np.isin(result.classes, model.classifier.classes)
     assert result.confusion[:, ~fitted].sum() == 0
     assert result.confusion.sum() == len(images)
@@ -705,3 +701,56 @@ def test_drawn_configs_train_end_to_end_or_fail_by_name(cfg, batch):
     g0 = nx * ny * 2**cfg.l1
     on_features = extract_features(on, images)
     assert same_csr(extract_features(off, images), on_features[:, g0:])
+    # so the off classifier, fitted on that slice, is the off model's
+    sliced = fit_classifier(replace(on, config=off.config), on_features[:, g0:],
+                            labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert saved_bytes(sliced, tmp) == saved_bytes(off, tmp)
+
+
+# --- the ablation grid --------------------------------------------------------
+
+def same_result(a, b) -> bool:
+    return (np.array_equal(a.classes, b.classes)
+            and np.array_equal(a.confusion, b.confusion)
+            and (a.samples, a.errors) == (b.samples, b.errors))
+
+
+@pytest.mark.parametrize("learner,classifier", [("pca", "svm"),
+                                                ("dae", "wpca_cosine")])
+def test_ablation_equals_four_separate_trainings(glyph_train, glyph_test,
+                                                 monkeypatch, tmp_path,
+                                                 learner, classifier):
+    cfg = tiny_config(learner=learner, classifier=classifier, dae_epochs=3,
+                      wpca_dim=8)
+    evaluated = {}
+
+    def recording(model, *args, **kwargs):
+        evaluated[model.config.lcn, model.config.trans_layer] = model
+        return evaluate_model(model, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "evaluate_model", recording)
+    results = run_ablation(cfg, *glyph_train, *glyph_test)
+    assert set(results) == set(evaluated) == {(True, True), (True, False),
+                                              (False, True), (False, False)}
+    for (lcn, trans_layer), model in evaluated.items():
+        alone = train_model(replace(cfg, lcn=lcn, trans_layer=trans_layer),
+                            *glyph_train)
+        assert saved_bytes(model, tmp_path) == saved_bytes(alone, tmp_path)
+        assert same_result(results[lcn, trans_layer],
+                           evaluate_model(alone, *glyph_test))
+
+
+def test_ablation_checks_every_variant_before_sampling(monkeypatch):
+    monkeypatch.setattr(experiment, "sample_patches", no_patches)
+    gen = np.random.default_rng(12)
+    images = [GrayImage(gen.random((7, 7))) for _ in range(12)]
+    labels = np.arange(12) % 3
+    # one 7x7 block of 2**2 codes: 8 features with trans_layer on, 4 off, so
+    # only the off variants fail their check, after the (on, on) one passes
+    cfg = tiny_config(patch_k1=3, patch_k2=3, l1=2, l2=1, block_w=7, block_h=7,
+                      classifier="wpca_cosine", wpca_dim=5)
+    with pytest.raises(ValueError, match=re.escape(
+            "wpca_dim 5 exceeds min(training images - 1, feature dimension)"
+            " = min(11, 4)")):
+        run_ablation(cfg, images, labels, images, labels)
