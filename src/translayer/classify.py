@@ -428,6 +428,7 @@ def wpca_fit(features, labels, target_dim: int,
                            np.asarray(labels, dtype=np.int64))
 
 
+@one_blas_thread()
 def wpca_apply(model: WpcaCosineModel, features) -> np.ndarray:
     """Centered features times the projection. A row gets the same bits in
     any batch: gemm gives it those above OpenBLAS's small-matrix cutoff of

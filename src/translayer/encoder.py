@@ -9,6 +9,9 @@ blocks whose code histograms, concatenated in (map, block row-major)
 order, form the image's sparse feature vector. A histogram is read off
 the block's sorted codes, one bin per run of equal codes, so its cost
 follows the block's pixel count and not the 2^L1 bins.
+
+The vector comes in the dtypes its CSR matrix keeps: int32 positions up to
+2^31 - 1 bins, and counts as narrow as a block's pixel count allows.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from .types import MAX_FILTERS, Config
 
 
 class SparseFeature(NamedTuple):
-    """One image's feature vector: the strictly increasing int64 positions
-    of its nonzero bins and their positive int64 counts."""
+    """One image's feature vector: the strictly increasing int32 positions
+    of its nonzero bins, int64 past 2^31 - 1 bins, and their positive counts
+    in the smallest unsigned dtype that holds a block's pixel count."""
 
     indices: np.ndarray
     counts: np.ndarray
@@ -110,6 +114,7 @@ def feature_of(code_maps: np.ndarray, cfg: Config) -> SparseFeature:
     np.not_equal(flat[1:], flat[:-1], out=starts[1:])
     starts[::per_block] = True
     pos = np.flatnonzero(starts)
-    indices = pos // per_block * bins + flat[pos]
-    counts = np.diff(pos, append=flat.size)
+    wide = flat.size // per_block * bins > np.iinfo(np.int32).max
+    indices = (pos // per_block * bins + flat[pos]).astype(np.int64 if wide else np.int32)
+    counts = np.diff(pos, append=flat.size).astype(np.min_scalar_type(per_block))
     return SparseFeature(indices, counts)

@@ -5,13 +5,10 @@ splits a batch into tasks of ``chunk`` consecutive images, and
 ``forkpool.fork_pool(jobs, (model, images, dim, maps))`` runs
 :func:`_encode_task` on each: the workers see the model and the images
 copy-on-write, so no image is pickled, and every ``jobs`` runs the same
-function on the same model. Each image comes back as ``(indices,
-counts)`` in the narrowest dtypes that hold them: int32 indices wherever
-scipy indexes the CSR matrix with int32, and counts sized to a block's
-pixel count, a fraction of the int64 pair to unpickle. The training batch
-keeps the counts' dtype through the classifier fit (1 or 2 bytes a
-nonzero, not float64's 8); evaluation gathers its tasks' counts in
-float64, as scoring multiplies them.
+function on the same model. Each image comes back as the
+``encoder.feature_of`` pair, in the dtypes the CSR matrix keeps, and the
+rows are concatenated as they are: training fits and evaluation scores
+the counts in their own dtype, which only ``classify`` widens.
 
 Training, :func:`train_front` then :func:`fit_classifier`, fans out over
 the same ``jobs`` five times. Each autoencoder layer draws its corruption
@@ -187,27 +184,21 @@ def _map_task(state, task) -> None:
 
 
 def _encode_task(state, task) -> list:
-    """The ``(indices, counts)`` of each of ``images[start:stop]``, narrowed
-    as the module describes, from its first-layer ``maps`` when given."""
-    model, images, dim, maps = state
-    cfg = model.config
-    index_dtype = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
-    count_dtype = np.min_scalar_type(cfg.block_w * cfg.block_h)
-    layer1 = [None] * len(images) if maps is None else maps
-    feats = (encoder.feature_of(code_maps(images[i], model, layer1[i]), cfg)
-             for i in range(*task))
-    return [(f.indices.astype(index_dtype), f.counts.astype(count_dtype))
-            for f in feats]
+    """The ``encoder.feature_of`` pair of each of ``images[start:stop]``,
+    from its first-layer ``maps`` when given."""
+    model, images, _, maps = state
+    return [encoder.feature_of(code_maps(images[i], model,
+                                         None if maps is None else maps[i]),
+                               model.config)
+            for i in range(*task)]
 
 
-def _csr(pairs, dim: int, dtype=None) -> sp.csr_matrix:
-    """The CSR matrix of ``_encode_task``'s pairs, one row per image, its
-    data the counts in their own dtype or in ``dtype``."""
-    indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
-    np.cumsum([idx.size for idx, _ in pairs], out=indptr[1:])
-    indices = np.concatenate([idx for idx, _ in pairs])
-    data = np.concatenate([cnt for _, cnt in pairs], dtype=dtype)
-    return sp.csr_matrix((data, indices, indptr), shape=(len(pairs), dim))
+def _csr(pairs, dim: int) -> sp.csr_matrix:
+    """The CSR matrix of ``_encode_task``'s pairs, one row per image."""
+    indices, counts = zip(*pairs)
+    indptr = np.cumsum([0] + [idx.size for idx in indices])
+    return sp.csr_matrix((np.concatenate(counts), np.concatenate(indices), indptr),
+                         shape=(len(pairs), dim))
 
 
 def extract_features(model: TrainedModel, images, jobs: int = 1,
@@ -264,7 +255,7 @@ def _run_tasks(fn, state, n: int, jobs: int, chunk: int = TASK_IMAGES) -> list:
 def _predict_task(state, task) -> np.ndarray:
     """Labels of ``images[start:stop]``, encoded and scored where it runs."""
     model, _, dim, _ = state
-    return predict_features(model, _csr(_encode_task(state, task), dim, np.float64))
+    return predict_features(model, _csr(_encode_task(state, task), dim))
 
 
 def evaluate_model(model: TrainedModel, images, labels, jobs: int = 1,
@@ -312,14 +303,13 @@ def run_ablation(cfg: Config, train_images, train_labels, test_images,
     variants = [replace(cfg, lcn=lcn_on, trans_layer=trans_on)
                 for lcn_on in (True, False) for trans_on in (True, False)]
     for variant in variants:
-        _check_training(variant, train_images, train_labels)
-    nx, ny = encoder.block_counts(common_size(train_images), cfg)
+        size = _check_training(variant, train_images, train_labels)
     results = {}
     for on, off in (variants[:2], variants[2:]):
         front, features = train_front(on, train_images, train_labels, jobs)
         for variant in (on, off):
             if not variant.trans_layer:   # the on features go once sliced
-                features = features[:, nx * ny * 2**cfg.l1:]
+                features = features[:, -encoder.feature_dim(size, variant):]
             results[variant.lcn, variant.trans_layer] = evaluate_model(
                 fit_classifier(replace(front, config=variant), features, train_labels, jobs),
                 test_images, test_labels, jobs=jobs)

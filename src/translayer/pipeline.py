@@ -181,8 +181,7 @@ def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
         var = sq - np.square(_box(np.add, dev, k1, k2).reshape(-1) / d)
         var_err = 4 * (d + 2) * _EPS * sq + d * _TINY
         denom = np.sqrt(np.maximum(var, 0.0)) + lcn
-        std_err = var_err / (denom * (np.sqrt(np.maximum(var - var_err, 0.0))
-                                      + lcn))
+        s_lo = np.sqrt(np.maximum(var - var_err, 0.0))
     blocks = filters.reshape(bank.count, k1, k2)
     response = blocks[:, 0] @ taps[0]
     part = np.empty_like(response)
@@ -195,8 +194,13 @@ def _layer2_bits(layer1: np.ndarray, bank: FilterBank,
     if bank.layer_kind == DAE:
         if lcn is not None:
             response /= denom
-            bound /= denom
-            bound += std_coef[:, None] * std_err
+            # c near either end of the float range overflows or divides by
+            # zero here, soundly: a non-finite bound certifies nothing, and a
+            # product past MAX drops a term under the constant one over denom
+            # while |H_row|_2 < 1e13, as tanh maps keep var_err < 16 (d+2) eps + d tiny
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                bound /= denom
+                bound += std_coef[:, None] * (var_err / (denom * (s_lo + lcn)))
         response += bank.biases[:, None]
     bits = (response > 0).view(np.uint8)
     certified = (np.abs(response, out=response) > bound) | (scale == 0.0)

@@ -95,6 +95,22 @@ labels = experiment.predict_features(model, sp.random(8, d, density=0.1,
 print(hashlib.sha256(projected[0].tobytes() + labels.tobytes()).hexdigest())
 """
 
+WPCA_APPLY = """
+import hashlib
+import numpy as np
+import scipy.sparse as sp
+from translayer import wpca_apply
+from translayer.classify import WpcaCosineModel
+
+# the 8-row projection whose gemm two OpenBLAS threads split
+gen = np.random.default_rng(0)
+d, k, n = 5000, 100, 30
+model = WpcaCosineModel(gen.random(d), gen.standard_normal((k, d)),
+                        gen.standard_normal((n, k)), np.arange(n))
+features = sp.random(8, d, density=0.1, random_state=1) * 10
+print(hashlib.sha256(wpca_apply(model, features).tobytes()).hexdigest())
+"""
+
 
 def run_at_blas_threads(threads, script):
     """stdout of ``script`` in a fresh interpreter with OpenBLAS at
@@ -132,6 +148,12 @@ def test_model_bytes_do_not_depend_on_blas_threads(overrides):
 def test_wpca_fit_called_directly_does_not_depend_on_blas_threads():
     # outside train_model, which pins BLAS to one thread itself
     assert run_at_blas_threads(1, WPCA_FIT) == run_at_blas_threads(2, WPCA_FIT)
+
+
+def test_wpca_apply_called_directly_does_not_depend_on_blas_threads():
+    # outside predict_features, which pins BLAS to one thread itself
+    assert (run_at_blas_threads(1, WPCA_APPLY)
+            == run_at_blas_threads(2, WPCA_APPLY))
 
 
 def test_prediction_does_not_depend_on_blas_threads():

@@ -175,7 +175,7 @@ def test_blocks_row_major_order():
 def test_zero_map_histograms():
     codes = np.zeros((1, 28, 28), dtype=np.uint16)
     feat = feature_of(codes, encoder(block=7, stride=3))
-    assert feat.indices.dtype == feat.counts.dtype == np.int64
+    assert feat.indices.dtype == np.int32 and feat.counts.dtype == np.uint8
     assert feat.indices.size == 64
     assert np.array_equal(feat.indices, np.arange(64) * 256)
     assert (feat.counts == 49).all()
@@ -297,7 +297,8 @@ def test_feature_of_matches_per_block_oracle(case):
     codes, cfg = case
     feat = feature_of(codes, cfg)
     want_indices, want_counts = oracle_histograms(codes, cfg)
-    assert feat.indices.dtype == feat.counts.dtype == np.int64
+    assert feat.indices.dtype == np.int32
+    assert feat.counts.dtype == np.min_scalar_type(cfg.block_w * cfg.block_h)
     assert np.array_equal(feat.indices, want_indices)
     assert np.array_equal(feat.counts, want_counts)
     assert (np.diff(feat.indices) > 0).all()
@@ -328,3 +329,14 @@ def test_sixteen_bit_codes_need_no_dense_bins():
     assert peak < 32 * 2**20
     assert feat.counts.sum() == 17 * 64 * 49
     assert feat.indices[-1] < feature_dim((28, 28), cfg)
+
+
+def test_positions_past_int32_come_as_int64():
+    # 17 maps x 4096 one-pixel blocks x 2^16 bins: 4.6e9 positions
+    cfg = Config(l1=16, l2=16, block_w=1, block_h=1, stride_x=1, stride_y=1)
+    codes = np.random.default_rng(7).integers(0, 2**16, size=(17, 64, 64))
+    feat = feature_of(codes.astype(np.uint16), cfg)
+    assert feature_dim((64, 64), cfg) == 17 * 4096 * 2**16
+    assert feat.indices.dtype == np.int64 and feat.counts.dtype == np.uint8
+    assert np.array_equal(feat.indices, np.arange(codes.size) * 2**16 + codes.ravel())
+    assert (feat.counts == 1).all()

@@ -41,8 +41,8 @@ def test_parallel_extraction_matches_serial(tiny_model, glyph_test):
     assert (serial != parallel).nnz == 0
 
 
-def int64_pair_csr(model, images):
-    """The batch's CSR built from feature_of's int64 pairs, unnarrowed."""
+def float_count_csr(model, images):
+    """The batch's CSR built one image at a time, with float64 counts."""
     feats = [encoder.feature_of(code_maps(image, model), model.config)
              for image in images]
     indptr = np.cumsum([0] + [f.indices.size for f in feats])
@@ -63,7 +63,7 @@ def test_narrow_worker_payload_keeps_the_csr(tiny_model, glyph_test, block):
     [(indices, counts)] = experiment._encode_task(state, (6, 7))
     assert indices.dtype == np.int32
     assert counts.dtype == (np.uint8 if block == 7 else np.uint16)
-    want = int64_pair_csr(model, images)
+    want = float_count_csr(model, images)
     assert want.indices.dtype == want.indptr.dtype == np.int32
     for jobs in (1, 2):
         got = extract_features(model, images, jobs=jobs)
@@ -113,6 +113,29 @@ def test_evaluation_scores_with_the_model_as_given(tiny_model, glyph_test,
     monkeypatch.setattr(experiment, "predict_features", recording)
     evaluate_model(tiny_model, *glyph_test, jobs=1, chunk=16)
     assert len(seen) == 3 and all(model is tiny_model for model in seen)
+
+
+def test_evaluation_scores_the_count_rows_extraction_builds(tiny_model,
+                                                            glyph_test,
+                                                            monkeypatch):
+    scored = []
+    predict = experiment.predict_features
+
+    def recording(model, features):
+        scored.append(features)
+        return predict(model, features)
+
+    monkeypatch.setattr(experiment, "predict_features", recording)
+    evaluate_model(tiny_model, *glyph_test, jobs=1, chunk=16)
+    want = extract_features(tiny_model, glyph_test[0])
+    cfg = tiny_model.config
+    assert [x.shape[0] for x in scored] == [16, 16, 8]
+    for start, got in zip((0, 16, 32), scored):
+        assert got.dtype == np.min_scalar_type(cfg.block_w * cfg.block_h)
+        rows = want[start:start + 16]
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(rows, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_evaluation_forks_one_pool_for_all_chunks(tiny_model, glyph_test,

@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from translayer import (Config, FilterBank, GrayImage, PatchShape,
 from translayer.encoder import binarize, compress_groups
 from translayer.pipeline import build_stack, code_maps, lcn_constant, map_layer
 from translayer.preprocess import lcn_rows, whiten_apply
-from translayer.types import DAE, PCA
+from translayer.types import DAE, PCA, validate_config
 
 
 def pca_bank(weights, side):
@@ -238,6 +240,27 @@ def test_uncertified_map_falls_back_to_window_path(monkeypatch):
     assert len(calls) > 1      # layer 1, then at least one second-layer map
     want = compress_groups(build_stack(image, model), True)
     assert np.array_equal(got, want)
+
+
+EXTREME_LCN_IMAGES = {"zero": np.zeros((8, 9)), "constant": np.full((8, 9), 0.6),
+                      "random": np.random.default_rng(3).random((8, 9))}
+
+
+@pytest.mark.parametrize("image", EXTREME_LCN_IMAGES)
+@pytest.mark.parametrize("lcn_c", [5e-324, 1e-200, 1e200, 1.7e308])
+def test_dae_lcn_code_maps_at_extreme_lcn_c_match_without_warnings(lcn_c, image):
+    # any positive finite lcn_c is valid; near either end of the float range
+    # the window std's error term overflows or divides by zero, which must
+    # neither warn nor certify a sign the window path does not give
+    model = replace(random_model(DAE, 2, 2, seed=1, k1=3, k2=3, lcn=True,
+                                 lcn_c=lcn_c),
+                    whiten1=identity_whitening(3), whiten2=identity_whitening(3))
+    assert not validate_config(model.config)
+    image = GrayImage(EXTREME_LCN_IMAGES[image])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = compress_groups(build_stack(image, model), True)
+        assert np.array_equal(code_maps(image, model), want)
 
 
 def test_dae_lcn_code_maps_peak_below_twice_the_window_matrix(glyph_test):
