@@ -84,6 +84,15 @@ def feature_dim(image_shape: tuple[int, int], cfg: Config) -> int:
     return (cfg.l2 + cfg.trans_layer) * nx * ny * 2**cfg.l1
 
 
+def nnz_bound(image_shape: tuple[int, int], cfg: Config) -> int:
+    """Most nonzero bins the feature vector of an ``(h, w)`` image can
+    have: one per distinct code of each (code map, block), at most the
+    block's pixel count and at most 2^l1."""
+    nx, ny = block_counts(image_shape, cfg)
+    return (cfg.l2 + cfg.trans_layer) * nx * ny * min(cfg.block_w * cfg.block_h,
+                                                      2**cfg.l1)
+
+
 @functools.lru_cache(maxsize=8)
 def _block_index(shape: tuple[int, int, int], cfg: Config) -> np.ndarray:
     """Flat positions in (groups, h, w) code maps of each block's pixels,

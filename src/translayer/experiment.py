@@ -2,13 +2,15 @@
 
 Feature extraction is a pure function of (model, image). :func:`_run_tasks`
 splits a batch into tasks of ``chunk`` consecutive images, and
-``forkpool.fork_pool(jobs, (model, images, dim, maps))`` runs
+``forkpool.fork_pool(jobs, (model, images, shape, maps))`` runs
 :func:`_encode_task` on each: the workers see the model and the images
 copy-on-write, so no image is pickled, and every ``jobs`` runs the same
 function on the same model. Each image comes back as the
-``encoder.feature_of`` pair, in the dtypes the CSR matrix keeps, and the
-rows are concatenated as they are: training fits and evaluation scores
-the counts in their own dtype, which only ``classify`` widens.
+``encoder.feature_of`` pair, in the dtypes the CSR matrix keeps, and
+:func:`_csr` copies the tasks' pairs, in order as they arrive, into one
+matrix (a batch's into arrays of ``encoder.nnz_bound`` slots an image):
+training fits and evaluation scores the counts in their own dtype, which
+only ``classify`` widens.
 
 Training, :func:`train_front` then :func:`fit_classifier`, fans out over
 the same ``jobs`` five times. Each autoencoder layer draws its corruption
@@ -17,7 +19,8 @@ learned, :func:`_map_task` writes the first-layer maps of the training
 images, in the same tasks as extraction, into one shared array: the
 second-layer patches are drawn from it, and training extraction encodes
 each image from its maps there, so every training image is mapped
-through the first layer once. Then both classifier fits write their Gram
+through the first layer once; the rows of each task are released as its
+features are taken. Then both classifier fits write their Gram
 one strip of rows per task, and ``svm_train`` solves one class per task
 or ``wpca_fit`` lifts one block of columns per task.
 
@@ -45,7 +48,8 @@ from .classify import (LinearSvmModel, WpcaCosineModel, as_csr,
 from . import encoder
 from .filters import (common_size, draw_patch_locations, gather_patches,
                       learn_dae_filters, learn_pca_filters, sample_patches)
-from .forkpool import fork_pool, one_blas_thread, shared_zeros
+from . import forkpool
+from .forkpool import fork_pool, one_blas_thread, release, shared_zeros, trim_heap
 # build_stack is not called here; perfbench's tracer wraps experiment.build_stack
 from .pipeline import build_stack, code_maps, lcn_constant, map_layer  # noqa: F401
 # training calls lcn_rows by this name, which perfbench traces apart
@@ -134,8 +138,8 @@ def train_front(cfg: Config, images, labels, jobs: int = 1):
     # computed once over the pool into shared memory, where extraction
     # reads them again: all L1 maps of an image are consecutive sources
     maps = shared_zeros((len(images), cfg.l1, h, w))
-    _run_tasks(_map_task, (images, bank1, whiten1, lcn_constant(cfg), maps),
-               len(images), jobs)
+    list(_run_tasks(_map_task, (images, bank1, whiten1, lcn_constant(cfg), maps),
+                    len(images), jobs))
     locations = draw_patch_locations(len(images) * cfg.l1, (h, w), shape,
                                      cfg.patches_per_layer,
                                      rng.stream("patches.layer2"))
@@ -193,22 +197,49 @@ def _encode_task(state, task) -> list:
             for i in range(*task)]
 
 
-def _csr(pairs, dim: int) -> sp.csr_matrix:
-    """The CSR matrix of ``_encode_task``'s pairs, one row per image."""
-    indices, counts = zip(*pairs)
-    indptr = np.cumsum([0] + [idx.size for idx in indices])
-    return sp.csr_matrix((np.concatenate(counts), np.concatenate(indices), indptr),
-                         shape=(len(pairs), dim))
+def _csr(parts, n: int, dim: int, slots: int, alloc) -> sp.csr_matrix:
+    """The ``(n, dim)`` CSR matrix of ``_encode_task``'s lists of pairs,
+    taken from ``parts`` one at a time, one row per image: each pair is
+    copied into two ``alloc(slots, dtype)`` arrays at a running offset,
+    and the matrix keeps their filled prefix."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    row = 0
+    for part in parts:
+        for idx, cnt in part:
+            if row == 0:
+                indices, counts = alloc(slots, idx.dtype), alloc(slots, cnt.dtype)
+            start, stop = indptr[row], indptr[row] + idx.size
+            indices[start:stop] = idx
+            counts[start:stop] = cnt
+            row += 1
+            indptr[row] = stop
+    # arrays of exactly nnz items: scipy copies a view of under half its base
+    indices, counts = (np.frombuffer(a.data, a.dtype, int(indptr[-1]))
+                       for a in (indices, counts))
+    return sp.csr_matrix((counts, indices, indptr), shape=(n, dim))
 
 
 def extract_features(model: TrainedModel, images, jobs: int = 1,
                      maps=None) -> sp.csr_matrix:
-    """Histogram features for a batch of images as a CSR matrix; ``maps``,
-    the (n, L1, h, w) first-layer maps of the images, spares their layer-1
-    products."""
+    """Histogram features for a batch of images as a CSR matrix. ``maps``,
+    the images' (n, L1, h, w) first-layer maps from ``shared_zeros``, spares
+    their layer-1 products and is consumed: each task's rows are released
+    as its features are taken, so the maps shrink as the matrix grows."""
     state = _batch_state(model, images, maps)
-    parts = _run_tasks(_encode_task, state, len(images), jobs)
-    return _csr([pair for part in parts for pair in part], state[2])
+    n, shape, cfg = len(images), state[2], model.config
+
+    def parts():
+        for task, part in _run_tasks(_encode_task, state, n, jobs):
+            if maps is not None:
+                release(maps, *task)
+            yield part
+
+    # slots for the most nonzeros each image can have, in a memory map
+    # whose pages past the last row take no memory
+    features = _csr(parts(), n, encoder.feature_dim(shape, cfg),
+                    n * encoder.nnz_bound(shape, cfg), forkpool.shared_zeros)
+    trim_heap()   # of the tasks' pairs, freed between longer-lived chunks
+    return features
 
 
 @one_blas_thread()
@@ -237,25 +268,32 @@ class EvalResult:
 
 
 def _batch_state(model: TrainedModel, images, maps=None) -> tuple:
-    """The ``(model, images, dim, maps)`` state of a batch's tasks."""
+    """The ``(model, images, (h, w), maps)`` state of a batch's tasks."""
     if len(images) == 0:
         raise ValueError("no samples")
-    dim = encoder.feature_dim(common_size(images), model.config)
-    return model, images, dim, maps
+    shape = common_size(images)
+    encoder.block_counts(shape, model.config)   # rejects a block larger than (h, w)
+    return model, images, shape, maps
 
 
-def _run_tasks(fn, state, n: int, jobs: int, chunk: int = TASK_IMAGES) -> list:
-    """``fn(state, (start, stop))`` of each run of ``chunk`` consecutive of
-    ``n`` images, over ``fork_pool(jobs, state)`` in order."""
+def _run_tasks(fn, state, n: int, jobs: int, chunk: int = TASK_IMAGES):
+    """Iterator of ``(task, fn(state, task))`` for each ``task``, a
+    ``(start, stop)`` run of ``chunk`` consecutive of ``n`` images, over
+    ``fork_pool(jobs, state)`` in order."""
     tasks = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
     with fork_pool(jobs, state) as run:
-        return list(run(fn, tasks))
+        yield from zip(tasks, run(fn, tasks))
 
 
 def _predict_task(state, task) -> np.ndarray:
     """Labels of ``images[start:stop]``, encoded and scored where it runs."""
-    model, _, dim, _ = state
-    return predict_features(model, _csr(_encode_task(state, task), dim))
+    model, _, shape, _ = state
+    pairs = _encode_task(state, task)
+    # sized exactly, in the heap, whose pages the next task reuses: a new
+    # mapping for each task would fault in every page it fills
+    return predict_features(model, _csr(
+        [pairs], len(pairs), encoder.feature_dim(shape, model.config),
+        sum(idx.size for idx, _ in pairs), np.empty))
 
 
 def evaluate_model(model: TrainedModel, images, labels, jobs: int = 1,
@@ -270,9 +308,8 @@ def evaluate_model(model: TrainedModel, images, labels, jobs: int = 1,
     if model.classifier is None:
         raise TypeError("model has no trained classifier")
     classes = np.union1d(model.classifier.classes, labels)
-    parts = _run_tasks(_predict_task, _batch_state(model, images), len(images),
-                       jobs, chunk)
-    preds = np.concatenate(parts)
+    preds = np.concatenate([part for _, part in _run_tasks(
+        _predict_task, _batch_state(model, images), len(images), jobs, chunk)])
     confusion = np.zeros((classes.size, classes.size), dtype=np.int64)
     np.add.at(confusion, (np.searchsorted(classes, labels),
                           np.searchsorted(classes, preds)), 1)

@@ -34,7 +34,8 @@ DAE_END_RISE = 0.01
 
 
 class TrainingDivergedError(RuntimeError):
-    """Autoencoder loss became non-finite or rose by more than DAE_END_RISE."""
+    """Autoencoder loss, weights or biases became non-finite, or the loss
+    rose by more than DAE_END_RISE."""
 
 
 def draw_patch_locations(sources: int, size: tuple[int, int], shape: PatchShape,
@@ -194,20 +195,26 @@ def train_dae(z_clean: np.ndarray, count: int, cfg: Config, rng: Rng,
                         order, axis=0, out=keep, mode="clip")
                 np.multiply(zp, keep, out=ztp)
             running = 0.0
-            for start in range(0, m, batch):
-                zb = zp[start:start + batch]
-                size = zb.shape[0]
-                loss, gw, gb, gbp = dae_value_and_grad(
-                    w, b, b_dec, zb, ztp[start:start + batch], tradeoff_c,
-                    size / m)
-                running += loss
-                step = lr / size
-                w -= step * gw
-                b -= step * gb
-                b_dec -= step * gbp
-            if not np.isfinite(running) or not np.isfinite(w).all():
+            # a blow-up overflows silently here and is caught after the epoch
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in range(0, m, batch):
+                    zb = zp[start:start + batch]
+                    size = zb.shape[0]
+                    loss, gw, gb, gbp = dae_value_and_grad(
+                        w, b, b_dec, zb, ztp[start:start + batch], tradeoff_c,
+                        size / m)
+                    running += loss
+                    step = lr / size
+                    w -= step * gw
+                    b -= step * gb
+                    b_dec -= step * gbp
+                # the last step's weights can be finite and still square to inf
+                finite = (np.isfinite(running) and np.isfinite(np.vdot(w, w))
+                          and np.isfinite(b).all() and np.isfinite(b_dec).all())
+            if not finite:
                 raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}; lower the learning rate")
+                    f"non-finite loss, weights or biases at epoch {epoch}; "
+                    "lower the learning rate")
             epoch_loss.append(running)
 
     if epoch_loss[-1] > epoch_loss[0] * (1.0 + DAE_END_RISE):

@@ -9,7 +9,8 @@ forked, not spawned, so they see ``state`` (the model and images, the
 training features) copy-on-write, and an item is a small task such as a
 ``(start, stop)`` range: nothing large is pickled on the way in.
 Results too large to send back through the pool go into an array from
-:func:`shared_zeros`, which is allocated before the fork. A worker that
+:func:`shared_zeros`, which is allocated before the fork, and whose rows
+:func:`release` gives back once they are read. A worker that
 dies fails the run with ``BrokenProcessPool`` instead of hanging it.
 
 While a pool lives, BLAS runs on one thread (:func:`one_blas_thread`),
@@ -118,12 +119,38 @@ def fork_pool(jobs: int, state):
         yield run
 
 
-def shared_zeros(shape) -> np.ndarray:
-    """A zeroed float64 array in anonymous shared memory.
+def shared_zeros(shape, dtype=np.float64) -> np.ndarray:
+    """A zeroed array in anonymous shared memory.
 
     What a worker forked after the allocation writes into it, the parent
-    sees, without the values passing through a pipe.
+    sees, without the values passing through a pipe. A page takes memory
+    once written, and all of them go back to the system with the array.
     """
-    nbytes = int(np.prod(shape)) * np.dtype(np.float64).itemsize
-    return np.ndarray(shape, dtype=np.float64,
-                      buffer=mmap.mmap(-1, max(nbytes, 1)))
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    return np.ndarray(shape, dtype=dtype, buffer=mmap.mmap(-1, max(nbytes, 1)))
+
+
+def trim_heap() -> None:
+    """Return the free pages of the C heap to the system, which glibc keeps
+    resident below the last chunk in use; a no-op where the C library has
+    no ``malloc_trim``."""
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+        trim(0)
+
+
+def release(array: np.ndarray, start: int, stop: int) -> None:
+    """Return the memory of rows ``start:stop`` of a :func:`shared_zeros`
+    array, in every process that shares it, for the pages wholly inside
+    those rows, which then read as zeros; rows that share a page with a
+    row outside keep their values. A no-op where ``mmap`` has no
+    ``MADV_REMOVE``."""
+    remove = getattr(mmap, "MADV_REMOVE", None)
+    if remove is None:
+        return
+    row, page = array.strides[0], mmap.PAGESIZE
+    first, end = -(-start * row // page) * page, stop * row // page * page
+    if end > first:
+        array.base.madvise(remove, first, end - first)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from translayer import Config, binarize, feature_of
 from translayer.encoder import (block_counts, compress_groups, feature_dim,
-                                pack_codes)
+                                nnz_bound, pack_codes)
 
 
 def encoder(bins=256, block=7, stride=3, trans=True):
@@ -305,6 +306,33 @@ def test_feature_of_matches_per_block_oracle(case):
     nx, ny = block_counts(codes.shape[1:], cfg)
     blocks = codes.shape[0] * nx * ny
     assert feat.counts.sum() == blocks * cfg.block_w * cfg.block_h
+
+
+@given(codes_and_geometry())
+def test_nonzeros_stay_within_the_row_bound(case):
+    codes, cfg = case
+    cfg = replace(cfg, l2=codes.shape[0] - 1)
+    assert feature_of(codes, cfg).indices.size <= nnz_bound(codes.shape[1:], cfg)
+
+
+@given(codes_and_geometry(), st.integers(0, 2**16 - 1))
+def test_row_bound_is_reached_when_every_block_holds_distinct_codes(case, shift):
+    # the codes x + block_w * y + shift (mod 2^l1) of a block are block_w *
+    # block_h consecutive integers: all distinct, or every code there is
+    codes, cfg = case
+    groups, h, w = codes.shape
+    cfg = replace(cfg, l2=groups - 1)
+    y, x = np.mgrid[:h, :w]
+    bins = 2**cfg.l1
+    codes = (x + cfg.block_w * y + shift * np.arange(1, groups + 1)[:, None, None]) % bins
+    feat = feature_of(codes.astype(np.uint16), cfg)
+    assert feat.indices.size == nnz_bound((h, w), cfg)
+
+
+def test_row_bound_of_the_default_config():
+    # 9 code maps x 8 x 8 blocks x 49 pixels
+    assert nnz_bound((28, 28), Config()) == 28224
+    assert nnz_bound((28, 28), Config(l1=4, trans_layer=False)) == 8 * 64 * 16
 
 
 def test_feature_of_leaves_its_input_alone():

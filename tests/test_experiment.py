@@ -1,5 +1,6 @@
 import contextlib
 import ctypes
+import mmap
 import multiprocessing
 import os
 import re
@@ -24,7 +25,7 @@ from translayer.dataio import load_model, save_model
 from translayer.encoder import compress_groups
 from translayer.experiment import (extract_features, fit_classifier,
                                   format_eval_report, predict_features,
-                                  run_ablation)
+                                  run_ablation, train_front)
 from translayer.filters import TrainingDivergedError
 from translayer.pipeline import build_stack, code_maps
 from translayer.rng import Rng
@@ -58,8 +59,7 @@ def test_narrow_worker_payload_keeps_the_csr(tiny_model, glyph_test, block):
     cfg = replace(tiny_model.config, block_w=block, block_h=block)
     model = replace(tiny_model, config=cfg, classifier=None)
     images = glyph_test[0][:6] + [GrayImage(np.zeros((28, 28)))]
-    dim = encoder.feature_dim(images[0].pixels.shape, cfg)
-    state = (model, images, dim, None)
+    state = (model, images, images[0].pixels.shape, None)
     [(indices, counts)] = experiment._encode_task(state, (6, 7))
     assert indices.dtype == np.int32
     assert counts.dtype == (np.uint8 if block == 7 else np.uint16)
@@ -75,6 +75,128 @@ def test_narrow_worker_payload_keeps_the_csr(tiny_model, glyph_test, block):
         assert np.array_equal(got.data, want.data)
     if block == 28:
         assert want.data.max() == 28 * 28
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
+def test_streamed_csr_equals_the_one_built_per_image(tiny_model, glyph_train,
+                                                      glyph_test, jobs, n):
+    # task boundaries at 32 images: one short task, one full, one past it
+    images = (glyph_train[0] + glyph_test[0])[:n]
+    want = float_count_csr(tiny_model, images)
+    got = extract_features(tiny_model, images, jobs=jobs)
+    assert got.shape == want.shape
+    for name in ("indices", "indptr", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a, b), name
+    assert got.indices.dtype == got.indptr.dtype == np.int32
+    assert got.data.dtype == np.uint8     # 7x7 blocks: at most 49 a bin
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_extraction_holds_no_task_older_than_the_last(tiny_model, glyph_train,
+                                                      glyph_test, monkeypatch,
+                                                      jobs):
+    # when task k + 1's pairs arrive, those of tasks up to k - 1 are copied
+    # into the matrix and dropped
+    images = glyph_train[0] + glyph_test[0]       # tasks of 32, 32, 32, 4
+    taken = []
+    fork_pool = experiment.fork_pool
+
+    @contextlib.contextmanager
+    def watching(pool_jobs, state):
+        with fork_pool(pool_jobs, state) as run:
+            def run_watched(fn, tasks):
+                for k, part in enumerate(run(fn, tasks)):
+                    alive = [i for i, refs in enumerate(taken[:max(k - 1, 0)])
+                             if any(ref() is not None for ref in refs)]
+                    assert alive == [], f"tasks {alive} alive at task {k}"
+                    taken.append([weakref.ref(a) for pair in part for a in pair])
+                    yield part
+            yield run_watched
+
+    monkeypatch.setattr(experiment, "fork_pool", watching)
+    got = extract_features(tiny_model, images, jobs=jobs)
+    monkeypatch.undo()
+    assert len(taken) == 4
+    assert same_csr(got, extract_features(tiny_model, images))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_training_features_from_the_maps_equal_plain_extraction(
+        glyph_train, monkeypatch, jobs):
+    released = []
+    release = experiment.release
+
+    def recording(array, start, stop):
+        released.append((start, stop))
+        release(array, start, stop)
+
+    monkeypatch.setattr(experiment, "release", recording)
+    images, labels = glyph_train[0][:40], glyph_train[1][:40]
+    front, features = train_front(tiny_config(patches_per_layer=200), images,
+                                  labels, jobs=jobs)
+    monkeypatch.undo()
+    # every task's maps are given back, and none is read after it
+    assert released == [(0, 32), (32, 40)]
+    want = extract_features(front, images)
+    for name in ("indices", "indptr", "data"):
+        a, b = getattr(features, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_release_frees_only_whole_pages_inside_its_rows(monkeypatch):
+    a = forkpool.shared_zeros((10, 1000))   # 8000-byte rows: pages straddle rows
+    before = np.arange(1.0, a.size + 1.0)
+    a.ravel()[:] = before
+    forkpool.release(a, 2, 4)
+    page = mmap.PAGESIZE // a.itemsize
+    first, end = -(-2000 // page) * page, 4000 // page * page
+    if mmap.PAGESIZE == 4096:
+        assert (first, end) == (2048, 3584)
+    want = before.copy()
+    if hasattr(mmap, "MADV_REMOVE"):
+        want[first:end] = 0.0
+    assert np.array_equal(a.ravel(), want)
+    # without MADV_REMOVE, nothing is given back
+    monkeypatch.delattr(mmap, "MADV_REMOVE", raising=False)
+    b = forkpool.shared_zeros((3, page), np.uint16)
+    b[:] = 7
+    forkpool.release(b, 0, 3)
+    assert b.dtype == np.uint16 and (b == 7).all()
+
+
+def rss_anon_mb() -> float:
+    with open("/proc/self/status") as fh:
+        fields = dict(line.split(":", 1) for line in fh)
+    return int(fields["RssAnon"].split()[0]) / 1024
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "malloc_trim")
+                    or not os.path.exists("/proc/self/status"),
+                    reason="needs glibc's malloc_trim and /proc")
+def test_trim_heap_returns_freed_heap_pages():
+    # 16 kB arrays in the heap, every other one freed: 2048 holes of 16 kB
+    # between arrays in use, which no trim of the heap's top reaches
+    arrays = [np.ones(2048) for _ in range(4096)]
+    kept = arrays[1::2]
+    del arrays
+    before = rss_anon_mb()
+    forkpool.trim_heap()
+    assert rss_anon_mb() < before - 4
+    del kept
+
+
+def test_training_without_madv_remove_saves_the_same_bytes(glyph_train,
+                                                           monkeypatch):
+    # CI runs on Linux; this is the path of a platform without MADV_REMOVE
+    images, labels = glyph_train[0][:40], glyph_train[1][:40]
+    cfg = tiny_config(patches_per_layer=200)
+    with tempfile.TemporaryDirectory() as tmp:
+        released = saved_bytes(train_model(cfg, images, labels, jobs=2), tmp)
+        monkeypatch.delattr(mmap, "MADV_REMOVE", raising=False)
+        kept = saved_bytes(train_model(cfg, images, labels, jobs=2), tmp)
+    assert kept == released
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -679,8 +801,8 @@ def assert_evaluates_to_fitted_classes(model, images, labels):
 
 
 # float settings lie in [1e-3, 1e3] (whiten_epsilon may be 0): near the
-# ends of the float range, training and extraction overflow with numpy
-# warnings, and a last DAE step can leave weights near 1e154 unchecked
+# ends of the float range, whitening and extraction overflow with numpy
+# warnings
 @given(cfg=valid_configs(sides=(1, 3, 5), max_filters=6, max_block=12,
                          max_patches=300, max_epochs=3, max_wpca_dim=8,
                          real_range=(1e-3, 1e3)),

@@ -333,6 +333,16 @@ def test_divergence_detected(monkeypatch):
         train_dae(z, 4, cfg, Rng(13))
 
 
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_blow_up_is_divergence_even_in_the_last_step(epochs):
+    # one epoch ends on finite weights near 3e197, whose square is inf; two
+    # overflow inside the second epoch's products
+    z = np.random.default_rng(0).normal(size=(300, 9))
+    cfg = Config(dae_lr=1e100, dae_epochs=epochs)
+    with pytest.raises(TrainingDivergedError, match="at epoch 1"):
+        train_dae(z, 4, cfg, Rng(1))
+
+
 def test_flat_loss_is_not_divergence():
     # layer 2's loss is flat here and ends 0.06% above its first epoch,
     # because each epoch redraws the corruption mask
