@@ -140,94 +140,69 @@ def _array_pieces(arr) -> list:
     return [np.frombuffer(head, np.uint8), *(a if a.ndim > 1 else [a])]
 
 
-class _Reader:
-    """A model file read front to back, each array straight into its own
-    buffer. Every read is checked against the bytes its section, and the
-    file, have left before anything is allocated for it, and a section's
-    bytes are summed into its CRC32 as they are read."""
+def _section(fh, name, size, kinds=None):
+    """Read section ``name`` of a model file of ``size`` bytes from ``fh``:
+    its length, payload and checksum, then any fault in its arrays. Every
+    read is checked against the bytes the section, and the file, have left
+    before anything is allocated for it, each array is read straight into
+    its own buffer, and the payload is summed into its CRC32 as it is read.
+    Return the config section's bytes (no ``kinds``), or another's arrays,
+    which must be one per letter of ``kinds``, each of that dtype kind ("f"
+    float, "i" integer)."""
+    truncated = f"section {name}: truncated payload"
+    head = fh.read(8)
+    end = fh.tell() + int.from_bytes(head, "little")
+    if len(head) < 8 or end > size:
+        raise ModelFormatError(truncated)
+    crc, items, error = 0, [], None
 
-    def __init__(self, fh):
-        self.fh = fh
-        self.pos = 0
-        self.size = os.fstat(fh.fileno()).st_size
-        self.limit = self.size      # end of the payload being read
-        self.name = "magic"
-        self.crc = 0
-
-    def _truncated(self):
-        return ModelFormatError(f"section {self.name}: truncated payload")
-
-    def _check(self, count):
-        """Raise unless ``count`` more bytes are left in the payload."""
-        if self.pos + count > self.limit:
-            raise self._truncated()
-
-    def _fill(self, buf):
-        """Read ``len(buf)`` checked bytes into ``buf``."""
-        if self.fh.readinto(buf) != len(buf):
-            raise self._truncated()
-        self.pos += len(buf)
-        self.crc = zlib.crc32(buf, self.crc)
-
-    def read(self, count) -> bytearray:
-        self._check(count)
-        buf = bytearray(count)
-        self._fill(buf)
+    def read(buf):
+        """Fill ``buf`` from the payload, which must hold that many bytes."""
+        nonlocal crc
+        if fh.tell() + len(buf) > end or fh.readinto(buf) != len(buf):
+            raise ModelFormatError(truncated)
+        crc = zlib.crc32(buf, crc)
         return buf
 
-    def unpack(self, fmt):
-        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
-
-    def array(self) -> np.ndarray:
-        kind, ndim = self.unpack("<BB")
-        shape = self.unpack(f"<{ndim}q")
-        dt = _ARRAY_DTYPES.get(kind)
-        if dt is None:
-            raise ModelFormatError(f"section {self.name}: bad array kind")
-        if any(dim < 0 for dim in shape):
-            raise ModelFormatError(f"section {self.name}: negative array "
-                                   "dimension")
-        self._check(8 * math.prod(shape))
-        arr = np.empty(shape, dtype=dt)
-        self._fill(arr.reshape(-1).view(np.uint8))
-        return arr.astype(np.float64 if kind == 0 else np.int64, copy=False)
-
-    def section(self, name, kinds=None):
-        """Read section ``name``: its length, payload and checksum, then any
-        fault in its arrays. Return the config section's bytes (no
-        ``kinds``), or another's arrays, which must be one per letter of
-        ``kinds``, each of that dtype kind ("f" float, "i" integer)."""
-        self.name = name
-        (length,) = self.unpack("<Q")
-        self.limit = self.pos + length
-        if self.limit > self.size:
-            raise self._truncated()
-        self.crc, items, error = 0, [], None
-        if kinds is None:
-            items = self.read(length)
-        try:
-            while self.pos < self.limit:
-                items.append(self.array())
-        except ValueError as exc:   # a ModelFormatError, or numpy's
-            error = exc
-            while self.pos < self.limit:    # checksum the rest
-                self.read(min(self.limit - self.pos, _READ_CHUNK))
-        payload_crc, self.limit = self.crc, self.size
-        (crc,) = self.unpack("<I")
-        if payload_crc != crc:
-            raise ModelFormatError(f"section {name}: checksum mismatch")
-        if error is not None:
-            raise error
-        if kinds is None:
-            return items
-        if len(items) != len(kinds):
-            raise ModelFormatError(f"section {name}: the config needs "
-                                   f"{len(kinds)} arrays, found {len(items)}")
-        found = "".join(arr.dtype.kind for arr in items)
-        if found != kinds:
-            raise ModelFormatError(f"section {name}: the config needs "
-                                   f"arrays of kinds {kinds}, found {found}")
+    if kinds is None:
+        items = read(bytearray(end - fh.tell()))
+    try:
+        while fh.tell() < end:
+            kind, ndim = read(bytearray(2))
+            shape = struct.unpack(f"<{ndim}q", read(bytearray(8 * ndim)))
+            dt = _ARRAY_DTYPES.get(kind)
+            if dt is None:
+                raise ModelFormatError(f"section {name}: bad array kind")
+            if any(dim < 0 for dim in shape):
+                raise ModelFormatError(f"section {name}: negative array "
+                                       "dimension")
+            if fh.tell() + 8 * math.prod(shape) > end:
+                raise ModelFormatError(truncated)
+            arr = np.empty(shape, dtype=dt)
+            read(arr.reshape(-1).view(np.uint8))
+            items.append(arr.astype(np.float64 if kind == 0 else np.int64,
+                                    copy=False))
+    except ValueError as exc:   # a ModelFormatError, or numpy's
+        error = exc
+        while fh.tell() < end:      # checksum the rest
+            read(bytearray(min(end - fh.tell(), _READ_CHUNK)))
+    stored = fh.read(4)
+    if len(stored) < 4:
+        raise ModelFormatError(truncated)
+    if int.from_bytes(stored, "little") != crc:
+        raise ModelFormatError(f"section {name}: checksum mismatch")
+    if error is not None:
+        raise error
+    if kinds is None:
         return items
+    if len(items) != len(kinds):
+        raise ModelFormatError(f"section {name}: the config needs "
+                               f"{len(kinds)} arrays, found {len(items)}")
+    found = "".join(arr.dtype.kind for arr in items)
+    if found != kinds:
+        raise ModelFormatError(f"section {name}: the config needs "
+                               f"arrays of kinds {kinds}, found {found}")
+    return items
 
 
 def _bank_arrays(bank: FilterBank):
@@ -263,16 +238,16 @@ def save_model(model: TrainedModel, path) -> None:
 
 def load_model(path) -> TrainedModel:
     with open(path, "rb") as fh:
-        reader = _Reader(fh)
-        if reader.size < len(MODEL_MAGIC):
+        size = os.fstat(fh.fileno()).st_size
+        if size < len(MODEL_MAGIC):
             raise ModelFormatError("file too short to be a model")
-        magic = bytes(reader.read(len(MODEL_MAGIC)))
+        magic = fh.read(len(MODEL_MAGIC))
         if magic != MODEL_MAGIC:
             if magic[:7] == MODEL_MAGIC[:7]:
                 raise ModelFormatError(
                     f"unsupported model format version {magic[7:8].decode(errors='replace')}")
             raise ModelFormatError("not a model file (bad magic)")
-        text = reader.section("config")
+        text = _section(fh, "config", size)
         try:
             config = parse_config(str(text, "utf-8"))
         except (UnicodeDecodeError, ConfigError) as exc:
@@ -286,15 +261,17 @@ def load_model(path) -> TrainedModel:
         bank_kinds = "ff" if config.learner == DAE else "f"   # weights[, biases]
         shape = config.patch_shape()
         try:
-            bank1 = FilterBank(shape, *reader.section("bank1", bank_kinds))
-            whiten1 = WhiteningTransform(*reader.section("whiten1", "f"))
-            bank2 = FilterBank(shape, *reader.section("bank2", bank_kinds))
-            whiten2 = WhiteningTransform(*reader.section("whiten2", "f"))
+            bank1 = FilterBank(shape, *_section(fh, "bank1", size, bank_kinds))
+            whiten1 = WhiteningTransform(*_section(fh, "whiten1", size, "f"))
+            bank2 = FilterBank(shape, *_section(fh, "bank2", size, bank_kinds))
+            whiten2 = WhiteningTransform(*_section(fh, "whiten2", size, "f"))
             if config.classifier == "svm":
-                classifier = LinearSvmModel(*reader.section("classifier", "if"))
+                classifier = LinearSvmModel(
+                    *_section(fh, "classifier", size, "if"))
             else:
-                classifier = WpcaCosineModel(*reader.section("classifier", "fffi"))
-            if reader.pos != reader.size:
+                classifier = WpcaCosineModel(
+                    *_section(fh, "classifier", size, "fffi"))
+            if fh.tell() != size:
                 raise ModelFormatError("trailing bytes after final section")
             return TrainedModel(config=config, bank1=bank1, bank2=bank2,
                                 whiten1=whiten1, whiten2=whiten2,

@@ -48,7 +48,6 @@ from .classify import (LinearSvmModel, WpcaCosineModel, as_csr,
 from . import encoder
 from .filters import (common_size, draw_patch_locations, gather_patches,
                       learn_dae_filters, learn_pca_filters, sample_patches)
-from . import forkpool
 from .forkpool import fork_pool, one_blas_thread, release, shared_zeros, trim_heap
 # build_stack is not called here; perfbench's tracer wraps experiment.build_stack
 from .pipeline import build_stack, code_maps, lcn_constant, map_layer  # noqa: F401
@@ -237,7 +236,7 @@ def extract_features(model: TrainedModel, images, jobs: int = 1,
     # slots for the most nonzeros each image can have, in a memory map
     # whose pages past the last row take no memory
     features = _csr(parts(), n, encoder.feature_dim(shape, cfg),
-                    n * encoder.nnz_bound(shape, cfg), forkpool.shared_zeros)
+                    n * encoder.nnz_bound(shape, cfg), shared_zeros)
     trim_heap()   # of the tasks' pairs, freed between longer-lived chunks
     return features
 

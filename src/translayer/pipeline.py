@@ -128,7 +128,8 @@ def _fused_filters(bank: FilterBank, whiten: WhiteningTransform,
     d = bank.shape.dim
     coef = _SIGN_SAFETY * 2 * d * d * _EPS * (gain.max(axis=1)
                                              + np.abs(weights).max(axis=1))
-    std_coef = _SIGN_SAFETY * np.sqrt(d) * np.linalg.norm(weights, axis=1)
+    with np.errstate(over="ignore"):   # an inf bound certifies nothing
+        std_coef = _SIGN_SAFETY * np.sqrt(d) * np.linalg.norm(weights, axis=1)
     return weights, coef, std_coef
 
 

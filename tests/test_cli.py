@@ -149,6 +149,20 @@ def test_pca_filters_beyond_patch_pixels_exit_2_before_reading_data(
             in capsys.readouterr().err)
 
 
+def test_training_failure_exits_1_and_writes_no_model(tmp_path, caplog):
+    # a run that starts and then fails is logged as an error, not a usage one
+    images, labels = make_glyphs(10, seed=33)
+    data = tmp_path / "one_class.amat"
+    write_amat(data, images, np.zeros_like(labels))
+    model = tmp_path / "model.bin"
+    rc = main(["train", "--config", str(smoke_config(tmp_path)),
+               "--train", str(data), "--model", str(model)])
+    assert rc == 1
+    assert [(r.levelname, r.getMessage()) for r in caplog.records
+            if r.levelname == "ERROR"] == [("ERROR", "need at least two classes")]
+    assert not model.exists()
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["train"])  # missing required flags

@@ -880,6 +880,34 @@ def test_model_truncation(tmp_path, tiny_model):
         load_model(path)
 
 
+def test_file_shorter_than_the_magic_rejected(tmp_path):
+    path = tmp_path / "short.bin"
+    path.write_bytes(b"DTLNMDL")
+    with pytest.raises(ModelFormatError, match="^file too short to be a model$"):
+        load_model(path)
+
+
+def test_byte_after_the_final_section_rejected(tmp_path, tiny_model):
+    path = tmp_path / "model.bin"
+    save_model(tiny_model, path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ModelFormatError,
+                       match="^trailing bytes after final section$"):
+        load_model(path)
+
+
+def test_bank_of_one_array_too_many_rejected(tmp_path, tiny_model):
+    # the pca bank1 re-framed around its weights twice, with a valid checksum
+    path = tmp_path / "model.bin"
+    save_model(tiny_model, path)
+    payloads = section_payloads(path.read_bytes())
+    payloads[1] += payloads[1]
+    path.write_bytes(model_file(payloads))
+    with pytest.raises(ModelFormatError, match="^section bank1: the config "
+                                               "needs 1 arrays, found 2$"):
+        load_model(path)
+
+
 # --- pgm dumps ------------------------------------------------------------
 
 def read_pgm(path):

@@ -483,10 +483,11 @@ def test_training_maps_are_freed_before_the_classifier_fit(glyph_train,
     made, alive_at_fit = [], []
     shared_zeros, svm_train = experiment.shared_zeros, experiment.svm_train
 
-    def recording(shape):
-        maps = shared_zeros(shape)
-        made.append(weakref.ref(maps))
-        return maps
+    def recording(shape, dtype=np.float64):
+        array = shared_zeros(shape, dtype)
+        if array.ndim == 4:     # the maps, not the training CSR's buffers
+            made.append(weakref.ref(array))
+        return array
 
     def fit(*args, **kwargs):
         alive_at_fit.append([ref() is not None for ref in made])

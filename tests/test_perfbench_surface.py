@@ -134,3 +134,20 @@ def test_ci_workflow_names_only_existing_tests_and_workloads():
     names = {name for loop in loops for name in loop.split()}
     workloads = perfbench_module("workloads")
     assert names <= set(workloads.WORKLOADS), names - set(workloads.WORKLOADS)
+
+
+def test_ci_workflow_runs_every_property_test_file_under_the_ci_profile():
+    # a property-test file missing from the HYPOTHESIS_PROFILE=ci step would
+    # run only the default profile's few examples
+    with open(os.path.join(ROOT, ".github", "workflows", "tests.yml")) as fh:
+        ci_steps = [line for line in fh if "HYPOTHESIS_PROFILE=ci" in line]
+    assert ci_steps
+    named = set(re.findall(r"tests/test_\w+\.py", "".join(ci_steps)))
+    with_given = set()
+    for name in os.listdir(os.path.join(ROOT, "tests")):
+        if re.fullmatch(r"test_\w+\.py", name):
+            with open(os.path.join(ROOT, "tests", name)) as fh:
+                if re.search(r"^\s*@given\(", fh.read(), re.MULTILINE):
+                    with_given.add(f"tests/{name}")
+    assert with_given
+    assert with_given <= named, sorted(with_given - named)

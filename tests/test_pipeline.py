@@ -14,6 +14,8 @@ from translayer.pipeline import build_stack, code_maps, lcn_constant, map_layer
 from translayer.preprocess import lcn_rows, whiten_apply
 from translayer.types import DAE, PCA, validate_config
 
+from conftest import tiny_config
+
 
 def pca_bank(weights, side):
     w = np.asarray(weights, dtype=np.float64)
@@ -240,6 +242,20 @@ def test_uncertified_map_falls_back_to_window_path(monkeypatch):
     assert len(calls) > 1      # layer 1, then at least one second-layer map
     want = compress_groups(build_stack(image, model), True)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("learner", [PCA, DAE])
+def test_training_where_fused_filter_norms_overflow(glyph_train, learner):
+    # whitening at the smallest epsilon gives fused rows whose norm
+    # overflows; their infinite std coefficient must certify nothing and
+    # warn nowhere, in training or in the codes
+    images, labels = glyph_train[0][:30], glyph_train[1][:30]
+    cfg = tiny_config(learner=learner, dae_epochs=2, lcn_c=1e159,
+                      whiten_epsilon=5e-324)
+    model = experiment.train_model(cfg, images, labels)
+    for image in images[:10]:
+        want = compress_groups(build_stack(image, model), cfg.trans_layer)
+        assert np.array_equal(code_maps(image, model), want)
 
 
 EXTREME_LCN_IMAGES = {"zero": np.zeros((8, 9)), "constant": np.full((8, 9), 0.6),
@@ -534,3 +550,23 @@ def test_every_map_falls_back_when_no_sign_certifies(monkeypatch, learner,
     monkeypatch.undo()
     want = compress_groups(build_stack(image, model), True)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("learner", [PCA, DAE])
+@pytest.mark.parametrize("lcn", [True, False])
+def test_one_value_past_the_overflow_guard_uncertifies_the_whole_image(
+        monkeypatch, learner, lcn):
+    # from sqrt(MAX / (4d)) on, about 9.6e152 for 7x7 patches, the window
+    # path's squared deviations can overflow: one such layer-1 value, in
+    # any map, sends every map of the image through map_layer
+    model = random_model(learner, 3, 4, seed=13, k1=7, k2=7, lcn=lcn)
+    bank, whiten, c = model.bank2, model.whiten2, lcn_constant(model.config)
+    layer1 = np.random.default_rng(14).uniform(-1.0, 1.0, (3, 9, 11))
+    layer1[1, 4, 5] = np.sqrt(pipeline._MAX / (4 * bank.shape.dim))
+    calls = record_window_path(monkeypatch)
+    bits = pipeline._layer2_bits(layer1, bank, whiten, c)
+    assert len(calls) == 3
+    monkeypatch.undo()
+    for i, layer1_map in enumerate(layer1):
+        want = binarize(map_layer(layer1_map, bank, whiten, c))
+        assert np.array_equal(bits[i], want)
