@@ -47,6 +47,7 @@ class LinearSvmModel:
     """One-vs-rest linear SVM. Its weights are stored Fortran-ordered, so
     scipy multiplies by ``weights.T`` without copying it."""
 
+    kind = "svm"   # the config's classifier value
     classes: np.ndarray          # sorted ascending
     weights: np.ndarray          # (n_classes, dim), Fortran-ordered
     objective_history: Optional[list] = field(default=None, compare=False)
@@ -81,6 +82,7 @@ class WpcaCosineModel:
     """Principal projection with rows scaled to unit component variance,
     and the projected training set the cosine nearest neighbor searches."""
 
+    kind = "wpca_cosine"   # the config's classifier value
     mean: np.ndarray             # (feature_dim,)
     projection: np.ndarray       # (target_dim, feature_dim)
     train_vectors: np.ndarray    # (n, target_dim), n >= 2

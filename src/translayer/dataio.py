@@ -5,17 +5,16 @@ Models are stored in a versioned binary container: an 8-byte magic
 bank1, whiten1, bank2, whiten2, classifier), each closed by a CRC32 of
 its payload. The config section is the only record of the settings. Each
 other section holds learned arrays and nothing else, in the layout the
-config decides: a bank holds its weights, plus its biases when
-``learner=dae``; a whitening section its matrix; the classifier section
-``classes, weights`` (svm) or ``mean, projection, train_vectors,
-train_labels`` (wpca_cosine). Loading reads the file in order, the
-config first, which decides what each later section must hold, and
-checks a section's checksum before its arrays. All numbers are
+config decides, stated once in :func:`_layout`, the table that both
+:func:`save_model` and :func:`load_model` walk. Loading reads the file in
+order, the config first, which decides what each later section must
+hold, and checks a section's checksum before its arrays. All numbers are
 little-endian 64-bit, so a save/load/save cycle is byte-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import gzip
 import math
 import os
@@ -205,25 +204,31 @@ def _section(fh, name, size, kinds=None):
     return items
 
 
-def _bank_arrays(bank: FilterBank):
-    return [bank.weights] if bank.biases is None else [bank.weights, bank.biases]
-
-
-def _classifier_arrays(clf):
-    if isinstance(clf, LinearSvmModel):
-        return [clf.classes, clf.weights]
-    if isinstance(clf, WpcaCosineModel):
-        return [clf.mean, clf.projection, clf.train_vectors, clf.train_labels]
-    raise TypeError(f"unknown classifier type {type(clf).__name__}")
+def _layout(config) -> list:
+    """``(section, fields, kinds, build)`` of each section after the config,
+    in file order: the ``TrainedModel`` part it holds, that part's fields
+    it stores, their dtype kinds ("f" float, "i" integer), and the
+    callable that builds the part from them."""
+    make_bank = functools.partial(FilterBank, config.patch_shape())
+    bank = (("weights biases", "ff", make_bank) if config.learner == DAE else
+            ("weights", "f", make_bank))
+    whiten = ("matrix", "f", WhiteningTransform)
+    classifier = (("classes weights", "if", LinearSvmModel)
+                  if config.classifier == "svm" else
+                  ("mean projection train_vectors train_labels", "fffi",
+                   WpcaCosineModel))
+    return [("bank1", *bank), ("whiten1", *whiten), ("bank2", *bank),
+            ("whiten2", *whiten), ("classifier", *classifier)]
 
 
 def save_model(model: TrainedModel, path) -> None:
-    sections = [_bank_arrays(model.bank1), [model.whiten1.matrix],
-                _bank_arrays(model.bank2), [model.whiten2.matrix],
-                _classifier_arrays(model.classifier)]
     payloads = [[np.frombuffer(format_config(model.config).encode(), np.uint8)]]
-    payloads += [[piece for arr in arrays for piece in _array_pieces(arr)]
-                 for arrays in sections]
+    for name, fields, _, _ in _layout(model.config):
+        part = getattr(model, name)
+        if part is None:
+            raise TypeError(f"model has no {name}")
+        payloads.append([piece for field in fields.split()
+                         for piece in _array_pieces(getattr(part, field))])
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         for pieces in payloads:
@@ -258,24 +263,14 @@ def load_model(path) -> TrainedModel:
         if errors:
             raise ModelFormatError("section config: invalid config: "
                                    + "; ".join(errors))
-        bank_kinds = "ff" if config.learner == DAE else "f"   # weights[, biases]
-        shape = config.patch_shape()
         try:
-            bank1 = FilterBank(shape, *_section(fh, "bank1", size, bank_kinds))
-            whiten1 = WhiteningTransform(*_section(fh, "whiten1", size, "f"))
-            bank2 = FilterBank(shape, *_section(fh, "bank2", size, bank_kinds))
-            whiten2 = WhiteningTransform(*_section(fh, "whiten2", size, "f"))
-            if config.classifier == "svm":
-                classifier = LinearSvmModel(
-                    *_section(fh, "classifier", size, "if"))
-            else:
-                classifier = WpcaCosineModel(
-                    *_section(fh, "classifier", size, "fffi"))
+            # each part is built as soon as its section is read
+            parts = {name: build(**dict(zip(fields.split(),
+                                            _section(fh, name, size, kinds))))
+                     for name, fields, kinds, build in _layout(config)}
             if fh.tell() != size:
                 raise ModelFormatError("trailing bytes after final section")
-            return TrainedModel(config=config, bank1=bank1, bank2=bank2,
-                                whiten1=whiten1, whiten2=whiten2,
-                                classifier=classifier)
+            return TrainedModel(config=config, **parts)
         except ModelFormatError:
             raise
         except ValueError as exc:   # arrays invalid or disagreeing with the config

@@ -42,9 +42,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .classify import (LinearSvmModel, WpcaCosineModel, as_csr,
-                       check_gram_size, cosine_nn, svm_predict_many, svm_train,
-                       wpca_apply, wpca_fit)
+from .classify import (as_csr, check_gram_size, cosine_nn, svm_predict_many,
+                       svm_train, wpca_apply, wpca_fit)
 from . import encoder
 from .filters import (common_size, draw_patch_locations, gather_patches,
                       learn_dae_filters, learn_pca_filters, sample_patches)
@@ -244,13 +243,13 @@ def extract_features(model: TrainedModel, images, jobs: int = 1,
 @one_blas_thread()
 def predict_features(model: TrainedModel, features) -> np.ndarray:
     clf = model.classifier
-    if isinstance(clf, LinearSvmModel):
+    if clf is None:
+        raise TypeError("model has no trained classifier")
+    if model.config.classifier == "svm":
         return svm_predict_many(clf, features)
-    if isinstance(clf, WpcaCosineModel):
-        projected = wpca_apply(clf, _wpca_input(features, model.config))
-        return np.array([cosine_nn(clf.train_vectors, clf.train_labels, row)
-                         for row in projected], dtype=np.int64)
-    raise TypeError("model has no trained classifier")
+    projected = wpca_apply(clf, _wpca_input(features, model.config))
+    return np.array([cosine_nn(clf.train_vectors, clf.train_labels, row)
+                     for row in projected], dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -327,13 +327,10 @@ class TrainedModel:
             raise ValueError("layer-1 whitening dimension mismatch")
         if self.bank2.shape.dim != self.whiten2.dim:
             raise ValueError("layer-2 whitening dimension mismatch")
-        if self.classifier is not None:
-            from .classify import LinearSvmModel, WpcaCosineModel
-            kind = {LinearSvmModel: "svm", WpcaCosineModel: "wpca_cosine"}.get(
-                type(self.classifier))
-            if kind != cfg.classifier:
-                raise ValueError(f"{type(self.classifier).__name__} classifier, "
-                                 f"config says {cfg.classifier}")
+        if self.classifier is not None and (
+                getattr(self.classifier, "kind", None) != cfg.classifier):
+            raise ValueError(f"{type(self.classifier).__name__} classifier, "
+                             f"config says {cfg.classifier}")
 
     @property
     def encoder(self) -> Config:

@@ -160,6 +160,15 @@ def test_single_class_rejected():
         svm_train(SEPARABLE_X, np.zeros(4, dtype=int), cost_c=1.0)
 
 
+@pytest.mark.parametrize("fit, rows, message", [
+    (lambda x, y: svm_train(x, y[:-1]), 4, "label/sample count mismatch"),
+    (lambda x, y: wpca_fit(x, y, 1), 1, "need at least two samples"),
+], ids=["svm-one-label-too-few", "wpca-one-row"])
+def test_fit_on_mismatched_or_too_few_rows_rejected(fit, rows, message):
+    with pytest.raises(ValueError, match=message):
+        fit(SEPARABLE_X[:rows], SEPARABLE_Y[:rows])
+
+
 def test_non_finite_feature_rejected():
     bad = SEPARABLE_X.copy()
     bad[0, 0] = np.nan
@@ -983,6 +992,12 @@ def test_gram_switches_to_float64_at_the_float32_bound(row, dtype,
     assert (want.astype(np.float32) == want).all() == exact_in_float32
     for jobs in (1, 2, 3):
         assert classify.gram_matrix(counts, jobs=jobs).tobytes() == want.tobytes()
+
+
+def test_counts_too_large_for_float32_take_float64():
+    # a count of 2**24 or more takes float64 before any row is summed
+    x = sp.csr_matrix(np.array([[2**24, 1], [0, 3]], dtype=np.uint32))
+    assert classify._product_dtype(x) is np.float64
 
 
 def test_gram_of_counts_with_no_entries_is_zero():

@@ -1,3 +1,6 @@
+import runpy
+import sys
+
 import numpy as np
 import pytest
 
@@ -307,3 +310,50 @@ def test_flag_the_command_never_reads_is_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+
+def test_config_line_without_a_value_exits_2(workdir, tmp_path, capsys):
+    cfg = tmp_path / "bad.conf"
+    cfg.write_text("patch_k1\n")
+    rc = main(["train", "--config", str(cfg),
+               "--train", str(workdir / "train.amat"),
+               "--model", str(tmp_path / "m.bin")])
+    assert rc == 2
+    assert "bad config: line 1: expected key=value" in capsys.readouterr().err
+
+
+def test_jobs_not_an_integer_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--model", "m.bin", "--test", "t.amat", "--out", "r.txt",
+              "--jobs", "two"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_three_data_paths_exit_2(workdir, tmp_path, capsys):
+    train = str(workdir / "train.amat")
+    rc = main(["train", "--config", str(smoke_config(tmp_path)),
+               "--train", train, train, train, "--model", str(tmp_path / "m.bin")])
+    assert rc == 2
+    assert "expected one (text) or two" in capsys.readouterr().err
+
+
+def test_model_vanishing_after_its_check_exits_2(workdir, tmp_path, monkeypatch,
+                                                 capsys):
+    # the file is checked, then gone when load_model opens it
+    monkeypatch.setattr(cli, "_require_file", lambda path: path)
+    gone = tmp_path / "gone.bin"
+    rc = main(["eval", "--model", str(gone), "--test", str(workdir / "test.amat"),
+               "--out", str(tmp_path / "r.txt")])
+    assert rc == 2
+    assert f"no such file: {gone}" in capsys.readouterr().err
+
+
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    # in this process, where the package has already imported the module
+    monkeypatch.setattr(sys, "argv", ["translayer", "--help"])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("translayer.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert "usage: translayer" in capsys.readouterr().out

@@ -908,6 +908,39 @@ def test_bank_of_one_array_too_many_rejected(tmp_path, tiny_model):
         load_model(path)
 
 
+@pytest.mark.parametrize("section, layer", [(2, 1), (4, 2)],
+                         ids=["whiten1", "whiten2"])
+def test_whitening_of_the_wrong_size_rejected(tmp_path, tiny_model, section,
+                                              layer):
+    # a symmetric 48 x 48 matrix where the 7x7 patches need 49, re-framed
+    # with a valid checksum
+    path = tmp_path / "model.bin"
+    save_model(tiny_model, path)
+    payloads = section_payloads(path.read_bytes())
+    payloads[section] = (struct.pack("<BB2q", 0, 2, 48, 48)
+                         + np.eye(48).astype("<f8").tobytes())
+    path.write_bytes(model_file(payloads))
+    with pytest.raises(ModelFormatError, match=f"^invalid model: layer-{layer} "
+                                               "whitening dimension mismatch$"):
+        load_model(path)
+
+
+def test_svm_classes_stored_as_floats_rejected(tmp_path, tiny_model):
+    path = tmp_path / "model.bin"
+    save_model(tiny_model, path)
+    rewrite_classifier(path, lambda c: [c[0].astype(np.float64), c[1]])
+    with pytest.raises(ModelFormatError, match="^section classifier: the config "
+                                               "needs arrays of kinds if, found ff$"):
+        load_model(path)
+
+
+def test_saving_a_model_without_a_classifier_rejected(tmp_path, tiny_model):
+    path = tmp_path / "model.bin"
+    with pytest.raises(TypeError, match="classifier"):
+        save_model(replace(tiny_model, classifier=None), path)
+    assert not path.exists()
+
+
 # --- pgm dumps ------------------------------------------------------------
 
 def read_pgm(path):

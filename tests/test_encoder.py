@@ -159,6 +159,15 @@ def test_block_larger_than_map_rejected():
                    encoder(block=7, stride=3))
 
 
+@pytest.mark.parametrize("codes, message", [
+    (np.zeros((7, 7), dtype=np.uint16), r"expected \(groups, h, w\) code maps"),
+    (np.full((1, 7, 7), 16, dtype=np.uint16), r"code outside \[0, bins\)"),
+], ids=["2-d-maps", "code-of-2^l1"])
+def test_maps_not_of_codes_rejected(codes, message):
+    with pytest.raises(ValueError, match=message):
+        feature_of(codes, encoder(bins=16, block=7, stride=3))
+
+
 def test_blocks_row_major_order():
     # 7x7 blocks at stride 3 on a 10x10 map start at x, y in {0, 3}; pixel
     # (row 0, col 9) lies only in the block at x=3, y=0, the second block

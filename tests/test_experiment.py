@@ -379,6 +379,17 @@ def test_forked_workers_run_one_blas_thread():
     assert blas_thread_counts() == before
 
 
+def test_missing_blas_thread_setter_logs_a_warning(monkeypatch, caplog):
+    monkeypatch.setattr(forkpool, "openblas_libraries", lambda: [])
+    forkpool._blas_thread_functions.cache_clear()
+    try:
+        with caplog.at_level("WARNING", logger="translayer"):
+            assert forkpool._blas_thread_functions() == ()
+    finally:   # the next call finds the loaded libraries again
+        forkpool._blas_thread_functions.cache_clear()
+    assert "no OpenBLAS thread setter found" in caplog.text
+
+
 def _pid(_state, _item):
     return os.getpid()
 
@@ -692,6 +703,22 @@ def test_single_class_svm_training_fails_before_sampling(glyph_train,
     images, _ = glyph_train
     with pytest.raises(ValueError, match="need at least two classes"):
         train_model(tiny_config(), images[:10], np.full(10, 3))
+
+
+def test_training_label_count_mismatch_fails_before_sampling(glyph_train,
+                                                             monkeypatch):
+    monkeypatch.setattr(experiment, "sample_patches", no_patches)
+    images, labels = glyph_train
+    with pytest.raises(ValueError, match="label/image count mismatch"):
+        train_model(tiny_config(), images[:10], labels[:9])
+
+
+def test_predicting_with_a_front_end_alone_rejected(glyph_train):
+    images, labels = glyph_train
+    front, features = train_front(tiny_config(patches_per_layer=200),
+                                  images[:20], labels[:20])
+    with pytest.raises(TypeError, match="model has no trained classifier"):
+        predict_features(front, features)
 
 
 @pytest.mark.parametrize("block", [dict(block_w=29), dict(block_h=29)])

@@ -103,6 +103,11 @@ def test_source_smaller_than_patch_rejected():
         sample_patches([np.zeros((3, 3))], PatchShape(5, 5), 1, gen())
 
 
+def test_drawing_no_patch_rejected():
+    with pytest.raises(ValueError, match="need at least one patch"):
+        draw_patch_locations(1, (8, 8), PatchShape(3, 3), 0, gen())
+
+
 def test_sources_of_differing_sizes_rejected():
     with pytest.raises(ValueError, match=r"differ in size: \[\(8, 8\), \(9, 8\)\]"):
         sample_patches([np.zeros((8, 8)), np.zeros((9, 8))], PatchShape(5, 5), 1,
@@ -178,6 +183,13 @@ def test_zero_learning_rate_keeps_initial_weights(monkeypatch):
     expected = Rng(13).stream("dae.init").uniform(-bound, bound, size=(4, 9))
     assert np.array_equal(bank.weights, expected)
     assert np.array_equal(bank.biases, np.zeros(4))
+
+
+def test_more_than_sixteen_autoencoder_filters_rejected(monkeypatch):
+    data = np.random.default_rng(9).normal(size=(50, 9))
+    with pytest.raises(ValueError, match=r"filter count must lie in 1\.\.16"):
+        learn_dae_filters(data, PatchShape(3, 3), 17, toy_cfg(monkeypatch),
+                          Rng(13))
 
 
 def test_training_reduces_reconstruction_error(monkeypatch):

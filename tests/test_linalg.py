@@ -166,6 +166,11 @@ def test_one_by_one():
     assert vals[0] == 4.0 and vecs[0, 0] == 1.0
 
 
+def test_rejects_non_square():
+    with pytest.raises(ValueError, match="matrix must be square"):
+        jacobi_eigh(np.zeros((2, 3)))
+
+
 def test_rejects_asymmetric():
     with pytest.raises(ValueError):
         jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))

@@ -42,6 +42,11 @@ def identity_whitening(side):
     return WhiteningTransform(matrix=np.eye(side * side))
 
 
+def test_empty_input_rejected():
+    with pytest.raises(ValueError, match="empty input"):
+        map_layer(np.zeros((0, 5)), delta_bank(3), identity_whitening(3))
+
+
 def test_delta_filter_reproduces_input():
     img = np.random.default_rng(1).random((9, 9))
     out = map_layer(img, delta_bank(3), identity_whitening(3))

@@ -110,6 +110,15 @@ def test_whiten_fit_rejects_a_linear_combination_eps_zero(seed):
         whiten_fit(np.column_stack([a, 0.3 * a[:, 0] + 0.7 * a[:, 1]]), 0.0)
 
 
+@pytest.mark.parametrize("rows, epsilon, message", [
+    (np.eye(3), -1.0, "epsilon must be >= 0"),
+    (np.ones((1, 3)), 0.1, "whitening needs at least two patches"),
+], ids=["negative-epsilon", "one-patch"])
+def test_whiten_fit_misuse_rejected(rows, epsilon, message):
+    with pytest.raises(ValueError, match=message):
+        whiten_fit(rows, epsilon)
+
+
 def test_whiten_apply_identity_transform():
     from translayer import WhiteningTransform
     tr = WhiteningTransform(matrix=np.eye(3))

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from translayer import (Config, FilterBank, GrayImage, PatchShape, Rng,
                         TrainedModel, WhiteningTransform, load_config,
                         validate_config)
-from translayer.types import (MAX_FILTERS, ConfigError, format_config,
+from translayer.classify import WpcaCosineModel
+from translayer.types import (MAX_FILTERS, ConfigError, as_2d, format_config,
                               parse_config)
 
 CONFIGS = sorted(glob.glob(os.path.join(
@@ -234,6 +235,44 @@ def test_patch_shape_invariants():
     with pytest.raises(ValueError):
         PatchShape(2, 3)
     assert PatchShape(3, 5).dim == 15
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PatchShape(0, 1), "patch sides must be >= 1"),
+    (lambda: as_2d(np.zeros((2, 2, 2))), "expected a 2-D image, map or patch matrix"),
+    (lambda: FilterBank(PatchShape(1, 3), np.ones((2, 3)), np.zeros(3)),
+     "biases must be a length-L vector"),
+    (lambda: WhiteningTransform(np.zeros((2, 3))), "whitening matrix must be square"),
+    (lambda: parse_config("l1=4\nl1=8\n"), "line 2: duplicate key 'l1'"),
+], ids=["zero-patch-side", "3-d-array", "one-bias-too-many", "2x3-whitening",
+        "duplicate-key"])
+def test_malformed_values_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_zero_patch_side_named_by_validate_config():
+    assert "patch sides must be >= 1" in validate_config(Config(patch_k1=0))
+
+
+@pytest.mark.parametrize("part, value, message", [
+    ("config", Config(l1=2, l2=2), "bank1 patch shape differs from the config"),
+    ("whiten1", WhiteningTransform(np.eye(5)), "layer-1 whitening dimension mismatch"),
+    ("whiten2", WhiteningTransform(np.eye(5)), "layer-2 whitening dimension mismatch"),
+    ("classifier", WpcaCosineModel(np.zeros(2), np.eye(2), np.eye(2),
+                                   np.array([0, 1])),
+     "WpcaCosineModel classifier, config says svm"),
+], ids=["3x3-banks-7x7-config", "whiten1-size", "whiten2-size",
+        "wpca-under-svm"])
+def test_model_part_disagreeing_with_the_config_rejected(part, value, message):
+    cfg = Config(patch_k1=3, patch_k2=3, l1=2, l2=2)
+    bank = FilterBank(cfg.patch_shape(), np.eye(9)[:2])
+    parts = dict(config=cfg, bank1=bank, bank2=bank,
+                 whiten1=WhiteningTransform(np.eye(9)),
+                 whiten2=WhiteningTransform(np.eye(9)))
+    parts[part] = value
+    with pytest.raises(ValueError, match=message):
+        TrainedModel(**parts)
 
 
 def test_filter_bank_kind_follows_its_biases():
