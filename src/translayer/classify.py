@@ -29,7 +29,7 @@ SVM_MAX_PASSES = 1000
 # largest digit corpus's 12000 (svm_train there took 108 s at jobs=2 and
 # about 3.4 GB; wpca_fit at n=2400 took 39 s, d=147456, 2 vCPUs).
 SVM_MAX_N, WPCA_MAX_N = 12000, 2400
-# Bytes of a temporary of the training batch: a block of dense columns (at
+# Bytes of a temporary of a feature batch: a block of dense columns (at
 # least GRAM_WIDTH wide in the Gram), a run of Gram rows or column entries.
 BUDGET = 8 * 2**20
 # Gram tasks, whatever jobs: two, or one per run of Gram rows up to
@@ -338,9 +338,15 @@ def svm_train(features, labels, cost_c: float = 1.0,
 
 
 def svm_predict_many(model: LinearSvmModel, features) -> np.ndarray:
-    """Argmax of per-class decision values; ties go to the smallest label."""
+    """Argmax of per-class decision values; ties go to the smallest label.
+    They are taken a run of rows at a time (:func:`_row_runs`), so scipy's
+    float64 copy of the counts is one run's; each row sums only its own
+    entries, so the bits are those of one whole product."""
     x = as_csr(features, model.weights.shape[1])
-    return model.classes[np.argmax(x @ model.weights.T, axis=1)]
+    scores = np.empty((x.shape[0], model.classes.size))
+    for r0, r1 in _row_runs(x):
+        scores[r0:r1] = _rows(x, r0, r1) @ model.weights.T
+    return model.classes[np.argmax(scores, axis=1)]
 
 
 def _column_means(x: sp.csr_matrix) -> np.ndarray:
@@ -430,21 +436,65 @@ def wpca_fit(features, labels, target_dim: int,
                            np.asarray(labels, dtype=np.int64))
 
 
+# images per evaluation task, and per pool task of extraction
+TASK_IMAGES = 32
+
+
+def _projection_blocks(d: int, k: int) -> list[tuple[int, int]]:
+    """``(c0, c1)`` of the equal blocks of feature columns :func:`wpca_apply`
+    projects one at a time, from (d, k) alone. Each is at least as wide as
+    a float64 block of ``BUDGET`` bytes over an evaluation task's
+    ``TASK_IMAGES`` rows, and at least ``2**20 / k`` columns, so that a
+    two-row product with ``k`` components stays above OpenBLAS's
+    small-matrix cutoff of about 1e6 multiply-adds."""
+    width = max(BUDGET // (8 * TASK_IMAGES), -(-2**20 // k))
+    count = max(1, d // width)
+    edges = [d * i // count for i in range(count + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _dense_blocks(x: sp.csr_matrix, blocks):
+    """``x[:, c0:c1]`` dense in ``x``'s own dtype, for each of ``blocks`` in
+    turn, which tile ``x``'s columns in order. ``x``'s indices are sorted,
+    so a row's entries in a block are one slice of its storage: one search
+    per row finds every block's, and each slice is copied whole. That suits
+    an evaluation task's few rows, where :func:`_columns`, which bisects
+    all rows at once and gathers entry by entry, took twice as long (5.6
+    against 2.6 ms for a 32-row dae_wpca task)."""
+    edges = [c0 for c0, _ in blocks] + [x.shape[1]]
+    at = [p0 + np.searchsorted(x.indices[p0:p1], edges)
+          for p0, p1 in zip(x.indptr[:-1], x.indptr[1:])]
+    for b, (c0, c1) in enumerate(blocks):
+        spans = [slice(a[b], a[b + 1]) for a in at]
+        data, indices = (np.concatenate([v[:0]] + [v[s] for s in spans])
+                         for v in (x.data, x.indices))
+        indptr = np.cumsum([0] + [s.stop - s.start for s in spans])
+        yield sp.csr_matrix((data, indices - c0, indptr),
+                            shape=(x.shape[0], c1 - c0)).toarray()
+
+
 @one_blas_thread()
 def wpca_apply(model: WpcaCosineModel, features) -> np.ndarray:
-    """Centered features times the projection. A row gets the same bits in
-    any batch: gemm gives it those above OpenBLAS's small-matrix cutoff of
-    about 1e6 multiply-adds, but BLAS takes gemv for one row, which rounds
-    apart, so a lone row is projected as a two-row gemm of itself."""
+    """Centered features times the projection, one column block of
+    :func:`_projection_blocks` at a time: each block's columns are
+    densified in the data's own dtype (:func:`_dense_blocks`) and centered
+    into one reused float64 buffer. A row gets the same bits in any batch:
+    the blocks do not follow the row count, and gemm gives a row those
+    bits above the small-matrix cutoff, which every block's product
+    passes. BLAS takes gemv for one row, which rounds apart, so a lone row
+    is projected as a two-row gemm of itself."""
     x = as_csr(features, model.mean.shape[0])
     n = x.shape[0]
     rows = x[[0, 0]] if n == 1 else x
-    # the data in float64 first: toarray densifies in the data's dtype, so
-    # counts would take a second dense copy to subtract the mean from
-    dense = sp.csr_matrix((rows.data.astype(np.float64, copy=False), rows.indices,
-                           rows.indptr), shape=rows.shape).toarray()
-    dense -= model.mean  # in place: one dense copy of the batch, not two
-    return (dense @ model.projection.T)[:n]
+    k, d = model.projection.shape
+    blocks = _projection_blocks(d, k)
+    centered = np.empty((rows.shape[0], max(c1 - c0 for c0, c1 in blocks)))
+    projected = np.zeros((rows.shape[0], k))
+    for (c0, c1), dense in zip(blocks, _dense_blocks(rows, blocks)):
+        block = centered[:, :c1 - c0]
+        np.subtract(dense, model.mean[c0:c1], out=block)
+        projected += block @ model.projection[:, c0:c1].T
+    return projected[:n]
 
 
 def cosine_nn(train_vectors: np.ndarray, train_labels: np.ndarray,

@@ -42,8 +42,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .classify import (as_csr, check_gram_size, cosine_nn, svm_predict_many,
-                       svm_train, wpca_apply, wpca_fit)
+from .classify import (TASK_IMAGES, as_csr, check_gram_size, cosine_nn,
+                       svm_predict_many, svm_train, wpca_apply, wpca_fit)
 from . import encoder
 from .filters import (common_size, draw_patch_locations, gather_patches,
                       learn_dae_filters, learn_pca_filters, sample_patches)
@@ -56,9 +56,6 @@ from .rng import Rng
 from .types import Config, DAE, TrainedModel, validate_config
 
 log = logging.getLogger("translayer")
-
-# images per pool task of extraction, and evaluation's default
-TASK_IMAGES = 32
 
 
 class StageTimer:

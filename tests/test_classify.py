@@ -814,21 +814,59 @@ def test_gram_route_never_holds_the_dense_batch():
 
 def test_wpca_apply_sub_batches_reproduce_the_batch_rows():
     # evaluation projects a test set task by task, so every row of a
-    # sub-batch, a lone row too, must get the bits one product of the whole
-    # batch gives. gemm does at the benchmark's shapes (d = 147456); gemv,
-    # which BLAS would take for a one-row batch, does not. OpenBLAS sends
-    # products of at most about 1e6 multiply-adds to a small-matrix kernel,
-    # whose bits can depend on the batch.
+    # sub-batch, a lone row too, must get the bits the whole batch gives.
+    # gemm does at the benchmark's shapes; gemv, which BLAS would take for
+    # a one-row batch, does not. OpenBLAS sends products of at most about
+    # 1e6 multiply-adds to a small-matrix kernel, whose bits can depend on
+    # the batch: no column block may be that small, nor follow the rows
     gen = np.random.default_rng(9)
-    x = block_counts(12, 576, 256, seed=9)
-    model = classify.WpcaCosineModel(
-        np.asarray(x.mean(axis=0)).ravel(), gen.standard_normal((24, x.shape[1])),
-        gen.standard_normal((2, 24)), np.arange(2))
-    with forkpool.one_blas_thread():
-        whole = wpca_apply(model, x)
-        for start, stop in itertools.combinations(range(x.shape[0] + 1), 2):
-            assert np.array_equal(wpca_apply(model, x[start:stop]),
-                                  whole[start:stop]), (start, stop)
+    for target_dim, blocks, bins, widths in [
+            (24, 576, 256, {49152}),          # d = 147456, the benchmark's
+            (64, 577, 255, {36783, 36784})]:  # d = 147135, not a multiple of 4
+        x = block_counts(12, blocks, bins, seed=9).astype(np.uint8)
+        d = x.shape[1]
+        partition = classify._projection_blocks(d, target_dim)
+        assert {c1 - c0 for c0, c1 in partition} == widths
+        model = classify.WpcaCosineModel(
+            np.asarray(x.mean(axis=0)).ravel(),
+            gen.standard_normal((target_dim, d)),
+            gen.standard_normal((2, target_dim)), np.arange(2))
+        with forkpool.one_blas_thread():
+            whole = wpca_apply(model, x)
+            # float64 (wpca_sqrt) data give the counts' bits, in any batch
+            for data in (x, x.astype(np.float64)):
+                for start, stop in itertools.combinations(range(x.shape[0] + 1), 2):
+                    assert np.array_equal(wpca_apply(model, data[start:stop]),
+                                          whole[start:stop]), (d, start, stop)
+            # the blocks move the sums in their last bits only
+            single = (x.toarray() - model.mean) @ model.projection.T
+        assert np.abs(whole - single).max() <= 1e-13 * np.abs(single).max()
+
+
+@pytest.mark.parametrize("score", ["svm", "wpca"])
+def test_scoring_never_holds_a_float64_copy_of_the_task(score):
+    # a 32-image evaluation task's counts at d = 147456: scipy would copy
+    # them all to float64 for the SVM's decision values, and a dense
+    # float64 batch would take 37.7 MB; wpca_apply holds one column block
+    # of the counts dense in their own dtype and one centered float64 block
+    counts, _ = typed_counts(32, 576, 256, seed=82)
+    gen = np.random.default_rng(82)
+    d = counts.shape[1]
+    if score == "svm":
+        model = classify.LinearSvmModel(np.arange(4), gen.standard_normal((4, d)))
+        scores, bound = svm_predict_many, 8 * counts.nnz
+    else:
+        model = classify.WpcaCosineModel(
+            gen.random(d), gen.standard_normal((64, d)),
+            gen.standard_normal((2, 64)), np.arange(2))
+        scores, bound = wpca_apply, 2 * classify.BUDGET
+    tracemalloc.start()
+    try:
+        scores(model, counts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 # --- cosine nearest neighbor -------------------------------------------
