@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .forkpool import fork_pool, one_blas_thread, shared_zeros
+from .forkpool import fork_pool, one_blas_thread, shared_zeros, trim_heap
 from .linalg import EIGENVALUE_FLOOR, fix_row_signs, jacobi_eigh
 from .rng import Rng
 from .types import reject_non_finite
@@ -155,10 +155,10 @@ def _column_blocks(n: int, d: int) -> list[tuple[int, int]]:
     return [(c0, min(c0 + width, d)) for c0 in range(0, d, width)]
 
 
-def _first_at_or_after(x: sp.csr_matrix, col: int, r0: int) -> np.ndarray:
-    """Per row of ``x[r0:]``, whose indices are sorted, the storage position
-    of its first entry in a column >= ``col``: all rows bisected at once."""
-    lo, hi = x.indptr[r0:-1].astype(np.int64), x.indptr[r0 + 1:].astype(np.int64)
+def _first_at_or_after(x: sp.csr_matrix, col: int) -> np.ndarray:
+    """Per row of ``x``, whose indices are sorted, the storage position of
+    its first entry in a column >= ``col``: all rows bisected at once."""
+    lo, hi = x.indptr[:-1].astype(np.int64), x.indptr[1:].astype(np.int64)
     while (lo < hi).any():
         mid = (lo + hi) // 2
         # a settled row has lo == mid == hi, which may be nnz; it stays put
@@ -167,23 +167,42 @@ def _first_at_or_after(x: sp.csr_matrix, col: int, r0: int) -> np.ndarray:
     return lo
 
 
-def _columns(x: sp.csr_matrix, block, r0: int = 0) -> sp.csr_matrix:
-    """``x[r0:, c0:c1]`` of an ``x`` with sorted indices, each row's entries
-    taken from the range a bisection finds, where scipy's slice scans every
-    entry."""
+def _gather(x: sp.csr_matrix, start, stop, block) -> sp.csr_matrix:
+    """Columns ``c0:c1`` of the rows whose entries there are stored at
+    ``start:stop``, one range per row, as a CSR matrix."""
     c0, c1 = block
-    start, stop = _first_at_or_after(x, c0, r0), _first_at_or_after(x, c1, r0)
     indptr = np.concatenate(([0], np.cumsum(stop - start)))
     pos = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], stop - start)
     return sp.csr_matrix((x.data[pos], x.indices[pos] - c0, indptr),
-                         shape=(x.shape[0] - r0, c1 - c0))
+                         shape=(start.size, c1 - c0))
+
+
+def _columns(x: sp.csr_matrix, block) -> sp.csr_matrix:
+    """``x[:, c0:c1]`` of an ``x`` with sorted indices, each row's entries
+    taken from the range a bisection finds, where scipy's slice scans every
+    entry."""
+    c0, c1 = block
+    return _gather(x, _first_at_or_after(x, c0), _first_at_or_after(x, c1), block)
+
+
+def _row_bounds(x: sp.csr_matrix, edges, r0: int = 0) -> np.ndarray:
+    """Per row of ``x[r0:]``, whose indices are sorted, the storage position
+    of its first entry in a column >= each of the sorted ``edges``: one
+    search a row, which suits a few rows or many edges."""
+    return np.array([p0 + np.searchsorted(x.indices[p0:p1], edges)
+                     for p0, p1 in zip(x.indptr[r0:-1], x.indptr[r0 + 1:])],
+                    dtype=np.int64).reshape(-1, len(edges))
 
 
 def _gram_strip(state, strip) -> None:
     """Gram rows ``r0:r1`` from column r0 on, a run of rows at a time: the
     light columns' sparse product, then the dense blocks' in column order;
-    then their mirror below the diagonal, a run at a time."""
-    (x, dense_cols, x_light, gram), (r0, r1) = state, strip
+    then their mirror below the diagonal, a run at a time. Each row's
+    slice of each dense block is found once, by one search over the
+    blocks' edges, for as many blocks as a ``BUDGET`` table holds."""
+    x, dense_cols, x_light, gram = (state["x"], state["dense_cols"],
+                                    state["x_light"], state["gram"])
+    r0, r1 = strip
     n = x.shape[0]
     step = max(1, BUDGET // (8 * n))
     runs = [(i, min(i + step, r1)) for i in range(r0, r1, step)]
@@ -191,12 +210,19 @@ def _gram_strip(state, strip) -> None:
     for i, j in runs:
         gram[i:j, r0:] = (below @ x_light[i:j].T).T.toarray()
     width = max(GRAM_WIDTH, BUDGET // (8 * n))
-    for c0 in range(0, dense_cols.size, width):
-        cols = dense_cols[c0:c0 + width]
-        dense = _columns(x, (cols[0], cols[-1] + 1), r0)[:, cols - cols[0]].toarray()
-        dense = dense.astype(x_light.dtype, copy=False)
-        for i, j in runs:
-            gram[i:j, r0:] += dense[i - r0:j - r0] @ dense.T
+    blocks = [dense_cols[c:c + width] for c in range(0, dense_cols.size, width)]
+    per_table = max(1, BUDGET // (16 * (n - r0)))
+    for b0 in range(0, len(blocks), per_table):
+        group = blocks[b0:b0 + per_table]
+        # each block's first column and the one past its last, in order
+        bounds = _row_bounds(x, np.array([(cols[0], cols[-1] + 1)
+                                          for cols in group]).ravel(), r0)
+        for b, cols in enumerate(group):
+            dense = _gather(x, bounds[:, 2 * b], bounds[:, 2 * b + 1],
+                            (cols[0], cols[-1] + 1))[:, cols - cols[0]].toarray()
+            dense = dense.astype(x_light.dtype, copy=False)
+            for i, j in runs:
+                gram[i:j, r0:] += dense[i - r0:j - r0] @ dense.T
     for i, j in runs:  # each run's own square is whole
         gram[j:, i:j] = gram[i:j, j:].T
 
@@ -224,26 +250,51 @@ def _product_dtype(x: sp.csr_matrix) -> type:
     return np.float32 if largest * row_sum < 2**24 else np.float64
 
 
-def gram_matrix(x: sp.csr_matrix, jobs: int = 1) -> np.ndarray:
-    """``X X^T`` of a CSR ``x`` with sorted indices in a ``shared_zeros``
-    array, each task writing one strip's rows and columns (equal shares of
-    the upper triangle). Counts small enough for :func:`_product_dtype`
-    are multiplied in float32, other data in float64. On counts every
-    partial sum is an integer, so the Gram is exact either way; other
-    (``wpca_sqrt``) features can move in the last bits, but not with
-    ``jobs``."""
+def _gram_state(x: sp.csr_matrix) -> tuple[dict, list[tuple[int, int]]]:
+    """The pool state of the :func:`_gram_strip` tasks that sum ``X X^T`` of
+    a CSR ``x`` with sorted indices into its ``"gram"``, a
+    ``shared_zeros`` array, and their strips: each task writes one strip's
+    rows and columns (equal shares of the upper triangle). Counts small
+    enough for :func:`_product_dtype` are multiplied in float32, other
+    data in float64. On counts every partial sum is an integer, so the
+    Gram is exact either way; other (``wpca_sqrt``) features can move in
+    the last bits, but not with ``jobs``. ``"x_light"``, the light
+    columns' copy, is only read by the strips."""
     n, d = x.shape
     uses = np.zeros(d, np.int64)
     np.add.at(uses, x.indices, 1)  # bincount would copy them as intp
     light = uses <= DENSE_SHARE * n
-    gram = shared_zeros((n, n))
-    x_light = x[:, np.flatnonzero(light)].astype(_product_dtype(x), copy=False)
-    state = (x, np.flatnonzero(~light), x_light, gram)
+    state = {"x": x, "dense_cols": np.flatnonzero(~light),
+             "x_light": x[:, np.flatnonzero(light)].astype(_product_dtype(x),
+                                                           copy=False),
+             "gram": shared_zeros((n, n))}
     strips = min(GRAM_STRIPS, max(2, -(-8 * n * n // BUDGET)))
     edges = [int(e) for e in np.rint(n - n * np.sqrt(np.linspace(1, 0, strips + 1)))]
+    return state, [s for s in zip(edges, edges[1:]) if s[0] < s[1]]
+
+
+def _sum_gram(run, state: dict, strips) -> np.ndarray:
+    """Run the strips of :func:`_gram_state` on ``run``'s pool and drop this
+    process's ``"x_light"``; returns the Gram. A worker drops its copy at
+    its first task after the strips (:func:`_drop_light`)."""
+    list(run(_gram_strip, strips))
+    _drop_light(state)
+    return state["gram"]
+
+
+def _drop_light(state: dict) -> None:
+    """Free this process's copy of the light columns, which only the Gram
+    strips read: a worker's would stay resident through the tasks after
+    them, beside the shared pages those write."""
+    state.pop("x_light", None)
+
+
+def gram_matrix(x: sp.csr_matrix, jobs: int = 1) -> np.ndarray:
+    """``X X^T`` of a CSR ``x`` with sorted indices, its strips
+    (:func:`_gram_state`) over a pool of its own."""
+    state, strips = _gram_state(x)
     with fork_pool(jobs, state) as run:
-        list(run(_gram_strip, [s for s in zip(edges, edges[1:]) if s[0] < s[1]]))
-    return gram
+        return _sum_gram(run, state, strips)
 
 
 def _solve_binary(gram, y, cost_c, gen, tol, max_passes):
@@ -288,26 +339,38 @@ def _solve_binary(gram, y, cost_c, gen, tol, max_passes):
     return alpha * y, history, max_violation
 
 
-def _solve_class(problem, k):
-    """Solve class ``k``'s binary problem: its ``alpha * y``, objective
-    history and last pass's largest violation, as :func:`_solve_binary`
-    returns them."""
-    gram, y_all, classes, cost_c, rng = problem
-    cls = int(classes[k])
-    return _solve_binary(gram, np.where(y_all == cls, 1.0, -1.0), cost_c,
-                         rng.stream(f"svm.class.{cls}"), SVM_TOL, SVM_MAX_PASSES)
+def _solve_class(state, k):
+    """Solve class ``k``'s binary problem: write its ``alpha * y`` into
+    column k of ``"coefs"``, and return its objective history and last
+    pass's largest violation, as :func:`_solve_binary` returns them."""
+    _drop_light(state)
+    cls = int(state["classes"][k])
+    state["coefs"][:, k], history, violation = _solve_binary(
+        state["gram"], np.where(state["y"] == cls, 1.0, -1.0), state["cost_c"],
+        state["rng"].stream(f"svm.class.{cls}"), SVM_TOL, SVM_MAX_PASSES)
+    return history, violation
+
+
+def _lift_weights(state, block) -> None:
+    """Write rows ``c0:c1`` of ``X^T B`` into ``"lifted"``, B the
+    ``"coefs"``: scipy sums each over the rows in ascending order."""
+    _drop_light(state)
+    c0, c1 = block
+    state["lifted"][c0:c1] = _columns(state["x"], block).T @ state["coefs"]
 
 
 def svm_train(features, labels, cost_c: float = 1.0,
               rng: Rng | None = None, jobs: int = 1) -> LinearSvmModel:
     """One-vs-rest linear SVM on sparse features.
 
-    After one :func:`gram_matrix`, each class's task over
-    ``forkpool.fork_pool(jobs, ...)`` returns its ``alpha *
-    y``, a column of ``B``, drawing its own stream seeded from its label,
-    so the result does not depend on ``jobs``. The weights are ``(X^T
-    B)^T``, Fortran-ordered. Warnings are logged here, in class order. A
-    ``cost_c`` not finite and > 0 raises."""
+    One ``forkpool.fork_pool(jobs, ...)`` runs the Gram's strips
+    (:func:`_gram_state`), then one task per class, which writes its
+    ``alpha * y``, a column of ``B``, into a shared array, drawing its own
+    stream seeded from its label, so the result does not depend on
+    ``jobs``; then one task per block of :func:`_column_blocks`, which
+    writes its rows of ``X^T B`` into the shared (d, classes) array whose
+    transpose is the Fortran-ordered weights. Warnings are logged here, in
+    class order. A ``cost_c`` not finite and > 0 raises."""
     if not 0.0 < cost_c < np.inf:
         raise ValueError("cost_c must be finite and > 0")
     x = as_csr(features)
@@ -320,21 +383,23 @@ def svm_train(features, labels, cost_c: float = 1.0,
         raise ValueError("need at least two classes")
     rng = rng if rng is not None else Rng(0)
 
-    problem = (gram_matrix(x, jobs), y_all, classes, cost_c, rng)
-    with fork_pool(jobs, problem) as run:
+    (n, d), blocks = x.shape, _column_blocks(*x.shape)
+    state, strips = _gram_state(x)
+    state.update(y=y_all, classes=classes, cost_c=cost_c, rng=rng,
+                 coefs=shared_zeros((n, classes.size)),
+                 lifted=shared_zeros((d, classes.size)))
+    with fork_pool(jobs, state, max(len(strips), classes.size, len(blocks))) as run:
+        _sum_gram(run, state, strips)
         solved = list(run(_solve_class, range(classes.size)))
-    for cls, (_, hist, violation) in zip(classes, solved):
+        list(run(_lift_weights, blocks))
+    for cls, (hist, violation) in zip(classes, solved):
         if violation >= SVM_TOL:
             log.warning("SVM class %d did not converge: %d passes, max "
                         "violation %.4g >= tolerance %g", int(cls), len(hist),
                         violation, SVM_TOL)
-    coefs = np.column_stack([coef for coef, _, _ in solved])
-    lifted = np.empty((x.shape[1], classes.size))
-    for c0, c1 in _column_blocks(*x.shape):   # sums over rows, ascending
-        lifted[c0:c1] = _columns(x, (c0, c1)).T @ coefs
-    return LinearSvmModel(classes=classes, weights=lifted.T,
+    return LinearSvmModel(classes=classes, weights=state["lifted"].T,
                           objective_history=[np.asarray(hist)
-                                             for _, hist, _ in solved])
+                                             for hist, _ in solved])
 
 
 def svm_predict_many(model: LinearSvmModel, features) -> np.ndarray:
@@ -362,13 +427,14 @@ def _column_means(x: sp.csr_matrix) -> np.ndarray:
 
 
 def _lift_block(state, block) -> None:
-    """Write columns ``c0:c1`` of the lifted components into ``rows``."""
-    x, dual, dual_sums, mean, norms, rows = state
+    """Write columns ``c0:c1`` of the lifted components into ``"rows"``."""
+    _drop_light(state)
     c0, c1 = block
-    out = rows[:, c0:c1]
-    np.multiply.outer(dual_sums, mean[c0:c1], out=out)
-    np.subtract(np.asarray(_columns(x, block).T @ dual).T, out, out=out)
-    out /= norms[:, None]
+    out = state["rows"][:, c0:c1]
+    np.multiply.outer(state["dual_sums"], state["mean"][c0:c1], out=out)
+    np.subtract(np.asarray(_columns(state["x"], block).T @ state["dual"]).T, out,
+                out=out)
+    out /= state["norms"][:, None]
 
 
 def _center_gram(gram: np.ndarray, x, mean: np.ndarray) -> None:
@@ -394,11 +460,12 @@ def wpca_fit(features, labels, target_dim: int,
     times the features' sum of squares over n - 1 are dropped; asking for
     more components than survive raises.
 
-    The eigenproblem is solved on the n x n Gram (:func:`gram_matrix`),
+    The eigenproblem is solved on the n x n Gram (:func:`_gram_state`),
     whatever the feature dimension d. The lift ``X^T V`` stays a sparse
-    product, one task per block of :func:`_column_blocks` over
-    ``forkpool.fork_pool(jobs, ...)``, each writing its columns of the
-    components into one ``forkpool.shared_zeros`` array; scipy sums every
+    product, one task per block of :func:`_column_blocks` on the pool that
+    summed the Gram, each writing its columns of the components into one
+    ``forkpool.shared_zeros`` array; the dual vectors, their sums and the
+    norms reach the workers through shared arrays too. scipy sums every
     output over the rows of ``X`` in ascending order, whatever the column
     range, so the rows are those of one whole product. The training set
     is not projected again: its projection is ``sqrt(n - 1) * V * signs``,
@@ -411,25 +478,34 @@ def wpca_fit(features, labels, target_dim: int,
     n, d = x.shape
     if n < 2:
         raise ValueError("need at least two samples")
-    mean = _column_means(x)
-    gram_xx = gram_matrix(x, jobs)
-    _center_gram(gram_xx, x, mean)
-    eigvals, dual_vecs = jacobi_eigh(gram_xx)
+    mean, blocks = _column_means(x), _column_blocks(n, d)
+    state, strips = _gram_state(x)
+    # the lift's inputs, filled after the eigensolve, when the workers run
+    state.update(mean=mean, dual=shared_zeros((n, target_dim)),
+                 dual_sums=shared_zeros(target_dim), norms=shared_zeros(target_dim),
+                 rows=shared_zeros((target_dim, d)))
+    with fork_pool(jobs, state, max(len(strips), len(blocks))) as run:
+        gram_xx = _sum_gram(run, state, strips)
+        _center_gram(gram_xx, x, mean)
+        eigvals, dual_vecs = jacobi_eigh(gram_xx)
 
-    floor = (EIGENVALUE_FLOOR * np.einsum("i,i->", x.data, x.data, dtype=np.float64)
-             / (n - 1))
-    usable = int((eigvals > floor).sum())
-    if target_dim > usable:
-        raise ValueError(
-            f"target_dim {target_dim} exceeds usable rank {usable}")
-    scale = 1.0 / np.sqrt(eigvals[:target_dim])
-    # lift to feature space only the dual vectors the projection uses
-    dual = dual_vecs[:, :target_dim]
-    dual_sums = np.array([float(v.sum()) for v in dual.T])
-    norms = np.sqrt((n - 1) * eigvals[:target_dim])
-    rows = shared_zeros((target_dim, d))
-    with fork_pool(jobs, (x, dual, dual_sums, mean, norms, rows)) as run:
-        list(run(_lift_block, _column_blocks(n, d)))
+        floor = (EIGENVALUE_FLOOR * np.einsum("i,i->", x.data, x.data, dtype=np.float64)
+                 / (n - 1))
+        usable = int((eigvals > floor).sum())
+        if target_dim > usable:
+            raise ValueError(
+                f"target_dim {target_dim} exceeds usable rank {usable}")
+        scale = 1.0 / np.sqrt(eigvals[:target_dim])
+        # lift to feature space only the dual vectors the projection uses
+        dual = state["dual"]
+        dual[:] = dual_vecs[:, :target_dim]
+        state["dual_sums"][:] = [float(v.sum()) for v in dual.T]
+        state["norms"][:] = np.sqrt((n - 1) * eigvals[:target_dim])
+        list(run(_lift_block, blocks))
+    # the light columns and the eigensolve's buffers were freed below chunks
+    # still in use: without this, dae_wpca's training kept 5 MB more resident
+    trim_heap()
+    rows = state["rows"]
     signs = fix_row_signs(rows)
     rows *= scale[:, None]
     return WpcaCosineModel(mean, rows, np.sqrt(n - 1) * dual * signs,
@@ -461,9 +537,7 @@ def _dense_blocks(x: sp.csr_matrix, blocks):
     an evaluation task's few rows, where :func:`_columns`, which bisects
     all rows at once and gathers entry by entry, took twice as long (5.6
     against 2.6 ms for a 32-row dae_wpca task)."""
-    edges = [c0 for c0, _ in blocks] + [x.shape[1]]
-    at = [p0 + np.searchsorted(x.indices[p0:p1], edges)
-          for p0, p1 in zip(x.indptr[:-1], x.indptr[1:])]
+    at = _row_bounds(x, [c0 for c0, _ in blocks] + [x.shape[1]])
     for b, (c0, c1) in enumerate(blocks):
         spans = [slice(a[b], a[b + 1]) for a in at]
         data, indices = (np.concatenate([v[:0]] + [v[s] for s in spans])
@@ -492,7 +566,8 @@ def wpca_apply(model: WpcaCosineModel, features) -> np.ndarray:
     projected = np.zeros((rows.shape[0], k))
     for (c0, c1), dense in zip(blocks, _dense_blocks(rows, blocks)):
         block = centered[:, :c1 - c0]
-        np.subtract(dense, model.mean[c0:c1], out=block)
+        block[...] = dense
+        block -= model.mean[c0:c1]
         projected += block @ model.projection[:, c0:c1].T
     return projected[:n]
 

@@ -93,6 +93,13 @@ def nnz_bound(image_shape: tuple[int, int], cfg: Config) -> int:
                                                       2**cfg.l1)
 
 
+def pair_dtypes(width: int, block_pixels: int) -> tuple[np.dtype, np.dtype]:
+    """The ``(indices, counts)`` dtypes of a feature vector ``width`` bins
+    long whose blocks hold ``block_pixels`` pixels (:class:`SparseFeature`)."""
+    wide = width > np.iinfo(np.int32).max
+    return np.dtype(np.int64 if wide else np.int32), np.min_scalar_type(block_pixels)
+
+
 @functools.lru_cache(maxsize=8)
 def _block_index(shape: tuple[int, int, int], cfg: Config) -> np.ndarray:
     """Flat positions in (groups, h, w) code maps of each block's pixels,
@@ -123,7 +130,7 @@ def feature_of(code_maps: np.ndarray, cfg: Config) -> SparseFeature:
     np.not_equal(flat[1:], flat[:-1], out=starts[1:])
     starts[::per_block] = True
     pos = np.flatnonzero(starts)
-    wide = flat.size // per_block * bins > np.iinfo(np.int32).max
-    indices = (pos // per_block * bins + flat[pos]).astype(np.int64 if wide else np.int32)
-    counts = np.diff(pos, append=flat.size).astype(np.min_scalar_type(per_block))
+    index_dtype, count_dtype = pair_dtypes(flat.size // per_block * bins, per_block)
+    indices = (pos // per_block * bins + flat[pos]).astype(index_dtype)
+    counts = np.diff(pos, append=flat.size).astype(count_dtype)
     return SparseFeature(indices, counts)

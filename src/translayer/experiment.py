@@ -1,28 +1,30 @@
 """End-to-end orchestration: train both layers, encode, classify, evaluate.
 
-Feature extraction is a pure function of (model, image). :func:`_run_tasks`
-splits a batch into tasks of ``chunk`` consecutive images, and
-``forkpool.fork_pool(jobs, (model, images, shape, maps))`` runs
-:func:`_encode_task` on each: the workers see the model and the images
-copy-on-write, so no image is pickled, and every ``jobs`` runs the same
-function on the same model. Each image comes back as the
-``encoder.feature_of`` pair, in the dtypes the CSR matrix keeps, and
-:func:`_csr` copies the tasks' pairs, in order as they arrive, into one
-matrix (a batch's into arrays of ``encoder.nnz_bound`` slots an image):
-training fits and evaluation scores the counts in their own dtype, which
-only ``classify`` widens.
+Feature extraction is a pure function of (model, image). A batch is
+split into tasks of ``chunk`` consecutive images (:func:`_tasks`), and
+``forkpool.fork_pool`` runs one function on each: the workers see the
+images copy-on-write, so no image is pickled, and every ``jobs`` runs the
+same function on the same model. :func:`_extract_task` writes each
+image's ``encoder.feature_of`` pair, in the dtypes the CSR matrix keeps,
+into shared arrays of ``encoder.nnz_bound`` slots an image, allocated
+before the fork, and returns only the images' sizes; :func:`_extract`
+moves each task's rows down into place as its sizes arrive, so no
+feature passes through a pipe: training fits and evaluation scores the
+counts in their own dtype, which only ``classify`` widens.
 
-Training, :func:`train_front` then :func:`fit_classifier`, fans out over
-the same ``jobs`` five times. Each autoencoder layer draws its corruption
-masks one epoch per task (``filters.train_dae``). Once the first bank is
-learned, :func:`_map_task` writes the first-layer maps of the training
-images, in the same tasks as extraction, into one shared array: the
-second-layer patches are drawn from it, and training extraction encodes
-each image from its maps there, so every training image is mapped
-through the first layer once; the rows of each task are released as its
-features are taken. Then both classifier fits write their Gram
-one strip of rows per task, and ``svm_train`` solves one class per task
-or ``wpca_fit`` lifts one block of columns per task.
+Training, :func:`train_front` then :func:`fit_classifier`, forks one pool
+for the front end and one for the classifier fit, besides the pool each
+autoencoder layer draws its corruption masks on, one epoch per task
+(``filters.train_dae``). Once the first bank is learned, the front pool
+writes the first-layer maps of the training images (:func:`_map_task`)
+into one shared array: the second-layer patches are drawn from it, and
+the same workers then extract the training features from the maps there,
+each task receiving the second-layer bank with its range, so every
+training image is mapped through the first layer once; the maps of each
+task are released as its features are taken. Then the classifier fit's
+pool writes the Gram one strip of rows per task, and ``svm_train`` solves
+one class and lifts one block of weight columns per task, or
+``wpca_fit`` lifts one block of components per task.
 
 Evaluation runs its tasks through :func:`_predict_task`, which encodes
 them with :func:`_encode_task` and scores them where it runs, returning
@@ -38,6 +40,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -130,21 +133,25 @@ def train_front(cfg: Config, images, labels, jobs: int = 1):
         cfg.l1, cfg, rng, "layer1", jobs, timer)
 
     # layer-2 patches come from the first-layer maps of every training image,
-    # computed once over the pool into shared memory, where extraction
-    # reads them again: all L1 maps of an image are consecutive sources
-    maps = shared_zeros((len(images), cfg.l1, h, w))
-    list(_run_tasks(_map_task, (images, bank1, whiten1, lcn_constant(cfg), maps),
-                    len(images), jobs))
-    locations = draw_patch_locations(len(images) * cfg.l1, (h, w), shape,
-                                     cfg.patches_per_layer,
-                                     rng.stream("patches.layer2"))
-    bank2, whiten2 = _learn_layer(
-        gather_patches(maps.reshape(-1, h, w), locations, shape),
-        cfg.l2, cfg, rng, "layer2", jobs, timer)
+    # computed once over the pool into shared memory, where extraction on
+    # the same pool reads them again: all L1 maps of an image are
+    # consecutive sources
+    n = len(images)
+    maps = shared_zeros((n, cfg.l1, h, w))
+    slots = _slots((h, w), cfg, n)
+    with fork_pool(jobs, (images, maps, slots)) as run:
+        list(run(_map_task, [(task, bank1, whiten1, lcn_constant(cfg))
+                             for task in _tasks(n)]))
+        locations = draw_patch_locations(n * cfg.l1, (h, w), shape,
+                                         cfg.patches_per_layer,
+                                         rng.stream("patches.layer2"))
+        bank2, whiten2 = _learn_layer(
+            gather_patches(maps.reshape(-1, h, w), locations, shape),
+            cfg.l2, cfg, rng, "layer2", jobs, timer)
 
-    front = TrainedModel(config=cfg, bank1=bank1, bank2=bank2,
-                         whiten1=whiten1, whiten2=whiten2)
-    features = extract_features(front, images, jobs=jobs, maps=maps)
+        front = TrainedModel(config=cfg, bank1=bank1, bank2=bank2,
+                             whiten1=whiten1, whiten2=whiten2)
+        features = extract_features(front, images, pool=(run, maps, slots))
     timer.lap("extract training features")
     return front, features
 
@@ -175,66 +182,108 @@ def _wpca_input(features, cfg: Config) -> sp.csr_matrix:
     return x
 
 
-def _map_task(state, task) -> None:
+def _tasks(n: int, chunk: int = TASK_IMAGES) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each run of ``chunk`` consecutive of ``n``
+    images."""
+    return [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
+
+
+def _map_task(state, item) -> None:
     """Write the first-layer maps of ``images[start:stop]`` into ``maps``."""
-    images, bank, whiten, lcn, maps = state
-    for i in range(*task):
+    (images, maps, _), ((start, stop), bank, whiten, lcn) = state, item
+    for i in range(start, stop):
         maps[i] = map_layer(images[i], bank, whiten, lcn)
 
 
+def _feature(model: TrainedModel, images, maps, i: int) -> encoder.SparseFeature:
+    """The ``encoder.feature_of`` pair of ``images[i]``, from its first-layer
+    ``maps[i]`` when given."""
+    return encoder.feature_of(
+        code_maps(images[i], model, None if maps is None else maps[i]),
+        model.config)
+
+
 def _encode_task(state, task) -> list:
-    """The ``encoder.feature_of`` pair of each of ``images[start:stop]``,
-    from its first-layer ``maps`` when given."""
+    """The ``encoder.feature_of`` pair of each of ``images[start:stop]``."""
     model, images, _, maps = state
-    return [encoder.feature_of(code_maps(images[i], model,
-                                         None if maps is None else maps[i]),
-                               model.config)
-            for i in range(*task)]
+    return [_feature(model, images, maps, i) for i in range(*task)]
 
 
-def _csr(parts, n: int, dim: int, slots: int, alloc) -> sp.csr_matrix:
-    """The ``(n, dim)`` CSR matrix of ``_encode_task``'s lists of pairs,
-    taken from ``parts`` one at a time, one row per image: each pair is
-    copied into two ``alloc(slots, dtype)`` arrays at a running offset,
-    and the matrix keeps their filled prefix."""
+class _Slots(NamedTuple):
+    """A batch's feature pairs before they are moved into place: shared
+    ``indices`` and ``counts`` arrays of ``bound`` entries an image, the
+    most nonzeros ``encoder.nnz_bound`` allows, of features ``width``
+    bins long."""
+
+    indices: np.ndarray
+    counts: np.ndarray
+    bound: int
+    width: int
+
+
+def _slots(shape, cfg: Config, n: int) -> _Slots:
+    """Slots for ``n`` images of ``shape``, in memory maps whose pages take
+    memory only once written."""
+    bound, width = encoder.nnz_bound(shape, cfg), encoder.feature_dim(shape, cfg)
+    dtypes = encoder.pair_dtypes(width, cfg.block_w * cfg.block_h)
+    return _Slots(*(shared_zeros(n * bound, dtype) for dtype in dtypes), bound, width)
+
+
+def _extract_task(state, item) -> list[int]:
+    """Encode ``images[start:stop]`` with ``model`` and write their pairs one
+    after another into the slots from image ``start``'s on; return each
+    image's nonzero count, all that goes back through the pipe."""
+    (images, maps, slots), ((start, stop), model) = state, item
+    at, sizes = start * slots.bound, []
+    for i in range(start, stop):
+        indices, counts = _feature(model, images, maps, i)
+        slots.indices[at:at + indices.size] = indices
+        slots.counts[at:at + indices.size] = counts
+        at += indices.size
+        sizes.append(indices.size)
+    return sizes
+
+
+def _extract(run, model: TrainedModel, n: int, maps, slots: _Slots) -> sp.csr_matrix:
+    """The CSR matrix of the ``n`` images' features, ``run`` a pool over
+    ``(images, maps, slots)``: ``_extract_task`` writes each task's rows,
+    which are moved down behind the rows before them, in task order, as
+    the task's sizes arrive. The pages left behind, up to the next task's
+    slots, are released at once, the slot tail after the last task, and so
+    are the task's ``maps`` rows when given."""
+    tasks = _tasks(n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    row = 0
-    for part in parts:
-        for idx, cnt in part:
-            if row == 0:
-                indices, counts = alloc(slots, idx.dtype), alloc(slots, cnt.dtype)
-            start, stop = indptr[row], indptr[row] + idx.size
-            indices[start:stop] = idx
-            counts[start:stop] = cnt
-            row += 1
-            indptr[row] = stop
+    for (start, stop), sizes in zip(tasks, run(_extract_task,
+                                               [(task, model) for task in tasks])):
+        if maps is not None:
+            release(maps, start, stop)
+        indptr[start + 1:stop + 1] = indptr[start] + np.cumsum(sizes)
+        src, dst, end = start * slots.bound, int(indptr[start]), int(indptr[stop])
+        for array in slots[:2]:
+            if src > dst:
+                array[dst:end] = array[src:src + end - dst]
+            release(array, end, stop * slots.bound)
+    trim_heap()   # of the moves' copies, freed between longer-lived chunks
     # arrays of exactly nnz items: scipy copies a view of under half its base
     indices, counts = (np.frombuffer(a.data, a.dtype, int(indptr[-1]))
-                       for a in (indices, counts))
-    return sp.csr_matrix((counts, indices, indptr), shape=(n, dim))
+                       for a in slots[:2])
+    return sp.csr_matrix((counts, indices, indptr), shape=(n, slots.width))
 
 
 def extract_features(model: TrainedModel, images, jobs: int = 1,
-                     maps=None) -> sp.csr_matrix:
-    """Histogram features for a batch of images as a CSR matrix. ``maps``,
-    the images' (n, L1, h, w) first-layer maps from ``shared_zeros``, spares
-    their layer-1 products and is consumed: each task's rows are released
-    as its features are taken, so the maps shrink as the matrix grows."""
-    state = _batch_state(model, images, maps)
-    n, shape, cfg = len(images), state[2], model.config
-
-    def parts():
-        for task, part in _run_tasks(_encode_task, state, n, jobs):
-            if maps is not None:
-                release(maps, *task)
-            yield part
-
-    # slots for the most nonzeros each image can have, in a memory map
-    # whose pages past the last row take no memory
-    features = _csr(parts(), n, encoder.feature_dim(shape, cfg),
-                    n * encoder.nnz_bound(shape, cfg), shared_zeros)
-    trim_heap()   # of the tasks' pairs, freed between longer-lived chunks
-    return features
+                     pool=None) -> sp.csr_matrix:
+    """Histogram features for a batch of images as a CSR matrix. ``pool``,
+    training's ``(run, maps, slots)``, extracts them on the pool that
+    wrote the images' first-layer ``maps``, forked over ``(images, maps,
+    slots)`` before the model's second layer was learned, and consumes the
+    maps: each task's rows are released as its features are taken."""
+    if pool is not None:
+        run, maps, slots = pool
+        return _extract(run, model, len(images), maps, slots)
+    _, _, shape, _ = _batch_state(model, images)
+    slots = _slots(shape, model.config, len(images))
+    with fork_pool(jobs, (images, None, slots)) as run:
+        return _extract(run, model, len(images), None, slots)
 
 
 @one_blas_thread()
@@ -262,33 +311,26 @@ class EvalResult:
         return 100.0 * self.errors / self.samples
 
 
-def _batch_state(model: TrainedModel, images, maps=None) -> tuple:
-    """The ``(model, images, (h, w), maps)`` state of a batch's tasks."""
+def _batch_state(model: TrainedModel, images) -> tuple:
+    """The ``(model, images, (h, w), maps)`` state of a batch's
+    :func:`_encode_task`, with no maps."""
     if len(images) == 0:
         raise ValueError("no samples")
     shape = common_size(images)
     encoder.block_counts(shape, model.config)   # rejects a block larger than (h, w)
-    return model, images, shape, maps
-
-
-def _run_tasks(fn, state, n: int, jobs: int, chunk: int = TASK_IMAGES):
-    """Iterator of ``(task, fn(state, task))`` for each ``task``, a
-    ``(start, stop)`` run of ``chunk`` consecutive of ``n`` images, over
-    ``fork_pool(jobs, state)`` in order."""
-    tasks = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-    with fork_pool(jobs, state) as run:
-        yield from zip(tasks, run(fn, tasks))
+    return model, images, shape, None
 
 
 def _predict_task(state, task) -> np.ndarray:
     """Labels of ``images[start:stop]``, encoded and scored where it runs."""
     model, _, shape, _ = state
-    pairs = _encode_task(state, task)
+    indices, counts = zip(*_encode_task(state, task))
     # sized exactly, in the heap, whose pages the next task reuses: a new
     # mapping for each task would fault in every page it fills
-    return predict_features(model, _csr(
-        [pairs], len(pairs), encoder.feature_dim(shape, model.config),
-        sum(idx.size for idx, _ in pairs), np.empty))
+    indptr = np.cumsum([0] + [a.size for a in indices])
+    return predict_features(model, sp.csr_matrix(
+        (np.concatenate(counts), np.concatenate(indices), indptr),
+        shape=(len(indices), encoder.feature_dim(shape, model.config))))
 
 
 def evaluate_model(model: TrainedModel, images, labels, jobs: int = 1,
@@ -303,8 +345,9 @@ def evaluate_model(model: TrainedModel, images, labels, jobs: int = 1,
     if model.classifier is None:
         raise TypeError("model has no trained classifier")
     classes = np.union1d(model.classifier.classes, labels)
-    preds = np.concatenate([part for _, part in _run_tasks(
-        _predict_task, _batch_state(model, images), len(images), jobs, chunk)])
+    tasks = _tasks(len(images), chunk)
+    with fork_pool(jobs, _batch_state(model, images)) as run:
+        preds = np.concatenate(list(run(_predict_task, tasks)))
     confusion = np.zeros((classes.size, classes.size), dtype=np.int64)
     np.add.at(confusion, (np.searchsorted(classes, labels),
                           np.searchsorted(classes, preds)), 1)

@@ -2,16 +2,21 @@
 
 :func:`fork_pool` yields ``run(fn, items)``, which iterates over
 ``fn(state, item) for item in items``, in item order, at every ``jobs``.
-A caller that sums the results holds one at a time. A forking pool
-starts all its workers at the first task, so ``run`` forks ``min(jobs,
-len(items))``, and runs in this process when that is one. Workers are
-forked, not spawned, so they see ``state`` (the model and images, the
-training features) copy-on-write, and an item is a small task such as a
-``(start, stop)`` range: nothing large is pickled on the way in.
-Results too large to send back through the pool go into an array from
-:func:`shared_zeros`, which is allocated before the fork, and whose rows
-:func:`release` gives back once they are read. A worker that
-dies fails the run with ``BrokenProcessPool`` instead of hanging it.
+A caller that sums the results holds one at a time. A ``with`` block
+forks its workers once, at its first ``run`` that has work for more than
+one, and every later ``run`` in the block reuses them: a step of several
+fan-outs (map, then extract; Gram, then solve, then lift) pays for one
+fork and one shutdown. A forking pool starts all its workers at the
+first task, so the block forks ``min(jobs, width)``, ``width`` the most
+items any of its runs takes, and runs in this process when that is one.
+Workers are forked, not spawned, so they see ``state`` (the model and
+images, the training features) copy-on-write, and an item is a small
+task such as a ``(start, stop)`` range: nothing large is pickled on the
+way in. What a worker computes for the parent, or for a later run, goes
+into arrays from :func:`shared_zeros`, which are allocated before the
+fork, and whose rows :func:`release` gives back once they are read. A
+worker that dies fails the run with ``BrokenProcessPool`` instead of
+hanging it.
 
 While a pool lives, BLAS runs on one thread (:func:`one_blas_thread`),
 also in the workers, which inherit the count: they do not each start one
@@ -101,20 +106,26 @@ def _call(fn, item):
 
 
 @contextmanager
-def fork_pool(jobs: int, state):
+def fork_pool(jobs: int, state, width: int | None = None):
     """Yield ``run(fn, items)``, an iterator over ``fn(state, item) for
-    item in items`` in item order, run over ``min(jobs, len(items))``
-    forked workers when that is more than one, else in this process.
-    Consume it inside the ``with`` block. ``fn`` must be defined at module
-    level, where a worker can look it up."""
-    with one_blas_thread(), ExitStack() as pools:
+    item in items`` in item order. The block forks ``min(jobs, width)``
+    workers once, at the first ``run`` for which that is more than one,
+    ``width`` being by default that run's item count, and every ``run``
+    from then on uses them; until then runs are made in this process.
+    Consume each iterator inside the ``with`` block. ``fn`` must be
+    defined at module level, where a worker can look it up."""
+    with one_blas_thread(), ExitStack() as stack:
+        pool = None
+
         def run(fn, items):
-            workers = min(jobs, len(items))
-            if workers <= 1:
+            nonlocal pool
+            workers = min(jobs, width or len(items))
+            if pool is None and workers > 1:
+                pool = stack.enter_context(ProcessPoolExecutor(
+                    workers, mp.get_context("fork"), initializer=_init,
+                    initargs=(state,)))
+            if pool is None:
                 return (fn(state, item) for item in items)
-            pool = pools.enter_context(ProcessPoolExecutor(
-                workers, mp.get_context("fork"), initializer=_init,
-                initargs=(state,)))
             return pool.map(functools.partial(_call, fn), items)
         yield run
 

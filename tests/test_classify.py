@@ -182,7 +182,7 @@ def test_cost_not_finite_and_positive_rejected_before_any_pass(monkeypatch,
     def no_gram(*args):
         raise AssertionError("summed the Gram before checking cost_c")
 
-    monkeypatch.setattr(classify, "gram_matrix", no_gram)
+    monkeypatch.setattr(classify, "_gram_state", no_gram)
     with pytest.raises(ValueError, match="cost_c must be finite and > 0"):
         svm_train(SEPARABLE_X, SEPARABLE_Y, cost_c=cost_c, rng=Rng(0))
 

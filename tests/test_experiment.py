@@ -94,31 +94,68 @@ def test_streamed_csr_equals_the_one_built_per_image(tiny_model, glyph_train,
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_extraction_holds_no_task_older_than_the_last(tiny_model, glyph_train,
-                                                      glyph_test, monkeypatch,
-                                                      jobs):
-    # when task k + 1's pairs arrive, those of tasks up to k - 1 are copied
-    # into the matrix and dropped
+def test_extraction_tasks_return_one_size_per_image(tiny_model, glyph_train,
+                                                    glyph_test, monkeypatch,
+                                                    jobs):
+    # the pairs stay in the shared slots: all a task sends back through the
+    # pipe is each image's nonzero count, as a plain int
     images = glyph_train[0] + glyph_test[0]       # tasks of 32, 32, 32, 4
-    taken = []
+    returned = []
     fork_pool = experiment.fork_pool
 
     @contextlib.contextmanager
-    def watching(pool_jobs, state):
-        with fork_pool(pool_jobs, state) as run:
-            def run_watched(fn, tasks):
-                for k, part in enumerate(run(fn, tasks)):
-                    alive = [i for i, refs in enumerate(taken[:max(k - 1, 0)])
-                             if any(ref() is not None for ref in refs)]
-                    assert alive == [], f"tasks {alive} alive at task {k}"
-                    taken.append([weakref.ref(a) for pair in part for a in pair])
+    def watching(pool_jobs, state, *width):
+        with fork_pool(pool_jobs, state, *width) as run:
+            def run_watched(fn, items):
+                for part in run(fn, items):
+                    if fn is experiment._extract_task:
+                        returned.append(part)
                     yield part
             yield run_watched
 
     monkeypatch.setattr(experiment, "fork_pool", watching)
     got = extract_features(tiny_model, images, jobs=jobs)
+    front, features = train_front(tiny_config(patches_per_layer=200),
+                                  images[:40], glyph_train[1][:40], jobs=jobs)
     monkeypatch.undo()
-    assert len(taken) == 4
+    assert [len(part) for part in returned] == [32, 32, 32, 4, 32, 8]
+    assert all(type(part) is list for part in returned)
+    assert all(type(size) is int for part in returned for size in part)
+    sizes = [size for part in returned for size in part]
+    assert sizes == np.diff(got.indptr).tolist() + np.diff(features.indptr).tolist()
+    assert same_csr(got, extract_features(tiny_model, images))
+    assert same_csr(features, extract_features(front, images[:40]))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_slot_pages_past_the_last_row_are_released(tiny_model, glyph_train,
+                                                  glyph_test, monkeypatch,
+                                                  jobs):
+    # after each task's rows are moved down, the slot pages behind them up
+    # to the next task's slots are given back; after the last, the tail
+    images = glyph_train[0] + glyph_test[0]       # tasks of 32, 32, 32, 4
+    calls = []
+    release = experiment.release
+
+    def recording(array, start, stop):
+        calls.append((array, start, stop))
+        release(array, start, stop)
+
+    monkeypatch.setattr(experiment, "release", recording)
+    got = extract_features(tiny_model, images, jobs=jobs)
+    monkeypatch.undo()
+    bound = encoder.nnz_bound((28, 28), tiny_model.config)
+    slots = list({id(a): a for a, _, _ in calls}.values())
+    assert [a.dtype for a in slots] == [got.indices.dtype, got.data.dtype]
+    for array in slots:
+        assert array.size == len(images) * bound
+        assert [(start, stop) for a, start, stop in calls if a is array] == [
+            (got.indptr[stop], stop * bound) for stop in (32, 64, 96, 100)]
+        if hasattr(mmap, "MADV_REMOVE"):
+            # the last tasks' pairs were written there before the move
+            page = mmap.PAGESIZE // array.itemsize
+            assert not array[-(-got.nnz // page) * page:].any()
+    assert got.nnz < 96 * bound
     assert same_csr(got, extract_features(tiny_model, images))
 
 
@@ -129,7 +166,8 @@ def test_training_features_from_the_maps_equal_plain_extraction(
     release = experiment.release
 
     def recording(array, start, stop):
-        released.append((start, stop))
+        if array.ndim == 4:     # the maps, not the training CSR's slots
+            released.append((start, stop))
         release(array, start, stop)
 
     monkeypatch.setattr(experiment, "release", recording)
@@ -202,7 +240,8 @@ def test_training_without_madv_remove_saves_the_same_bytes(glyph_train,
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_extraction_pool_receives_only_task_ranges(tiny_model, glyph_test,
                                                    monkeypatch, jobs):
-    # the images reach the workers through the forked state, never as items
+    # the images reach the workers through the forked state, never as
+    # items: an item is a task's range, with the model it encodes by
     images = glyph_test[0][:37]
     items = []
     fork_pool = experiment.fork_pool
@@ -219,7 +258,8 @@ def test_extraction_pool_receives_only_task_ranges(tiny_model, glyph_test,
     monkeypatch.setattr(experiment, "fork_pool", recording)
     got = extract_features(tiny_model, images, jobs=jobs)
     monkeypatch.undo()
-    assert items == [(0, 32), (32, 37)]
+    assert [task for task, _ in items] == [(0, 32), (32, 37)]
+    assert all(model is tiny_model for _, model in items)
     assert (got != extract_features(tiny_model, images)).nnz == 0
 
 
@@ -394,17 +434,53 @@ def _pid(_state, _item):
     return os.getpid()
 
 
+def counting_pools(monkeypatch) -> list:
+    """The worker count of each ``ProcessPoolExecutor`` forkpool creates."""
+    created = []
+    executor = forkpool.ProcessPoolExecutor
+
+    def counting(workers, *args, **kwargs):
+        created.append(workers)
+        return executor(workers, *args, **kwargs)
+
+    monkeypatch.setattr(forkpool, "ProcessPoolExecutor", counting)
+    return created
+
+
 @pytest.mark.parametrize("jobs,items,workers", [(4, 2, 2), (3, 1, 0), (2, 4, 2),
                                                 (1, 3, 0)])
-def test_fork_pool_forks_no_idle_worker(jobs, items, workers):
-    # a forking pool starts all its workers at the first task, so the pool
-    # is sized to the items, and one item runs in this process
-    before = set(multiprocessing.active_children())
-    with forkpool.fork_pool(jobs, None) as run:
-        pids = list(run(_pid, range(items)))
-        forked = set(multiprocessing.active_children()) - before
-    assert len(forked) == workers
-    assert set(pids) <= ({p.pid for p in forked} if workers else {os.getpid()})
+def test_fork_pool_forks_no_idle_worker(monkeypatch, jobs, items, workers):
+    # a forking pool starts all its workers at the first task, so a block
+    # forks once, sized to its widest run (the first, unless given), and a
+    # block whose runs have one item each runs in this process
+    created = counting_pools(monkeypatch)
+    for width, sizes in ((None, (items, 1, items)), (items, (1, items, 1))):
+        before = set(multiprocessing.active_children())
+        with forkpool.fork_pool(jobs, None, width) as run:
+            pids = [pid for size in sizes for pid in run(_pid, range(size))]
+            forked = set(multiprocessing.active_children()) - before
+        assert len(forked) == workers
+        assert set(pids) <= ({p.pid for p in forked} if workers else {os.getpid()})
+    assert created == ([workers] * 2 if workers else [])
+
+
+@pytest.mark.parametrize("learner,classifier,pools", [("pca", "svm", 2),
+                                                      ("dae", "wpca_cosine", 4)])
+def test_training_forks_one_pool_a_phase(glyph_train, monkeypatch, learner,
+                                         classifier, pools):
+    # the front end maps and extracts on one pool and the classifier fit
+    # sums, solves and lifts on one; each autoencoder layer draws its masks
+    # on its own
+    created = counting_pools(monkeypatch)
+    cfg = tiny_config(learner=learner, classifier=classifier, dae_epochs=2,
+                      wpca_dim=4, patches_per_layer=200)
+    images, labels = glyph_train[0][:40], glyph_train[1][:40]
+    model = train_model(cfg, images, labels, jobs=2)
+    assert created == [2] * pools
+    monkeypatch.undo()
+    with tempfile.TemporaryDirectory() as tmp:
+        assert saved_bytes(model, tmp) == saved_bytes(
+            train_model(cfg, images, labels, jobs=1), tmp)
 
 
 def _die(_state, _item):
@@ -421,6 +497,24 @@ def test_a_dead_worker_fails_the_run_instead_of_hanging():
     try:
         with pytest.raises(BrokenProcessPool):
             with forkpool.fork_pool(2, None) as run:
+                list(run(_die, range(4)))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_dead_worker_fails_a_later_run_of_the_block():
+    # the block's workers outlive its first run; losing one in the second
+    # still fails that run
+    def hung(signum, frame):
+        raise TimeoutError("fork_pool still waiting after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            with forkpool.fork_pool(2, None) as run:
+                assert len(set(run(_pid, range(4)))) <= 2
                 list(run(_die, range(4)))
     finally:
         signal.alarm(0)
