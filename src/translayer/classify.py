@@ -149,8 +149,9 @@ def _row_runs(x: sp.csr_matrix) -> list[tuple[int, int]]:
 
 
 def _column_blocks(n: int, d: int) -> list[tuple[int, int]]:
-    """``(c0, c1)`` of each block of feature columns the fits densify:
-    ``BUDGET`` bytes of an n-row batch, whatever ``jobs``."""
+    """``(c0, c1)`` of each block of feature columns :func:`_lift` gathers,
+    sparse: as many as ``BUDGET`` bytes of float64 over n rows hold,
+    whatever ``jobs``."""
     width = max(1, BUDGET // (8 * n))
     return [(c0, min(c0 + width, d)) for c0 in range(0, d, width)]
 
@@ -351,12 +352,14 @@ def _solve_class(state, k):
     return history, violation
 
 
-def _lift_weights(state, block) -> None:
-    """Write rows ``c0:c1`` of ``X^T B`` into ``"lifted"``, B the
-    ``"coefs"``: scipy sums each over the rows in ascending order."""
+def _lift(state, block) -> None:
+    """Write rows ``c0:c1`` of ``X^T B``, B the ``"coefs"``, into columns
+    ``c0:c1`` of ``"lifted"``, its transpose: scipy sums each entry over
+    the rows in ascending order, whatever the block, so the bits are those
+    of one whole product. ``"lifted"``'s layout decides where they land."""
     _drop_light(state)
     c0, c1 = block
-    state["lifted"][c0:c1] = _columns(state["x"], block).T @ state["coefs"]
+    state["lifted"][:, c0:c1] = (_columns(state["x"], block).T @ state["coefs"]).T
 
 
 def svm_train(features, labels, cost_c: float = 1.0,
@@ -367,10 +370,10 @@ def svm_train(features, labels, cost_c: float = 1.0,
     (:func:`_gram_state`), then one task per class, which writes its
     ``alpha * y``, a column of ``B``, into a shared array, drawing its own
     stream seeded from its label, so the result does not depend on
-    ``jobs``; then one task per block of :func:`_column_blocks`, which
-    writes its rows of ``X^T B`` into the shared (d, classes) array whose
-    transpose is the Fortran-ordered weights. Warnings are logged here, in
-    class order. A ``cost_c`` not finite and > 0 raises."""
+    ``jobs``; then the lift (:func:`_lift`) writes the weights into the
+    transpose of a shared (d, classes) array: Fortran-ordered, as the
+    model keeps them. Warnings are logged here, in class order. A
+    ``cost_c`` not finite and > 0 raises."""
     if not 0.0 < cost_c < np.inf:
         raise ValueError("cost_c must be finite and > 0")
     x = as_csr(features)
@@ -387,17 +390,17 @@ def svm_train(features, labels, cost_c: float = 1.0,
     state, strips = _gram_state(x)
     state.update(y=y_all, classes=classes, cost_c=cost_c, rng=rng,
                  coefs=shared_zeros((n, classes.size)),
-                 lifted=shared_zeros((d, classes.size)))
+                 lifted=shared_zeros((d, classes.size)).T)
     with fork_pool(jobs, state, max(len(strips), classes.size, len(blocks))) as run:
         _sum_gram(run, state, strips)
         solved = list(run(_solve_class, range(classes.size)))
-        list(run(_lift_weights, blocks))
+        list(run(_lift, blocks))
     for cls, (hist, violation) in zip(classes, solved):
         if violation >= SVM_TOL:
             log.warning("SVM class %d did not converge: %d passes, max "
                         "violation %.4g >= tolerance %g", int(cls), len(hist),
                         violation, SVM_TOL)
-    return LinearSvmModel(classes=classes, weights=state["lifted"].T,
+    return LinearSvmModel(classes=classes, weights=state["lifted"],
                           objective_history=[np.asarray(hist)
                                              for hist, _ in solved])
 
@@ -426,17 +429,6 @@ def _column_means(x: sp.csr_matrix) -> np.ndarray:
     return mean
 
 
-def _lift_block(state, block) -> None:
-    """Write columns ``c0:c1`` of the lifted components into ``"rows"``."""
-    _drop_light(state)
-    c0, c1 = block
-    out = state["rows"][:, c0:c1]
-    np.multiply.outer(state["dual_sums"], state["mean"][c0:c1], out=out)
-    np.subtract(np.asarray(_columns(state["x"], block).T @ state["dual"]).T, out,
-                out=out)
-    out /= state["norms"][:, None]
-
-
 def _center_gram(gram: np.ndarray, x, mean: np.ndarray) -> None:
     """Center the uncentered Gram ``X X^T`` of ``x`` and divide it by n - 1,
     in place: the operations of ``(gram - xm[:, None] - xm[None, :] + mean
@@ -461,16 +453,12 @@ def wpca_fit(features, labels, target_dim: int,
     more components than survive raises.
 
     The eigenproblem is solved on the n x n Gram (:func:`_gram_state`),
-    whatever the feature dimension d. The lift ``X^T V`` stays a sparse
-    product, one task per block of :func:`_column_blocks` on the pool that
-    summed the Gram, each writing its columns of the components into one
-    ``forkpool.shared_zeros`` array; the dual vectors, their sums and the
-    norms reach the workers through shared arrays too. scipy sums every
-    output over the rows of ``X`` in ascending order, whatever the column
-    range, so the rows are those of one whole product. The training set
-    is not projected again: its projection is ``sqrt(n - 1) * V * signs``,
-    ``V`` the centered Gram's leading eigenvectors and ``signs`` the
-    factors ``fix_row_signs`` applied, up to the eigensolve's rounding.
+    whatever the feature dimension d. The pool that summed the Gram lifts
+    the leading eigenvectors ``V`` (:func:`_lift`) into the (k, d)
+    components ``(X^T V)^T``, then this process centers each row and
+    divides it by its norm. The training set is not projected again: its
+    projection is ``sqrt(n - 1) * V * signs``, ``signs`` the factors
+    ``fix_row_signs`` applied, up to the eigensolve's rounding.
     """
     if target_dim < 1:
         raise ValueError("target_dim must be >= 1")
@@ -480,10 +468,9 @@ def wpca_fit(features, labels, target_dim: int,
         raise ValueError("need at least two samples")
     mean, blocks = _column_means(x), _column_blocks(n, d)
     state, strips = _gram_state(x)
-    # the lift's inputs, filled after the eigensolve, when the workers run
-    state.update(mean=mean, dual=shared_zeros((n, target_dim)),
-                 dual_sums=shared_zeros(target_dim), norms=shared_zeros(target_dim),
-                 rows=shared_zeros((target_dim, d)))
+    # the dual vectors are filled after the eigensolve, when the workers run
+    state.update(coefs=shared_zeros((n, target_dim)),
+                 lifted=shared_zeros((target_dim, d)))
     with fork_pool(jobs, state, max(len(strips), len(blocks))) as run:
         gram_xx = _sum_gram(run, state, strips)
         _center_gram(gram_xx, x, mean)
@@ -497,15 +484,17 @@ def wpca_fit(features, labels, target_dim: int,
                 f"target_dim {target_dim} exceeds usable rank {usable}")
         scale = 1.0 / np.sqrt(eigvals[:target_dim])
         # lift to feature space only the dual vectors the projection uses
-        dual = state["dual"]
+        dual = state["coefs"]
         dual[:] = dual_vecs[:, :target_dim]
-        state["dual_sums"][:] = [float(v.sum()) for v in dual.T]
-        state["norms"][:] = np.sqrt((n - 1) * eigvals[:target_dim])
-        list(run(_lift_block, blocks))
+        list(run(_lift, blocks))
     # the light columns and the eigensolve's buffers were freed below chunks
     # still in use: without this, dae_wpca's training kept 5 MB more resident
     trim_heap()
-    rows = state["rows"]
+    rows = state["lifted"]
+    for row, total, norm in zip(rows, (float(v.sum()) for v in dual.T),
+                                np.sqrt((n - 1) * eigvals[:target_dim])):
+        row -= total * mean
+        row /= norm
     signs = fix_row_signs(rows)
     rows *= scale[:, None]
     return WpcaCosineModel(mean, rows, np.sqrt(n - 1) * dual * signs,

@@ -22,17 +22,17 @@ the same workers then extract the training features from the maps there,
 each task receiving the second-layer bank with its range, so every
 training image is mapped through the first layer once; the maps of each
 task are released as its features are taken. Then the classifier fit's
-pool writes the Gram one strip of rows per task, and ``svm_train`` solves
-one class and lifts one block of weight columns per task, or
-``wpca_fit`` lifts one block of components per task.
+pool writes the Gram one strip of rows per task, ``svm_train`` solves
+one class per task, and both fits lift one block of feature columns per
+task (``classify._lift``).
 
 Evaluation runs its tasks through :func:`_predict_task`, which encodes
-them with :func:`_encode_task` and scores them where it runs, returning
-only their labels, which do not depend on the split: no test feature
-passes through a pipe and no dense batch wider than a task is formed.
-Training projects no rows: ``wpca_fit`` returns the projected training
-set with the model. Training and prediction run on one BLAS thread
-(``forkpool.one_blas_thread``), so their bits do not depend on the count.
+them and scores them where it runs, returning only their labels, which
+do not depend on the split: no test feature passes through a pipe and no
+dense batch wider than a task is formed. Training projects no rows:
+``wpca_fit`` returns the projected training set with the model. Training
+and prediction run on one BLAS thread (``forkpool.one_blas_thread``), so
+their bits do not depend on the count.
 """
 
 from __future__ import annotations
@@ -203,12 +203,6 @@ def _feature(model: TrainedModel, images, maps, i: int) -> encoder.SparseFeature
         model.config)
 
 
-def _encode_task(state, task) -> list:
-    """The ``encoder.feature_of`` pair of each of ``images[start:stop]``."""
-    model, images, _, maps = state
-    return [_feature(model, images, maps, i) for i in range(*task)]
-
-
 class _Slots(NamedTuple):
     """A batch's feature pairs before they are moved into place: shared
     ``indices`` and ``counts`` arrays of ``bound`` entries an image, the
@@ -280,8 +274,7 @@ def extract_features(model: TrainedModel, images, jobs: int = 1,
     if pool is not None:
         run, maps, slots = pool
         return _extract(run, model, len(images), maps, slots)
-    _, _, shape, _ = _batch_state(model, images)
-    slots = _slots(shape, model.config, len(images))
+    slots = _slots(_batch_shape(images), model.config, len(images))
     with fork_pool(jobs, (images, None, slots)) as run:
         return _extract(run, model, len(images), None, slots)
 
@@ -311,26 +304,24 @@ class EvalResult:
         return 100.0 * self.errors / self.samples
 
 
-def _batch_state(model: TrainedModel, images) -> tuple:
-    """The ``(model, images, (h, w), maps)`` state of a batch's
-    :func:`_encode_task`, with no maps."""
+def _batch_shape(images) -> tuple[int, int]:
+    """The ``(h, w)`` of every image of a batch; an empty batch raises."""
     if len(images) == 0:
         raise ValueError("no samples")
-    shape = common_size(images)
-    encoder.block_counts(shape, model.config)   # rejects a block larger than (h, w)
-    return model, images, shape, None
+    return common_size(images)
 
 
 def _predict_task(state, task) -> np.ndarray:
-    """Labels of ``images[start:stop]``, encoded and scored where it runs."""
-    model, _, shape, _ = state
-    indices, counts = zip(*_encode_task(state, task))
+    """Labels of ``images[start:stop]``, encoded and scored where it runs;
+    ``state`` is ``(model, images, feature width)``."""
+    model, images, width = state
+    indices, counts = zip(*(_feature(model, images, None, i) for i in range(*task)))
     # sized exactly, in the heap, whose pages the next task reuses: a new
     # mapping for each task would fault in every page it fills
     indptr = np.cumsum([0] + [a.size for a in indices])
     return predict_features(model, sp.csr_matrix(
         (np.concatenate(counts), np.concatenate(indices), indptr),
-        shape=(len(indices), encoder.feature_dim(shape, model.config))))
+        shape=(len(indices), width)))
 
 
 def evaluate_model(model: TrainedModel, images, labels, jobs: int = 1,
@@ -346,7 +337,9 @@ def evaluate_model(model: TrainedModel, images, labels, jobs: int = 1,
         raise TypeError("model has no trained classifier")
     classes = np.union1d(model.classifier.classes, labels)
     tasks = _tasks(len(images), chunk)
-    with fork_pool(jobs, _batch_state(model, images)) as run:
+    # rejects a block larger than the images
+    width = encoder.feature_dim(_batch_shape(images), model.config)
+    with fork_pool(jobs, (model, images, width)) as run:
         preds = np.concatenate(list(run(_predict_task, tasks)))
     confusion = np.zeros((classes.size, classes.size), dtype=np.int64)
     np.add.at(confusion, (np.searchsorted(classes, labels),

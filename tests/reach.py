@@ -9,9 +9,12 @@ it to a file of its own, unbuffered. Run from the repository root::
 
     python tests/reach.py [pytest arguments]
 
-It exits 1 if an unreached line is missing from ``tests/unreached.txt`` or
-a line listed there is reached, and with pytest's status if a test fails.
-Each entry of the list is ``module.py:LINE  reason``, one a line.
+It exits 1 if an unreached line is missing from ``tests/unreached.txt``,
+a line listed there is reached, or an entry does not name exactly one
+line, and with pytest's status if a test fails. Each entry of the list is
+``module.py | text | reason``, one a line: ``text`` is the line's source,
+stripped, so that an edit elsewhere in the module leaves the entry valid;
+it must be the text of exactly one executable line of the module.
 """
 
 from __future__ import annotations
@@ -41,6 +44,16 @@ def executable_lines() -> set[tuple[str, int]]:
             lines.update((name, line) for _, _, line in co.co_lines() if line)
             code.extend(c for c in co.co_consts if hasattr(c, "co_lines"))
     return lines
+
+
+def module_lines() -> dict[str, list[str]]:
+    """Each module file name's source lines, stripped."""
+    sources = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as fh:
+                sources[name] = [text.strip() for text in fh]
+    return sources
 
 
 def trace_into(directory: str):
@@ -74,16 +87,41 @@ def trace_into(directory: str):
     return call
 
 
-def read_listed() -> dict[tuple[str, int], str]:
-    """The listed lines, each with its reason."""
+def read_listed() -> dict[tuple[str, str], str]:
+    """The listed ``(module file name, stripped line text)`` pairs, each
+    with its reason."""
     listed = {}
     with open(LISTED) as fh:
         for text in fh:
             if text.strip() and not text.startswith("#"):
-                where, reason = text.split(maxsplit=1)
-                name, line = where.split(":")
-                listed[name, int(line)] = reason.strip()
+                name, rest = text.split(" | ", 1)
+                line, reason = rest.rsplit(" | ", 1)
+                listed[name.strip(), line.strip()] = reason.strip()
     return listed
+
+
+def locate(listed, lines) -> tuple[dict[tuple[str, int], str], list[str]]:
+    """``(module, line)`` of each listed entry, with its reason, among the
+    executable ``lines``; and a fault for each entry whose module is not
+    in the package or whose text is on no executable line of it, or on
+    more than one."""
+    sources = module_lines()
+    at = {}
+    for name, line in sorted(lines):
+        at.setdefault((name, sources[name][line - 1]), []).append(line)
+    located, faults = {}, []
+    for (name, text), reason in listed.items():
+        found = at.get((name, text), [])
+        if name not in sources:
+            faults.append(f"{name} | {text}: no such module in {PACKAGE}")
+        elif len(found) == 1:
+            located[name, found[0]] = reason
+        elif not found:
+            faults.append(f"{name} | {text}: on no executable line of {name}")
+        else:
+            faults.append(f"{name} | {text}: on executable lines "
+                          f"{', '.join(map(str, found))} of {name}, not one")
+    return located, faults
 
 
 def main(args) -> int:
@@ -110,15 +148,15 @@ def main(args) -> int:
         return status
     lines = executable_lines()
     unreached = lines - reached
-    listed = read_listed()
-    faults = [f"{name}:{line}: no test reaches it"
-              for name, line in sorted(unreached - listed.keys())]
-    faults += [f"{name}:{line}: listed, but a test reaches it"
+    listed, faults = locate(read_listed(), lines)
+    sources = module_lines()
+    faults += [f"{name}:{line}: no test reaches it | {sources[name][line - 1]}"
+               for name, line in sorted(unreached - listed.keys())]
+    faults += [f"{name}:{line}: listed, but a test reaches it | "
+               f"{sources[name][line - 1]}"
                for name, line in sorted(listed.keys() - unreached)]
     for fault in faults:
-        name, line = fault.split(":")[:2]
-        with open(os.path.join(PACKAGE, name)) as fh:
-            print(fault, "|", fh.readlines()[int(line) - 1].strip())
+        print(fault)
     print(f"reach: {len(lines) - len(unreached)} of {len(lines)} lines "
           f"reached, {len(listed)} listed unreached")
     return 1 if faults else 0

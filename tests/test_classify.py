@@ -320,11 +320,12 @@ def reference_gram_svm_train(features, labels, cost_c, rng, gram):
 
 
 def assert_bit_identical_to_gram_reference(features, labels, cost_c, seed,
-                                           gram):
-    model = svm_train(features, labels, cost_c=cost_c, rng=Rng(seed))
+                                           gram, jobs=1):
+    model = svm_train(features, labels, cost_c=cost_c, rng=Rng(seed), jobs=jobs)
     weights, histories = reference_gram_svm_train(features, labels, cost_c,
                                                   Rng(seed), gram)
     assert np.array_equal(model.weights, weights)
+    assert model.weights.flags["F_CONTIGUOUS"]
     assert len(model.objective_history) == len(histories)
     for got, want in zip(model.objective_history, histories):
         assert np.array_equal(got, want)
@@ -674,6 +675,9 @@ def test_blocked_gram_route_matches_sparse_reference(monkeypatch, jobs, n,
     assert np.array_equal(model.mean, mean)
     assert np.array_equal(model.projection, projection)
     assert np.array_equal(model.train_vectors, vectors)
+    # the SVM's weights come through the same lift blocks
+    assert_bit_identical_to_gram_reference(x, np.arange(n) % 3, 1.0, n,
+                                           (x @ x.T).toarray(), jobs=jobs)
 
 
 def test_gram_bits_do_not_depend_on_jobs():

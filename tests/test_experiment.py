@@ -59,8 +59,7 @@ def test_narrow_worker_payload_keeps_the_csr(tiny_model, glyph_test, block):
     cfg = replace(tiny_model.config, block_w=block, block_h=block)
     model = replace(tiny_model, config=cfg, classifier=None)
     images = glyph_test[0][:6] + [GrayImage(np.zeros((28, 28)))]
-    state = (model, images, images[0].pixels.shape, None)
-    [(indices, counts)] = experiment._encode_task(state, (6, 7))
+    indices, counts = experiment._feature(model, images, None, 6)
     assert indices.dtype == np.int32
     assert counts.dtype == (np.uint8 if block == 7 else np.uint16)
     want = float_count_csr(model, images)
