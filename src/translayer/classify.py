@@ -132,10 +132,13 @@ def as_csr(features, width: int | None = None) -> sp.csr_matrix:
 
 
 def _rows(x: sp.csr_matrix, r0: int, r1: int) -> sp.csr_matrix:
-    """``x[r0:r1]`` as a view of ``x``'s data and indices, not a copy."""
+    """``x[r0:r1]`` as a view of ``x``'s data and indices, set on an empty
+    matrix: scipy's constructor copies a slice under half of its array."""
     p0, p1 = x.indptr[r0], x.indptr[r1]
-    return sp.csr_matrix((x.data[p0:p1], x.indices[p0:p1], x.indptr[r0:r1 + 1] - p0),
-                         shape=(r1 - r0, x.shape[1]))
+    rows = sp.csr_matrix((r1 - r0, x.shape[1]), dtype=x.dtype)
+    rows.data, rows.indices, rows.indptr = (x.data[p0:p1], x.indices[p0:p1],
+                                            x.indptr[r0:r1 + 1] - p0)
+    return rows
 
 
 def _row_runs(x: sp.csr_matrix) -> list[tuple[int, int]]:
@@ -197,19 +200,20 @@ def _row_bounds(x: sp.csr_matrix, edges, r0: int = 0) -> np.ndarray:
 
 def _gram_strip(state, strip) -> None:
     """Gram rows ``r0:r1`` from column r0 on, a run of rows at a time: the
-    light columns' sparse product, then the dense blocks' in column order;
+    light columns' sparse product, then the dense blocks' in column order,
+    each from the task's own copy of rows ``r0:`` in the product dtype;
     then their mirror below the diagonal, a run at a time. Each row's
     slice of each dense block is found once, by one search over the
     blocks' edges, for as many blocks as a ``BUDGET`` table holds."""
-    x, dense_cols, x_light, gram = (state["x"], state["dense_cols"],
-                                    state["x_light"], state["gram"])
+    x, dense_cols, dtype, gram = (state["x"], state["dense_cols"],
+                                  state["dtype"], state["gram"])
     r0, r1 = strip
     n = x.shape[0]
     step = max(1, BUDGET // (8 * n))
     runs = [(i, min(i + step, r1)) for i in range(r0, r1, step)]
-    below = _rows(x_light, r0, n)
+    light = _rows(x, r0, n)[:, state["light_cols"]].astype(dtype, copy=False)
     for i, j in runs:
-        gram[i:j, r0:] = (below @ x_light[i:j].T).T.toarray()
+        gram[i:j, r0:] = (light @ light[i - r0:j - r0].T).T.toarray()
     width = max(GRAM_WIDTH, BUDGET // (8 * n))
     blocks = [dense_cols[c:c + width] for c in range(0, dense_cols.size, width)]
     per_table = max(1, BUDGET // (16 * (n - r0)))
@@ -221,7 +225,7 @@ def _gram_strip(state, strip) -> None:
         for b, cols in enumerate(group):
             dense = _gather(x, bounds[:, 2 * b], bounds[:, 2 * b + 1],
                             (cols[0], cols[-1] + 1))[:, cols - cols[0]].toarray()
-            dense = dense.astype(x_light.dtype, copy=False)
+            dense = dense.astype(dtype, copy=False)
             for i, j in runs:
                 gram[i:j, r0:] += dense[i - r0:j - r0] @ dense.T
     for i, j in runs:  # each run's own square is whole
@@ -259,35 +263,17 @@ def _gram_state(x: sp.csr_matrix) -> tuple[dict, list[tuple[int, int]]]:
     enough for :func:`_product_dtype` are multiplied in float32, other
     data in float64. On counts every partial sum is an integer, so the
     Gram is exact either way; other (``wpca_sqrt``) features can move in
-    the last bits, but not with ``jobs``. ``"x_light"``, the light
-    columns' copy, is only read by the strips."""
+    the last bits, but not with ``jobs``. No entry of ``x`` is copied."""
     n, d = x.shape
     uses = np.zeros(d, np.int64)
     np.add.at(uses, x.indices, 1)  # bincount would copy them as intp
     light = uses <= DENSE_SHARE * n
-    state = {"x": x, "dense_cols": np.flatnonzero(~light),
-             "x_light": x[:, np.flatnonzero(light)].astype(_product_dtype(x),
-                                                           copy=False),
+    state = {"x": x, "light_cols": np.flatnonzero(light),
+             "dense_cols": np.flatnonzero(~light), "dtype": _product_dtype(x),
              "gram": shared_zeros((n, n))}
     strips = min(GRAM_STRIPS, max(2, -(-8 * n * n // BUDGET)))
     edges = [int(e) for e in np.rint(n - n * np.sqrt(np.linspace(1, 0, strips + 1)))]
     return state, [s for s in zip(edges, edges[1:]) if s[0] < s[1]]
-
-
-def _sum_gram(run, state: dict, strips) -> np.ndarray:
-    """Run the strips of :func:`_gram_state` on ``run``'s pool and drop this
-    process's ``"x_light"``; returns the Gram. A worker drops its copy at
-    its first task after the strips (:func:`_drop_light`)."""
-    list(run(_gram_strip, strips))
-    _drop_light(state)
-    return state["gram"]
-
-
-def _drop_light(state: dict) -> None:
-    """Free this process's copy of the light columns, which only the Gram
-    strips read: a worker's would stay resident through the tasks after
-    them, beside the shared pages those write."""
-    state.pop("x_light", None)
 
 
 def gram_matrix(x: sp.csr_matrix, jobs: int = 1) -> np.ndarray:
@@ -295,7 +281,8 @@ def gram_matrix(x: sp.csr_matrix, jobs: int = 1) -> np.ndarray:
     (:func:`_gram_state`) over a pool of its own."""
     state, strips = _gram_state(x)
     with fork_pool(jobs, state) as run:
-        return _sum_gram(run, state, strips)
+        list(run(_gram_strip, strips))
+    return state["gram"]
 
 
 def _solve_binary(gram, y, cost_c, gen, tol, max_passes):
@@ -344,7 +331,6 @@ def _solve_class(state, k):
     """Solve class ``k``'s binary problem: write its ``alpha * y`` into
     column k of ``"coefs"``, and return its objective history and last
     pass's largest violation, as :func:`_solve_binary` returns them."""
-    _drop_light(state)
     cls = int(state["classes"][k])
     state["coefs"][:, k], history, violation = _solve_binary(
         state["gram"], np.where(state["y"] == cls, 1.0, -1.0), state["cost_c"],
@@ -357,7 +343,6 @@ def _lift(state, block) -> None:
     ``c0:c1`` of ``"lifted"``, its transpose: scipy sums each entry over
     the rows in ascending order, whatever the block, so the bits are those
     of one whole product. ``"lifted"``'s layout decides where they land."""
-    _drop_light(state)
     c0, c1 = block
     state["lifted"][:, c0:c1] = (_columns(state["x"], block).T @ state["coefs"]).T
 
@@ -392,7 +377,7 @@ def svm_train(features, labels, cost_c: float = 1.0,
                  coefs=shared_zeros((n, classes.size)),
                  lifted=shared_zeros((d, classes.size)).T)
     with fork_pool(jobs, state, max(len(strips), classes.size, len(blocks))) as run:
-        _sum_gram(run, state, strips)
+        list(run(_gram_strip, strips))
         solved = list(run(_solve_class, range(classes.size)))
         list(run(_lift, blocks))
     for cls, (hist, violation) in zip(classes, solved):
@@ -466,13 +451,17 @@ def wpca_fit(features, labels, target_dim: int,
     n, d = x.shape
     if n < 2:
         raise ValueError("need at least two samples")
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (n,):
+        raise ValueError("label/sample count mismatch")
     mean, blocks = _column_means(x), _column_blocks(n, d)
     state, strips = _gram_state(x)
     # the dual vectors are filled after the eigensolve, when the workers run
     state.update(coefs=shared_zeros((n, target_dim)),
                  lifted=shared_zeros((target_dim, d)))
     with fork_pool(jobs, state, max(len(strips), len(blocks))) as run:
-        gram_xx = _sum_gram(run, state, strips)
+        list(run(_gram_strip, strips))
+        gram_xx = state["gram"]
         _center_gram(gram_xx, x, mean)
         eigvals, dual_vecs = jacobi_eigh(gram_xx)
 
@@ -487,8 +476,8 @@ def wpca_fit(features, labels, target_dim: int,
         dual = state["coefs"]
         dual[:] = dual_vecs[:, :target_dim]
         list(run(_lift, blocks))
-    # the light columns and the eigensolve's buffers were freed below chunks
-    # still in use: without this, dae_wpca's training kept 5 MB more resident
+    # the eigensolve's n x n buffers were freed below chunks still in use:
+    # without this, dae_wpca's training kept about 8 MB more resident
     trim_heap()
     rows = state["lifted"]
     for row, total, norm in zip(rows, (float(v.sum()) for v in dual.T),
@@ -497,8 +486,7 @@ def wpca_fit(features, labels, target_dim: int,
         row /= norm
     signs = fix_row_signs(rows)
     rows *= scale[:, None]
-    return WpcaCosineModel(mean, rows, np.sqrt(n - 1) * dual * signs,
-                           np.asarray(labels, dtype=np.int64))
+    return WpcaCosineModel(mean, rows, np.sqrt(n - 1) * dual * signs, labels)
 
 
 # images per evaluation task, and per pool task of extraction
@@ -538,27 +526,29 @@ def _dense_blocks(x: sp.csr_matrix, blocks):
 
 @one_blas_thread()
 def wpca_apply(model: WpcaCosineModel, features) -> np.ndarray:
-    """Centered features times the projection, one column block of
-    :func:`_projection_blocks` at a time: each block's columns are
-    densified in the data's own dtype (:func:`_dense_blocks`) and centered
-    into one reused float64 buffer. A row gets the same bits in any batch:
-    the blocks do not follow the row count, and gemm gives a row those
-    bits above the small-matrix cutoff, which every block's product
-    passes. BLAS takes gemv for one row, which rounds apart, so a lone row
-    is projected as a two-row gemm of itself."""
+    """Centered features times the projection, ``TASK_IMAGES`` rows and one
+    column block of :func:`_projection_blocks` at a time: each block's
+    columns are densified in the data's own dtype (:func:`_dense_blocks`)
+    and centered into one reused float64 buffer. A row gets the same bits
+    in any batch: the blocks do not follow the row count, and gemm gives a
+    row those bits above the small-matrix cutoff, which every block's
+    product passes. BLAS takes gemv for one row, which rounds apart, so a
+    lone row of a run is projected as a two-row gemm of itself."""
     x = as_csr(features, model.mean.shape[0])
-    n = x.shape[0]
-    rows = x[[0, 0]] if n == 1 else x
-    k, d = model.projection.shape
+    n, (k, d) = x.shape[0], model.projection.shape
     blocks = _projection_blocks(d, k)
-    centered = np.empty((rows.shape[0], max(c1 - c0 for c0, c1 in blocks)))
-    projected = np.zeros((rows.shape[0], k))
-    for (c0, c1), dense in zip(blocks, _dense_blocks(rows, blocks)):
-        block = centered[:, :c1 - c0]
-        block[...] = dense
-        block -= model.mean[c0:c1]
-        projected += block @ model.projection[:, c0:c1].T
-    return projected[:n]
+    centered = np.empty((min(max(n, 2), TASK_IMAGES),
+                         max(c1 - c0 for c0, c1 in blocks)))
+    projected = np.zeros((n, k))
+    for r0 in range(0, n, TASK_IMAGES):
+        r1 = min(r0 + TASK_IMAGES, n)
+        rows = x[[r0, r0]] if r1 - r0 == 1 else _rows(x, r0, r1)
+        for (c0, c1), dense in zip(blocks, _dense_blocks(rows, blocks)):
+            block = centered[:rows.shape[0], :c1 - c0]
+            block[...] = dense
+            block -= model.mean[c0:c1]
+            projected[r0:r1] += (block @ model.projection[:, c0:c1].T)[:r1 - r0]
+    return projected
 
 
 def cosine_nn(train_vectors: np.ndarray, train_labels: np.ndarray,

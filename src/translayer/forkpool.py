@@ -15,8 +15,9 @@ task such as a ``(start, stop)`` range: nothing large is pickled on the
 way in. What a worker computes for the parent, or for a later run, goes
 into arrays from :func:`shared_zeros`, which are allocated before the
 fork, and whose rows :func:`release` gives back once they are read. A
-worker that dies fails the run with ``BrokenProcessPool`` instead of
-hanging it.
+task only reads ``state`` and writes only into such arrays, so every
+task at every ``jobs`` sees the state the block was given. A worker that
+dies fails the run with ``BrokenProcessPool`` instead of hanging it.
 
 While a pool lives, BLAS runs on one thread (:func:`one_blas_thread`),
 also in the workers, which inherit the count: they do not each start one

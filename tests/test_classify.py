@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import logging
 import multiprocessing
@@ -163,8 +164,14 @@ def test_single_class_rejected():
 @pytest.mark.parametrize("fit, rows, message", [
     (lambda x, y: svm_train(x, y[:-1]), 4, "label/sample count mismatch"),
     (lambda x, y: wpca_fit(x, y, 1), 1, "need at least two samples"),
-], ids=["svm-one-label-too-few", "wpca-one-row"])
-def test_fit_on_mismatched_or_too_few_rows_rejected(fit, rows, message):
+    (lambda x, y: wpca_fit(x, y[:-1], 1), 4, "label/sample count mismatch"),
+], ids=["svm-one-label-too-few", "wpca-one-row", "wpca-one-label-too-few"])
+def test_fit_on_mismatched_or_too_few_rows_rejected(monkeypatch, fit, rows,
+                                                    message):
+    def no_gram(*args):
+        raise AssertionError("summed the Gram before checking the rows")
+
+    monkeypatch.setattr(classify, "_gram_state", no_gram)
     with pytest.raises(ValueError, match=message):
         fit(SEPARABLE_X[:rows], SEPARABLE_Y[:rows])
 
@@ -691,6 +698,33 @@ def test_gram_bits_do_not_depend_on_jobs():
     assert np.allclose(grams[0], (x @ x.T).toarray(), rtol=1e-14, atol=0.0)
 
 
+def test_no_pool_task_changes_its_state(monkeypatch):
+    # at jobs=1 the tasks run on the very state dict the pool was given: a
+    # task reads it and writes only into its shared arrays, so no key is
+    # added, removed or rebound between a block's entry and its exit
+    fork_pool = classify.fork_pool
+    snapshots = []
+
+    @contextlib.contextmanager
+    def watching(jobs, state, *width):
+        entered = dict(state)
+        with fork_pool(jobs, state, *width) as run:
+            yield run
+        snapshots.append((entered, dict(state)))
+
+    monkeypatch.setattr(classify, "fork_pool", watching)
+    x = sp.hstack([block_counts(40, 5, 16, seed=10),
+                   block_counts(40, 4, 16, seed=11, one_bin=True)]).tocsr()
+    labels = np.arange(40) % 3
+    classify.gram_matrix(x, jobs=1)
+    svm_train(x, labels, cost_c=1.0, rng=Rng(10), jobs=1)
+    wpca_fit(x, labels, 3, jobs=1)
+    assert len(snapshots) == 3
+    for entered, left in snapshots:
+        assert entered.keys() == left.keys()
+        assert all(left[key] is value for key, value in entered.items())
+
+
 def test_gram_partials_never_reach_the_fitting_process():
     # the tasks write their strips into one shared array, so the fitting
     # process allocates no n x n partial and none is sent back to it; it
@@ -849,28 +883,55 @@ def test_wpca_apply_sub_batches_reproduce_the_batch_rows():
 
 @pytest.mark.parametrize("score", ["svm", "wpca"])
 def test_scoring_never_holds_a_float64_copy_of_the_task(score):
-    # a 32-image evaluation task's counts at d = 147456: scipy would copy
-    # them all to float64 for the SVM's decision values, and a dense
-    # float64 batch would take 37.7 MB; wpca_apply holds one column block
-    # of the counts dense in their own dtype and one centered float64 block
-    counts, _ = typed_counts(32, 576, 256, seed=82)
+    # a 32-image evaluation task's counts at d = 147456, and a batch of
+    # three tasks: scipy would copy them all to float64 for the SVM's
+    # decision values, and a dense float64 task would take 37.7 MB;
+    # wpca_apply holds one column block of one task's rows dense in their
+    # own dtype and one centered float64 block, whatever the batch
     gen = np.random.default_rng(82)
-    d = counts.shape[1]
+    d = 576 * 256
     if score == "svm":
         model = classify.LinearSvmModel(np.arange(4), gen.standard_normal((4, d)))
-        scores, bound = svm_predict_many, 8 * counts.nnz
     else:
         model = classify.WpcaCosineModel(
             gen.random(d), gen.standard_normal((64, d)),
             gen.standard_normal((2, 64)), np.arange(2))
-        scores, bound = wpca_apply, 2 * classify.BUDGET
-    tracemalloc.start()
-    try:
-        scores(model, counts)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < bound
+    for rows in (32, 96):
+        counts, _ = typed_counts(rows, 576, 256, seed=82)
+        if score == "svm":
+            scores, bound = svm_predict_many, 8 * counts.nnz
+        else:
+            scores, bound = wpca_apply, 2 * classify.BUDGET
+        tracemalloc.start()
+        try:
+            scores(model, counts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, rows
+
+
+def test_row_run_is_a_view_of_the_batch():
+    # scipy's constructor would copy a run under half of the batch's entries
+    x = block_counts(10, 4, 16, seed=84)
+    run = classify._rows(x, 2, 4)
+    assert np.shares_memory(run.data, x.data)
+    assert np.shares_memory(run.indices, x.indices)
+    assert np.array_equal(run.toarray(), x[2:4].toarray())
+
+
+def test_wpca_apply_projects_a_batch_one_task_of_rows_at_a_time():
+    # a batch longer than an evaluation task gives each run of TASK_IMAGES
+    # rows, and its lone last row, the bits it gets as a batch of its own
+    task = classify.TASK_IMAGES
+    x = block_counts(2 * task + 1, 64, 16, seed=83).astype(np.uint8)
+    gen = np.random.default_rng(83)
+    model = classify.WpcaCosineModel(
+        np.asarray(x.mean(axis=0)).ravel(), gen.standard_normal((8, x.shape[1])),
+        gen.standard_normal((2, 8)), np.arange(2))
+    parts = [wpca_apply(model, x[r0:r1])
+             for r0, r1 in [(0, task), (task, 2 * task), (2 * task, 2 * task + 1)]]
+    assert wpca_apply(model, x).tobytes() == np.concatenate(parts).tobytes()
 
 
 # --- cosine nearest neighbor -------------------------------------------
